@@ -53,9 +53,8 @@ def long_short_forecast(history: Sequence[tuple[int, BBox]], target_index: int) 
         raise SingularFit(f"frame indices must be distinct, got {indices}")
     ks = np.array(indices, dtype=np.float64)
     degree = min(2, len(history) - 1)
-    coords = np.array([b.as_tuple() for _, b in history])  # (n, 4)
-    out = [float(np.polyval(np.polyfit(ks, coords[:, j], degree), target_index)) for j in range(4)]
-    return BBox(*out)
+    coords = np.array([b.as_tuple() for _, b in history])  # (n, 4): one lstsq, four right-hand sides
+    return BBox(*np.polyval(np.polyfit(ks, coords, degree), target_index).tolist())
 
 
 class DelayedGtDetector:

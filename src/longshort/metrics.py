@@ -7,13 +7,20 @@ averages IoU thresholds 0.50:0.05:0.95; companion numbers report the 0.50
 and 0.75 thresholds and the small/medium/large area splits.  A query frame
 with no completed prediction simply contributes zero detections against its
 ground truth.
+
+One IoU matrix per (frame, category) feeds the greedy match at all ten
+thresholds, as COCO's evaluator caches IoUs per image and category; each
+category is pooled and score-sorted once into a (category, threshold, area
+range) AP table that every report field is read from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .boxes import BBox, Detection, GroundTruthBox
 from .streaming import EvalPairing
@@ -24,17 +31,95 @@ AREA_ALL = (0.0, math.inf)
 AREA_SMALL = (0.0, 32.0**2)
 AREA_MEDIUM = (32.0**2, 96.0**2)
 AREA_LARGE = (96.0**2, math.inf)
+AREA_RANGES = (AREA_ALL, AREA_SMALL, AREA_MEDIUM, AREA_LARGE)
 
 RECALL_POINTS = tuple(i / 100 for i in range(101))
 
 
+def _corners(boxes: Iterable[BBox]) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(D, 4) x (G, 4) corner arrays -> (D, G) intersection over union; 0
+    where the union is empty.  Each entry takes the scalar operation order
+    (per-axis min - max, product of the clamped extents, a + b - inter), so
+    it does not depend on what else is in the batch."""
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0 when the union is empty."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
+    return float(_iou_matrix(_corners([a]), _corners([b]))[0, 0])
+
+
+def _greedy_match(dets: Sequence[Detection], gts: Sequence[GroundTruthBox], thrs: np.ndarray) -> np.ndarray:
+    """(T, D) ground-truth index taken by each detection at each threshold,
+    -1 for none.  Detections go in descending score order (ties keep
+    insertion order) and each takes the unclaimed ground truth of highest
+    IoU >= threshold; argmax returns the first maximum, so IoU ties go to
+    the lowest ground-truth index."""
+    matched = np.full((len(thrs), len(dets)), -1)
+    if not dets or not gts:
+        return matched
+    ious = _iou_matrix(_corners(d.bbox for d in dets), _corners(g.bbox for g in gts))
+    # A detection whose single candidate (IoU >= the lowest threshold) is no
+    # other detection's candidate takes it wherever its IoU clears the
+    # threshold, in any order; only the contested rest needs the greedy walk.
+    cand = ious >= thrs.min()
+    best = ious.argmax(axis=1)
+    alone = (cand.sum(axis=1) == 1) & (cand.sum(axis=0)[best] == 1)
+    hit = alone & (ious[np.arange(len(dets)), best] >= thrs[:, None])
+    matched[hit] = np.broadcast_to(best, hit.shape)[hit]
+    order = np.argsort([-d.score for d in dets], kind="stable")
+    covered = np.zeros((len(thrs), len(gts)), dtype=bool)
+    rows = np.arange(len(thrs))
+    for i in order[(cand.any(axis=1) & ~alone)[order]]:
+        masked = np.where(covered, -np.inf, ious[i])
+        best = masked.argmax(axis=1)
+        hit = masked[rows, best] >= thrs
+        matched[hit, i] = best[hit]
+        covered[rows[hit], best[hit]] = True
+    return matched
+
+
+def _ap(is_tp: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP of detections in descending score order."""
+    if not len(is_tp):
+        return 0.0
+    tp = np.cumsum(is_tp)
+    precision = tp / np.arange(1, len(tp) + 1)
+    # Right-to-left precision envelope read at the recall grid; grid points
+    # beyond the last recall read the appended 0.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    total = 0.0
+    for v in envelope[np.searchsorted(tp / n_gt, RECALL_POINTS, side="left")].tolist():
+        total += v  # sequential on purpose: np.sum pairs terms and changes bits
+    return total / len(RECALL_POINTS)
+
+
+def _ap_table(scores: list[float], matched: np.ndarray, gt_areas: list[float], area_ranges) -> list[list]:
+    """AP per [area range][threshold] of one category's pooled detections:
+    scores (N,) and matched (T, N) (pooled ground-truth index or -1) in
+    pooling order, gt_areas (M,) of the pooled ground truth.  Ground truth
+    outside a range is ignored, a detection matched to it is neither true
+    nor false positive, and a range with no ground truth reads None."""
+    order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")  # ties keep pooling order
+    matched = matched[:, order]
+    gt_areas = np.array(gt_areas, dtype=np.float64)
+    table = []
+    for lo, hi in area_ranges:
+        gt_ok = (lo <= gt_areas) & (gt_areas < hi)
+        n_gt = int(gt_ok.sum())
+        keep = np.append(gt_ok, True)[matched]  # index -1 (unmatched) reads the appended True
+        table.append([None if n_gt == 0 else _ap(m[k] >= 0, n_gt) for m, k in zip(matched, keep)])
+    return table
 
 
 @dataclass(frozen=True)
@@ -52,24 +137,10 @@ class MatchResult:
 
 def match_frame(dets: Sequence[Detection], gts: Sequence[GroundTruthBox], iou_thr: float) -> MatchResult:
     """Match one frame's detections (already category-filtered) to ground
-    truth: descending score (ties keep insertion order), each detection
-    greedily takes the unclaimed ground truth of highest IoU >= threshold
-    (ties go to the lowest ground-truth index)."""
-    det_matched: list[Optional[int]] = [None] * len(dets)
-    covered = [False] * len(gts)
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    for i in order:
-        best_j, best_iou = None, 0.0
-        for j, g in enumerate(gts):
-            if covered[j]:
-                continue
-            v = iou(dets[i].bbox, g.bbox)
-            if v >= iou_thr and (best_j is None or v > best_iou):
-                best_j, best_iou = j, v
-        if best_j is not None:
-            det_matched[i] = best_j
-            covered[best_j] = True
-    return MatchResult(iou_thr, tuple(det_matched), tuple(covered))
+    truth at one threshold; see `_greedy_match` for the rule."""
+    matched = _greedy_match(dets, gts, np.array([iou_thr]))[0].tolist()
+    covered = tuple(j in matched for j in range(len(gts)))
+    return MatchResult(iou_thr, tuple(None if j < 0 else j for j in matched), covered)
 
 
 @dataclass(frozen=True)
@@ -79,11 +150,6 @@ class FrameMatches:
     dets: tuple[Detection, ...]
     gts: tuple[GroundTruthBox, ...]
     result: MatchResult
-
-
-def _in_range(area: float, area_range: tuple[float, float]) -> bool:
-    lo, hi = area_range
-    return lo <= area < hi
 
 
 def average_precision(
@@ -97,43 +163,14 @@ def average_precision(
     an ignored ground truth counts neither as true nor false positive.
     Returns None when the range contains no ground truth at all.
     """
-    n_gt = 0
-    rows: list[tuple[float, bool]] = []  # (score, is_tp), pooling order
+    scores, matched, gt_areas = [], [], []
     for fm in frames:
         if fm.result.iou_thr != iou_thr:
             raise ValueError(f"matches were computed at {fm.result.iou_thr}, not {iou_thr}")
-        gt_ok = [_in_range(g.area, area_range) for g in fm.gts]
-        n_gt += sum(gt_ok)
-        for i, d in enumerate(fm.dets):
-            j = fm.result.det_matched[i]
-            if j is None:
-                rows.append((d.score, False))
-            elif gt_ok[j]:
-                rows.append((d.score, True))
-            # matched to an out-of-range ground truth: excluded entirely
-    if n_gt == 0:
-        return None
-    if not rows:
-        return 0.0
-    rows.sort(key=lambda r: -r[0])  # stable: score ties keep pooling order
-    precisions, recalls = [], []
-    tp = fp = 0
-    for _, is_tp in rows:
-        tp += is_tp
-        fp += not is_tp
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
-    # Right-to-left precision envelope, then read it at the recall grid.
-    envelope = precisions[:]
-    for i in range(len(envelope) - 2, -1, -1):
-        envelope[i] = max(envelope[i], envelope[i + 1])
-    total = 0.0
-    j = 0
-    for r in RECALL_POINTS:
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        total += envelope[j] if j < len(recalls) else 0.0
-    return total / len(RECALL_POINTS)
+        scores += [d.score for d in fm.dets]
+        matched += [-1 if j is None else j + len(gt_areas) for j in fm.result.det_matched]
+        gt_areas += [g.area for g in fm.gts]
+    return _ap_table(scores, np.array([matched], dtype=np.int64), gt_areas, [area_range])[0][0]
 
 
 @dataclass(frozen=True)
@@ -169,48 +206,44 @@ def compute_sap_report(
     small < 32^2, medium in [32^2, 96^2), large >= 96^2.
     """
     categories = sorted({g.category for gts in gts_by_frame for g in gts})
-    frame_dets: list[tuple[int, tuple[Detection, ...]]] = []
+    thrs = np.array(IOU_THRESHOLDS)
+    # per category: scores, matched blocks (T, D_frame), ground-truth areas
+    pools = {cat: ([], [np.empty((len(thrs), 0), dtype=np.int64)], []) for cat in categories}
     for p in pairings:
         dets = tuple(p.paired_record.detections) if p.paired_record is not None else ()
         if max_dets_per_frame is not None and len(dets) > max_dets_per_frame:
             keep = sorted(range(len(dets)), key=lambda i: -dets[i].score)[:max_dets_per_frame]
             dets = tuple(dets[i] for i in sorted(keep))
-        frame_dets.append((p.query_frame_index, dets))
+        for cat, (scores, matched, gt_areas) in pools.items():
+            dets_c = [d for d in dets if d.category == cat]
+            gts_c = [g for g in gts_by_frame[p.query_frame_index] if g.category == cat]
+            m = _greedy_match(dets_c, gts_c, thrs)
+            matched.append(np.where(m < 0, -1, m + len(gt_areas)))
+            scores += [d.score for d in dets_c]
+            gt_areas += [g.area for g in gts_c]
+    # table[c][a][t]: category c, area range a (AREA_RANGES order), threshold t
+    table = [_ap_table(s, np.concatenate(m, axis=1), a, AREA_RANGES) for s, m, a in pools.values()]
 
-    matches: dict[tuple[int, float], list[FrameMatches]] = {}
-    for cat in categories:
-        for thr in IOU_THRESHOLDS:
-            per_frame = []
-            for q, dets in frame_dets:
-                dets_c = tuple(d for d in dets if d.category == cat)
-                gts_c = tuple(g for g in gts_by_frame[q] if g.category == cat)
-                per_frame.append(FrameMatches(dets_c, gts_c, match_frame(dets_c, gts_c, thr)))
-            matches[(cat, thr)] = per_frame
-
-    def mean_ap(thrs: Sequence[float], area_range: tuple[float, float]) -> Optional[float]:
+    def mean_ap(thr_indices: Sequence[int], area: int) -> Optional[float]:
         per_thr = []
-        for thr in thrs:
-            vals = [ap for cat in categories
-                    if (ap := average_precision(matches[(cat, thr)], thr, area_range)) is not None]
+        for t in thr_indices:
+            vals = [aps[area][t] for aps in table if aps[area][t] is not None]
             if vals:
                 per_thr.append(sum(vals) / len(vals))
         return sum(per_thr) / len(per_thr) if per_thr else None
 
-    sap = mean_ap(IOU_THRESHOLDS, AREA_ALL)
+    every = range(len(IOU_THRESHOLDS))
+    sap = mean_ap(every, 0)
     if sap is None:
         raise ValueError("no ground truth supplied; the report is undefined")
-    per_category = {}
-    for cat in categories:
-        vals = [average_precision(matches[(cat, thr)], thr, AREA_ALL) for thr in IOU_THRESHOLDS]
-        per_category[cat] = sum(vals) / len(vals)
     return SapReport(
         sap=sap,
-        sap50=mean_ap((0.50,), AREA_ALL),
-        sap75=mean_ap((0.75,), AREA_ALL),
-        sap_small=mean_ap(IOU_THRESHOLDS, AREA_SMALL),
-        sap_medium=mean_ap(IOU_THRESHOLDS, AREA_MEDIUM),
-        sap_large=mean_ap(IOU_THRESHOLDS, AREA_LARGE),
-        per_category=per_category,
+        sap50=mean_ap((IOU_THRESHOLDS.index(0.50),), 0),
+        sap75=mean_ap((IOU_THRESHOLDS.index(0.75),), 0),
+        sap_small=mean_ap(every, 1),
+        sap_medium=mean_ap(every, 2),
+        sap_large=mean_ap(every, 3),
+        per_category={cat: sum(aps[0]) / len(aps[0]) for cat, aps in zip(categories, table)},
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,8 +30,8 @@ class ConstantLatency:
     ms: float
 
     def __post_init__(self):
-        if self.ms < 0:
-            raise ValueError("latency must be >= 0")
+        if not (math.isfinite(self.ms) and self.ms >= 0):
+            raise ValueError(f"latency_ms must be finite and >= 0, got {self.ms}")
 
     def latency_for(self, frame_index: int) -> float:
         return self.ms
@@ -42,8 +43,8 @@ class PerFrameLatency:
 
     def __post_init__(self):
         object.__setattr__(self, "values_ms", tuple(float(v) for v in self.values_ms))
-        if any(v < 0 for v in self.values_ms):
-            raise ValueError("latencies must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in self.values_ms):
+            raise ValueError("latency_per_frame_ms values must be finite and >= 0")
 
     def latency_for(self, frame_index: int) -> float:
         return self.values_ms[frame_index]
@@ -71,6 +72,12 @@ class StreamConfig:
             raise ValueError("horizon_frames must be >= 1")
         if self.frame_interval_ms <= 0:
             raise ValueError("frame_interval_ms must be positive")
+        if isinstance(self.latency_model, PerFrameLatency):
+            n = len(self.latency_model.values_ms)
+            if n < self.horizon_frames:
+                raise ValueError(
+                    f"latency_per_frame_ms has {n} values, fewer than the {self.horizon_frames} frames of the horizon"
+                )
 
 
 @dataclass(frozen=True)
@@ -130,14 +137,19 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
 def latest_completed(records: Sequence[PredictionRecord], query_time_ms: float) -> Optional[PredictionRecord]:
     """Record with the greatest completion time <= query time, or None.
     Records must be sorted by completion time."""
-    times = [r.completion_time_ms for r in records]
+    return _latest_at(records, [r.completion_time_ms for r in records], query_time_ms)
+
+
+def _latest_at(records: Sequence[PredictionRecord], times: list[float], query_time_ms: float):
     i = bisect.bisect_right(times, query_time_ms)
     return records[i - 1] if i > 0 else None
 
 
 def pair_for_eval(records: Sequence[PredictionRecord], frames: Iterable[Frame]) -> list[EvalPairing]:
-    """One pairing per annotated frame, queried at its arrival timestamp."""
-    return [EvalPairing(f.index, latest_completed(records, f.timestamp_ms)) for f in frames]
+    """One pairing per annotated frame, queried at its arrival timestamp;
+    the completion times are listed once and each frame bisects them."""
+    times = [r.completion_time_ms for r in records]
+    return [EvalPairing(f.index, _latest_at(records, times, f.timestamp_ms)) for f in frames]
 
 
 def write_records(records: Sequence[PredictionRecord], fp: TextIO) -> None:

@@ -259,3 +259,121 @@ def prefix_ap(n_tp: int, n_gt: int) -> float:
     if n_tp == 0:
         return 0.0
     return (math.floor(100 * n_tp / n_gt) + 1) / 101
+
+
+# ------------------------------------------------- scalar reference engine
+
+
+def _ref_iou(a: BBox, b: BBox) -> float:
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    inter = max(ix, 0.0) * max(iy, 0.0)
+    union = a.area + b.area - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _ref_match(dets, gts, thr):
+    det_matched = [None] * len(dets)
+    covered = [False] * len(gts)
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        best_j, best_iou = None, 0.0
+        for j, g in enumerate(gts):
+            if covered[j]:
+                continue
+            v = _ref_iou(dets[i].bbox, g.bbox)
+            if v >= thr and (best_j is None or v > best_iou):
+                best_j, best_iou = j, v
+        if best_j is not None:
+            det_matched[i] = best_j
+            covered[best_j] = True
+    return det_matched
+
+
+def _ref_ap(frames, area_range):
+    lo, hi = area_range
+    n_gt = 0
+    rows = []
+    for dets, gts, matched in frames:
+        gt_ok = [lo <= g.area < hi for g in gts]
+        n_gt += sum(gt_ok)
+        for i, d in enumerate(dets):
+            j = matched[i]
+            if j is None:
+                rows.append((d.score, False))
+            elif gt_ok[j]:
+                rows.append((d.score, True))
+    if n_gt == 0:
+        return None
+    if not rows:
+        return 0.0
+    rows.sort(key=lambda r: -r[0])
+    precisions, recalls = [], []
+    tp = fp = 0
+    for _, is_tp in rows:
+        tp += is_tp
+        fp += not is_tp
+        precisions.append(tp / (tp + fp))
+        recalls.append(tp / n_gt)
+    envelope = precisions[:]
+    for i in range(len(envelope) - 2, -1, -1):
+        envelope[i] = max(envelope[i], envelope[i + 1])
+    total = 0.0
+    j = 0
+    for r in GRID:
+        while j < len(recalls) and recalls[j] < r:
+            j += 1
+        total += envelope[j] if j < len(recalls) else 0.0
+    return total / len(GRID)
+
+
+def reference_sap_report(pairings, gts_by_frame, max_dets_per_frame=None):
+    """The scalar evaluator the package's matrix engine replaced, kept as a
+    bit-exact reference: scalar IoU per (detection, ground truth, threshold),
+    one greedy match per threshold, AP recomputed per report field.
+    Returns a `longshort.metrics.SapReport`."""
+    from longshort.metrics import SapReport
+
+    ranges = [RANGES[name] for name in ("all", "small", "medium", "large")]
+    categories = sorted({g.category for gts in gts_by_frame for g in gts})
+    frame_dets = []
+    for p in pairings:
+        dets = tuple(p.paired_record.detections) if p.paired_record is not None else ()
+        if max_dets_per_frame is not None and len(dets) > max_dets_per_frame:
+            keep = sorted(range(len(dets)), key=lambda i: -dets[i].score)[:max_dets_per_frame]
+            dets = tuple(dets[i] for i in sorted(keep))
+        frame_dets.append((p.query_frame_index, dets))
+    matches = {}
+    for cat in categories:
+        for thr in IOU_THRS:
+            per_frame = []
+            for q, dets in frame_dets:
+                dets_c = [d for d in dets if d.category == cat]
+                gts_c = [g for g in gts_by_frame[q] if g.category == cat]
+                per_frame.append((dets_c, gts_c, _ref_match(dets_c, gts_c, thr)))
+            matches[(cat, thr)] = per_frame
+
+    def mean_ap(thrs, area_range):
+        per_thr = []
+        for thr in thrs:
+            vals = [ap for cat in categories
+                    if (ap := _ref_ap(matches[(cat, thr)], area_range)) is not None]
+            if vals:
+                per_thr.append(sum(vals) / len(vals))
+        return sum(per_thr) / len(per_thr) if per_thr else None
+
+    sap = mean_ap(IOU_THRS, ranges[0])
+    if sap is None:
+        raise ValueError("no ground truth supplied; the report is undefined")
+    per_category = {}
+    for cat in categories:
+        vals = [_ref_ap(matches[(cat, thr)], ranges[0]) for thr in IOU_THRS]
+        per_category[cat] = sum(vals) / len(vals)
+    return SapReport(
+        sap=sap,
+        sap50=mean_ap([0.50], ranges[0]),
+        sap75=mean_ap([0.75], ranges[0]),
+        sap_small=mean_ap(IOU_THRS, ranges[1]),
+        sap_medium=mean_ap(IOU_THRS, ranges[2]),
+        sap_large=mean_ap(IOU_THRS, ranges[3]),
+        per_category=per_category,
+    )

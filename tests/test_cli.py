@@ -46,6 +46,26 @@ def test_config_rejects_unknown_detector():
         run_config_from_dict(base_config_dict(detector={"kind": "alexnet"}))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_latency_naming_the_key(bad):
+    with pytest.raises(ValueError, match="latency_ms"):
+        run_config_from_dict(base_config_dict(stream={"latency_ms": bad}))
+    with pytest.raises(ValueError, match="latency_per_frame_ms"):
+        run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [10.0, bad, 10.0]}))
+
+
+def test_short_per_frame_latency_list_rejected_before_any_detector_call(monkeypatch):
+    import longshort.runner as runner
+
+    def no_detector(cfg, data):
+        raise AssertionError("the detector was built before the latency list was checked")
+
+    monkeypatch.setattr(runner, "make_detector", no_detector)
+    cfg = run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5}))
+    with pytest.raises(ValueError, match=r"latency_per_frame_ms has 5 values, fewer than the 20 frames"):
+        run_eval(cfg, write=False)
+
+
 def test_overrides_win_over_file_values(tmp_path):
     path = write_config(tmp_path, base_config_dict())
     cfg = load_run_config(path, {"seed": 9, "stream": {"latency_ms": 50.0}, "detector": {"kind": "hold"}})

@@ -26,7 +26,7 @@ from longshort.scenarios import (
     gts_by_frame,
 )
 from longshort.streaming import EvalPairing, PredictionRecord
-from oracles import grid_count_iou, oracle_greedy_match, oracle_sap_report
+from oracles import grid_count_iou, oracle_greedy_match, oracle_sap_report, reference_sap_report
 
 
 def gt(x0, y0, x1, y1, cat=0, track=0, frame=0):
@@ -232,6 +232,70 @@ def test_report_agrees_with_independent_evaluator_on_random_scenes():
                 assert got_v == pytest.approx(want_v, abs=1e-9), trial
         for cat, ap in report.per_category.items():
             assert ap == pytest.approx(want["per_category"][cat], abs=1e-9)
+
+
+def random_eval_scene(rng):
+    """Pairings, ground truth and a detection cap drawn to hit the matcher's
+    corner cases: duplicate boxes (IoU ties), equal scores, 1-3 categories
+    (one of them possibly never detected), empty frames, frames with no
+    completed record, and integer corners that make overlaps coincide."""
+    n_cats = int(rng.integers(1, 4))
+    undetected = n_cats - 1 if n_cats > 1 and rng.random() < 0.5 else None
+    snap = rng.random() < 0.5
+
+    def box():
+        x, y = rng.uniform(0, 200, 2)
+        w, h = rng.uniform(4, 130, 2)
+        c = [x, y, x + w, y + h]
+        return [float(round(v)) for v in c] if snap else c
+
+    gts, pairings = [], []
+    for k in range(int(rng.integers(1, 8))):
+        frame_gts, frame_dets = [], []
+        if rng.random() >= 0.2:  # otherwise an empty frame
+            for j in range(int(rng.integers(0, 8))):
+                frame_gts.append(gt(*box(), cat=int(rng.integers(0, n_cats)), track=j, frame=k))
+            if frame_gts and rng.random() < 0.3:  # same box twice, annotated area possibly differing
+                g = frame_gts[int(rng.integers(len(frame_gts)))]
+                area = float(rng.uniform(1, 12000)) if rng.random() < 0.5 else -1.0
+                frame_gts.append(GroundTruthBox(g.bbox, g.category, len(frame_gts), k, area))
+            for g in frame_gts:
+                if g.category == undetected or rng.random() < 0.3:
+                    continue
+                corners = np.array(g.bbox.as_tuple()) + rng.integers(-4, 5, 4)
+                x0, x1 = sorted(corners[0::2])
+                y0, y1 = sorted(corners[1::2])
+                score = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+                frame_dets.append(det(x0, y0, x1, y1, score=score, cat=g.category))
+            if frame_gts and frame_gts[0].category != undetected and rng.random() < 0.3:
+                # a detection halfway between two ground truths ties on IoU; a
+                # lower-scored one on the second shows which of them it took
+                g = frame_gts[0]
+                step = float(rng.integers(1, 4))
+                twin = g.bbox.shifted(2 * step, 0.0)
+                frame_gts.append(GroundTruthBox(twin, g.category, len(frame_gts), k))
+                frame_dets.append(Detection(g.bbox.shifted(step, 0.0), g.category, 1.0))
+                frame_dets.append(Detection(twin, g.category, 0.5))
+            for _ in range(int(rng.integers(0, 4))):
+                cats = [c for c in range(n_cats) if c != undetected]
+                frame_dets.append(det(*box(), score=float(rng.uniform(0, 1)), cat=int(rng.choice(cats))))
+            if frame_dets and rng.random() < 0.4:
+                frame_dets.append(frame_dets[int(rng.integers(len(frame_dets)))])
+        gts.append(frame_gts)
+        record = None if rng.random() < 0.1 else PredictionRecord(k, k * 33.33, k * 33.33, tuple(frame_dets))
+        pairings.append(EvalPairing(k, record))
+    if not any(gts):
+        gts[0].append(gt(*box(), cat=0, frame=0))
+    cap = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+    return pairings, gts, cap
+
+
+def test_report_text_is_byte_identical_to_scalar_reference_engine():
+    rng = np.random.default_rng(2020)
+    for trial in range(200):
+        pairings, gts, cap = random_eval_scene(rng)
+        got = report_to_text(compute_sap_report(pairings, gts, max_dets_per_frame=cap))
+        assert got == report_to_text(reference_sap_report(pairings, gts, max_dets_per_frame=cap)), trial
 
 
 def test_sap50_always_upper_bounds_sap():

@@ -230,5 +230,12 @@ def test_stream_config_validation():
         StreamConfig(horizon_frames=5, frame_interval_ms=0.0)
     with pytest.raises(ValueError):
         ConstantLatency(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="latency_ms"):
+            ConstantLatency(bad)
+        with pytest.raises(ValueError, match="latency_per_frame_ms"):
+            PerFrameLatency((1.0, bad))
+    with pytest.raises(ValueError, match="latency_per_frame_ms has 2 values, fewer than the 3 frames"):
+        StreamConfig(horizon_frames=3, latency_model=PerFrameLatency((1.0, 2.0)))
     with pytest.raises(ValueError):
         PredictionRecord(0, 10.0, 5.0, ())
