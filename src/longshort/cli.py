@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    DETECTOR_KEYS,
     OUTPUT_DIR_ENV,
     SweepAxis,
     SweepSpec,
@@ -34,7 +35,9 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
-def _eval_overrides(args) -> dict:
+def _eval_overrides(args, detector_kind: str) -> dict:
+    """Flag overrides; --n-history/--delta-t also reach the detector when
+    its kind (from --detector, else the config file) takes them."""
     overrides: dict = {}
     stream: dict = {}
     fusion: dict = {}
@@ -53,10 +56,12 @@ def _eval_overrides(args) -> dict:
         fusion["variant"] = args.variant
     if args.n_history is not None:
         fusion["n_history"] = args.n_history
-        detector.setdefault("n_history", args.n_history)
+        if "n_history" in DETECTOR_KEYS.get(detector_kind, ()):
+            detector["n_history"] = args.n_history
     if args.delta_t is not None:
         fusion["delta_t"] = args.delta_t
-        detector.setdefault("delta_t", args.delta_t)
+        if "delta_t" in DETECTOR_KEYS.get(detector_kind, ()):
+            detector["delta_t"] = args.delta_t
     if args.ratio is not None:
         fusion["ratio"] = args.ratio
     if args.no_residual:
@@ -75,7 +80,9 @@ def _eval_overrides(args) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, _eval_overrides(args))
+    file_detector = json.loads(Path(args.config).read_text()).get("detector", {})
+    kind = args.detector or file_detector.get("kind", "delayed-gt")
+    cfg = load_run_config(args.config, _eval_overrides(args, kind))
     if cfg.output is None:
         out = _default_out_dir() / Path(args.config).stem
         cfg = dataclasses.replace(cfg, output=str(out))

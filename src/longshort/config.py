@@ -21,11 +21,13 @@ scene, a bundled scene by name, or a COCO-format annotation file.
       "output": "out/run1"
     }
 
-Detector kinds: "delayed-gt" (latency_frames), "hold", "const-velocity",
-"long-short" (n_history, delta_t), all taking "forecast_steps" (defaulting
-to the pairing staleness of a constant-latency stream), and "pyramid"
-(model_size, weight_seed, threshold) which runs the dual-path network over
-rasterized frames.
+Detector kinds and their keys (DETECTOR_KEYS; any other key is rejected):
+"delayed-gt" (latency_frames); "hold", "const-velocity", "long-short"
+(n_history, delta_t, forecast_steps, the last defaulting to the pairing
+staleness of a constant-latency stream and required with
+latency_per_frame_ms); and "pyramid" (model_size, weight_seed, threshold,
+category), which runs the dual-path network over rasterized frames and so
+needs a scene source, not a dataset.
 """
 
 from __future__ import annotations
@@ -41,7 +43,19 @@ from .fusion import FusionSettings, FusionVariant, InvalidConfig
 from .scenarios import SyntheticScene, bundled_scene, scene_from_dict
 from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency
 
-DETECTOR_KINDS = ("delayed-gt", "hold", "const-velocity", "long-short", "pyramid")
+# The keys runner.make_detector reads per kind.  The three forecasters share
+# one key set: a temporal-range sweep writes n_history/delta_t onto hold and
+# long-short and turns one into the other, and const-velocity (one frame
+# back) ignores n_history the way hold ignores all three.
+_FORECASTER_KEYS = ("n_history", "delta_t", "forecast_steps")
+DETECTOR_KEYS = {
+    "delayed-gt": ("latency_frames",),
+    "hold": _FORECASTER_KEYS,
+    "const-velocity": _FORECASTER_KEYS,
+    "long-short": _FORECASTER_KEYS,
+    "pyramid": ("model_size", "weight_seed", "threshold", "category"),
+}
+DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -64,8 +78,18 @@ class RunConfig:
     def __post_init__(self):
         if (self.scene is None) == (self.dataset_path is None):
             raise InvalidConfig("exactly one data source (scene or dataset) is required")
-        if self.detector_kind not in DETECTOR_KINDS:
-            raise InvalidConfig(f"unknown detector kind {self.detector_kind!r}; use one of {DETECTOR_KINDS}")
+        kind = self.detector_kind
+        if kind not in DETECTOR_KINDS:
+            raise InvalidConfig(f"unknown detector kind {kind!r}; use one of {DETECTOR_KINDS}")
+        allowed = DETECTOR_KEYS[kind]
+        for key in self.detector_params:
+            if key not in allowed:
+                raise InvalidConfig(f"unknown detector key {key!r} for kind {kind!r}; use one of {allowed}")
+        if kind == "pyramid" and self.dataset_path is not None:
+            raise InvalidConfig("detector kind 'pyramid' needs rendered frames; a 'dataset' source has no pixels")
+        per_frame = isinstance(self.latency_model, PerFrameLatency)
+        if kind in ("const-velocity", "long-short") and per_frame and self.detector_params.get("forecast_steps") is None:
+            raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
 
 
 def _parse_stream(raw: dict) -> dict:

@@ -227,6 +227,18 @@ def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
     return w
 
 
+def project_history(cfg: LsfmConfig, w: LsfmWeights, fmap: FeatureMap) -> FeatureMap:
+    """The part of fusion that depends on one history map alone: the shared
+    long projection (EfDil, LfDil) or avg projection (LfAvg).  It is the
+    identity for EfAvg, which sums raw maps, and for a branch whose planned
+    width is zero, which fuse_projected() never reads."""
+    if cfg.variant is FusionVariant.EF_AVG or plan_channels(cfg).long_out == 0:
+        return fmap
+    if cfg.variant is FusionVariant.LF_AVG:
+        return project_1x1(fmap, _require(w.avg_proj, "avg"))
+    return project_1x1(fmap, _require(w.long_proj, "long"))
+
+
 def fuse(
     cfg: LsfmConfig,
     w: LsfmWeights,
@@ -249,10 +261,21 @@ def fuse(
     for m in (current, *history):
         if m.shape != shape:
             raise ShapeMismatch(f"map shape {m.shape} != {shape}")
+    return fuse_projected(cfg, w, current, [project_history(cfg, w, m) for m in history])
 
+
+def fuse_projected(
+    cfg: LsfmConfig,
+    w: LsfmWeights,
+    current: FeatureMap,
+    projected_history: Sequence[FeatureMap],
+) -> FeatureMap:
+    """fuse() for history maps that already went through project_history(),
+    so a caller that keeps them can project each frame once.  Inputs are
+    trusted to have the shapes fuse() checks."""
     if cfg.variant is FusionVariant.EF_AVG:
         # A plain sum including the current frame; the residual flag is moot.
-        return sum_maps([current, *history])
+        return sum_maps([current, *projected_history])
 
     plan = plan_channels(cfg)
     parts: list[FeatureMap] = []
@@ -260,32 +283,32 @@ def fuse(
         if plan.short_out > 0:
             parts.append(project_1x1(current, _require(w.short_proj, "short")))
         if plan.long_out > 0:
-            long = _require(w.long_proj, "long")
-            parts.append(sum_maps([project_1x1(m, long) for m in history]))
+            parts.append(sum_maps(projected_history))
     elif cfg.variant is FusionVariant.LF_AVG:
         if plan.short_out > 0:
-            avg = _require(w.avg_proj, "avg")
-            parts.extend(project_1x1(m, avg) for m in (current, *history))
+            parts.append(project_1x1(current, _require(w.avg_proj, "avg")))
+            parts.extend(projected_history)
     else:  # LF_DIL
         if plan.short_out > 0:
             parts.append(project_1x1(current, _require(w.short_proj, "short")))
         if plan.long_out > 0:
-            long = _require(w.long_proj, "long")
-            parts.extend(project_1x1(m, long) for m in history)
+            parts.extend(projected_history)
 
     if parts:
         fused = concat_channels(parts)
         if plan.needs_output_projection:
             fused = project_1x1(fused, _require(w.output_proj, "output"))
     else:
-        fused = FeatureMap.zeros(*shape)
+        fused = FeatureMap.zeros(cfg.d, current.height, current.width)
     if cfg.residual:
         fused = add_elementwise(fused, current)
     return fused
 
 
 def count_fusion_flops(cfg: LsfmConfig, plan: ChannelPlan, height: int, width: int) -> int:
-    """Estimate FLOPs of one fused frame.
+    """Estimate FLOPs of one fused frame as the public fuse() computes it,
+    recomputing every history projection; DualPathNetwork.step, which keeps
+    projected history, does less.
 
     Projections cost 2*H*W*in*out each (the shared long/avg projection is
     counted once per frame it is applied to); every elementwise add over the

@@ -1,10 +1,12 @@
 """Dual-path network assembly.
 
 One weight-shared feature extractor serves both temporal paths: the current
-frame is extracted once per step and the history path is fed from a ring
-buffer of previously extracted pyramids, so no frame ever passes through the
-extractor twice.  Fusion runs independently per pyramid level and the fused
-pyramid goes to a detection head.
+frame is extracted once per step.  Fusion runs independently per pyramid
+level, and only on the levels the detection head reads; the head gets the
+current frame's unfused map at the others.  The history path is fed from a
+ring buffer that holds, per fused level, each past frame's map already
+passed through the history projection (fusion.project_history), so no frame
+goes through the extractor or that projection twice.
 
 The desk-scale extractor here is a deterministic box-filter pyramid and the
 desk-scale head scores thresholded blobs; together they exercise every
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol
 
 import numpy as np
 from scipy import ndimage
 
 from .boxes import BBox, Detection
-from .fusion import FusionSettings, LsfmWeights, fuse, init_weights, plan_channels
+from .fusion import FusionSettings, fuse_projected, init_weights, plan_channels, project_history
 from .tensor import FeatureMap
 
 PYRAMID_RATES = (8, 16, 32)
@@ -67,6 +69,10 @@ class FeatureExtractor(Protocol):
 
 
 class DetectionHead(Protocol):
+    """Turns a pyramid into detections.  A head may declare `levels_used`, a
+    tuple of the level indices predict() reads; the network then fuses only
+    those levels.  A head without it gets every level fused."""
+
     def predict(self, pyramid: FeaturePyramid) -> list[Detection]: ...
 
 
@@ -116,6 +122,8 @@ class BlobHead:
     level and reports each connected blob as a detection, scored by its mean
     activation (clamped to [0, 1])."""
 
+    levels_used = (0,)
+
     def __init__(self, threshold: float = 0.3, category: int = 0):
         self.threshold = threshold
         self.category = category
@@ -150,7 +158,8 @@ def _zero_like(pyr: FeaturePyramid) -> FeaturePyramid:
 class FeatureBuffer:
     """Index-keyed cache of the most recent pyramids, capacity n_history *
     delta_t.  Gathering strides backwards through it; indices that fall off
-    the front of the stream (or were never stored) are padded."""
+    the front of the stream (or were never stored) are padded.  The network
+    stores projected maps and hands gather() its own, projected, pad."""
 
     def __init__(self, capacity: int, padding_policy: PaddingPolicy = PaddingPolicy.REPLICATE_CURRENT):
         if capacity < 1:
@@ -182,7 +191,9 @@ class DualPathNetwork:
     """The full assembly: extractor, per-level fusion, head, feature buffer.
 
     With fusion.n_history == 0 the history path is disabled and the current
-    pyramid passes straight to the head.
+    pyramid passes straight to the head.  Otherwise fusion configs and
+    weights exist only for the levels the head reads, and the buffer holds
+    one tuple of projected maps per frame, one map per fused level.
     """
 
     extractor: FeatureExtractor
@@ -193,35 +204,37 @@ class DualPathNetwork:
     buffer: Optional[FeatureBuffer] = field(init=False, default=None)
 
     def __post_init__(self):
-        self._channels = MODEL_CHANNELS[self.extractor.model_size]
         if self.fusion.n_history > 0:
-            self._configs = [self.fusion.config_for(d) for d in self._channels]
-            self._weights: list[LsfmWeights] = [
-                init_weights(cfg, plan_channels(cfg), self.weight_seed) for cfg in self._configs
-            ]
-            self.buffer = FeatureBuffer(
-                capacity=self.fusion.n_history * self.fusion.delta_t,
-                padding_policy=self.padding_policy,
-            )
-
-    def level_weights(self, level: int) -> LsfmWeights:
-        return self._weights[level]
-
-    def fuse_pyramid(self, t: int, current: FeaturePyramid, history: Sequence[FeaturePyramid]) -> FeaturePyramid:
-        fused = tuple(
-            fuse(cfg, w, current.levels[i], [h.levels[i] for h in history])
-            for i, (cfg, w) in enumerate(zip(self._configs, self._weights))
-        )
-        return FeaturePyramid(fused)
+            channels = MODEL_CHANNELS[self.extractor.model_size]
+            used = getattr(self.head, "levels_used", range(len(PYRAMID_RATES)))
+            self._levels = {}
+            for level in used:
+                cfg = self.fusion.config_for(channels[level])
+                self._levels[level] = (cfg, init_weights(cfg, plan_channels(cfg), self.weight_seed))
+            # step() applies padding_policy itself: the pad must be projected too.
+            self.buffer = FeatureBuffer(capacity=self.fusion.n_history * self.fusion.delta_t)
 
     def step(self, frame: Frame) -> list[Detection]:
-        """Process one frame: a single extractor call, buffered history,
-        per-level fusion, then the head.  The fresh pyramid is buffered
-        after use."""
+        """Process one frame: a single extractor call, one history
+        projection per fused level, buffered history, fusion, then the
+        head.  The projected maps are buffered after use."""
         current = self.extractor.extract(frame)
         if self.fusion.n_history == 0:
             return self.head.predict(current)
-        history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, current)
-        dets = self.head.predict(self.fuse_pyramid(frame.index, current, history))
-        self.buffer.push(frame.index, current)
+        projected = tuple(
+            project_history(cfg, w, current.levels[level]) for level, (cfg, w) in self._levels.items()
+        )
+        if self.padding_policy is PaddingPolicy.REPLICATE_CURRENT:
+            pad = projected
+        else:
+            pad = tuple(
+                project_history(cfg, w, FeatureMap.zeros(*current.levels[level].shape))
+                for level, (cfg, w) in self._levels.items()
+            )
+        history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, pad)
+        levels = list(current.levels)
+        for k, (level, (cfg, w)) in enumerate(self._levels.items()):
+            levels[level] = fuse_projected(cfg, w, current.levels[level], [h[k] for h in history])
+        dets = self.head.predict(FeaturePyramid(tuple(levels)))
+        self.buffer.push(frame.index, projected)
         return dets

@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .network import BlobHead, BoxFilterExtractor, DualPathNetwork, Frame
 from .scenarios import frames_of, generate_scenario, gts_by_frame
-from .streaming import ConstantLatency, StreamConfig, pair_for_eval, simulate_stream, write_records
+from .streaming import StreamConfig, pair_for_eval, simulate_stream, write_records
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ def build_run_data(cfg: RunConfig) -> RunData:
 
 
 def _forecast_steps(cfg: RunConfig, interval: float) -> int:
+    """The explicit forecast_steps, else the constant latency in frames
+    (RunConfig rejects per-frame latency without forecast_steps)."""
     explicit = cfg.detector_params.get("forecast_steps")
     if explicit is not None:
         return int(explicit)
-    if isinstance(cfg.latency_model, ConstantLatency):
-        return int(math.ceil(cfg.latency_model.ms / interval))
-    raise InvalidConfig("per-frame latency needs an explicit detector forecast_steps")
+    return int(math.ceil(cfg.latency_model.ms / interval))
 
 
 def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], list]:

@@ -9,7 +9,7 @@ so concatenation is a contiguous block copy and results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -144,19 +144,3 @@ def project_1x1(fmap: FeatureMap, w: ProjectionWeights) -> FeatureMap:
     flat = fmap.values.reshape(fmap.channels, fmap.height * fmap.width)
     out = w.matrix @ flat + w.bias[:, None]
     return FeatureMap(w.out_channels, fmap.height, fmap.width, out.ravel())
-
-
-def dump_feature_map(fmap: FeatureMap, fp: TextIO) -> None:
-    """Debug dump: one "C H W" header line, then C*H*W values, one per line."""
-    fp.write(f"{fmap.channels} {fmap.height} {fmap.width}\n")
-    for v in fmap.values:
-        fp.write(f"{float(v)!r}\n")
-
-
-def load_feature_map(fp: TextIO) -> FeatureMap:
-    header = fp.readline().split()
-    if len(header) != 3:
-        raise ValueError(f"bad dump header: {header!r}")
-    c, h, w = (int(x) for x in header)
-    values = np.array([float(fp.readline()) for _ in range(c * h * w)])
-    return FeatureMap(c, h, w, values)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,64 @@ def test_config_requires_exactly_one_source():
 def test_config_rejects_unknown_detector():
     with pytest.raises(InvalidConfig):
         run_config_from_dict(base_config_dict(detector={"kind": "alexnet"}))
+
+
+def test_config_rejects_unknown_detector_key_naming_it():
+    with pytest.raises(InvalidConfig, match="n_histroy"):
+        run_config_from_dict(base_config_dict(detector={"kind": "long-short", "n_histroy": 9}))
+    with pytest.raises(InvalidConfig, match="'n_history'.*'pyramid'"):
+        run_config_from_dict(base_config_dict(detector={"kind": "pyramid", "n_history": 3}))
+    with pytest.raises(InvalidConfig, match="forecast_steps"):
+        run_config_from_dict(base_config_dict(detector={"kind": "delayed-gt", "forecast_steps": 1}))
+
+
+def _load_benchmark_workloads():
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_detector_key_schema_accepts_bundled_and_benchmark_configs(tmp_path):
+    bundled = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert bundled
+    for path in bundled:
+        load_run_config(path)
+    workloads = _load_benchmark_workloads()
+    for make_cases in workloads.WORKLOADS.values():
+        for case in make_cases(1, "smoke", tmp_path):
+            run_config_from_dict(case.config)
+    # the keys a temporal-range sweep writes, over every forecaster base
+    for kind in ("hold", "const-velocity", "long-short"):
+        base = run_config_from_dict(base_config_dict(detector={"kind": kind, "forecast_steps": 1}))
+        spec = SweepSpec(axis=SweepAxis.TEMPORAL_RANGE, base=base)
+        for value in spec.values:
+            apply_sweep_value(spec, value)
+
+
+def test_config_rejects_pyramid_detector_on_dataset_source():
+    with pytest.raises(InvalidConfig, match="'dataset'"):
+        run_config_from_dict({"dataset": "ann.json", "detector": {"kind": "pyramid"}})
+
+
+@pytest.mark.parametrize("kind", ["const-velocity", "long-short"])
+def test_config_rejects_per_frame_latency_without_forecast_steps(kind):
+    stream = {"latency_per_frame_ms": [33.33] * 20}
+    with pytest.raises(InvalidConfig, match="forecast_steps"):
+        run_config_from_dict(base_config_dict(stream=stream, detector={"kind": kind}))
+    cfg = run_config_from_dict(base_config_dict(stream=stream, detector={"kind": kind, "forecast_steps": 1}))
+    assert 0.0 <= run_eval(cfg, write=False).sap <= 1.0
+
+
+def test_cli_history_flags_reach_only_detectors_that_take_them(tmp_path):
+    cfg_path = write_config(tmp_path, base_config_dict())  # delayed-gt
+    assert main(["eval", "--config", str(cfg_path), "--output", str(tmp_path / "o"), "--n-history", "2",
+                 "--delta-t", "2"]) == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

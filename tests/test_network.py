@@ -15,6 +15,8 @@ from longshort.network import (
     PaddingPolicy,
     _block_reduce_mean,
 )
+from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
+from longshort.scenarios import bundled_scene, frames_of, generate_scenario
 from longshort.tensor import FeatureMap
 
 
@@ -194,18 +196,25 @@ def test_extractor_called_exactly_once_per_step():
         assert ext.calls == len(frames)
 
 
-def reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed):
-    """No-buffer reference: re-extract every needed historical frame."""
+def reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed,
+                             padding_policy=PaddingPolicy.REPLICATE_CURRENT):
+    """No-buffer reference: re-extract every needed historical frame and fuse
+    it with the public fuse(); history before the stream start is the
+    current pyramid or an all-zero one, per the padding policy."""
     ext = BoxFilterExtractor(model_size, seed=extractor_seed)
     configs = [settings.config_for(d) for d in MODEL_CHANNELS[model_size]]
     weights = [init_weights(cfg, plan_channels(cfg), weight_seed) for cfg in configs]
     out = []
     for t in range(len(frames)):
         current = ext.extract(frames[t])
+        if padding_policy is PaddingPolicy.REPLICATE_CURRENT:
+            pad = current
+        else:
+            pad = FeaturePyramid(tuple(FeatureMap.zeros(*level.shape) for level in current.levels))
         history = []
         for i in range(1, settings.n_history + 1):
             idx = t - i * settings.delta_t
-            history.append(ext.extract(frames[idx]) if idx >= 0 else current)
+            history.append(ext.extract(frames[idx]) if idx >= 0 else pad)
         fused = tuple(
             fuse(cfg, w, current.levels[lvl], [h.levels[lvl] for h in history])
             for lvl, (cfg, w) in enumerate(zip(configs, weights))
@@ -215,20 +224,24 @@ def reference_fused_pyramids(frames, model_size, settings, weight_seed, extracto
 
 
 def test_buffered_step_equals_recompute_reference():
+    # The buffer holds projected history, so its padding must be projected
+    # too: the zero pad of a projecting variant is the projection's bias.
     frames = noise_frames(6)
-    for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
-        settings = FusionSettings(FusionVariant.LF_DIL, n_history=n, delta_t=dt)
-        ext = BoxFilterExtractor("S", seed=11)
-        head = RecordingHead()
-        net = DualPathNetwork(ext, head, settings, weight_seed=7)
-        for f in frames:
-            net.step(f)
-        want = reference_fused_pyramids(frames, "S", settings, weight_seed=7, extractor_seed=11)
-        assert len(head.pyramids) == len(want)
-        for got_p, want_p in zip(head.pyramids, want):
-            for got_l, want_l in zip(got_p.levels, want_p.levels):
-                assert np.array_equal(got_l.values, want_l.values)
-        assert ext.calls == len(frames)
+    for variant in FusionVariant:
+        for policy in PaddingPolicy:
+            for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
+                settings = FusionSettings(variant, n_history=n, delta_t=dt)
+                ext = BoxFilterExtractor("S", seed=11)
+                head = RecordingHead()
+                net = DualPathNetwork(ext, head, settings, weight_seed=7, padding_policy=policy)
+                for f in frames:
+                    net.step(f)
+                want = reference_fused_pyramids(frames, "S", settings, 7, 11, padding_policy=policy)
+                assert len(head.pyramids) == len(want)
+                for got_p, want_p in zip(head.pyramids, want):
+                    for got_l, want_l in zip(got_p.levels, want_p.levels):
+                        assert np.array_equal(got_l.values, want_l.values), (variant, policy, n, dt)
+                assert ext.calls == len(frames)
 
 
 def test_history_disabled_passes_current_through():
@@ -259,3 +272,63 @@ def test_blob_head_recovers_rectangles_through_identity_fusion():
     d = dets[0]
     assert (d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max) == (24.0, 16.0, 48.0, 40.0)
     assert 0.0 <= d.score <= 1.0
+
+
+# ---------------------------------------------------------- head contract
+
+
+class AllLevelsBlobHead(BlobHead):
+    levels_used = (0, 1, 2)
+
+
+def test_blob_head_detections_do_not_depend_on_unused_levels():
+    scene = bundled_scene("mixed")
+    frames = frames_of(generate_scenario(scene))
+    base = run_config_from_dict(
+        {"scene_name": "mixed", "detector": {"kind": "pyramid", "model_size": "S", "weight_seed": 3}}
+    )
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, base)
+    for value in spec.values:
+        settings = apply_sweep_value(spec, value).fusion
+        nets = [
+            DualPathNetwork(BoxFilterExtractor("S", seed=1), head, settings, weight_seed=3)
+            for head in (BlobHead(), AllLevelsBlobHead())
+        ]
+        assert [len(net._levels) for net in nets] == [1, 3]
+        got, want = ([net.step(f) for f in frames] for net in nets)
+        assert got == want, value
+        assert sum(map(len, got)) > 0, value
+
+
+def test_blob_head_network_holds_level_zero_weights_only():
+    settings = FusionSettings(FusionVariant.LF_DIL, n_history=3)
+    net = DualPathNetwork(BoxFilterExtractor("S"), BlobHead(), settings, weight_seed=7)
+    assert list(net._levels) == [0]
+    for f in noise_frames(5):
+        net.step(f)
+    # one projected level-0 map per buffered frame, at the long-branch width
+    long_out = plan_channels(settings.config_for(MODEL_CHANNELS["S"][0])).long_out
+    assert all(len(entry) == 1 for entry in net.buffer.slots.values())
+    assert all(entry[0].channels == long_out for entry in net.buffer.slots.values())
+
+
+def test_unused_levels_reach_the_head_unfused_and_a_plain_head_gets_all_fused():
+    frames = noise_frames(4)
+    settings = FusionSettings(FusionVariant.LF_DIL, n_history=2)
+    want = reference_fused_pyramids(frames, "S", settings, weight_seed=7, extractor_seed=2)
+    raw = [BoxFilterExtractor("S", seed=2).extract(f) for f in frames]
+
+    class LevelZeroHead(RecordingHead):
+        levels_used = (0,)
+
+    for head in (RecordingHead(), LevelZeroHead()):
+        net = DualPathNetwork(BoxFilterExtractor("S", seed=2), head, settings, weight_seed=7)
+        for f in frames:
+            net.step(f)
+        fused_levels = getattr(head, "levels_used", (0, 1, 2))
+        for got_p, want_p, raw_p in zip(head.pyramids, want, raw):
+            assert len(got_p.levels) == len(PYRAMID_RATES)
+            for lvl, got_l in enumerate(got_p.levels):
+                expected = want_p.levels[lvl] if lvl in fused_levels else raw_p.levels[lvl]
+                assert np.array_equal(got_l.values, expected.values), (type(head).__name__, lvl)
+                assert not np.array_equal(want_p.levels[lvl].values, raw_p.levels[lvl].values)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from longshort.tensor import (
     SpatialMismatch,
     add_elementwise,
     concat_channels,
-    dump_feature_map,
-    load_feature_map,
     project_1x1,
     sum_maps,
 )
@@ -173,20 +169,3 @@ def test_projection_weight_invariants():
         ProjectionWeights(2, 3, np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ShapeMismatch):
         ProjectionWeights(2, 3, np.zeros((2, 3)), np.zeros(3))
-
-
-# ------------------------------------------------------------- dump/load
-
-
-def test_dump_format_and_round_trip():
-    rng = np.random.default_rng(12)
-    m = random_map(rng, 2, 2, 3)
-    buf = io.StringIO()
-    dump_feature_map(m, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "2 2 3"
-    assert len(lines) == 1 + 12
-    buf.seek(0)
-    back = load_feature_map(buf)
-    assert back.shape == m.shape
-    assert np.array_equal(back.values, m.values)
