@@ -50,7 +50,7 @@ from .streaming import (
     pair_for_eval,
     simulate_stream,
 )
-from .tensor import FeatureMap, ProjectionWeights, add_elementwise, concat_channels, project_1x1, sum_maps
+from .tensor import ProjectionWeights, project_1x1
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "DualPathNetwork",
     "EvalPairing",
     "FeatureBuffer",
-    "FeatureMap",
     "FeaturePyramid",
     "Frame",
     "FusionSettings",
@@ -84,11 +83,9 @@ __all__ = [
     "SyntheticScene",
     "TrajectoryKind",
     "TrajectorySpec",
-    "add_elementwise",
     "average_precision",
     "bundled_scene",
     "compute_sap_report",
-    "concat_channels",
     "count_fusion_flops",
     "default_config",
     "fuse",
@@ -101,5 +98,4 @@ __all__ = [
     "plan_channels",
     "project_1x1",
     "simulate_stream",
-    "sum_maps",
 ]

@@ -12,26 +12,22 @@ historical maps, all of width d:
 Channel widths follow floor arithmetic on d, so the concatenated width can
 fall short of d; a final 1x1 projection then restores d.  A residual
 connection adds the current map back after that projection.
+
+Maps are plain (C, H, W) float64 arrays.  fuse() checks its inputs' shapes
+and finiteness; fuse_projected() trusts them, so the network's hot path
+runs no per-operation check (its extractor checks each frame's pixels).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import (
-    FeatureMap,
-    ProjectionWeights,
-    ShapeMismatch,
-    add_elementwise,
-    concat_channels,
-    project_1x1,
-    sum_maps,
-)
+from .tensor import ProjectionWeights, ShapeMismatch, project_1x1
 
 
 class InvalidConfig(ValueError):
@@ -77,9 +73,6 @@ class LsfmConfig:
             raise InvalidConfig(f"delta_t must be >= 1, got {self.delta_t}")
         if self.d < 2:
             raise InvalidConfig(f"d must be >= 2, got {self.d}")
-
-    def with_d(self, d: int) -> "LsfmConfig":
-        return replace(self, d=d)
 
 
 def default_config(d: int) -> LsfmConfig:
@@ -227,7 +220,7 @@ def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
     return w
 
 
-def project_history(cfg: LsfmConfig, w: LsfmWeights, fmap: FeatureMap) -> FeatureMap:
+def project_history(cfg: LsfmConfig, w: LsfmWeights, fmap: np.ndarray) -> np.ndarray:
     """The part of fusion that depends on one history map alone: the shared
     long projection (EfDil, LfDil) or avg projection (LfAvg).  It is the
     identity for EfAvg, which sums raw maps, and for a branch whose planned
@@ -242,10 +235,11 @@ def project_history(cfg: LsfmConfig, w: LsfmWeights, fmap: FeatureMap) -> Featur
 def fuse(
     cfg: LsfmConfig,
     w: LsfmWeights,
-    current: FeatureMap,
-    history: Sequence[FeatureMap],
-) -> FeatureMap:
-    """Fuse the current map with its history (most-recent-first, length N).
+    current: np.ndarray,
+    history: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Fuse the current (d, H, W) map with its history (most-recent-first,
+    length N, each of the current map's shape).
 
     Output width is always d: the optional output projection restores d when
     the concatenated branches fall short, and the residual adds the current
@@ -257,36 +251,48 @@ def fuse(
         raise HistoryLengthMismatch(
             f"expected {cfg.n_history} history maps, got {len(history)}"
         )
-    shape = (cfg.d, current.height, current.width)
+    current = np.asarray(current, dtype=np.float64)
+    history = [np.asarray(m, dtype=np.float64) for m in history]
+    if current.ndim != 3:
+        raise ShapeMismatch(f"expected a 3-d (C, H, W) map, got ndim={current.ndim}")
+    shape = (cfg.d, *current.shape[1:])
     for m in (current, *history):
         if m.shape != shape:
             raise ShapeMismatch(f"map shape {m.shape} != {shape}")
-    return fuse_projected(cfg, w, current, [project_history(cfg, w, m) for m in history])
+        if not np.isfinite(m).all():
+            raise ValueError("feature map contains non-finite values")
+    # Only LfAvg reads the current map's history projection (its avg branch).
+    projected_current = project_history(cfg, w, current) if cfg.variant is FusionVariant.LF_AVG else None
+    return fuse_projected(cfg, w, current, projected_current, [project_history(cfg, w, m) for m in history])
 
 
 def fuse_projected(
     cfg: LsfmConfig,
     w: LsfmWeights,
-    current: FeatureMap,
-    projected_history: Sequence[FeatureMap],
-) -> FeatureMap:
-    """fuse() for history maps that already went through project_history(),
-    so a caller that keeps them can project each frame once.  Inputs are
-    trusted to have the shapes fuse() checks."""
+    current: np.ndarray,
+    projected_current: Optional[np.ndarray],
+    projected_history: Sequence[np.ndarray],
+) -> np.ndarray:
+    """fuse() for maps that already went through project_history(), so a
+    caller that keeps them can project each frame once.  projected_current
+    is project_history() of the current map; only LfAvg reads it, and other
+    variants may pass None.  Inputs are trusted to have the shapes and the
+    finite values fuse() checks."""
     if cfg.variant is FusionVariant.EF_AVG:
-        # A plain sum including the current frame; the residual flag is moot.
-        return sum_maps([current, *projected_history])
+        # A plain sum including the current frame, left to right; the
+        # residual flag is moot.
+        return sum(projected_history, current)
 
     plan = plan_channels(cfg)
-    parts: list[FeatureMap] = []
+    parts: list[np.ndarray] = []
     if cfg.variant is FusionVariant.EF_DIL:
         if plan.short_out > 0:
             parts.append(project_1x1(current, _require(w.short_proj, "short")))
         if plan.long_out > 0:
-            parts.append(sum_maps(projected_history))
+            parts.append(sum(projected_history[1:], projected_history[0]))
     elif cfg.variant is FusionVariant.LF_AVG:
         if plan.short_out > 0:
-            parts.append(project_1x1(current, _require(w.avg_proj, "avg")))
+            parts.append(projected_current)
             parts.extend(projected_history)
     else:  # LF_DIL
         if plan.short_out > 0:
@@ -295,13 +301,13 @@ def fuse_projected(
             parts.extend(projected_history)
 
     if parts:
-        fused = concat_channels(parts)
+        fused = np.concatenate(parts, axis=0)
         if plan.needs_output_projection:
             fused = project_1x1(fused, _require(w.output_proj, "output"))
     else:
-        fused = FeatureMap.zeros(cfg.d, current.height, current.width)
+        fused = np.zeros((cfg.d, *current.shape[1:]))
     if cfg.residual:
-        fused = add_elementwise(fused, current)
+        fused = fused + current
     return fused
 
 

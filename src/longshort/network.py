@@ -8,6 +8,11 @@ ring buffer that holds, per fused level, each past frame's map already
 passed through the history projection (fusion.project_history), so no frame
 goes through the extractor or that projection twice.
 
+Feature maps are plain (C, H, W) float64 arrays.  Values are checked for
+finiteness once, where they enter: the extractor rejects a frame with a
+non-finite pixel, and fusion.fuse() checks the maps handed to it; nothing
+on the extractor-to-head path copies or scans a map to check it again.
+
 The desk-scale extractor here is a deterministic box-filter pyramid and the
 desk-scale head scores thresholded blobs; together they exercise every
 architectural contract without any training.
@@ -24,7 +29,6 @@ from scipy import ndimage
 
 from .boxes import BBox, Detection
 from .fusion import FusionSettings, fuse_projected, init_weights, plan_channels, project_history
-from .tensor import FeatureMap
 
 PYRAMID_RATES = (8, 16, 32)
 
@@ -53,9 +57,9 @@ class Frame:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-frame feature maps at down-sampling rates /8, /16, /32."""
+    """Per-frame (C, H, W) feature maps at down-sampling rates /8, /16, /32."""
 
-    levels: tuple[FeatureMap, ...]
+    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if len(self.levels) != len(PYRAMID_RATES):
@@ -109,11 +113,12 @@ class BoxFilterExtractor:
         if not isinstance(img, np.ndarray):
             img = img.rasterize()
         img = np.asarray(img, dtype=np.float64)
+        if not np.isfinite(img).all():
+            raise ValueError(f"frame {frame.index} has non-finite pixels")
         levels = []
         for rate, lift in zip(PYRAMID_RATES, self._lifts):
             pooled = _block_reduce_mean(img, rate)
-            stack = pooled[None, :, :] * lift[:, None, None]
-            levels.append(FeatureMap.from_array(stack))
+            levels.append(pooled[None, :, :] * lift[:, None, None])
         return FeaturePyramid(tuple(levels))
 
 
@@ -130,7 +135,7 @@ class BlobHead:
 
     def predict(self, pyramid: FeaturePyramid) -> list[Detection]:
         rate = PYRAMID_RATES[0]
-        saliency = pyramid.levels[0].to_array().mean(axis=0)
+        saliency = pyramid.levels[0].mean(axis=0)
         labels, count = ndimage.label(saliency > self.threshold)
         dets = []
         for lab in range(1, count + 1):
@@ -151,34 +156,31 @@ class PaddingPolicy(Enum):
     ZERO = "zero"
 
 
-def _zero_like(pyr: FeaturePyramid) -> FeaturePyramid:
-    return FeaturePyramid(tuple(FeatureMap.zeros(*level.shape) for level in pyr.levels))
+ProjectedMaps = tuple[np.ndarray, ...]
 
 
 class FeatureBuffer:
-    """Index-keyed cache of the most recent pyramids, capacity n_history *
+    """Index-keyed cache of the most recent frames' projected maps (one
+    tuple per frame, one map per fused level), capacity n_history *
     delta_t.  Gathering strides backwards through it; indices that fall off
-    the front of the stream (or were never stored) are padded.  The network
-    stores projected maps and hands gather() its own, projected, pad."""
+    the front of the stream (or were never stored) get the caller's pad."""
 
-    def __init__(self, capacity: int, padding_policy: PaddingPolicy = PaddingPolicy.REPLICATE_CURRENT):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.padding_policy = padding_policy
-        self.slots: dict[int, FeaturePyramid] = {}
+        self.slots: dict[int, ProjectedMaps] = {}
 
-    def push(self, index: int, pyr: FeaturePyramid) -> None:
+    def push(self, index: int, maps: ProjectedMaps) -> None:
         if self.slots and index <= max(self.slots):
             raise NonMonotonicIndex(f"index {index} not greater than stored {max(self.slots)}")
-        self.slots[index] = pyr
+        self.slots[index] = maps
         while len(self.slots) > self.capacity:
             del self.slots[min(self.slots)]
 
-    def gather(self, t: int, n: int, delta_t: int, current: FeaturePyramid) -> list[FeaturePyramid]:
-        """Pyramids for t - delta_t, t - 2*delta_t, ..., t - n*delta_t,
-        most-recent-first, padding any gap per the policy."""
-        pad = current if self.padding_policy is PaddingPolicy.REPLICATE_CURRENT else _zero_like(current)
+    def gather(self, t: int, n: int, delta_t: int, pad: ProjectedMaps) -> list[ProjectedMaps]:
+        """Entries for t - delta_t, t - 2*delta_t, ..., t - n*delta_t,
+        most-recent-first, with pad in place of every missing one."""
         out = []
         for i in range(1, n + 1):
             idx = t - i * delta_t
@@ -211,13 +213,13 @@ class DualPathNetwork:
             for level in used:
                 cfg = self.fusion.config_for(channels[level])
                 self._levels[level] = (cfg, init_weights(cfg, plan_channels(cfg), self.weight_seed))
-            # step() applies padding_policy itself: the pad must be projected too.
             self.buffer = FeatureBuffer(capacity=self.fusion.n_history * self.fusion.delta_t)
 
     def step(self, frame: Frame) -> list[Detection]:
         """Process one frame: a single extractor call, one history
         projection per fused level, buffered history, fusion, then the
-        head.  The projected maps are buffered after use."""
+        head.  The projected maps are buffered after use; the pad for
+        missing history, chosen by padding_policy, is projected too."""
         current = self.extractor.extract(frame)
         if self.fusion.n_history == 0:
             return self.head.predict(current)
@@ -228,13 +230,13 @@ class DualPathNetwork:
             pad = projected
         else:
             pad = tuple(
-                project_history(cfg, w, FeatureMap.zeros(*current.levels[level].shape))
+                project_history(cfg, w, np.zeros(current.levels[level].shape))
                 for level, (cfg, w) in self._levels.items()
             )
         history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, pad)
         levels = list(current.levels)
         for k, (level, (cfg, w)) in enumerate(self._levels.items()):
-            levels[level] = fuse_projected(cfg, w, current.levels[level], [h[k] for h in history])
+            levels[level] = fuse_projected(cfg, w, current.levels[level], projected[k], [h[k] for h in history])
         dets = self.head.predict(FeaturePyramid(tuple(levels)))
         self.buffer.push(frame.index, projected)
         return dets

@@ -14,8 +14,8 @@ from longshort.boxes import BBox
 
 
 def arr3(fm) -> list:
-    """FeatureMap -> nested [c][h][w] lists."""
-    return fm.to_array().tolist()
+    """(C, H, W) array -> nested [c][h][w] lists."""
+    return fm.tolist()
 
 
 def naive_concat(maps3: list[list]) -> list:

@@ -37,7 +37,6 @@ from longshort.network import (
 from longshort.runner import run_eval, run_sweep, sweep_to_csv
 from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario, gts_by_frame
 from longshort.streaming import EvalPairing, PredictionRecord, pair_for_eval
-from longshort.tensor import FeatureMap
 from oracles import arr3, brute_force_pairings, naive_fuse, oracle_sap_report, prefix_ap
 
 INTERVAL = 33.33
@@ -54,7 +53,7 @@ def criterion(number, description):
 
 
 def random_map(rng, d, h, w):
-    return FeatureMap.from_array(rng.standard_normal((d, h, w)))
+    return rng.standard_normal((d, h, w))
 
 
 def test_criterion_1_channel_plan_golden_suite():
@@ -89,7 +88,7 @@ def test_criterion_2_fusion_matches_naive_oracle_on_100_configs():
                     weights = init_weights(cfg, plan_channels(cfg), seed=int(rng.integers(1, 1 << 30)))
                     current = random_map(rng, d, h, w)
                     history = [random_map(rng, d, h, w) for _ in range(n)]
-                    got = fuse(cfg, weights, current, history).to_array()
+                    got = fuse(cfg, weights, current, history)
                     want = np.array(naive_fuse(cfg, weights, arr3(current), [arr3(m) for m in history]))
                     assert np.allclose(got, want, rtol=1e-6, atol=1e-9), (variant, n, d)
                     checked += 1
@@ -109,10 +108,10 @@ def test_criterion_3_residual_identity_and_ablation():
                 history = [random_map(rng, d, h, w) for _ in range(n)]
                 cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=True)
                 out = fuse(cfg, init_weights(cfg, plan_channels(cfg), 0), current, history)
-                assert np.array_equal(out.values, current.values)
+                assert np.array_equal(out, current)
                 cfg_off = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=False)
                 out_off = fuse(cfg_off, init_weights(cfg_off, plan_channels(cfg_off), 0), current, history)
-                assert np.all(out_off.values == 0.0)
+                assert np.all(out_off== 0.0)
 
 
 def _reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed):
@@ -157,7 +156,7 @@ def test_criterion_4_buffer_transparency():
             want = _reference_fused_pyramids(frames, "S", settings, weight_seed=7, extractor_seed=6)
             for got_p, want_p in zip(head.pyramids, want):
                 for got_l, want_l in zip(got_p.levels, want_p.levels):
-                    assert np.array_equal(got_l.values, want_l.values), (n, dt)
+                    assert np.array_equal(got_l, want_l), (n, dt)
 
 
 def test_criterion_5_streaming_protocol():

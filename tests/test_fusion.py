@@ -13,8 +13,8 @@ from longshort.fusion import (
     init_weights,
     plan_channels,
 )
-from longshort.tensor import FeatureMap, ShapeMismatch
-from oracles import arr3, naive_fuse
+from longshort.tensor import ShapeMismatch, project_1x1
+from oracles import arr3, naive_concat, naive_fuse, naive_sum
 
 ALL_VARIANTS = list(FusionVariant)
 
@@ -38,7 +38,7 @@ def cfg_for(variant, n=3, d=16, dt=1, ratio=0.5, residual=True):
 
 
 def random_map(rng, d, h, w):
-    return FeatureMap.from_array(rng.standard_normal((d, h, w)))
+    return rng.standard_normal((d, h, w))
 
 
 # --------------------------------------------------------- plan_channels
@@ -162,15 +162,15 @@ def test_weight_presence_pattern():
 
 
 def test_fuse_avg_early_constant_sum():
-    current = FeatureMap.full(4, 2, 2, 4.0)
-    history = [FeatureMap.full(4, 2, 2, v) for v in (1.0, 2.0, 3.0)]
+    current = np.full((4, 2, 2), 4.0)
+    history = [np.full((4, 2, 2), v) for v in (1.0, 2.0, 3.0)]
     cfg = cfg_for(FusionVariant.EF_AVG, n=3, d=4)
     out = fuse(cfg, init_weights(cfg, plan_channels(cfg), 0), current, history)
-    assert np.all(out.values == 10.0)
+    assert np.all(out == 10.0)
     # the residual flag changes nothing for the plain-sum variant
     cfg_off = cfg_for(FusionVariant.EF_AVG, n=3, d=4, residual=False)
     out_off = fuse(cfg_off, init_weights(cfg_off, plan_channels(cfg_off), 0), current, history)
-    assert np.array_equal(out_off.values, out.values)
+    assert np.array_equal(out_off, out)
 
 
 def test_fuse_zero_weights_is_residual_identity():
@@ -181,10 +181,10 @@ def test_fuse_zero_weights_is_residual_identity():
         current = random_map(rng, 10, 2, 3)
         history = [random_map(rng, 10, 2, 3) for _ in range(3)]
         out = fuse(cfg, w, current, history)
-        assert np.array_equal(out.values, current.values), variant
+        assert np.array_equal(out, current), variant
         cfg_off = cfg_for(variant, n=3, d=10, residual=False)
         out_off = fuse(cfg_off, init_weights(cfg_off, plan_channels(cfg_off), 0), current, history)
-        assert np.all(out_off.values == 0.0), variant
+        assert np.all(out_off == 0.0), variant
 
 
 def test_fuse_matches_naive_loop_oracle():
@@ -193,7 +193,7 @@ def test_fuse_matches_naive_loop_oracle():
     w = init_weights(cfg, plan_channels(cfg), seed=7)
     current = random_map(rng, 8, 2, 2)
     history = [random_map(rng, 8, 2, 2) for _ in range(3)]
-    got = fuse(cfg, w, current, history).to_array()
+    got = fuse(cfg, w, current, history)
     want = np.array(naive_fuse(cfg, w, arr3(current), [arr3(m) for m in history]))
     assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
 
@@ -207,7 +207,7 @@ def test_fuse_oracle_agreement_across_variants_and_shapes():
                 w = init_weights(cfg, plan_channels(cfg), seed=int(rng.integers(1, 1 << 30)))
                 current = random_map(rng, d, h, w_)
                 history = [random_map(rng, d, h, w_) for _ in range(n)]
-                got = fuse(cfg, w, current, history).to_array()
+                got = fuse(cfg, w, current, history)
                 want = np.array(naive_fuse(cfg, w, arr3(current), [arr3(m) for m in history]))
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-9), (variant, n, d)
 
@@ -232,7 +232,7 @@ def test_fuse_history_order_sensitivity():
     rng = np.random.default_rng(24)
     d, n = 12, 3
     # integer-valued maps keep the permutation-insensitive cases exact
-    make = lambda: FeatureMap.from_array(rng.integers(-4, 5, size=(d, 2, 2)).astype(float))
+    make = lambda: rng.integers(-4, 5, size=(d, 2, 2)).astype(float)
     current = make()
     history = [make() for _ in range(n)]
     swapped = [history[1], history[0], history[2]]
@@ -241,25 +241,64 @@ def test_fuse_history_order_sensitivity():
         w = init_weights(cfg, plan_channels(cfg), seed=9)
         a = fuse(cfg, w, current, history)
         b = fuse(cfg, w, current, swapped)
-        assert not np.array_equal(a.values, b.values), variant
+        assert not np.array_equal(a, b), variant
     for variant in (FusionVariant.EF_AVG, FusionVariant.EF_DIL):
         cfg = cfg_for(variant, n=n, d=d)
         w = init_weights(cfg, plan_channels(cfg), seed=9)
         a = fuse(cfg, w, current, history)
         b = fuse(cfg, w, current, swapped)
-        assert np.array_equal(a.values, b.values), variant
+        assert np.array_equal(a, b), variant
 
 
 def test_fuse_errors():
     cfg = cfg_for(FusionVariant.LF_DIL, n=2, d=6)
     w = init_weights(cfg, plan_channels(cfg), 0)
-    current = FeatureMap.zeros(6, 2, 2)
+    current = np.zeros((6, 2, 2))
     with pytest.raises(HistoryLengthMismatch):
         fuse(cfg, w, current, [current])
     with pytest.raises(ShapeMismatch):
-        fuse(cfg, w, current, [current, FeatureMap.zeros(6, 3, 2)])
+        fuse(cfg, w, current, [current, np.zeros((6, 3, 2))])
     with pytest.raises(ShapeMismatch):
-        fuse(cfg, w, FeatureMap.zeros(5, 2, 2), [current, current])
+        fuse(cfg, w, np.zeros((5, 2, 2)), [current, current])
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = current.copy()
+        poisoned[3, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fuse(cfg, w, poisoned, [current, current])
+        with pytest.raises(ValueError, match="non-finite"):
+            fuse(cfg, w, current, [current, poisoned])
+    with pytest.raises(ShapeMismatch):
+        fuse(cfg, w, np.zeros((6, 2)), [np.zeros((6, 2)), np.zeros((6, 2))])
+    with pytest.raises(ShapeMismatch):
+        fuse(cfg, w, current, [current, np.zeros((6, 2))])
+
+
+def test_fuse_sums_and_concatenates_in_oracle_order_exactly():
+    # The sums run left to right and the branches concatenate short-first,
+    # history most-recent-first; compared bit for bit, not within a tolerance.
+    rng = np.random.default_rng(25)
+    n, d = 3, 8
+    current = random_map(rng, d, 2, 3)
+    history = [random_map(rng, d, 2, 3) for _ in range(n)]
+    cfg = cfg_for(FusionVariant.EF_AVG, n=n, d=d)
+    got = fuse(cfg, init_weights(cfg, plan_channels(cfg), 0), current, history)
+    assert got.tolist() == naive_sum([arr3(m) for m in [current, *history]])
+    # EfDil at d=8 fills d exactly (4 + 4), so there is no output projection
+    cfg = cfg_for(FusionVariant.EF_DIL, n=n, d=d, residual=False)
+    w = init_weights(cfg, plan_channels(cfg), 13)
+    assert not plan_channels(cfg).needs_output_projection
+    long = [arr3(project_1x1(m, w.long_proj)) for m in history]
+    want = naive_concat([arr3(project_1x1(current, w.short_proj)), naive_sum(long)])
+    assert fuse(cfg, w, current, history).tolist() == want
+    # LfDil at d=12, N=3 fills d exactly too (6 + 3 * 2)
+    d = 12
+    current = random_map(rng, d, 2, 3)
+    history = [random_map(rng, d, 2, 3) for _ in range(n)]
+    cfg = cfg_for(FusionVariant.LF_DIL, n=n, d=d, residual=False)
+    w = init_weights(cfg, plan_channels(cfg), 14)
+    assert not plan_channels(cfg).needs_output_projection
+    blocks = [arr3(project_1x1(current, w.short_proj))] + [arr3(project_1x1(m, w.long_proj)) for m in history]
+    assert fuse(cfg, w, current, history).tolist() == naive_concat(blocks)
 
 
 # ----------------------------------------------------------------- flops

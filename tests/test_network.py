@@ -17,11 +17,11 @@ from longshort.network import (
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
 from longshort.scenarios import bundled_scene, frames_of, generate_scenario
-from longshort.tensor import FeatureMap
 
 
-def tiny_pyramid(value: float) -> FeaturePyramid:
-    return FeaturePyramid(tuple(FeatureMap.full(2, 1, 1, value) for _ in PYRAMID_RATES))
+def tiny_maps(value: float) -> tuple:
+    """One buffer entry: a map per pyramid level, all filled with value."""
+    return tuple(np.full((2, 1, 1), value) for _ in PYRAMID_RATES)
 
 
 def noise_frames(n, height=40, width=48, seed=42):
@@ -46,27 +46,27 @@ class RecordingHead:
 def test_push_evicts_oldest_first():
     buf = FeatureBuffer(capacity=3)
     for i in range(5):
-        buf.push(i, tiny_pyramid(float(i)))
+        buf.push(i, tiny_maps(float(i)))
     assert sorted(buf.slots) == [2, 3, 4]
 
 
 def test_push_rejects_non_monotonic_index():
     buf = FeatureBuffer(capacity=3)
-    buf.push(5, tiny_pyramid(0.0))
+    buf.push(5, tiny_maps(0.0))
     with pytest.raises(NonMonotonicIndex):
-        buf.push(5, tiny_pyramid(1.0))
+        buf.push(5, tiny_maps(1.0))
     with pytest.raises(NonMonotonicIndex):
-        buf.push(4, tiny_pyramid(1.0))
+        buf.push(4, tiny_maps(1.0))
 
 
 def test_strided_gather_before_and_after_push():
     # capacity = N * delta_t = 6 with N=3, delta_t=2
     buf = FeatureBuffer(capacity=6)
     for i in range(9):
-        buf.push(i, tiny_pyramid(float(i)))
-    current = tiny_pyramid(9.0)
+        buf.push(i, tiny_maps(float(i)))
+    current = tiny_maps(9.0)
     got = buf.gather(9, 3, 2, current)
-    assert [p.levels[0].values[0] for p in got] == [7.0, 5.0, 3.0]
+    assert [m[0].flat[0] for m in got] == [7.0, 5.0, 3.0]
     buf.push(9, current)
     assert sorted(buf.slots) == [4, 5, 6, 7, 8, 9]
     assert len(buf.slots) <= 6
@@ -74,52 +74,44 @@ def test_strided_gather_before_and_after_push():
 
 def test_gather_pads_with_current_at_stream_start():
     buf = FeatureBuffer(capacity=3)
-    current = tiny_pyramid(7.0)
-    got = buf.gather(0, 3, 1, current)
-    assert all(p is current for p in got)
+    pad = tiny_maps(7.0)
+    got = buf.gather(0, 3, 1, pad)
+    assert all(p is pad for p in got)
 
 
 def test_gather_direct_lookup():
     buf = FeatureBuffer(capacity=3)
     for i in range(3):
-        buf.push(i, tiny_pyramid(float(i)))
-    got = buf.gather(3, 3, 1, tiny_pyramid(3.0))
-    assert [p.levels[0].values[0] for p in got] == [2.0, 1.0, 0.0]
+        buf.push(i, tiny_maps(float(i)))
+    got = buf.gather(3, 3, 1, tiny_maps(3.0))
+    assert [m[0].flat[0] for m in got] == [2.0, 1.0, 0.0]
 
 
 def test_gather_strided_with_negative_index_padding():
     buf = FeatureBuffer(capacity=6)
     for i in range(5):
-        buf.push(i, tiny_pyramid(float(i)))
-    current = tiny_pyramid(5.0)
+        buf.push(i, tiny_maps(float(i)))
+    current = tiny_maps(5.0)
     got = buf.gather(5, 3, 2, current)
-    assert [p.levels[0].values[0] for p in got] == [3.0, 1.0, 5.0]  # -1 -> current
-
-
-def test_gather_zero_padding_policy():
-    buf = FeatureBuffer(capacity=3, padding_policy=PaddingPolicy.ZERO)
-    current = tiny_pyramid(7.0)
-    got = buf.gather(0, 2, 1, current)
-    for p in got:
-        assert all(np.all(level.values == 0.0) for level in p.levels)
+    assert [m[0].flat[0] for m in got] == [3.0, 1.0, 5.0]  # -1 -> current
 
 
 def test_memory_bound_holds_throughout_a_long_stream():
     for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
         buf = FeatureBuffer(capacity=n * dt)
         for i in range(40):
-            buf.push(i, tiny_pyramid(float(i)))
+            buf.push(i, tiny_maps(float(i)))
             assert len(buf.slots) <= n * dt + 1
 
 
 def test_delta_t_changes_gathered_indices():
     buf = FeatureBuffer(capacity=12)
     for i in range(12):
-        buf.push(i, tiny_pyramid(float(i)))
-    current = tiny_pyramid(12.0)
+        buf.push(i, tiny_maps(float(i)))
+    current = tiny_maps(12.0)
     for dt, want in ((1, [11.0, 10.0, 9.0]), (2, [10.0, 8.0, 6.0]), (3, [9.0, 6.0, 3.0]), (4, [8.0, 4.0, 0.0])):
         got = buf.gather(12, 3, dt, current)
-        assert [p.levels[0].values[0] for p in got] == want
+        assert [m[0].flat[0] for m in got] == want
 
 
 # ------------------------------------------------------------- extractor
@@ -141,11 +133,11 @@ def test_extractor_is_deterministic_and_weight_shared():
     a = ext.extract(frames[0])
     b = ext.extract(frames[0])
     for la, lb in zip(a.levels, b.levels):
-        assert np.array_equal(la.values, lb.values)
+        assert np.array_equal(la, lb)
     twin = BoxFilterExtractor("S", seed=3)
     c = twin.extract(frames[0])
     for la, lc in zip(a.levels, c.levels):
-        assert np.array_equal(la.values, lc.values)
+        assert np.array_equal(la, lc)
     assert ext.calls == 2
 
 
@@ -154,9 +146,16 @@ def test_extractor_pyramid_shapes_follow_model_size():
     for size, widths in MODEL_CHANNELS.items():
         pyr = BoxFilterExtractor(size).extract(frame)
         for level, rate, d in zip(pyr.levels, PYRAMID_RATES, widths):
-            assert level.channels == d
-            assert level.height == -(-40 // rate)  # ceil
-            assert level.width == -(-48 // rate)
+            assert level.shape == (d, -(-40 // rate), -(-48 // rate))  # ceil
+
+
+def test_extract_rejects_non_finite_pixels_naming_the_frame():
+    ext = BoxFilterExtractor("S")
+    for bad in (np.nan, np.inf):
+        img = np.zeros((16, 16))
+        img[5, 9] = bad
+        with pytest.raises(ValueError, match="frame 17 has non-finite pixels"):
+            ext.extract(Frame(17, 0.0, img))
 
 
 def test_pyramid_resolutions_at_reference_image_sizes():
@@ -183,7 +182,7 @@ def test_first_frame_avg_early_fusion_is_replicated_sum():
     reference = BoxFilterExtractor("S", seed=1).extract(frames[0])
     fused = head.pyramids[0]
     for got, cur in zip(fused.levels, reference.levels):
-        assert np.allclose(got.values, 4.0 * cur.values, rtol=0, atol=0)
+        assert np.allclose(got, 4.0 * cur, rtol=0, atol=0)
 
 
 def test_extractor_called_exactly_once_per_step():
@@ -210,7 +209,7 @@ def reference_fused_pyramids(frames, model_size, settings, weight_seed, extracto
         if padding_policy is PaddingPolicy.REPLICATE_CURRENT:
             pad = current
         else:
-            pad = FeaturePyramid(tuple(FeatureMap.zeros(*level.shape) for level in current.levels))
+            pad = FeaturePyramid(tuple(np.zeros(level.shape) for level in current.levels))
         history = []
         for i in range(1, settings.n_history + 1):
             idx = t - i * settings.delta_t
@@ -240,7 +239,7 @@ def test_buffered_step_equals_recompute_reference():
                 assert len(head.pyramids) == len(want)
                 for got_p, want_p in zip(head.pyramids, want):
                     for got_l, want_l in zip(got_p.levels, want_p.levels):
-                        assert np.array_equal(got_l.values, want_l.values), (variant, policy, n, dt)
+                        assert np.array_equal(got_l, want_l), (variant, policy, n, dt)
                 assert ext.calls == len(frames)
 
 
@@ -255,7 +254,7 @@ def test_history_disabled_passes_current_through():
     for f, fused in zip(frames, head.pyramids):
         want = twin.extract(f)
         for got_l, want_l in zip(fused.levels, want.levels):
-            assert np.array_equal(got_l.values, want_l.values)
+            assert np.array_equal(got_l, want_l)
 
 
 # ------------------------------------------------------------- blob head
@@ -309,7 +308,7 @@ def test_blob_head_network_holds_level_zero_weights_only():
     # one projected level-0 map per buffered frame, at the long-branch width
     long_out = plan_channels(settings.config_for(MODEL_CHANNELS["S"][0])).long_out
     assert all(len(entry) == 1 for entry in net.buffer.slots.values())
-    assert all(entry[0].channels == long_out for entry in net.buffer.slots.values())
+    assert all(entry[0].shape[0] == long_out for entry in net.buffer.slots.values())
 
 
 def test_unused_levels_reach_the_head_unfused_and_a_plain_head_gets_all_fused():
@@ -330,5 +329,5 @@ def test_unused_levels_reach_the_head_unfused_and_a_plain_head_gets_all_fused():
             assert len(got_p.levels) == len(PYRAMID_RATES)
             for lvl, got_l in enumerate(got_p.levels):
                 expected = want_p.levels[lvl] if lvl in fused_levels else raw_p.levels[lvl]
-                assert np.array_equal(got_l.values, expected.values), (type(head).__name__, lvl)
-                assert not np.array_equal(want_p.levels[lvl].values, raw_p.levels[lvl].values)
+                assert np.array_equal(got_l, expected), (type(head).__name__, lvl)
+                assert not np.array_equal(want_p.levels[lvl], raw_p.levels[lvl])
