@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import ProjectionWeights, ShapeMismatch, project_1x1
+from .tensor import ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
 
 
 class InvalidConfig(ValueError):
@@ -251,16 +251,12 @@ def fuse(
         raise HistoryLengthMismatch(
             f"expected {cfg.n_history} history maps, got {len(history)}"
         )
-    current = np.asarray(current, dtype=np.float64)
-    history = [np.asarray(m, dtype=np.float64) for m in history]
-    if current.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-d (C, H, W) map, got ndim={current.ndim}")
+    current = as_feature_map(current)
+    history = [as_feature_map(m) for m in history]
     shape = (cfg.d, *current.shape[1:])
     for m in (current, *history):
         if m.shape != shape:
             raise ShapeMismatch(f"map shape {m.shape} != {shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("feature map contains non-finite values")
     # Only LfAvg reads the current map's history projection (its avg branch).
     projected_current = project_history(cfg, w, current) if cfg.variant is FusionVariant.LF_AVG else None
     return fuse_projected(cfg, w, current, projected_current, [project_history(cfg, w, m) for m in history])

@@ -3,7 +3,8 @@
 A feature map is a plain C-contiguous (C, H, W) float64 numpy array.  The
 fusion math needs three operations on maps: channel-wise concatenation and
 elementwise addition, which are numpy's own, and the 1x1 convolution (a
-per-site channel projection) defined here with its weights.
+per-site channel projection) defined here with its weights.  as_feature_map
+checks a map where it enters, so the operations on it need not.
 """
 
 from __future__ import annotations
@@ -44,6 +45,20 @@ class ProjectionWeights:
             raise ShapeMismatch(f"bias length {b.size} != {self.out_channels}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "bias", b)
+
+
+def as_feature_map(fmap) -> np.ndarray:
+    """Check a value entering as a feature map and return it as a float64
+    array: it must be 3-d (C, H, W) with every dimension positive and hold
+    only finite values."""
+    arr = np.asarray(fmap, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeMismatch(f"expected a 3-d (C, H, W) map, got ndim={arr.ndim}")
+    if min(arr.shape) <= 0:
+        raise ShapeMismatch(f"map dimensions must be positive, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("feature map contains non-finite values")
+    return arr
 
 
 def project_1x1(fmap: np.ndarray, w: ProjectionWeights) -> np.ndarray:

@@ -1,12 +1,73 @@
 import numpy as np
 import pytest
 
-from longshort.tensor import ChannelMismatch, ProjectionWeights, ShapeMismatch, project_1x1
-from oracles import arr3, naive_project
+from longshort.fusion import FusionVariant, LsfmConfig, fuse, init_weights, plan_channels
+from longshort.tensor import ChannelMismatch, ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
+from oracles import arr3, naive_add, naive_concat, naive_project, naive_sum
 
 
 def random_map(rng, c, h, w):
     return rng.standard_normal((c, h, w))
+
+
+def fusion_case(variant, d, seed, residual=False, n=3):
+    cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=residual)
+    return cfg, init_weights(cfg, plan_channels(cfg), seed)
+
+
+# Concatenation, addition and summation of maps are numpy's own; fusion is
+# where they happen, so they are checked through fuse(), bit for bit against
+# the loop oracles rather than within a tolerance.
+
+# ------------------------------------------------------------ concat
+
+
+def test_concat_matches_naive_loop_oracle():
+    # LfDil at d=12, N=3 fills d exactly (6 + 3 * 2): no output projection,
+    # so the output is the concatenation itself, short first, then history
+    # most-recent-first.
+    rng = np.random.default_rng(11)
+    current = random_map(rng, 12, 3, 5)
+    history = [random_map(rng, 12, 3, 5) for _ in range(3)]
+    cfg, w = fusion_case(FusionVariant.LF_DIL, 12, 14)
+    assert not plan_channels(cfg).needs_output_projection
+    blocks = [arr3(project_1x1(current, w.short_proj))]
+    blocks += [arr3(project_1x1(m, w.long_proj)) for m in history]
+    out = fuse(cfg, w, current, history)
+    assert out.shape == (12, 3, 5)
+    assert out.tolist() == naive_concat(blocks)
+
+
+# --------------------------------------------------------------- add/sum
+
+
+def test_add_matches_scalar_loop_oracle():
+    # The residual adds the current map to the fused branches.
+    rng = np.random.default_rng(6)
+    current = random_map(rng, 12, 2, 4)
+    history = [random_map(rng, 12, 2, 4) for _ in range(3)]
+    cfg_off, w = fusion_case(FusionVariant.LF_DIL, 12, 15)
+    cfg_on = LsfmConfig(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=12, residual=True)
+    branches = fuse(cfg_off, w, current, history)
+    got = fuse(cfg_on, w, current, history)
+    assert got.tolist() == naive_add(arr3(branches), arr3(current))
+
+
+def test_sum_matches_oracle():
+    # Sums run left to right: EfAvg over current then history, EfDil's long
+    # branch over the projected history.
+    rng = np.random.default_rng(7)
+    current = random_map(rng, 8, 3, 2)
+    history = [random_map(rng, 8, 3, 2) for _ in range(3)]
+    cfg, w = fusion_case(FusionVariant.EF_AVG, 8, 0)
+    got = fuse(cfg, w, current, history)
+    assert got.tolist() == naive_sum([arr3(m) for m in [current, *history]])
+    # EfDil at d=8 fills d exactly (4 + 4), so there is no output projection
+    cfg, w = fusion_case(FusionVariant.EF_DIL, 8, 13)
+    assert not plan_channels(cfg).needs_output_projection
+    long = [arr3(project_1x1(m, w.long_proj)) for m in history]
+    want = naive_concat([arr3(project_1x1(current, w.short_proj)), naive_sum(long)])
+    assert fuse(cfg, w, current, history).tolist() == want
 
 
 # --------------------------------------------------------------- project
@@ -50,6 +111,23 @@ def test_project_channel_mismatch():
 
 
 # ------------------------------------------------------------ validation
+
+
+def test_feature_map_invariants():
+    m = np.arange(12.0).reshape(3, 2, 2)
+    assert np.array_equal(as_feature_map(m), m)
+    assert as_feature_map(m.astype(np.int64)).dtype == np.float64
+    with pytest.raises(ShapeMismatch):
+        as_feature_map(np.zeros(7))
+    with pytest.raises(ShapeMismatch):
+        as_feature_map(np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatch):
+        as_feature_map(np.zeros((0, 1, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = np.zeros((1, 1, 2))
+        poisoned[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_feature_map(poisoned)
 
 
 def test_projection_weight_invariants():
