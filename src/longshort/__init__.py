@@ -20,7 +20,7 @@ from .fusion import (
     init_weights,
     plan_channels,
 )
-from .metrics import SapReport, average_precision, compute_sap_report, iou, match_frame
+from .metrics import SapReport, compute_sap_report
 from .network import (
     BlobHead,
     BoxFilterExtractor,
@@ -30,7 +30,6 @@ from .network import (
     Frame,
     MODEL_CHANNELS,
     PYRAMID_RATES,
-    PaddingPolicy,
 )
 from .scenarios import (
     SyntheticScene,
@@ -46,7 +45,6 @@ from .streaming import (
     PerFrameLatency,
     PredictionRecord,
     StreamConfig,
-    latest_completed,
     pair_for_eval,
     simulate_stream,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "LsfmWeights",
     "MODEL_CHANNELS",
     "PYRAMID_RATES",
-    "PaddingPolicy",
     "PerFrameLatency",
     "PredictionRecord",
     "ProjectionWeights",
@@ -83,7 +80,6 @@ __all__ = [
     "SyntheticScene",
     "TrajectoryKind",
     "TrajectorySpec",
-    "average_precision",
     "bundled_scene",
     "compute_sap_report",
     "count_fusion_flops",
@@ -91,9 +87,6 @@ __all__ = [
     "fuse",
     "generate_scenario",
     "init_weights",
-    "iou",
-    "latest_completed",
-    "match_frame",
     "pair_for_eval",
     "plan_channels",
     "project_1x1",

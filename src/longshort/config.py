@@ -21,6 +21,10 @@ scene, a bundled scene by name, or a COCO-format annotation file.
       "output": "out/run1"
     }
 
+Unknown keys are rejected in every section, naming the key, and "stream"
+takes one latency form, a constant or a per-frame list, not both.
+"max_dets_per_frame", when set, is at least 1.
+
 Detector kinds and their keys (DETECTOR_KEYS; any other key is rejected):
 "delayed-gt" (latency_frames); "hold", "const-velocity", "long-short"
 (n_history, delta_t, forecast_steps, the last defaulting to the pairing
@@ -56,6 +60,8 @@ DETECTOR_KEYS = {
     "pyramid": ("model_size", "weight_seed", "threshold", "category"),
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
+RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
+STREAM_KEYS = ("latency_ms", "latency_per_frame_ms", "frame_interval_ms", "dispatch", "horizon_frames")
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -81,18 +87,26 @@ class RunConfig:
         kind = self.detector_kind
         if kind not in DETECTOR_KINDS:
             raise InvalidConfig(f"unknown detector kind {kind!r}; use one of {DETECTOR_KINDS}")
-        allowed = DETECTOR_KEYS[kind]
-        for key in self.detector_params:
-            if key not in allowed:
-                raise InvalidConfig(f"unknown detector key {key!r} for kind {kind!r}; use one of {allowed}")
+        _reject_unknown_keys(self.detector_params, DETECTOR_KEYS[kind], "detector", f" for kind {kind!r}")
         if kind == "pyramid" and self.dataset_path is not None:
             raise InvalidConfig("detector kind 'pyramid' needs rendered frames; a 'dataset' source has no pixels")
         per_frame = isinstance(self.latency_model, PerFrameLatency)
         if kind in ("const-velocity", "long-short") and per_frame and self.detector_params.get("forecast_steps") is None:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
+        if self.max_dets_per_frame is not None and self.max_dets_per_frame < 1:
+            raise InvalidConfig(f"max_dets_per_frame must be >= 1, got {self.max_dets_per_frame}")
+
+
+def _reject_unknown_keys(data: dict, allowed: tuple, section: str, context: str = "") -> None:
+    for key in data:
+        if key not in allowed:
+            raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {allowed}")
 
 
 def _parse_stream(raw: dict) -> dict:
+    _reject_unknown_keys(raw, STREAM_KEYS, "stream")
+    if "latency_ms" in raw and "latency_per_frame_ms" in raw:
+        raise InvalidConfig("stream sets both latency_ms and latency_per_frame_ms; give one")
     out: dict[str, Any] = {}
     if "latency_per_frame_ms" in raw:
         out["latency_model"] = PerFrameLatency(tuple(raw["latency_per_frame_ms"]))
@@ -109,6 +123,7 @@ def _parse_stream(raw: dict) -> dict:
 
 def run_config_from_dict(data: dict) -> RunConfig:
     data = copy.deepcopy(data)
+    _reject_unknown_keys(data, RUN_KEYS, "config")
     kwargs: dict[str, Any] = {}
     sources = [k for k in ("scene", "scene_name", "dataset") if data.get(k) is not None]
     if len(sources) != 1:

@@ -3,8 +3,8 @@
 These make the long-vs-short temporal claim testable at the geometric level:
 a delayed ground-truth reader (an offline detector whose knowledge lags), a
 two-sample constant-velocity extrapolator, and a least-squares polynomial
-fit over a longer history.  Each also comes wrapped as a streaming detector
-callable usable by the latency simulator.
+fit over a longer history.  DelayedGtDetector and ForecastDetector serve
+them to the latency simulator as streaming detector callables.
 """
 
 from __future__ import annotations
@@ -14,22 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import BBox, Detection, GroundTruthBox
-from .network import DualPathNetwork, Frame
 
 
 class SingularFit(ValueError):
     """Polynomial fit received duplicate frame indices."""
-
-
-def delayed_gt_detect(
-    gts_by_frame: Sequence[Sequence[GroundTruthBox]],
-    latency_frames: int,
-    frame_index: int,
-) -> list[Detection]:
-    """Ground truth of frame max(0, k - latency_frames), reported with
-    full confidence."""
-    src = max(0, frame_index - latency_frames)
-    return [Detection(bbox=g.bbox, category=g.category, score=1.0) for g in gts_by_frame[src]]
 
 
 def const_velocity_forecast(box_prev: BBox, box_curr: BBox, steps: int) -> BBox:
@@ -44,8 +32,15 @@ def long_short_forecast(history: Sequence[tuple[int, BBox]], target_index: int) 
 
     Degree is min(2, len(history) - 1): two samples reproduce the
     constant-velocity extrapolation exactly, three or more capture
-    acceleration.  Accepts any history length >= 2.
+    acceleration.  Accepts any history length >= 2.  Raises ValueError when
+    the forecast corners cross (a shrinking box extrapolated inside out).
     """
+    return BBox(*_fit_corners(history, target_index))
+
+
+def _fit_corners(history: Sequence[tuple[int, BBox]], target_index: int) -> list[float]:
+    """The long_short_forecast fit as [x_min, y_min, x_max, y_max], which
+    may cross."""
     if len(history) < 2:
         raise ValueError(f"need at least 2 samples, got {len(history)}")
     indices = [idx for idx, _ in history]
@@ -54,11 +49,13 @@ def long_short_forecast(history: Sequence[tuple[int, BBox]], target_index: int) 
     ks = np.array(indices, dtype=np.float64)
     degree = min(2, len(history) - 1)
     coords = np.array([b.as_tuple() for _, b in history])  # (n, 4): one lstsq, four right-hand sides
-    return BBox(*np.polyval(np.polyfit(ks, coords, degree), target_index).tolist())
+    return np.polyval(np.polyfit(ks, coords, degree), target_index).tolist()
 
 
 class DelayedGtDetector:
-    """Streaming detector that replays stale ground truth."""
+    """Streaming detector that replays stale ground truth: frame k reports
+    the ground truth of frame max(0, k - latency_frames) with full
+    confidence."""
 
     def __init__(self, gts_by_frame: Sequence[Sequence[GroundTruthBox]], latency_frames: int = 0):
         if latency_frames < 0:
@@ -67,7 +64,8 @@ class DelayedGtDetector:
         self.latency_frames = latency_frames
 
     def __call__(self, frame_index: int) -> list[Detection]:
-        return delayed_gt_detect(self.gts_by_frame, self.latency_frames, frame_index)
+        src = max(0, frame_index - self.latency_frames)
+        return [Detection(bbox=g.bbox, category=g.category, score=1.0) for g in self.gts_by_frame[src]]
 
 
 class ForecastDetector:
@@ -76,7 +74,9 @@ class ForecastDetector:
     At frame k it collects the track's boxes at k, k - delta_t, ...,
     k - n_history * delta_t (skipping gaps, e.g. occlusions) and predicts
     frame k + forecast_steps.  n_history = 0 is the zero-motion hold; a
-    single available sample also degrades to a hold.
+    single available sample also degrades to a hold.  A track whose forecast
+    corners cross (a box shrinking at the image edge, extrapolated inside
+    out) is forecast to have left the image and reports nothing.
     """
 
     def __init__(
@@ -92,11 +92,9 @@ class ForecastDetector:
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
         self._track_boxes: dict[tuple[int, int], BBox] = {}
-        self._track_meta: dict[int, int] = {}
         for gts in gts_by_frame:
             for g in gts:
                 self._track_boxes[(g.track_id, g.frame_index)] = g.bbox
-                self._track_meta[g.track_id] = g.category
         self.gts_by_frame = gts_by_frame
 
     def _history(self, track_id: int, k: int) -> list[tuple[int, BBox]]:
@@ -115,19 +113,10 @@ class ForecastDetector:
             if self.n_history == 0 or len(samples) < 2 or self.forecast_steps == 0:
                 box = g.bbox
             else:
-                box = long_short_forecast(samples, frame_index + self.forecast_steps)
+                x_min, y_min, x_max, y_max = _fit_corners(samples, frame_index + self.forecast_steps)
+                if x_min > x_max or y_min > y_max:
+                    continue
+                box = BBox(x_min, y_min, x_max, y_max)
             dets.append(Detection(bbox=box, category=g.category, score=1.0))
         return dets
 
-
-class PyramidDetector:
-    """Streaming detector backed by the dual-path network; the simulator
-    hands it frame indices and it steps the network over the corresponding
-    frames (frames it never receives are simply absent from the buffer)."""
-
-    def __init__(self, frames: Sequence[Frame], network: DualPathNetwork):
-        self.frames = frames
-        self.network = network
-
-    def __call__(self, frame_index: int) -> list[Detection]:
-        return self.network.step(self.frames[frame_index])

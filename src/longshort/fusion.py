@@ -83,7 +83,8 @@ def default_config(d: int) -> LsfmConfig:
 
 @dataclass(frozen=True)
 class FusionSettings:
-    """Serializable fusion settings, independent of the channel width d.
+    """Fusion settings as a config's "fusion" section gives them, independent
+    of the channel width d.
 
     n_history=0 disables the history path entirely (fusion is bypassed and
     current features pass through); delta_t is then irrelevant.
@@ -103,15 +104,6 @@ class FusionSettings:
         if self.n_history == 0:
             raise InvalidConfig("history is disabled; there is no fusion config")
         return LsfmConfig(self.variant, self.n_history, self.delta_t, d, self.ratio, self.residual)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "n_history": self.n_history,
-            "delta_t": self.delta_t,
-            "ratio": self.ratio,
-            "residual": self.residual,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FusionSettings":

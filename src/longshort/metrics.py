@@ -54,11 +54,6 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 when the union is empty."""
-    return float(_iou_matrix(_corners([a]), _corners([b]))[0, 0])
-
-
 def _greedy_match(dets: Sequence[Detection], gts: Sequence[GroundTruthBox], thrs: np.ndarray) -> np.ndarray:
     """(T, D) ground-truth index taken by each detection at each threshold,
     -1 for none.  Detections go in descending score order (ties keep
@@ -120,57 +115,6 @@ def _ap_table(scores: list[float], matched: np.ndarray, gt_areas: list[float], a
         keep = np.append(gt_ok, True)[matched]  # index -1 (unmatched) reads the appended True
         table.append([None if n_gt == 0 else _ap(m[k] >= 0, n_gt) for m, k in zip(matched, keep)])
     return table
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy matching outcome at one IoU threshold.
-
-    det_matched[i] is the ground-truth index taken by input detection i (or
-    None); gt_covered[j] says whether ground truth j was claimed.
-    """
-
-    iou_thr: float
-    det_matched: tuple[Optional[int], ...]
-    gt_covered: tuple[bool, ...]
-
-
-def match_frame(dets: Sequence[Detection], gts: Sequence[GroundTruthBox], iou_thr: float) -> MatchResult:
-    """Match one frame's detections (already category-filtered) to ground
-    truth at one threshold; see `_greedy_match` for the rule."""
-    matched = _greedy_match(dets, gts, np.array([iou_thr]))[0].tolist()
-    covered = tuple(j in matched for j in range(len(gts)))
-    return MatchResult(iou_thr, tuple(None if j < 0 else j for j in matched), covered)
-
-
-@dataclass(frozen=True)
-class FrameMatches:
-    """One frame's detections, ground truth, and their match result."""
-
-    dets: tuple[Detection, ...]
-    gts: tuple[GroundTruthBox, ...]
-    result: MatchResult
-
-
-def average_precision(
-    frames: Sequence[FrameMatches],
-    iou_thr: float,
-    area_range: tuple[float, float] = AREA_ALL,
-) -> Optional[float]:
-    """101-point interpolated AP over the pooled frames.
-
-    Ground truth outside the area range is ignored; a detection matched to
-    an ignored ground truth counts neither as true nor false positive.
-    Returns None when the range contains no ground truth at all.
-    """
-    scores, matched, gt_areas = [], [], []
-    for fm in frames:
-        if fm.result.iou_thr != iou_thr:
-            raise ValueError(f"matches were computed at {fm.result.iou_thr}, not {iou_thr}")
-        scores += [d.score for d in fm.dets]
-        matched += [-1 if j is None else j + len(gt_areas) for j in fm.result.det_matched]
-        gt_areas += [g.area for g in fm.gts]
-    return _ap_table(scores, np.array([matched], dtype=np.int64), gt_areas, [area_range])[0][0]
 
 
 @dataclass(frozen=True)

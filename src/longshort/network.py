@@ -21,7 +21,6 @@ architectural contract without any training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Optional, Protocol
 
 import numpy as np
@@ -151,11 +150,6 @@ class BlobHead:
         return dets
 
 
-class PaddingPolicy(Enum):
-    REPLICATE_CURRENT = "replicate-current"
-    ZERO = "zero"
-
-
 ProjectedMaps = tuple[np.ndarray, ...]
 
 
@@ -202,7 +196,6 @@ class DualPathNetwork:
     head: DetectionHead
     fusion: FusionSettings = field(default_factory=FusionSettings)
     weight_seed: int = 0
-    padding_policy: PaddingPolicy = PaddingPolicy.REPLICATE_CURRENT
     buffer: Optional[FeatureBuffer] = field(init=False, default=None)
 
     def __post_init__(self):
@@ -218,22 +211,15 @@ class DualPathNetwork:
     def step(self, frame: Frame) -> list[Detection]:
         """Process one frame: a single extractor call, one history
         projection per fused level, buffered history, fusion, then the
-        head.  The projected maps are buffered after use; the pad for
-        missing history, chosen by padding_policy, is projected too."""
+        head.  The projected maps are buffered after use, and they are
+        also the pad for history missing from the buffer."""
         current = self.extractor.extract(frame)
         if self.fusion.n_history == 0:
             return self.head.predict(current)
         projected = tuple(
             project_history(cfg, w, current.levels[level]) for level, (cfg, w) in self._levels.items()
         )
-        if self.padding_policy is PaddingPolicy.REPLICATE_CURRENT:
-            pad = projected
-        else:
-            pad = tuple(
-                project_history(cfg, w, np.zeros(current.levels[level].shape))
-                for level, (cfg, w) in self._levels.items()
-            )
-        history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, pad)
+        history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, projected)
         levels = list(current.levels)
         for k, (level, (cfg, w)) in enumerate(self._levels.items()):
             levels[level] = fuse_projected(cfg, w, current.levels[level], projected[k], [h[k] for h in history])

@@ -21,7 +21,7 @@ from .config import (
     sweep_key_cells,
     sweep_key_columns,
 )
-from .detectors import DelayedGtDetector, ForecastDetector, PyramidDetector
+from .detectors import DelayedGtDetector, ForecastDetector
 from .fusion import InvalidConfig
 from .metrics import (
     SapReport,
@@ -86,7 +86,8 @@ def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], list]:
             delta_t=int(params.get("delta_t", 1)),
             forecast_steps=_forecast_steps(cfg, data.frame_interval_ms),
         )
-    # pyramid: the dual-path network over rasterized frames
+    # pyramid: the dual-path network steps over the frames the simulator
+    # dispatches (frames it skips never reach the buffer)
     extractor = BoxFilterExtractor(model_size=params.get("model_size", "S"), seed=cfg.seed)
     head = BlobHead(threshold=float(params.get("threshold", 0.3)), category=int(params.get("category", 0)))
     network = DualPathNetwork(
@@ -95,7 +96,7 @@ def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], list]:
         fusion=cfg.fusion,
         weight_seed=int(params.get("weight_seed", 0)),
     )
-    return PyramidDetector(data.frames, network)
+    return lambda k: network.step(data.frames[k])
 
 
 def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:

@@ -160,29 +160,6 @@ def frames_of(scenario: Sequence[tuple[Frame, list[GroundTruthBox]]]) -> list[Fr
     return [frame for frame, _ in scenario]
 
 
-def scene_to_dict(scene: SyntheticScene) -> dict:
-    return {
-        "n_frames": scene.n_frames,
-        "frame_interval_ms": scene.frame_interval_ms,
-        "width": scene.width,
-        "height": scene.height,
-        "seed": scene.seed,
-        "trajectories": [
-            {
-                "kind": t.kind.value,
-                "initial_bbox": list(t.initial_bbox.as_tuple()),
-                "velocity": list(t.velocity),
-                "acceleration": list(t.acceleration),
-                "turn_rate": t.turn_rate,
-                "occlusion_window": list(t.occlusion_window) if t.occlusion_window else None,
-                "category": t.category,
-                "track_id": t.track_id,
-            }
-            for t in scene.trajectories
-        ],
-    }
-
-
 def scene_from_dict(data: dict) -> SyntheticScene:
     trajectories = []
     for td in data.get("trajectories", []):

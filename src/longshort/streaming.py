@@ -134,22 +134,17 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
     return records
 
 
-def latest_completed(records: Sequence[PredictionRecord], query_time_ms: float) -> Optional[PredictionRecord]:
-    """Record with the greatest completion time <= query time, or None.
-    Records must be sorted by completion time."""
-    return _latest_at(records, [r.completion_time_ms for r in records], query_time_ms)
-
-
-def _latest_at(records: Sequence[PredictionRecord], times: list[float], query_time_ms: float):
-    i = bisect.bisect_right(times, query_time_ms)
-    return records[i - 1] if i > 0 else None
-
-
 def pair_for_eval(records: Sequence[PredictionRecord], frames: Iterable[Frame]) -> list[EvalPairing]:
-    """One pairing per annotated frame, queried at its arrival timestamp;
-    the completion times are listed once and each frame bisects them."""
+    """One pairing per annotated frame with the record of greatest
+    completion time <= its arrival timestamp (None before the first).
+    Records must be sorted by completion time; their times are listed once
+    and each frame bisects them."""
     times = [r.completion_time_ms for r in records]
-    return [EvalPairing(f.index, _latest_at(records, times, f.timestamp_ms)) for f in frames]
+    pairings = []
+    for f in frames:
+        i = bisect.bisect_right(times, f.timestamp_ms)
+        pairings.append(EvalPairing(f.index, records[i - 1] if i > 0 else None))
+    return pairings
 
 
 def write_records(records: Sequence[PredictionRecord], fp: TextIO) -> None:

@@ -56,6 +56,26 @@ def test_config_rejects_unknown_detector_key_naming_it():
         run_config_from_dict(base_config_dict(detector={"kind": "delayed-gt", "forecast_steps": 1}))
 
 
+def test_config_rejects_unknown_top_level_and_stream_keys_naming_them():
+    with pytest.raises(InvalidConfig, match=r"'detecter'.*'detector'"):
+        run_config_from_dict({"scene_name": "uniform", "detecter": {"kind": "hold"}})
+    with pytest.raises(InvalidConfig, match=r"'latncy_ms'.*'latency_ms'"):
+        run_config_from_dict(base_config_dict(stream={"latncy_ms": 50}))
+
+
+def test_config_rejects_both_latency_forms():
+    stream = {"latency_ms": 10.0, "latency_per_frame_ms": [0.0] * 20}
+    with pytest.raises(InvalidConfig, match="latency_ms.*latency_per_frame_ms"):
+        run_config_from_dict(base_config_dict(stream=stream))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_config_rejects_max_dets_per_frame_below_one(bad):
+    with pytest.raises(InvalidConfig, match="max_dets_per_frame"):
+        run_config_from_dict(base_config_dict(max_dets_per_frame=bad))
+    assert run_config_from_dict(base_config_dict(max_dets_per_frame=1)).max_dets_per_frame == 1
+
+
 def _load_benchmark_workloads():
     import importlib.util
     import sys
@@ -73,6 +93,9 @@ def test_detector_key_schema_accepts_bundled_and_benchmark_configs(tmp_path):
     assert bundled
     for path in bundled:
         load_run_config(path)
+        out = tmp_path / "bundled" / path.stem
+        assert main(["eval", "--config", str(path), "--output", str(out)]) == 0
+        assert (out / "report.txt").is_file()
     workloads = _load_benchmark_workloads()
     for make_cases in workloads.WORKLOADS.values():
         for case in make_cases(1, "smoke", tmp_path):

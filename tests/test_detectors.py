@@ -7,10 +7,11 @@ from longshort.detectors import (
     ForecastDetector,
     SingularFit,
     const_velocity_forecast,
-    delayed_gt_detect,
     long_short_forecast,
 )
-from longshort.metrics import iou
+from longshort.config import run_config_from_dict
+from longshort.metrics import _corners, _iou_matrix
+from longshort.runner import build_run_data, make_detector, run_eval
 from longshort.scenarios import (
     SyntheticScene,
     TrajectoryKind,
@@ -32,22 +33,24 @@ def uniform_gts(v=(5.0, 0.0), n=10, box=BBox(0, 0, 10, 10), width=400, height=10
 
 def test_delayed_gt_zero_latency_is_identity():
     gts = uniform_gts()
+    detector = DelayedGtDetector(gts, latency_frames=0)
     for k in range(len(gts)):
-        dets = delayed_gt_detect(gts, 0, k)
+        dets = detector(k)
         assert [d.bbox for d in dets] == [g.bbox for g in gts[k]]
         assert all(d.score == 1.0 for d in dets)
 
 
 def test_delayed_gt_clamps_at_stream_start():
     gts = uniform_gts()
-    dets = delayed_gt_detect(gts, 2, 1)
+    dets = DelayedGtDetector(gts, latency_frames=2)(1)
     assert [d.bbox for d in dets] == [g.bbox for g in gts[0]]
 
 
 def test_delayed_gt_offset_matches_kinematics():
     gts = uniform_gts(v=(5.0, 0.0))
+    detector = DelayedGtDetector(gts, latency_frames=1)
     for k in range(1, len(gts)):
-        det = delayed_gt_detect(gts, 1, k)[0]
+        det = detector(k)[0]
         truth = gts[k][0]
         assert det.bbox.x_min == truth.bbox.x_min - 5.0
         assert det.bbox.y_min == truth.bbox.y_min
@@ -135,14 +138,13 @@ def test_long_history_beats_short_on_accelerating_tracks():
     scene = bundled_scene("accelerating")
     gts = gts_by_frame(generate_scenario(scene))
     track = {g.frame_index: g.bbox for frame in gts for g in frame}
-    ious_cv, ious_ls = [], []
+    cv, ls, truth = [], [], []
     for k in range(4, scene.n_frames - 1):
-        truth = track[k + 1]
-        cv = const_velocity_forecast(track[k - 1], track[k], 1)
-        hist = [(i, track[i]) for i in range(k - 3, k + 1)]
-        ls = long_short_forecast(hist, k + 1)
-        ious_cv.append(iou(cv, truth))
-        ious_ls.append(iou(ls, truth))
+        truth.append(track[k + 1])
+        cv.append(const_velocity_forecast(track[k - 1], track[k], 1))
+        ls.append(long_short_forecast([(i, track[i]) for i in range(k - 3, k + 1)], k + 1))
+    ious_cv = np.diag(_iou_matrix(_corners(cv), _corners(truth)))
+    ious_ls = np.diag(_iou_matrix(_corners(ls), _corners(truth)))
     assert np.mean(ious_ls) > np.mean(ious_cv)
 
 
@@ -177,6 +179,21 @@ def test_forecast_detector_skips_occluded_history_samples():
     assert len(dets) == 1
     truth = gts[5][0].bbox  # linear track: forecast should still be exact
     assert np.allclose(dets[0].bbox.as_tuple(), truth.as_tuple(), atol=1e-8)
+
+
+@pytest.mark.parametrize("kind, vy, exit_frame", [("const-velocity", -2.0, 9), ("long-short", -3.0, 6)])
+def test_forecast_of_a_track_leaving_the_image_is_dropped(kind, vy, exit_frame):
+    # The box is clipped at the top edge and shrinks; at exit_frame its
+    # extrapolated corners cross, so the track is forecast to have left.
+    scene = {"n_frames": 12, "width": 100, "height": 100, "trajectories": [
+        {"kind": "uniform", "initial_bbox": [40, 10, 60, 20], "velocity": [0, vy]}]}
+    cfg = run_config_from_dict({"scene": scene, "detector": {"kind": kind}, "stream": {"latency_ms": 33.33}})
+    data = build_run_data(cfg)
+    detector = make_detector(cfg, data)
+    for k, gts in enumerate(data.gts):
+        assert len(detector(k)) == (0 if k == exit_frame else len(gts)), k
+    assert len(data.gts[exit_frame]) == 1
+    assert 0.0 < run_eval(cfg, write=False).sap < 1.0
 
 
 def test_delayed_gt_detector_callable():

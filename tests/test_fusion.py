@@ -309,8 +309,9 @@ def test_flops_monotone_in_history_for_early_fusion():
 
 
 def test_fusion_settings_round_trip():
-    s = FusionSettings(FusionVariant.EF_DIL, n_history=2, delta_t=2, ratio=0.25, residual=False)
-    assert FusionSettings.from_dict(s.to_dict()) == s
+    data = {"variant": "EfDil", "n_history": 2, "delta_t": 2, "ratio": 0.25, "residual": False}
+    want = FusionSettings(FusionVariant.EF_DIL, n_history=2, delta_t=2, ratio=0.25, residual=False)
+    assert FusionSettings.from_dict(data) == want
     with pytest.raises(InvalidConfig):
         FusionSettings.from_dict({"variant": "LfDil", "bogus": 1})
     with pytest.raises(InvalidConfig):

@@ -4,13 +4,14 @@ import pytest
 from longshort.boxes import BBox, Detection, GroundTruthBox
 from longshort.detectors import DelayedGtDetector
 from longshort.metrics import (
+    AREA_ALL,
     AREA_SMALL,
-    FrameMatches,
     IOU_THRESHOLDS,
-    average_precision,
+    _ap_table,
+    _corners,
+    _greedy_match,
+    _iou_matrix,
     compute_sap_report,
-    iou,
-    match_frame,
     report_csv_header,
     report_from_text,
     report_to_csv_row,
@@ -55,60 +56,60 @@ def uniform_scene_gts(v=(5.0, 0.0), n=10, box=(0, 0, 20, 20), width=400, height=
     return gts_by_frame(generate_scenario(SyntheticScene(n, 33.33, width, height, (traj,))))
 
 
-# ------------------------------------------------------------------- iou
+# ------------------------------------------------------------ _iou_matrix
 
 
 def test_iou_identity_and_disjoint():
     a = BBox(0, 0, 2, 2)
-    assert iou(a, a) == 1.0
-    assert iou(a, BBox(5, 5, 7, 7)) == 0.0
+    got = _iou_matrix(_corners([a]), _corners([a, BBox(5, 5, 7, 7)]))
+    assert got.tolist() == [[1.0, 0.0]]
 
 
 def test_iou_partial_overlap_matches_grid_counting_oracle():
     a, b = BBox(0, 0, 2, 2), BBox(1, 0, 3, 2)
-    assert iou(a, b) == pytest.approx(1 / 3, abs=1e-12)
+    assert _iou_matrix(_corners([a]), _corners([b]))[0, 0] == pytest.approx(1 / 3, abs=1e-12)
     assert grid_count_iou(a, b) == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_iou_degenerate_union():
-    z = BBox(1, 1, 1, 1)
-    assert iou(z, z) == 0.0
+    z = _corners([BBox(1, 1, 1, 1)])
+    assert _iou_matrix(z, z)[0, 0] == 0.0
 
 
-# ----------------------------------------------------------- match_frame
+# ---------------------------------------------------------- _greedy_match
+
+
+def match_at(dets, gts, thr):
+    """Ground-truth index taken by each detection at one threshold, or None."""
+    return [None if j < 0 else j for j in _greedy_match(dets, gts, np.array([thr]))[0].tolist()]
 
 
 def test_single_exact_detection_matches_at_every_threshold():
     gts = [gt(0, 0, 10, 10)]
     dets = [det(0, 0, 10, 10, score=0.7)]
-    for thr in IOU_THRESHOLDS:
-        res = match_frame(dets, gts, thr)
-        assert res.det_matched == (0,)
-        assert res.gt_covered == (True,)
+    assert _greedy_match(dets, gts, np.array(IOU_THRESHOLDS)).tolist() == [[0]] * len(IOU_THRESHOLDS)
 
 
 def test_duplicate_detections_only_best_scorer_matches():
     gts = [gt(0, 0, 10, 10)]
     dets = [det(0, 0, 10, 10, score=0.4), det(0, 0, 10, 10, score=0.9)]
-    res = match_frame(dets, gts, 0.5)
-    assert res.det_matched == (None, 0)  # higher scorer wins, the other is a false positive
+    assert match_at(dets, gts, 0.5) == [None, 0]  # higher scorer wins, the other is a false positive
 
 
 def test_score_ties_resolve_by_insertion_order():
     gts = [gt(0, 0, 10, 10)]
     dets = [det(0, 0, 10, 10, score=0.5), det(0, 0, 10, 10, score=0.5)]
-    res = match_frame(dets, gts, 0.5)
-    assert res.det_matched == (0, None)
+    assert match_at(dets, gts, 0.5) == [0, None]
 
 
 def test_gt_ties_resolve_by_lowest_index():
     gts = [gt(0, 0, 10, 10), gt(0, 0, 10, 10)]
-    res = match_frame([det(0, 0, 10, 10)], gts, 0.5)
-    assert res.det_matched == (0,)
+    assert match_at([det(0, 0, 10, 10)], gts, 0.5) == [0]
 
 
 def test_match_agrees_with_exhaustive_oracle_on_random_frames():
     rng = np.random.default_rng(17)
+    thrs = np.array(IOU_THRESHOLDS)
     for trial in range(30):
         gts = []
         for j in range(3):
@@ -120,49 +121,42 @@ def test_match_agrees_with_exhaustive_oracle_on_random_frames():
             x, y = rng.uniform(0, 60, 2)
             w, h = rng.uniform(5, 25, 2)
             dets.append(det(x, y, x + w, y + h, score=float(rng.uniform(0, 1))))
-        got = match_frame(dets, gts, 0.5)
-        assert list(got.det_matched) == oracle_greedy_match(dets, gts, 0.5), trial
+        got = _greedy_match(dets, gts, thrs)
+        for thr, row in zip(IOU_THRESHOLDS, got.tolist()):
+            want = oracle_greedy_match(dets, gts, thr)
+            assert [None if j < 0 else j for j in row] == want, (trial, thr)
 
 
-# ----------------------------------------------------- average_precision
+# -------------------------------------------------------------- _ap_table
 
 
-def frame_matches(dets, gts, thr):
-    return FrameMatches(tuple(dets), tuple(gts), match_frame(dets, gts, thr))
+def ap_at(dets, gts, thr=0.5, area_range=AREA_ALL):
+    """One frame's AP at one threshold and area range."""
+    matched = _greedy_match(dets, gts, np.array([thr]))
+    return _ap_table([d.score for d in dets], matched, [g.area for g in gts], [area_range])[0][0]
 
 
 def test_ap_single_true_positive_is_one():
-    fm = frame_matches([det(0, 0, 10, 10, 0.8)], [gt(0, 0, 10, 10)], 0.5)
-    assert average_precision([fm], 0.5) == 1.0
+    assert ap_at([det(0, 0, 10, 10, 0.8)], [gt(0, 0, 10, 10)]) == 1.0
 
 
 def test_ap_false_positive_above_true_positive_halves():
     gts = [gt(0, 0, 10, 10)]
     dets = [det(50, 50, 60, 60, score=0.9), det(0, 0, 10, 10, score=0.5)]
-    fm = frame_matches(dets, gts, 0.5)
-    assert average_precision([fm], 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert ap_at(dets, gts) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ap_no_detections_is_zero_and_no_gt_is_undefined():
-    fm = frame_matches([], [gt(0, 0, 10, 10)], 0.5)
-    assert average_precision([fm], 0.5) == 0.0
-    fm_empty = frame_matches([det(0, 0, 10, 10)], [], 0.5)
-    assert average_precision([fm_empty], 0.5) is None
+    assert ap_at([], [gt(0, 0, 10, 10)]) == 0.0
+    assert ap_at([det(0, 0, 10, 10)], []) is None
 
 
 def test_ap_ignores_gt_outside_area_range():
     # one small (8x8=64) and one large GT; dets on both
     gts = [gt(0, 0, 8, 8), gt(100, 100, 200, 200)]
     dets = [det(0, 0, 8, 8, 0.9), det(100, 100, 200, 200, 0.8)]
-    fm = frame_matches(dets, gts, 0.5)
     # small split: the large-GT detection is neither TP nor FP
-    assert average_precision([fm], 0.5, AREA_SMALL) == 1.0
-
-
-def test_ap_mismatched_threshold_rejected():
-    fm = frame_matches([det(0, 0, 10, 10)], [gt(0, 0, 10, 10)], 0.5)
-    with pytest.raises(ValueError):
-        average_precision([fm], 0.75)
+    assert ap_at(dets, gts, area_range=AREA_SMALL) == 1.0
 
 
 # ------------------------------------------------------ compute_sap_report

@@ -12,7 +12,6 @@ from longshort.network import (
     MODEL_CHANNELS,
     NonMonotonicIndex,
     PYRAMID_RATES,
-    PaddingPolicy,
     _block_reduce_mean,
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
@@ -195,25 +194,20 @@ def test_extractor_called_exactly_once_per_step():
         assert ext.calls == len(frames)
 
 
-def reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed,
-                             padding_policy=PaddingPolicy.REPLICATE_CURRENT):
+def reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed):
     """No-buffer reference: re-extract every needed historical frame and fuse
     it with the public fuse(); history before the stream start is the
-    current pyramid or an all-zero one, per the padding policy."""
+    current pyramid."""
     ext = BoxFilterExtractor(model_size, seed=extractor_seed)
     configs = [settings.config_for(d) for d in MODEL_CHANNELS[model_size]]
     weights = [init_weights(cfg, plan_channels(cfg), weight_seed) for cfg in configs]
     out = []
     for t in range(len(frames)):
         current = ext.extract(frames[t])
-        if padding_policy is PaddingPolicy.REPLICATE_CURRENT:
-            pad = current
-        else:
-            pad = FeaturePyramid(tuple(np.zeros(level.shape) for level in current.levels))
         history = []
         for i in range(1, settings.n_history + 1):
             idx = t - i * settings.delta_t
-            history.append(ext.extract(frames[idx]) if idx >= 0 else pad)
+            history.append(ext.extract(frames[idx]) if idx >= 0 else current)
         fused = tuple(
             fuse(cfg, w, current.levels[lvl], [h.levels[lvl] for h in history])
             for lvl, (cfg, w) in enumerate(zip(configs, weights))
@@ -223,24 +217,23 @@ def reference_fused_pyramids(frames, model_size, settings, weight_seed, extracto
 
 
 def test_buffered_step_equals_recompute_reference():
-    # The buffer holds projected history, so its padding must be projected
-    # too: the zero pad of a projecting variant is the projection's bias.
+    # The buffer holds projected history, so the pad for history before the
+    # stream start must be the projected current map, not the raw one.
     frames = noise_frames(6)
     for variant in FusionVariant:
-        for policy in PaddingPolicy:
-            for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
-                settings = FusionSettings(variant, n_history=n, delta_t=dt)
-                ext = BoxFilterExtractor("S", seed=11)
-                head = RecordingHead()
-                net = DualPathNetwork(ext, head, settings, weight_seed=7, padding_policy=policy)
-                for f in frames:
-                    net.step(f)
-                want = reference_fused_pyramids(frames, "S", settings, 7, 11, padding_policy=policy)
-                assert len(head.pyramids) == len(want)
-                for got_p, want_p in zip(head.pyramids, want):
-                    for got_l, want_l in zip(got_p.levels, want_p.levels):
-                        assert np.array_equal(got_l, want_l), (variant, policy, n, dt)
-                assert ext.calls == len(frames)
+        for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
+            settings = FusionSettings(variant, n_history=n, delta_t=dt)
+            ext = BoxFilterExtractor("S", seed=11)
+            head = RecordingHead()
+            net = DualPathNetwork(ext, head, settings, weight_seed=7)
+            for f in frames:
+                net.step(f)
+            want = reference_fused_pyramids(frames, "S", settings, 7, 11)
+            assert len(head.pyramids) == len(want)
+            for got_p, want_p in zip(head.pyramids, want):
+                for got_l, want_l in zip(got_p.levels, want_p.levels):
+                    assert np.array_equal(got_l, want_l), (variant, n, dt)
+            assert ext.calls == len(frames)
 
 
 def test_history_disabled_passes_current_through():

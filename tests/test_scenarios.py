@@ -13,7 +13,6 @@ from longshort.scenarios import (
     bundled_scene_names,
     generate_scenario,
     scene_from_dict,
-    scene_to_dict,
 )
 
 
@@ -112,8 +111,36 @@ def test_ground_truth_area_matches_box_area():
 
 
 def test_scene_dict_round_trip():
-    scene = bundled_scene("mixed")
-    assert scene_from_dict(scene_to_dict(scene)) == scene
+    data = {
+        "n_frames": 12,
+        "frame_interval_ms": 50.0,
+        "width": 320,
+        "height": 240,
+        "seed": 4,
+        "trajectories": [
+            {
+                "kind": "occluded",
+                "initial_bbox": [10.0, 20.0, 50.0, 60.0],
+                "velocity": [2.0, -1.0],
+                "acceleration": [0.5, 0.25],
+                "turn_rate": 0.1,
+                "occlusion_window": [3, 5],
+                "category": 2,
+                "track_id": 9,
+            }
+        ],
+    }
+    traj = TrajectorySpec(
+        kind=TrajectoryKind.OCCLUDED,
+        initial_bbox=BBox(10.0, 20.0, 50.0, 60.0),
+        velocity=(2.0, -1.0),
+        acceleration=(0.5, 0.25),
+        turn_rate=0.1,
+        occlusion_window=(3, 5),
+        category=2,
+        track_id=9,
+    )
+    assert scene_from_dict(data) == SyntheticScene(12, 50.0, 320, 240, (traj,), seed=4)
 
 
 def test_bundled_scenes_all_generate():

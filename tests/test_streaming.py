@@ -11,7 +11,6 @@ from longshort.streaming import (
     PerFrameLatency,
     PredictionRecord,
     StreamConfig,
-    latest_completed,
     pair_for_eval,
     read_records,
     simulate_stream,
@@ -110,27 +109,30 @@ def test_records_sorted_by_completion_and_deterministic():
     assert times == sorted(times)
 
 
-# ------------------------------------------------------- latest_completed
+# ------------------------------------------ latest completed record per query
+
+
+def paired_at(records, query_times_ms):
+    """The record pair_for_eval pairs with a frame arriving at each time."""
+    queries = [Frame(k, t, None) for k, t in enumerate(query_times_ms)]
+    return [p.paired_record for p in pair_for_eval(records, queries)]
 
 
 def test_latest_completed_cold_start_is_empty():
     records = per_frame_records(40.0, 10)
-    assert latest_completed(records, 0.0) is None
-    assert latest_completed(records, 39.99) is None
+    assert paired_at(records, [0.0, 39.99]) == [None, None]
 
 
 def test_latest_completed_includes_boundary_ties():
     records = per_frame_records(0.0, 10)
-    for k in range(10):
-        got = latest_completed(records, k * INTERVAL)
-        assert got is not None and got.source_frame_index == k
+    got = paired_at(records, [k * INTERVAL for k in range(10)])
+    assert [r.source_frame_index for r in got] == list(range(10))
 
 
 def test_latest_completed_constant_latency_offset_is_two_frames():
     records = per_frame_records(40.0, 30)
-    for k in range(2, 30):
-        got = latest_completed(records, k * INTERVAL)
-        assert got.source_frame_index == k - 2, k
+    got = paired_at(records, [k * INTERVAL for k in range(2, 30)])
+    assert [r.source_frame_index for r in got] == [k - 2 for k in range(2, 30)]
 
 
 # ---------------------------------------------------------- pair_for_eval
