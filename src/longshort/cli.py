@@ -20,69 +20,48 @@ from pathlib import Path
 
 from .config import (
     DETECTOR_KEYS,
+    DETECTOR_KINDS,
     OUTPUT_DIR_ENV,
+    RunConfig,
     SweepAxis,
     SweepSpec,
     load_run_config,
 )
 from .coco_io import export_scenario
+from .fusion import FusionVariant
 from .metrics import report_csv_header, report_to_csv_row, report_to_human_table, report_from_text
 from .runner import run_eval, run_sweep, sweep_to_csv
 from .scenarios import bundled_scene, bundled_scene_names, generate_scenario, scene_from_dict
+from .streaming import ConstantLatency, DispatchPolicy
 
 
 def _default_out_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
-def _eval_overrides(args, detector_kind: str) -> dict:
-    """Flag overrides; --n-history/--delta-t also reach the detector when
-    its kind (from --detector, else the config file) takes them."""
-    overrides: dict = {}
-    stream: dict = {}
-    fusion: dict = {}
-    detector: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.latency_ms is not None:
-        stream["latency_ms"] = args.latency_ms
-    if args.frame_interval_ms is not None:
-        stream["frame_interval_ms"] = args.frame_interval_ms
-    if args.dispatch is not None:
-        stream["dispatch"] = args.dispatch
-    if args.detector is not None:
-        detector["kind"] = args.detector
-    if args.variant is not None:
-        fusion["variant"] = args.variant
-    if args.n_history is not None:
-        fusion["n_history"] = args.n_history
-        if "n_history" in DETECTOR_KEYS.get(detector_kind, ()):
-            detector["n_history"] = args.n_history
-    if args.delta_t is not None:
-        fusion["delta_t"] = args.delta_t
-        if "delta_t" in DETECTOR_KEYS.get(detector_kind, ()):
-            detector["delta_t"] = args.delta_t
-    if args.ratio is not None:
-        fusion["ratio"] = args.ratio
-    if args.no_residual:
-        fusion["residual"] = False
+def _given(**values) -> dict:
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _with_eval_flags(cfg: RunConfig, args) -> RunConfig:
+    """Each given flag replaces its field of the parsed config (--latency-ms
+    replaces either latency form).  A fusion flag also sets the detector key
+    of the same name when the detector's kind takes it."""
+    kind = args.detector or cfg.detector_kind
+    fusion = _given(variant=args.variant and FusionVariant(args.variant), n_history=args.n_history,
+                    delta_t=args.delta_t, ratio=args.ratio, residual=False if args.no_residual else None)
+    changes = _given(seed=args.seed, frame_interval_ms=args.frame_interval_ms, output=args.output,
+                     latency_model=None if args.latency_ms is None else ConstantLatency(args.latency_ms),
+                     dispatch_policy=args.dispatch and DispatchPolicy(args.dispatch))
     if args.scene_name is not None:
-        overrides["scene_name"] = args.scene_name
-    if args.output is not None:
-        overrides["output"] = args.output
-    if stream:
-        overrides["stream"] = stream
-    if fusion:
-        overrides["fusion"] = fusion
-    if detector:
-        overrides["detector"] = detector
-    return overrides
+        changes.update(scene=bundled_scene(args.scene_name), dataset_path=None)
+    params = {**cfg.detector_params, **{k: v for k, v in fusion.items() if k in DETECTOR_KEYS[kind]}}
+    return dataclasses.replace(cfg, **changes, detector_kind=kind, detector_params=params,
+                               fusion=dataclasses.replace(cfg.fusion, **fusion))
 
 
 def _cmd_eval(args) -> int:
-    file_detector = json.loads(Path(args.config).read_text()).get("detector", {})
-    kind = args.detector or file_detector.get("kind", "delayed-gt")
-    cfg = load_run_config(args.config, _eval_overrides(args, kind))
+    cfg = _with_eval_flags(load_run_config(args.config), args)
     if cfg.output is None:
         out = _default_out_dir() / Path(args.config).stem
         cfg = dataclasses.replace(cfg, output=str(out))
@@ -93,10 +72,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {"output": None}
+    base = load_run_config(args.config)
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    base = load_run_config(args.config, overrides)
+        base = dataclasses.replace(base, seed=args.seed)
     values = tuple(json.loads(args.values)) if args.values else ()
     if values and args.axis == SweepAxis.TEMPORAL_RANGE.value:
         values = tuple((v[0], v[1]) for v in values)
@@ -152,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scene-name", help="bundled scene overriding the config's data source")
     p_eval.add_argument("--latency-ms", type=float)
     p_eval.add_argument("--frame-interval-ms", type=float)
-    p_eval.add_argument("--dispatch", choices=["latest", "fifo"])
-    p_eval.add_argument("--detector", choices=["delayed-gt", "hold", "const-velocity", "long-short", "pyramid"])
-    p_eval.add_argument("--variant", choices=["EfAvg", "EfDil", "LfAvg", "LfDil"])
+    p_eval.add_argument("--dispatch", choices=[p.value for p in DispatchPolicy])
+    p_eval.add_argument("--detector", choices=DETECTOR_KINDS)
+    p_eval.add_argument("--variant", choices=[v.value for v in FusionVariant])
     p_eval.add_argument("--n-history", type=int)
     p_eval.add_argument("--delta-t", type=int)
     p_eval.add_argument("--ratio", type=float)

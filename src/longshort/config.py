@@ -1,8 +1,9 @@
 """Run and sweep configuration.
 
-Configs are plain JSON with explicit keys (schema below); CLI flags override
-file values.  A run names exactly one data source: an inline synthetic
-scene, a bundled scene by name, or a COCO-format annotation file.
+Configs are plain JSON with explicit keys (schema below); each CLI flag
+replaces one field of the parsed RunConfig.  A run names exactly one data
+source: an inline synthetic scene, a bundled scene by name, or a COCO-format
+annotation file.
 
     {
       "seed": 7,
@@ -22,46 +23,66 @@ scene, a bundled scene by name, or a COCO-format annotation file.
     }
 
 Unknown keys are rejected in every section, naming the key, and "stream"
-takes one latency form, a constant or a per-frame list, not both.
-"max_dets_per_frame", when set, is at least 1.
+takes one latency form, a constant or a per-frame list, not both.  Bad
+values are rejected too, naming the key.  The range checks run when a
+RunConfig, or a FusionSettings or scene it holds, is built, so a config
+derived with dataclasses.replace (a CLI flag, a sweep value) is checked like
+a file.
 
-Detector kinds and their keys (DETECTOR_KEYS; any other key is rejected):
-"delayed-gt" (latency_frames); "hold", "const-velocity", "long-short"
-(n_history, delta_t, forecast_steps, the last defaulting to the pairing
-staleness of a constant-latency stream and required with
-latency_per_frame_ms); and "pyramid" (model_size, weight_seed, threshold,
-category), which runs the dual-path network over rasterized frames and so
-needs a scene source, not a dataset.
+DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
+that casts and checks a given value).  A null value takes the default.  The
+forecasters' forecast_steps defaults to the pairing staleness of a
+constant-latency stream and is required with latency_per_frame_ms.  Kind
+"pyramid" runs the dual-path network over rasterized frames and so needs a
+scene source, not a dataset.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .fusion import FusionSettings, FusionVariant, InvalidConfig
+from .network import MODEL_CHANNELS
 from .scenarios import SyntheticScene, bundled_scene, scene_from_dict
 from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency
 
-# The keys runner.make_detector reads per kind.  The three forecasters share
-# one key set: a temporal-range sweep writes n_history/delta_t onto hold and
-# long-short and turns one into the other, and const-velocity (one frame
-# back) ignores n_history the way hold ignores all three.
-_FORECASTER_KEYS = ("n_history", "delta_t", "forecast_steps")
+
+def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
+    """A parser that casts a value and raises ValueError(rule) unless ok."""
+    def parse(value):
+        value = cast(value)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return parse
+
+
+_COUNT = _checked(int, lambda n: n >= 0, "must be >= 0")
+_STRIDE = _checked(int, lambda n: n >= 1, "must be >= 1")
+_FINITE = _checked(float, math.isfinite, "must be finite")
+_MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
+
+# kind -> key -> (default, parse).  The three forecasters share one key set:
+# a temporal-range sweep writes n_history/delta_t onto hold and long-short and
+# turns one into the other, and const-velocity (one frame back) ignores
+# n_history the way hold ignores all three.
+_FORECASTER_KEYS = {"n_history": (3, _COUNT), "delta_t": (1, _STRIDE), "forecast_steps": (None, _COUNT)}
 DETECTOR_KEYS = {
-    "delayed-gt": ("latency_frames",),
+    "delayed-gt": {"latency_frames": (0, _COUNT)},
     "hold": _FORECASTER_KEYS,
     "const-velocity": _FORECASTER_KEYS,
     "long-short": _FORECASTER_KEYS,
-    "pyramid": ("model_size", "weight_seed", "threshold", "category"),
+    "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, int), "threshold": (0.3, _FINITE), "category": (0, int)},
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
 STREAM_KEYS = ("latency_ms", "latency_per_frame_ms", "frame_interval_ms", "dispatch", "horizon_frames")
+FUSION_KEYS = tuple(f.name for f in fields(FusionSettings))
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -87,20 +108,46 @@ class RunConfig:
         kind = self.detector_kind
         if kind not in DETECTOR_KINDS:
             raise InvalidConfig(f"unknown detector kind {kind!r}; use one of {DETECTOR_KINDS}")
-        _reject_unknown_keys(self.detector_params, DETECTOR_KEYS[kind], "detector", f" for kind {kind!r}")
+        object.__setattr__(self, "detector_params", _parse_detector(kind, self.detector_params))
         if kind == "pyramid" and self.dataset_path is not None:
             raise InvalidConfig("detector kind 'pyramid' needs rendered frames; a 'dataset' source has no pixels")
         per_frame = isinstance(self.latency_model, PerFrameLatency)
-        if kind in ("const-velocity", "long-short") and per_frame and self.detector_params.get("forecast_steps") is None:
+        if kind in ("const-velocity", "long-short") and per_frame and "forecast_steps" not in self.detector_params:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
+        if not (self.frame_interval_ms is None or 0 < self.frame_interval_ms < math.inf):
+            raise InvalidConfig(f"frame_interval_ms must be finite and > 0, got {self.frame_interval_ms}")
+        if self.horizon_frames is not None and self.horizon_frames < 1:
+            raise InvalidConfig(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if self.max_dets_per_frame is not None and self.max_dets_per_frame < 1:
             raise InvalidConfig(f"max_dets_per_frame must be >= 1, got {self.max_dets_per_frame}")
+
+    @property
+    def detector_settings(self) -> dict:
+        """Every key of the detector's kind: its given value, else its default."""
+        table = DETECTOR_KEYS[self.detector_kind]
+        return {key: self.detector_params.get(key, default) for key, (default, _) in table.items()}
 
 
 def _reject_unknown_keys(data: dict, allowed: tuple, section: str, context: str = "") -> None:
     for key in data:
         if key not in allowed:
             raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {allowed}")
+
+
+def _parsed(section: str, key: str, value, parse: Callable):
+    """parse(value), or an InvalidConfig that names the key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{section} {key} {value!r}: {exc}") from None
+
+
+def _parse_detector(kind: str, params: dict) -> dict:
+    """The given keys of a detector of `kind`, cast and checked; a null value
+    is left out, so the key's default applies."""
+    table = DETECTOR_KEYS[kind]
+    _reject_unknown_keys(params, tuple(table), "detector", f" for kind {kind!r}")
+    return {key: _parsed("detector", key, value, table[key][1]) for key, value in params.items() if value is not None}
 
 
 def _parse_stream(raw: dict) -> dict:
@@ -113,16 +160,21 @@ def _parse_stream(raw: dict) -> dict:
     elif "latency_ms" in raw:
         out["latency_model"] = ConstantLatency(float(raw["latency_ms"]))
     if raw.get("frame_interval_ms") is not None:
-        out["frame_interval_ms"] = float(raw["frame_interval_ms"])
+        out["frame_interval_ms"] = _parsed("stream", "frame_interval_ms", raw["frame_interval_ms"], float)
     if raw.get("dispatch") is not None:
-        out["dispatch_policy"] = DispatchPolicy(raw["dispatch"])
+        out["dispatch_policy"] = _parsed("stream", "dispatch", raw["dispatch"], DispatchPolicy)
     if raw.get("horizon_frames") is not None:
-        out["horizon_frames"] = int(raw["horizon_frames"])
+        out["horizon_frames"] = _parsed("stream", "horizon_frames", raw["horizon_frames"], int)
     return out
 
 
+def _parse_fusion(raw: dict) -> FusionSettings:
+    _reject_unknown_keys(raw, FUSION_KEYS, "fusion")
+    variant = {"variant": FusionVariant.parse(raw["variant"])} if "variant" in raw else {}
+    return FusionSettings(**{**raw, **variant})
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
-    data = copy.deepcopy(data)
     _reject_unknown_keys(data, RUN_KEYS, "config")
     kwargs: dict[str, Any] = {}
     sources = [k for k in ("scene", "scene_name", "dataset") if data.get(k) is not None]
@@ -136,38 +188,21 @@ def run_config_from_dict(data: dict) -> RunConfig:
         kwargs["dataset_path"] = str(data["dataset"])
     kwargs.update(_parse_stream(data.get("stream", {})))
     if "fusion" in data:
-        kwargs["fusion"] = FusionSettings.from_dict(data["fusion"])
+        kwargs["fusion"] = _parse_fusion(data["fusion"])
     detector = dict(data.get("detector", {}))
     kwargs["detector_kind"] = detector.pop("kind", "delayed-gt")
     kwargs["detector_params"] = detector
     if data.get("max_dets_per_frame") is not None:
-        kwargs["max_dets_per_frame"] = int(data["max_dets_per_frame"])
-    kwargs["seed"] = int(data.get("seed", 0))
+        kwargs["max_dets_per_frame"] = _parsed("config", "max_dets_per_frame", data["max_dets_per_frame"], int)
+    kwargs["seed"] = _parsed("config", "seed", data.get("seed", 0), int)
     if data.get("output") is not None:
         kwargs["output"] = str(data["output"])
     return RunConfig(**kwargs)
 
 
-def load_run_config(path: Union[str, Path], overrides: Optional[dict] = None) -> RunConfig:
-    """Read a JSON run config; `overrides` (same schema, flat merge per
-    section) wins over file values."""
-    data = json.loads(Path(path).read_text())
-    if overrides:
-        data = _merge(data, overrides)
-    return run_config_from_dict(data)
-
-
-def _merge(base: dict, overrides: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            if key in ("scene", "scene_name", "dataset"):
-                for src in ("scene", "scene_name", "dataset"):
-                    out.pop(src, None)
-            out[key] = value
-    return out
+def load_run_config(path: Union[str, Path]) -> RunConfig:
+    """Read a JSON run config."""
+    return run_config_from_dict(json.loads(Path(path).read_text()))
 
 
 class SweepAxis(Enum):
@@ -205,15 +240,10 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     """Derive one run configuration from the sweep's base."""
     base = spec.base
     if spec.axis is SweepAxis.TEMPORAL_RANGE:
-        n, dt = value
-        n = int(n)
-        dt = 1 if dt is None else int(dt)
-        fusion = replace(base.fusion, n_history=n, delta_t=dt)
-        cfg = replace(base, fusion=fusion)
-        if base.detector_kind in ("hold", "const-velocity", "long-short"):
-            params = dict(base.detector_params)
-            params["n_history"] = n
-            params["delta_t"] = dt
+        n, dt = int(value[0]), 1 if value[1] is None else int(value[1])
+        cfg = replace(base, fusion=replace(base.fusion, n_history=n, delta_t=dt))
+        if "n_history" in DETECTOR_KEYS[base.detector_kind]:
+            params = {**base.detector_params, "n_history": n, "delta_t": dt}
             cfg = replace(cfg, detector_kind="hold" if n == 0 else "long-short", detector_params=params)
         return cfg
     if spec.axis is SweepAxis.DILATION_RATIO:

@@ -65,14 +65,19 @@ class LsfmConfig:
     residual: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise InvalidConfig(f"ratio must lie in (0, 1), got {self.ratio}")
-        if self.n_history < 1:
-            raise InvalidConfig(f"n_history must be >= 1, got {self.n_history}")
-        if self.delta_t < 1:
-            raise InvalidConfig(f"delta_t must be >= 1, got {self.delta_t}")
+        _check_range(self, min_history=1)
         if self.d < 2:
             raise InvalidConfig(f"d must be >= 2, got {self.d}")
+
+
+def _check_range(cfg, min_history: int) -> None:
+    """The checks LsfmConfig and FusionSettings share."""
+    if not (0.0 < cfg.ratio < 1.0):
+        raise InvalidConfig(f"ratio must lie in (0, 1), got {cfg.ratio}")
+    if cfg.n_history < min_history:
+        raise InvalidConfig(f"n_history must be >= {min_history}, got {cfg.n_history}")
+    if cfg.delta_t < 1:
+        raise InvalidConfig(f"delta_t must be >= 1, got {cfg.delta_t}")
 
 
 def default_config(d: int) -> LsfmConfig:
@@ -97,25 +102,12 @@ class FusionSettings:
     residual: bool = True
 
     def __post_init__(self):
-        if self.n_history < 0:
-            raise InvalidConfig(f"n_history must be >= 0, got {self.n_history}")
+        _check_range(self, min_history=0)
 
     def config_for(self, d: int) -> LsfmConfig:
         if self.n_history == 0:
             raise InvalidConfig("history is disabled; there is no fusion config")
         return LsfmConfig(self.variant, self.n_history, self.delta_t, d, self.ratio, self.residual)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FusionSettings":
-        known = {"variant", "n_history", "delta_t", "ratio", "residual"}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown fusion keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "variant" in kwargs:
-            kwargs["variant"] = FusionVariant.parse(kwargs["variant"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class ChannelPlan:

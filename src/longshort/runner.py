@@ -60,41 +60,35 @@ def build_run_data(cfg: RunConfig) -> RunData:
     horizon = cfg.horizon_frames if cfg.horizon_frames is not None else len(frames)
     if horizon > len(frames):
         raise InvalidConfig(f"horizon {horizon} exceeds the {len(frames)} available frames")
-    return RunData(tuple(frames[:horizon]), tuple(tuple(g) for g in gts[:horizon]), interval)
-
-
-def _forecast_steps(cfg: RunConfig, interval: float) -> int:
-    """The explicit forecast_steps, else the constant latency in frames
-    (RunConfig rejects per-frame latency without forecast_steps)."""
-    explicit = cfg.detector_params.get("forecast_steps")
-    if explicit is not None:
-        return int(explicit)
-    return int(math.ceil(cfg.latency_model.ms / interval))
+    gts = tuple(tuple(g) for g in gts[:horizon])
+    if not any(gts):
+        raise InvalidConfig(f"horizon_frames {horizon}: no ground-truth box in the first {horizon} frames")
+    return RunData(tuple(frames[:horizon]), gts, interval)
 
 
 def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], list]:
-    params = cfg.detector_params
+    s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
-        return DelayedGtDetector(data.gts, latency_frames=int(params.get("latency_frames", 0)))
+        return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
     if cfg.detector_kind == "hold":
         return ForecastDetector(data.gts, n_history=0, delta_t=1, forecast_steps=0)
     if cfg.detector_kind in ("const-velocity", "long-short"):
-        n = 1 if cfg.detector_kind == "const-velocity" else int(params.get("n_history", 3))
+        # forecast_steps defaults to the constant latency in frames (RunConfig
+        # rejects per-frame latency without forecast_steps)
+        steps = s["forecast_steps"]
         return ForecastDetector(
             data.gts,
-            n_history=n,
-            delta_t=int(params.get("delta_t", 1)),
-            forecast_steps=_forecast_steps(cfg, data.frame_interval_ms),
+            n_history=1 if cfg.detector_kind == "const-velocity" else s["n_history"],
+            delta_t=s["delta_t"],
+            forecast_steps=math.ceil(cfg.latency_model.ms / data.frame_interval_ms) if steps is None else steps,
         )
     # pyramid: the dual-path network steps over the frames the simulator
     # dispatches (frames it skips never reach the buffer)
-    extractor = BoxFilterExtractor(model_size=params.get("model_size", "S"), seed=cfg.seed)
-    head = BlobHead(threshold=float(params.get("threshold", 0.3)), category=int(params.get("category", 0)))
     network = DualPathNetwork(
-        extractor=extractor,
-        head=head,
+        extractor=BoxFilterExtractor(model_size=s["model_size"], seed=cfg.seed),
+        head=BlobHead(threshold=s["threshold"], category=s["category"]),
         fusion=cfg.fusion,
-        weight_seed=int(params.get("weight_seed", 0)),
+        weight_seed=s["weight_seed"],
     )
     return lambda k: network.step(data.frames[k])
 

@@ -100,6 +100,15 @@ class SyntheticScene:
         if self.frame_interval_ms <= 0:
             raise ValueError("frame_interval_ms must be positive")
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        for i, traj in enumerate(self.trajectories):
+            if all(self.visible_box(traj, k) is None for k in range(self.n_frames)):
+                raise DegenerateTrajectory(f"trajectory {i} never appears inside the image")
+
+    def visible_box(self, traj: TrajectorySpec, k: int) -> Optional[BBox]:
+        """The trajectory's box at frame k clipped to the image, or None
+        while it is occluded or wholly outside."""
+        raw = traj.box_at(k)
+        return None if raw is None else raw.clipped(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -126,18 +135,13 @@ def generate_scenario(scene: SyntheticScene) -> list[tuple[Frame, list[GroundTru
     """Roll the scene forward: per frame, every trajectory contributes its
     closed-form box, clipped to the image and dropped while occluded or
     fully outside."""
-    visible_counts = [0] * len(scene.trajectories)
     out = []
     for k in range(scene.n_frames):
         gts = []
         for i, traj in enumerate(scene.trajectories):
-            raw = traj.box_at(k)
-            if raw is None:
-                continue
-            clipped = raw.clipped(scene.width, scene.height)
+            clipped = scene.visible_box(traj, k)
             if clipped is None:
                 continue
-            visible_counts[i] += 1
             track = traj.track_id if traj.track_id is not None else i
             gts.append(GroundTruthBox(bbox=clipped, category=traj.category, track_id=track, frame_index=k))
         frame = Frame(
@@ -146,9 +150,6 @@ def generate_scenario(scene: SyntheticScene) -> list[tuple[Frame, list[GroundTru
             pixels=SceneDescriptor(scene.width, scene.height, tuple(g.bbox for g in gts)),
         )
         out.append((frame, gts))
-    for i, count in enumerate(visible_counts):
-        if count == 0:
-            raise DegenerateTrajectory(f"trajectory {i} never appears inside the image")
     return out
 
 

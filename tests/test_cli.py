@@ -76,6 +76,31 @@ def test_config_rejects_max_dets_per_frame_below_one(bad):
     assert run_config_from_dict(base_config_dict(max_dets_per_frame=1)).max_dets_per_frame == 1
 
 
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("detector", {"kind": "delayed-gt", "latency_frames": -1}, "latency_frames"),
+        ("detector", {"kind": "long-short", "n_history": -1}, "n_history"),
+        ("detector", {"kind": "long-short", "n_history": "x"}, "n_history"),
+        ("detector", {"kind": "hold", "delta_t": 0}, "delta_t"),
+        ("detector", {"kind": "const-velocity", "forecast_steps": -1}, "forecast_steps"),
+        ("detector", {"kind": "pyramid", "model_size": "XL"}, "model_size"),
+        ("detector", {"kind": "pyramid", "threshold": float("nan")}, "threshold"),
+        ("detector", {"kind": "pyramid", "threshold": float("inf")}, "threshold"),
+        ("fusion", {"ratio": 1.5}, "ratio"),
+        ("fusion", {"ratio": 0.0}, "ratio"),
+        ("fusion", {"delta_t": 0}, "delta_t"),
+        ("stream", {"frame_interval_ms": 0}, "frame_interval_ms"),
+        ("stream", {"frame_interval_ms": -33.33}, "frame_interval_ms"),
+        ("stream", {"horizon_frames": 0}, "horizon_frames"),
+        ("stream", {"dispatch": "lifo"}, "dispatch"),
+    ],
+)
+def test_config_rejects_bad_values_naming_the_key(section, value, key):
+    with pytest.raises(InvalidConfig, match=key):
+        run_config_from_dict(base_config_dict(**{section: value}))
+
+
 def _load_benchmark_workloads():
     import importlib.util
     import sys
@@ -136,6 +161,22 @@ def test_config_rejects_non_finite_latency_naming_the_key(bad):
         run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [10.0, bad, 10.0]}))
 
 
+def test_horizon_without_ground_truth_rejected_before_the_detector_is_built(monkeypatch):
+    import longshort.runner as runner
+
+    def no_detector(cfg, data):
+        raise AssertionError("the detector was built for a horizon with no ground truth")
+
+    monkeypatch.setattr(runner, "make_detector", no_detector)
+    scene = {
+        "n_frames": 20, "width": 100, "height": 100,
+        "trajectories": [{"kind": "uniform", "initial_bbox": [-30, 10, -10, 20], "velocity": [1, 0]}],
+    }
+    cfg = run_config_from_dict({"scene": scene, "stream": {"horizon_frames": 5}, "detector": {"kind": "hold"}})
+    with pytest.raises(InvalidConfig, match="horizon_frames"):
+        run_eval(cfg, write=False)
+
+
 def test_short_per_frame_latency_list_rejected_before_any_detector_call(monkeypatch):
     import longshort.runner as runner
 
@@ -148,19 +189,55 @@ def test_short_per_frame_latency_list_rejected_before_any_detector_call(monkeypa
         run_eval(cfg, write=False)
 
 
-def test_overrides_win_over_file_values(tmp_path):
+def eval_config(monkeypatch, argv):
+    """The RunConfig `longshort eval argv` derives and runs."""
+    import longshort.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_eval", lambda cfg: seen.append(cfg) or run_eval(cfg, write=False))
+    assert main(["eval", *argv]) == 0
+    return seen[0]
+
+
+def test_overrides_win_over_file_values(tmp_path, monkeypatch):
     path = write_config(tmp_path, base_config_dict())
-    cfg = load_run_config(path, {"seed": 9, "stream": {"latency_ms": 50.0}, "detector": {"kind": "hold"}})
+    cfg = eval_config(monkeypatch, ["--config", str(path), "--seed", "9", "--latency-ms", "50", "--detector", "hold"])
     assert cfg.seed == 9
     assert cfg.latency_model.ms == 50.0
     assert cfg.detector_kind == "hold"
     assert cfg.fusion.variant is FusionVariant.LF_DIL  # untouched default
 
 
-def test_override_can_switch_data_source(tmp_path):
+def test_override_can_switch_data_source(tmp_path, monkeypatch):
     path = write_config(tmp_path, base_config_dict())
-    cfg = load_run_config(path, {"scene_name": "mixed"})
+    cfg = eval_config(monkeypatch, ["--config", str(path), "--scene-name", "mixed"])
     assert cfg.scene.n_frames == 18
+
+
+def test_latency_flag_replaces_the_files_per_frame_latency(tmp_path):
+    stream = {"latency_per_frame_ms": [10.0] * 20}
+    path = write_config(tmp_path, base_config_dict(stream=stream))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(path), "--output", str(out), "--latency-ms", "50"]) == 0
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert records
+    for r in records:
+        assert abs(r["completion_ms"] - r["issue_ms"] - 50.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--frame-interval-ms", "0"], "frame_interval_ms"),
+        (["--detector", "long-short", "--delta-t", "0"], "delta_t"),
+        (["--detector", "long-short", "--ratio", "1.5"], "ratio"),
+    ],
+)
+def test_flag_values_are_checked_like_file_values(tmp_path, capsys, flags, key):
+    path = write_config(tmp_path, base_config_dict())
+    assert main(["eval", "--config", str(path), "--output", str(tmp_path / "o"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err and key in err
 
 
 # -------------------------------------------------------------- run_eval

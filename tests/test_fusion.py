@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from longshort.config import run_config_from_dict
 from longshort.fusion import (
     FusionSettings,
     FusionVariant,
@@ -309,10 +310,13 @@ def test_flops_monotone_in_history_for_early_fusion():
 
 
 def test_fusion_settings_round_trip():
+    def parse(fusion):
+        return run_config_from_dict({"scene_name": "uniform", "fusion": fusion}).fusion
+
     data = {"variant": "EfDil", "n_history": 2, "delta_t": 2, "ratio": 0.25, "residual": False}
     want = FusionSettings(FusionVariant.EF_DIL, n_history=2, delta_t=2, ratio=0.25, residual=False)
-    assert FusionSettings.from_dict(data) == want
-    with pytest.raises(InvalidConfig):
-        FusionSettings.from_dict({"variant": "LfDil", "bogus": 1})
-    with pytest.raises(InvalidConfig):
-        FusionSettings.from_dict({"variant": "NoSuch"})
+    assert parse(data) == want
+    with pytest.raises(InvalidConfig, match=r"unknown fusion key 'bogus'"):
+        parse({"variant": "LfDil", "bogus": 1})
+    with pytest.raises(InvalidConfig, match="NoSuch"):
+        parse({"variant": "NoSuch"})

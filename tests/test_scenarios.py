@@ -67,8 +67,8 @@ def test_clipping_and_degenerate_trajectory():
     assert scenario[0][1][0].bbox.as_tuple() == (190.0, 0.0, 200.0, 10.0)  # clipped
     assert scenario[1][1] == []  # fully outside
     never_inside = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(500, 0, 510, 10), velocity=(1.0, 0.0))
-    with pytest.raises(DegenerateTrajectory):
-        generate_scenario(one_track_scene(never_inside, n_frames=3))
+    with pytest.raises(DegenerateTrajectory, match="trajectory 0"):
+        one_track_scene(never_inside, n_frames=3)
 
 
 def test_small_object_stays_small():
