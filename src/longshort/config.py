@@ -24,10 +24,13 @@ annotation file.
 
 Unknown keys are rejected in every section, naming the key, and "stream"
 takes one latency form, a constant or a per-frame list, not both.  Bad
-values are rejected too, naming the key.  The range checks run when a
-RunConfig, or a FusionSettings or scene it holds, is built, so a config
-derived with dataclasses.replace (a CLI flag, a sweep value) is checked like
-a file.
+values are rejected too, naming the key: detector and fusion values are
+cast by their key's parser, and a null takes the default.  The range checks
+run when a RunConfig, or a FusionSettings or scene it holds, is built, so a
+config derived with dataclasses.replace (a CLI flag, a sweep value) is
+checked like a file.  For a scene source that includes what the scene's
+frame count decides: a horizon beyond it, and a per-frame latency list
+shorter than the horizon.
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  A null value takes the default.  The
@@ -82,6 +85,8 @@ DETECTOR_KEYS = {
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
 STREAM_KEYS = ("latency_ms", "latency_per_frame_ms", "frame_interval_ms", "dispatch", "horizon_frames")
+_BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
+_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": int, "delta_t": int, "ratio": float, "residual": _BOOL}
 FUSION_KEYS = tuple(f.name for f in fields(FusionSettings))
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
@@ -118,6 +123,15 @@ class RunConfig:
             raise InvalidConfig(f"frame_interval_ms must be finite and > 0, got {self.frame_interval_ms}")
         if self.horizon_frames is not None and self.horizon_frames < 1:
             raise InvalidConfig(f"horizon_frames must be >= 1, got {self.horizon_frames}")
+        if self.scene is not None:  # a scene's frame count is known at load
+            horizon = self.horizon_frames or self.scene.n_frames
+            if horizon > self.scene.n_frames:
+                raise InvalidConfig(f"horizon_frames {horizon} exceeds the scene's {self.scene.n_frames} frames")
+            if per_frame and len(self.latency_model.values_ms) < horizon:
+                raise InvalidConfig(
+                    f"latency_per_frame_ms has {len(self.latency_model.values_ms)} values,"
+                    f" fewer than the {horizon} frames of the horizon"
+                )
         if self.max_dets_per_frame is not None and self.max_dets_per_frame < 1:
             raise InvalidConfig(f"max_dets_per_frame must be >= 1, got {self.max_dets_per_frame}")
 
@@ -169,9 +183,13 @@ def _parse_stream(raw: dict) -> dict:
 
 
 def _parse_fusion(raw: dict) -> FusionSettings:
+    """The fusion section, each given value cast by its key's parser; a null
+    value is left out, so the key's default applies.  FusionSettings checks
+    the ranges."""
     _reject_unknown_keys(raw, FUSION_KEYS, "fusion")
-    variant = {"variant": FusionVariant.parse(raw["variant"])} if "variant" in raw else {}
-    return FusionSettings(**{**raw, **variant})
+    return FusionSettings(**{
+        key: _parsed("fusion", key, value, _FUSION_PARSERS[key]) for key, value in raw.items() if value is not None
+    })
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -16,6 +16,15 @@ connection adds the current map back after that projection.
 Maps are plain (C, H, W) float64 arrays.  fuse() checks its inputs' shapes
 and finiteness; fuse_projected() trusts them, so the network's hot path
 runs no per-operation check (its extractor checks each frame's pixels).
+
+fuse_projected() allocates one buffer per call, as wide as the branches'
+concatenation: the short projection is written straight into its first
+rows (project_1x1 with out=), the projected history is copied into the rows
+after it, and the EfDil history sum and the EfAvg sum accumulate in place,
+left to right.  The output projection reads that buffer, and the residual is
+added in place.  Only arrays the call allocated are written: never the
+current map or a history map, which the network's buffer keeps (for EfAvg,
+whose history projection is the identity, those are the extractor's maps).
 """
 
 from __future__ import annotations
@@ -258,36 +267,41 @@ def fuse_projected(
     is project_history() of the current map; only LfAvg reads it, and other
     variants may pass None.  Inputs are trusted to have the shapes and the
     finite values fuse() checks."""
+    shape = (cfg.d, *current.shape[1:])
     if cfg.variant is FusionVariant.EF_AVG:
         # A plain sum including the current frame, left to right; the
         # residual flag is moot.
-        return sum(projected_history, current)
+        fused = current + projected_history[0]
+        for m in projected_history[1:]:
+            fused += m
+        return fused
 
     plan = plan_channels(cfg)
-    parts: list[np.ndarray] = []
+    concat = np.empty((plan.pre_projection_total, *shape[1:]))
+    row = 0
+    if plan.short_out > 0 and cfg.variant is not FusionVariant.LF_AVG:
+        project_1x1(current, _require(w.short_proj, "short"), out=concat[: plan.short_out])
+        row = plan.short_out
     if cfg.variant is FusionVariant.EF_DIL:
-        if plan.short_out > 0:
-            parts.append(project_1x1(current, _require(w.short_proj, "short")))
         if plan.long_out > 0:
-            parts.append(sum(projected_history[1:], projected_history[0]))
-    elif cfg.variant is FusionVariant.LF_AVG:
-        if plan.short_out > 0:
-            parts.append(projected_current)
-            parts.extend(projected_history)
-    else:  # LF_DIL
-        if plan.short_out > 0:
-            parts.append(project_1x1(current, _require(w.short_proj, "short")))
-        if plan.long_out > 0:
-            parts.extend(projected_history)
+            long = concat[row:]
+            np.copyto(long, projected_history[0])
+            for m in projected_history[1:]:
+                long += m
+    elif plan.long_out > 0:  # LfDil; LfAvg, whose long_out is its short_out
+        lf_avg = cfg.variant is FusionVariant.LF_AVG
+        for m in (projected_current, *projected_history) if lf_avg else projected_history:
+            concat[row : row + plan.long_out] = m
+            row += plan.long_out
 
-    if parts:
-        fused = np.concatenate(parts, axis=0)
-        if plan.needs_output_projection:
-            fused = project_1x1(fused, _require(w.output_proj, "output"))
+    if plan.pre_projection_total == 0:
+        fused = np.zeros(shape)
+    elif plan.needs_output_projection:
+        fused = project_1x1(concat, _require(w.output_proj, "output"))
     else:
-        fused = np.zeros((cfg.d, *current.shape[1:]))
+        fused = concat
     if cfg.residual:
-        fused = fused + current
+        fused += current
     return fused
 
 

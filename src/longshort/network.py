@@ -8,6 +8,14 @@ ring buffer that holds, per fused level, each past frame's map already
 passed through the history projection (fusion.project_history), so no frame
 goes through the extractor or that projection twice.
 
+Pyramid levels are built when first read.  The extractor checks a frame's
+pixels when it is called and keeps its own copy of them; a level is pooled
+from that copy the first time anything reads it, and kept.  step() reads
+only the levels it fuses and hands the head a pyramid with those replaced
+by their fused maps and the others still unbuilt, so BlobHead, which reads
+level 0, costs one pooled level per frame.  Fusion writes only into arrays
+it allocates, never into a pyramid's level or a buffered projected map.
+
 Feature maps are plain (C, H, W) float64 arrays.  Values are checked for
 finiteness once, where they enter: the extractor rejects a frame with a
 non-finite pixel, and fusion.fuse() checks the maps handed to it; nothing
@@ -20,7 +28,9 @@ architectural contract without any training.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional, Protocol
 
 import numpy as np
@@ -54,15 +64,39 @@ class Frame:
     pixels: Any = None
 
 
-@dataclass(frozen=True)
+class PyramidLevels(Sequence):
+    """A pyramid's levels, read like a tuple of (C, H, W) arrays.  A level
+    given as a zero-argument callable is built the first time it is read and
+    kept from then on."""
+
+    def __init__(self, sources):
+        self._sources = list(sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        level = self._sources[i]
+        if callable(level):
+            level = self._sources[i] = level()
+        return level
+
+
 class FeaturePyramid:
-    """Per-frame (C, H, W) feature maps at down-sampling rates /8, /16, /32."""
+    """Per-frame (C, H, W) feature maps at down-sampling rates /8, /16, /32,
+    each an array or a callable that builds it when first read."""
 
-    levels: tuple[np.ndarray, ...]
+    def __init__(self, levels):
+        if len(levels) != len(PYRAMID_RATES):
+            raise ValueError(f"expected {len(PYRAMID_RATES)} levels, got {len(levels)}")
+        self.levels = PyramidLevels(levels)
 
-    def __post_init__(self):
-        if len(self.levels) != len(PYRAMID_RATES):
-            raise ValueError(f"expected {len(PYRAMID_RATES)} levels, got {len(self.levels)}")
+    def replace(self, maps: dict[int, np.ndarray]) -> "FeaturePyramid":
+        """This pyramid with the given levels replaced; the others stay this
+        pyramid's own, unbuilt until read."""
+        return FeaturePyramid(
+            [maps[i] if i in maps else partial(self.levels.__getitem__, i) for i in range(len(self.levels))]
+        )
 
 
 class FeatureExtractor(Protocol):
@@ -105,20 +139,25 @@ class BoxFilterExtractor:
         self.calls = 0
 
     def extract(self, frame: Frame) -> FeaturePyramid:
+        """Check the frame's pixels now and return its pyramid, whose levels
+        are pooled from a private copy of them when first read."""
         self.calls += 1
         img = frame.pixels
         if img is None:
             raise ValueError(f"frame {frame.index} carries no image payload")
-        if not isinstance(img, np.ndarray):
-            img = img.rasterize()
-        img = np.asarray(img, dtype=np.float64)
+        # a caller's array is copied, so that a later change to it cannot
+        # reach a level built from it; a fresh raster is not
+        if isinstance(img, np.ndarray):
+            img = np.array(img, dtype=np.float64)
+        else:
+            img = np.asarray(img.rasterize(), dtype=np.float64)
         if not np.isfinite(img).all():
             raise ValueError(f"frame {frame.index} has non-finite pixels")
-        levels = []
-        for rate, lift in zip(PYRAMID_RATES, self._lifts):
-            pooled = _block_reduce_mean(img, rate)
-            levels.append(pooled[None, :, :] * lift[:, None, None])
-        return FeaturePyramid(tuple(levels))
+        return FeaturePyramid([partial(self._level, img, k) for k in range(len(PYRAMID_RATES))])
+
+    def _level(self, img: np.ndarray, k: int) -> np.ndarray:
+        pooled = _block_reduce_mean(img, PYRAMID_RATES[k])
+        return pooled[None, :, :] * self._lifts[k][:, None, None]
 
 
 class BlobHead:
@@ -220,9 +259,10 @@ class DualPathNetwork:
             project_history(cfg, w, current.levels[level]) for level, (cfg, w) in self._levels.items()
         )
         history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, projected)
-        levels = list(current.levels)
-        for k, (level, (cfg, w)) in enumerate(self._levels.items()):
-            levels[level] = fuse_projected(cfg, w, current.levels[level], projected[k], [h[k] for h in history])
-        dets = self.head.predict(FeaturePyramid(tuple(levels)))
+        fused = {
+            level: fuse_projected(cfg, w, current.levels[level], projected[k], [h[k] for h in history])
+            for k, (level, (cfg, w)) in enumerate(self._levels.items())
+        }
+        dets = self.head.predict(current.replace(fused))
         self.buffer.push(frame.index, projected)
         return dets

@@ -10,6 +10,7 @@ checks a map where it enters, so the operations on it need not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -61,10 +62,22 @@ def as_feature_map(fmap) -> np.ndarray:
     return arr
 
 
-def project_1x1(fmap: np.ndarray, w: ProjectionWeights) -> np.ndarray:
-    """Apply a channel projection at every spatial site of a (C, H, W) map."""
+def project_1x1(fmap: np.ndarray, w: ProjectionWeights, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Apply a channel projection at every spatial site of a (C, H, W) map.
+
+    With out, a C-contiguous float64 (out_channels, H, W) array such as a
+    row slice of a larger map, the result is written into it (the bias is
+    added in place) and out is returned; the values are those of the call
+    without it."""
     channels, height, width = fmap.shape
     if channels != w.in_channels:
         raise ChannelMismatch(f"map has {channels} channels, weights expect {w.in_channels}")
-    out = w.matrix @ fmap.reshape(channels, height * width) + w.bias[:, None]
-    return out.reshape(w.out_channels, height, width)
+    shape = (w.out_channels, height, width)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"out must be a C-contiguous float64 array of shape {shape}")
+    flat = out.reshape(w.out_channels, height * width)
+    np.matmul(w.matrix, fmap.reshape(channels, height * width), out=flat)
+    flat += w.bias[:, None]
+    return out

@@ -377,3 +377,47 @@ def reference_sap_report(pairings, gts_by_frame, max_dets_per_frame=None):
         sap_large=mean_ap(IOU_THRS, ranges[3]),
         per_category=per_category,
     )
+
+
+# ------------------------------------------------ concatenating fusion kernel
+
+
+def reference_fuse_projected(cfg, w, current, projected_current, projected_history):
+    """The fuse_projected() that the package's copy-free kernel replaced,
+    kept as a bit-exact reference: each branch is its own array, joined by
+    np.concatenate, with the bias and the residual added out of place and
+    the EfAvg/EfDil sums taken with the builtin sum()."""
+    import numpy as np
+
+    from longshort.fusion import FusionVariant, plan_channels
+    from longshort.tensor import project_1x1
+
+    if cfg.variant is FusionVariant.EF_AVG:
+        return sum(projected_history, current)
+
+    plan = plan_channels(cfg)
+    parts = []
+    if cfg.variant is FusionVariant.EF_DIL:
+        if plan.short_out > 0:
+            parts.append(project_1x1(current, w.short_proj))
+        if plan.long_out > 0:
+            parts.append(sum(projected_history[1:], projected_history[0]))
+    elif cfg.variant is FusionVariant.LF_AVG:
+        if plan.short_out > 0:
+            parts.append(projected_current)
+            parts.extend(projected_history)
+    else:  # LF_DIL
+        if plan.short_out > 0:
+            parts.append(project_1x1(current, w.short_proj))
+        if plan.long_out > 0:
+            parts.extend(projected_history)
+
+    if parts:
+        fused = np.concatenate(parts, axis=0)
+        if plan.needs_output_projection:
+            fused = project_1x1(fused, w.output_proj)
+    else:
+        fused = np.zeros((cfg.d, *current.shape[1:]))
+    if cfg.residual:
+        fused = fused + current
+    return fused

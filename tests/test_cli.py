@@ -177,16 +177,62 @@ def test_horizon_without_ground_truth_rejected_before_the_detector_is_built(monk
         run_eval(cfg, write=False)
 
 
-def test_short_per_frame_latency_list_rejected_before_any_detector_call(monkeypatch):
+def test_short_per_frame_latency_list_rejected_before_any_detector_call(tmp_path, monkeypatch, capsys):
+    # A scene source is rejected at load (the next tests); a dataset's frame
+    # count is known only once run_eval reads the file.
     import longshort.runner as runner
 
     def no_detector(cfg, data):
         raise AssertionError("the detector was built before the latency list was checked")
 
     monkeypatch.setattr(runner, "make_detector", no_detector)
-    cfg = run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5}))
+    assert main(["gen-scene", "--scene", "uniform", "--output", str(tmp_path / "ann.json")]) == 0
+    cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"), "stream": {"latency_per_frame_ms": [0.0] * 5}})
     with pytest.raises(ValueError, match=r"latency_per_frame_ms has 5 values, fewer than the 20 frames"):
         run_eval(cfg, write=False)
+
+
+@pytest.mark.parametrize("source", [{"scene_name": "uniform"}, {"scene": {
+    "n_frames": 20, "width": 100, "height": 100,
+    "trajectories": [{"kind": "uniform", "initial_bbox": [10, 10, 30, 30], "velocity": [1, 0]}],
+}}])
+def test_scene_source_rejects_a_horizon_beyond_its_frames_at_load(source):
+    with pytest.raises(InvalidConfig, match="horizon_frames 30 exceeds the scene's 20 frames"):
+        run_config_from_dict({**source, "stream": {"horizon_frames": 30}})
+    assert run_config_from_dict({**source, "stream": {"horizon_frames": 20}}).horizon_frames == 20
+
+
+def test_scene_source_rejects_a_per_frame_latency_list_shorter_than_the_horizon_at_load():
+    with pytest.raises(InvalidConfig, match="latency_per_frame_ms has 5 values, fewer than the 20 frames"):
+        run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5}))
+    with pytest.raises(InvalidConfig, match="latency_per_frame_ms has 5 values, fewer than the 6 frames"):
+        run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5, "horizon_frames": 6}))
+    cfg = run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5, "horizon_frames": 5}))
+    assert run_eval(cfg, write=False).sap == 1.0
+
+
+@pytest.mark.parametrize(
+    "value, key",
+    [
+        ({"n_history": "x"}, "n_history"),
+        ({"n_history": [3]}, "n_history"),
+        ({"delta_t": "two"}, "delta_t"),
+        ({"ratio": "x"}, "ratio"),
+        ({"ratio": "nan"}, "ratio"),
+        ({"residual": "false"}, "residual"),
+        ({"variant": "LfMax"}, "variant"),
+    ],
+)
+def test_fusion_values_are_cast_at_load_naming_the_key(value, key):
+    with pytest.raises(InvalidConfig, match=key):
+        run_config_from_dict(base_config_dict(fusion=value))
+
+
+def test_fusion_values_cast_like_detector_values():
+    fusion = {"variant": "EfDil", "n_history": "2", "delta_t": 3.0, "ratio": "0.25", "residual": False}
+    got = run_config_from_dict(base_config_dict(fusion=fusion)).fusion
+    assert (got.variant, got.n_history, got.delta_t, got.ratio, got.residual) == (FusionVariant.EF_DIL, 2, 3, 0.25, False)
+    assert run_config_from_dict(base_config_dict(fusion={"n_history": None})).fusion.n_history == 3
 
 
 def eval_config(monkeypatch, argv):

@@ -11,11 +11,13 @@ from longshort.fusion import (
     count_fusion_flops,
     default_config,
     fuse,
+    fuse_projected,
     init_weights,
     plan_channels,
+    project_history,
 )
 from longshort.tensor import ShapeMismatch
-from oracles import arr3, naive_fuse
+from oracles import arr3, naive_fuse, reference_fuse_projected
 
 ALL_VARIANTS = list(FusionVariant)
 
@@ -211,6 +213,40 @@ def test_fuse_oracle_agreement_across_variants_and_shapes():
                 got = fuse(cfg, w, current, history)
                 want = np.array(naive_fuse(cfg, w, arr3(current), [arr3(m) for m in history]))
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-9), (variant, n, d)
+
+
+def kernel_cases(rng, n_random):
+    """(variant, n_history, d, ratio, residual): the corner cases first, then
+    random draws over every variant, N in 1-5 and ratios in (0, 1)."""
+    yield FusionVariant.EF_DIL, 1, 9, 0.5, True  # sum() of one map is that map
+    yield FusionVariant.EF_DIL, 1, 8, 0.5, False
+    yield FusionVariant.LF_DIL, 3, 8, 0.1, True  # short branch floors to 0
+    yield FusionVariant.LF_DIL, 5, 6, 0.5, False  # long branch floors to 0
+    yield FusionVariant.LF_DIL, 5, 4, 0.2, True  # both: nothing to concatenate
+    yield FusionVariant.LF_AVG, 4, 3, 0.5, True  # LfAvg width floors to 0
+    for _ in range(n_random):
+        yield (ALL_VARIANTS[int(rng.integers(len(ALL_VARIANTS)))], int(rng.integers(1, 6)),
+               int(rng.integers(2, 25)), float(rng.uniform(0.01, 0.99)), bool(rng.random() < 0.5))
+
+
+def test_fuse_projected_matches_the_concatenating_reference_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for variant, n, d, ratio, residual in kernel_cases(rng, 150):
+        cfg = cfg_for(variant, n=n, d=d, ratio=ratio, residual=residual)
+        w = init_weights(cfg, plan_channels(cfg), seed=int(rng.integers(1, 1000)))
+        height, width = (int(v) for v in rng.integers(1, 7, size=2))
+        current = rng.standard_normal((d, height, width))
+        projected_current = project_history(cfg, w, current)
+        projected = [project_history(cfg, w, rng.standard_normal((d, height, width))) for _ in range(n)]
+        inputs = [current, projected_current, *projected]
+        before = [m.copy() for m in inputs]
+        got = fuse_projected(cfg, w, current, projected_current, projected)
+        want = reference_fuse_projected(cfg, w, current, projected_current, projected)
+        case = (variant, n, d, ratio, residual)
+        assert got.shape == (d, height, width), case
+        assert np.array_equal(got, want), case
+        assert all(np.array_equal(m, b) for m, b in zip(inputs, before)), case
+        assert not any(np.shares_memory(got, m) for m in inputs), case
 
 
 def test_fuse_output_shape_always_d():

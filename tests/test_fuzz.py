@@ -3,15 +3,21 @@
 Each drawn config is either rejected by run_config_from_dict or runs
 run_eval to completion; nothing may fail halfway through a stream.  The one
 check that needs the data, a horizon that holds no ground truth, rejects in
-build_run_data, which runs before any detector is built.  A completed run
+build_run_data, which runs before any detector is built.  A copy of an
+accepted config given a horizon beyond its scene, or a per-frame latency
+list shorter than its horizon, must be rejected at load, naming the key.
+A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
+import pytest
 
 from longshort.config import DETECTOR_KINDS, run_config_from_dict
 from longshort.fusion import FusionVariant, InvalidConfig
@@ -111,15 +117,43 @@ def draw_config(rng) -> dict:
     return config
 
 
+def with_knowable_defect(rng, data) -> tuple[Optional[str], dict]:
+    """Maybe a copy of an accepted config with one value that the scene's
+    frame count makes wrong: a horizon beyond the scene, or a per-frame
+    latency list shorter than the horizon.  Returns the key and the copy."""
+    n_frames = data["scene"]["n_frames"]
+    stream = dict(data["stream"])
+    horizon = stream.get("horizon_frames", n_frames)
+    form = int(rng.integers(0, 3))
+    if form == 1:
+        stream["horizon_frames"] = int(rng.integers(n_frames + 1, 2 * n_frames + 1))
+        return "horizon_frames", {**data, "stream": stream}
+    if form == 2:
+        stream.pop("latency_ms", None)
+        stream["latency_per_frame_ms"] = [0.0] * int(rng.integers(0, horizon))
+        data = {**data, "stream": stream}
+        if data["detector"]["kind"] in ("const-velocity", "long-short"):
+            data["detector"] = {**data["detector"], "forecast_steps": 1}
+        return "latency_per_frame_ms", data
+    return None, data
+
+
 def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     rng = np.random.default_rng(SEED)
+    defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
     completed = perfect = empty_horizons = 0
+    knowable = Counter()
     for i in range(N_CONFIGS):
         data = draw_config(rng)
         try:
             cfg = run_config_from_dict(data)
         except ValueError:
             continue
+        key, bad = with_knowable_defect(defect_rng, data)
+        if key is not None:
+            with pytest.raises(InvalidConfig, match=key):
+                run_config_from_dict(bad)
+            knowable[key] += 1
         try:
             build_run_data(cfg)
         except InvalidConfig as exc:
@@ -143,3 +177,4 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     # the draw reaches every outcome and the perfect-detector case
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0
+    assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0

@@ -324,3 +324,62 @@ def test_unused_levels_reach_the_head_unfused_and_a_plain_head_gets_all_fused():
                 expected = want_p.levels[lvl] if lvl in fused_levels else raw_p.levels[lvl]
                 assert np.array_equal(got_l, expected), (type(head).__name__, lvl)
                 assert not np.array_equal(want_p.levels[lvl], raw_p.levels[lvl])
+
+
+# ------------------------------------------------------------ lazy levels
+
+
+def test_pyramid_levels_read_like_a_tuple_and_build_once():
+    built = []
+
+    def level(k):
+        built.append(k)
+        return np.full((1, 1, 1), float(k))
+
+    pyr = FeaturePyramid([np.zeros((1, 1, 1)), lambda: level(1), lambda: level(2)])
+    assert len(pyr.levels) == 3 and built == []
+    assert pyr.levels[-1][0, 0, 0] == 2.0 and built == [2]
+    assert [m[0, 0, 0] for m in pyr.levels] == [0.0, 1.0, 2.0]
+    assert [m[0, 0, 0] for m in reversed(pyr.levels)] == [2.0, 1.0, 0.0]
+    assert built == [2, 1]
+    with pytest.raises(ValueError):
+        FeaturePyramid([np.zeros((1, 1, 1))] * 2)
+
+
+def pooled_rates(monkeypatch, head, frames):
+    import longshort.network as network
+
+    rates = []
+    pool = network._block_reduce_mean
+    monkeypatch.setattr(network, "_block_reduce_mean", lambda img, rate: rates.append(rate) or pool(img, rate))
+    net = DualPathNetwork(BoxFilterExtractor("S", seed=1), head, FusionSettings(), weight_seed=3)
+    for f in frames:
+        net.step(f)
+    return rates
+
+
+def test_a_step_pools_only_the_levels_that_are_read(monkeypatch):
+    frames = noise_frames(5)
+    assert pooled_rates(monkeypatch, BlobHead(), frames) == [8] * 5
+    assert sorted(pooled_rates(monkeypatch, AllLevelsBlobHead(), frames)) == sorted(PYRAMID_RATES * 5)
+
+
+def test_levels_are_built_from_the_pixels_as_they_were_at_extract():
+    img = np.random.default_rng(9).random((40, 48))
+    want = BoxFilterExtractor("S", seed=4).extract(Frame(0, 0.0, img.copy()))
+    pyr = BoxFilterExtractor("S", seed=4).extract(Frame(0, 0.0, img))
+    img[:] = 5.0
+    for got_l, want_l in zip(pyr.levels, want.levels):
+        assert np.array_equal(got_l, want_l)
+
+
+@pytest.mark.parametrize("variant", [FusionVariant.EF_AVG, FusionVariant.LF_DIL])
+def test_a_step_leaves_the_buffered_maps_as_they_were(variant):
+    net = DualPathNetwork(BoxFilterExtractor("S", seed=2), AllLevelsBlobHead(),
+                          FusionSettings(variant, n_history=3), weight_seed=7)
+    for f in noise_frames(6):
+        before = {k: tuple(m.copy() for m in maps) for k, maps in net.buffer.slots.items()}
+        net.step(f)
+        for k, maps in before.items():
+            if k in net.buffer.slots:
+                assert all(np.array_equal(m, b) for m, b in zip(net.buffer.slots[k], maps)), (variant, f.index, k)

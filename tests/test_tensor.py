@@ -104,6 +104,21 @@ def test_project_is_linear():
     assert np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
 
 
+def test_project_into_a_row_slice_returns_that_view_bit_equal():
+    rng = np.random.default_rng(8)
+    x = random_map(rng, 6, 4, 5)
+    w = ProjectionWeights(3, 6, rng.standard_normal((3, 6)), rng.standard_normal(3))
+    big = np.full((8, 4, 5), 7.0)
+    view = big[2:5]
+    got = project_1x1(x, w, out=view)
+    assert got is view
+    assert np.array_equal(got, project_1x1(x, w))
+    assert np.array_equal(big[:2], np.full((2, 4, 5), 7.0)) and np.array_equal(big[5:], np.full((3, 4, 5), 7.0))
+    for bad in (np.empty((2, 4, 5)), np.empty((3, 4, 10))[:, :, ::2], np.empty((3, 4, 5), dtype=np.float32)):
+        with pytest.raises(ShapeMismatch):
+            project_1x1(x, w, out=bad)
+
+
 def test_project_channel_mismatch():
     w = ProjectionWeights(2, 3, np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ChannelMismatch):
