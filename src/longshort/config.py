@@ -24,8 +24,9 @@ annotation file.
 
 Unknown keys are rejected in every section, naming the key, and "stream"
 takes one latency form, a constant or a per-frame list, not both.  Bad
-values are rejected too, naming the key: detector and fusion values are
-cast by their key's parser, and a null takes the default.  The range checks
+values are rejected too, naming the key: detector, fusion and stream values
+are cast by their key's parser, a count refuses a fractional value instead
+of truncating it, and a null takes the default.  The range checks
 run when a RunConfig, or a FusionSettings or scene it holds, is built, so a
 config derived with dataclasses.replace (a CLI flag, a sweep value) is
 checked like a file.  For a scene source that includes what the scene's
@@ -65,8 +66,21 @@ def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
     return parse
 
 
-_COUNT = _checked(int, lambda n: n >= 0, "must be >= 0")
-_STRIDE = _checked(int, lambda n: n >= 1, "must be >= 1")
+def _whole(value) -> int:
+    """int(value), refusing a fractional number instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
+def _per_frame_latency(values) -> PerFrameLatency:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError("must be a list of latencies")
+    return PerFrameLatency(tuple(values))
+
+
+_COUNT = _checked(_whole, lambda n: n >= 0, "must be >= 0")
+_STRIDE = _checked(_whole, lambda n: n >= 1, "must be >= 1")
 _FINITE = _checked(float, math.isfinite, "must be finite")
 _MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
 
@@ -80,13 +94,21 @@ DETECTOR_KEYS = {
     "hold": _FORECASTER_KEYS,
     "const-velocity": _FORECASTER_KEYS,
     "long-short": _FORECASTER_KEYS,
-    "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, int), "threshold": (0.3, _FINITE), "category": (0, int)},
+    "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, _whole), "threshold": (0.3, _FINITE), "category": (0, _whole)},
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
-STREAM_KEYS = ("latency_ms", "latency_per_frame_ms", "frame_interval_ms", "dispatch", "horizon_frames")
+# stream key -> (the RunConfig field it sets, parse)
+_STREAM_FIELDS = {
+    "latency_ms": ("latency_model", lambda v: ConstantLatency(float(v))),
+    "latency_per_frame_ms": ("latency_model", _per_frame_latency),
+    "frame_interval_ms": ("frame_interval_ms", float),
+    "dispatch": ("dispatch_policy", DispatchPolicy),
+    "horizon_frames": ("horizon_frames", _whole),
+}
+STREAM_KEYS = tuple(_STREAM_FIELDS)
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
-_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": int, "delta_t": int, "ratio": float, "residual": _BOOL}
+_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": float, "residual": _BOOL}
 FUSION_KEYS = tuple(f.name for f in fields(FusionSettings))
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
@@ -165,21 +187,13 @@ def _parse_detector(kind: str, params: dict) -> dict:
 
 
 def _parse_stream(raw: dict) -> dict:
+    """The stream section as RunConfig fields, each given value cast by its
+    key's parser; a null value is left out, so the field's default applies."""
     _reject_unknown_keys(raw, STREAM_KEYS, "stream")
-    if "latency_ms" in raw and "latency_per_frame_ms" in raw:
+    given = {key: value for key, value in raw.items() if value is not None}
+    if "latency_ms" in given and "latency_per_frame_ms" in given:
         raise InvalidConfig("stream sets both latency_ms and latency_per_frame_ms; give one")
-    out: dict[str, Any] = {}
-    if "latency_per_frame_ms" in raw:
-        out["latency_model"] = PerFrameLatency(tuple(raw["latency_per_frame_ms"]))
-    elif "latency_ms" in raw:
-        out["latency_model"] = ConstantLatency(float(raw["latency_ms"]))
-    if raw.get("frame_interval_ms") is not None:
-        out["frame_interval_ms"] = _parsed("stream", "frame_interval_ms", raw["frame_interval_ms"], float)
-    if raw.get("dispatch") is not None:
-        out["dispatch_policy"] = _parsed("stream", "dispatch", raw["dispatch"], DispatchPolicy)
-    if raw.get("horizon_frames") is not None:
-        out["horizon_frames"] = _parsed("stream", "horizon_frames", raw["horizon_frames"], int)
-    return out
+    return {_STREAM_FIELDS[key][0]: _parsed("stream", key, value, _STREAM_FIELDS[key][1]) for key, value in given.items()}
 
 
 def _parse_fusion(raw: dict) -> FusionSettings:
@@ -211,8 +225,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
     kwargs["detector_kind"] = detector.pop("kind", "delayed-gt")
     kwargs["detector_params"] = detector
     if data.get("max_dets_per_frame") is not None:
-        kwargs["max_dets_per_frame"] = _parsed("config", "max_dets_per_frame", data["max_dets_per_frame"], int)
-    kwargs["seed"] = _parsed("config", "seed", data.get("seed", 0), int)
+        kwargs["max_dets_per_frame"] = _parsed("config", "max_dets_per_frame", data["max_dets_per_frame"], _whole)
+    kwargs["seed"] = _parsed("config", "seed", data.get("seed", 0), _whole)
     if data.get("output") is not None:
         kwargs["output"] = str(data["output"])
     return RunConfig(**kwargs)

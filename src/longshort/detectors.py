@@ -9,6 +9,7 @@ them to the latency simulator as streaming detector callables.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -35,21 +36,20 @@ def long_short_forecast(history: Sequence[tuple[int, BBox]], target_index: int) 
     acceleration.  Accepts any history length >= 2.  Raises ValueError when
     the forecast corners cross (a shrinking box extrapolated inside out).
     """
-    return BBox(*_fit_corners(history, target_index))
-
-
-def _fit_corners(history: Sequence[tuple[int, BBox]], target_index: int) -> list[float]:
-    """The long_short_forecast fit as [x_min, y_min, x_max, y_max], which
-    may cross."""
     if len(history) < 2:
         raise ValueError(f"need at least 2 samples, got {len(history)}")
     indices = [idx for idx, _ in history]
     if len(set(indices)) != len(indices):
         raise SingularFit(f"frame indices must be distinct, got {indices}")
-    ks = np.array(indices, dtype=np.float64)
-    degree = min(2, len(history) - 1)
-    coords = np.array([b.as_tuple() for _, b in history])  # (n, 4): one lstsq, four right-hand sides
-    return np.polyval(np.polyfit(ks, coords, degree), target_index).tolist()
+    coords = np.array([b.as_tuple() for _, b in history], dtype=np.float64)
+    return BBox(*_polyfit_at(np.array(indices, dtype=np.float64), coords, target_index).tolist())
+
+
+def _polyfit_at(ks: np.ndarray, columns: np.ndarray, target_index: int) -> np.ndarray:
+    """Least-squares polynomial of degree min(2, len(ks) - 1) through each
+    column of `columns` (len(ks) rows) over ks, evaluated at target_index:
+    one lstsq for every column."""
+    return np.polyval(np.polyfit(ks, columns, min(2, len(ks) - 1)), target_index)
 
 
 class DelayedGtDetector:
@@ -71,12 +71,22 @@ class DelayedGtDetector:
 class ForecastDetector:
     """Streaming detector that extrapolates each visible track forward.
 
-    At frame k it collects the track's boxes at k, k - delta_t, ...,
-    k - n_history * delta_t (skipping gaps, e.g. occlusions) and predicts
-    frame k + forecast_steps.  n_history = 0 is the zero-motion hold; a
-    single available sample also degrades to a hold.  A track whose forecast
-    corners cross (a box shrinking at the image edge, extrapolated inside
-    out) is forecast to have left the image and reports nothing.
+    At frame k it reads the track's boxes at k - n_history * delta_t, ...,
+    k - delta_t, k (skipping gaps, e.g. occlusions) and predicts frame
+    k + forecast_steps with the long_short_forecast fit.  n_history = 0 is
+    the zero-motion hold; a single available sample also degrades to a hold.
+    A track whose forecast corners cross (a box shrinking at the image edge,
+    extrapolated inside out) is forecast to have left the image and reports
+    nothing.
+
+    The boxes are held as one (tracks, frames, 4) array with a (tracks,
+    frames) presence mask, both indexed by frame_index; tracks with a single
+    box share one empty row.  A frame's tracks are forecast together: the
+    tracks whose windows have the same samples present share one design
+    matrix, so each such pattern is a single np.polyfit whose right-hand
+    side holds four columns per track.  LAPACK solves each column on its
+    own, so every forecast is bit for bit the one long_short_forecast gives
+    the track alone.
     """
 
     def __init__(
@@ -91,32 +101,53 @@ class ForecastDetector:
         self.n_history = n_history
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
-        self._track_boxes: dict[tuple[int, int], BBox] = {}
-        for gts in gts_by_frame:
-            for g in gts:
-                self._track_boxes[(g.track_id, g.frame_index)] = g.bbox
         self.gts_by_frame = gts_by_frame
-
-    def _history(self, track_id: int, k: int) -> list[tuple[int, BBox]]:
-        samples = []
-        for i in range(self.n_history, -1, -1):  # oldest first for the fit
-            idx = k - i * self.delta_t
-            box = self._track_boxes.get((track_id, idx))
-            if box is not None:
-                samples.append((idx, box))
-        return samples
+        flat = [g for gts in gts_by_frame for g in gts]
+        n = len(flat)
+        _, rows, counts = np.unique(
+            np.fromiter((g.track_id for g in flat), np.int64, n), return_inverse=True, return_counts=True
+        )
+        # A track with one box is always held, so all such tracks share row 0,
+        # which stays empty; the arrays then grow with the tracks that can be
+        # fit, not with the boxes of a dataset without track ids, where
+        # coco_io makes each box its own track.
+        fit = counts > 1
+        self._rows = np.where(fit[rows], np.cumsum(fit)[rows], 0)
+        frames = np.fromiter((g.frame_index for g in flat), np.intp, n)
+        shape = (fit.sum() + 1, frames.max(initial=-1) + 1)
+        self._boxes = np.full((*shape, 4), np.nan)
+        self._present = np.zeros(shape, dtype=bool)
+        self._boxes[self._rows, frames] = np.fromiter(
+            chain.from_iterable(g.bbox.as_tuple() for g in flat), np.float64, 4 * n
+        ).reshape(n, 4)
+        self._present[self._rows, frames] = True
+        self._present[0] = False
+        # frame k's track rows, in the frame's order, are _rows[_starts[k]:_starts[k + 1]]
+        self._starts = list(accumulate(map(len, gts_by_frame), initial=0))
 
     def __call__(self, frame_index: int) -> list[Detection]:
-        dets = []
-        for g in self.gts_by_frame[frame_index]:
-            samples = self._history(g.track_id, frame_index)
-            if self.n_history == 0 or len(samples) < 2 or self.forecast_steps == 0:
-                box = g.bbox
-            else:
-                x_min, y_min, x_max, y_max = _fit_corners(samples, frame_index + self.forecast_steps)
-                if x_min > x_max or y_min > y_max:
-                    continue
-                box = BBox(x_min, y_min, x_max, y_max)
-            dets.append(Detection(bbox=box, category=g.category, score=1.0))
-        return dets
-
+        gts = self.gts_by_frame[frame_index]
+        if self.n_history == 0 or self.forecast_steps == 0 or not gts:
+            return [Detection(bbox=g.bbox, category=g.category, score=1.0) for g in gts]
+        window = frame_index - self.delta_t * np.arange(self.n_history, -1, -1)  # oldest first
+        window = window[(window >= 0) & (window < self._present.shape[1])]
+        rows = self._rows[self._starts[frame_index]:self._starts[frame_index + 1]]
+        present = self._present[rows[:, None], window]  # (tracks, len(window))
+        # each track's mask as one opaque item, so that np.unique groups the tracks by pattern
+        patterns, group = np.unique(present.view(f"V{len(window)}").ravel(), return_inverse=True)
+        corners = np.full((len(rows), 4), np.nan)  # NaN: held, not fitted
+        for p in range(len(patterns)):
+            sel = np.flatnonzero(group == p)
+            ks = window[present[sel[0]]]
+            if len(ks) < 2:
+                continue
+            samples = self._boxes[rows[sel, None], ks]  # (tracks, len(ks), 4)
+            rhs = samples.transpose(1, 0, 2).reshape(len(ks), -1)  # four columns per track
+            corners[sel] = _polyfit_at(ks, rhs, frame_index + self.forecast_steps).reshape(-1, 4)
+        held = np.isnan(corners[:, 0]).tolist()
+        crossed = ((corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])).tolist()
+        return [
+            Detection(bbox=g.bbox if hold else BBox(*corner), category=g.category, score=1.0)
+            for g, corner, hold, drop in zip(gts, corners.tolist(), held, crossed)
+            if not drop
+        ]

@@ -421,3 +421,39 @@ def reference_fuse_projected(cfg, w, current, projected_current, projected_histo
     if cfg.residual:
         fused = fused + current
     return fused
+
+
+# ------------------------------------------------------ per-track forecaster
+
+
+def reference_forecast_detect(gts_by_frame, n_history, delta_t, forecast_steps) -> list:
+    """The per-track ForecastDetector that the batched fit replaced, kept as
+    a bit-exact reference: a (track, frame) -> box dict, and one np.polyfit
+    per track per frame.  Returns every frame's detections, frame by frame."""
+    import numpy as np
+
+    from longshort.boxes import Detection
+
+    track_boxes = {(g.track_id, g.frame_index): g.bbox for gts in gts_by_frame for g in gts}
+    out = []
+    for k, gts in enumerate(gts_by_frame):
+        dets = []
+        for g in gts:
+            samples = []
+            for i in range(n_history, -1, -1):  # oldest first for the fit
+                box = track_boxes.get((g.track_id, k - i * delta_t))
+                if box is not None:
+                    samples.append((k - i * delta_t, box))
+            if n_history == 0 or len(samples) < 2 or forecast_steps == 0:
+                box = g.bbox
+            else:
+                ks = np.array([idx for idx, _ in samples], dtype=np.float64)
+                coords = np.array([b.as_tuple() for _, b in samples])
+                fit = np.polyfit(ks, coords, min(2, len(samples) - 1))
+                x_min, y_min, x_max, y_max = np.polyval(fit, k + forecast_steps).tolist()
+                if x_min > x_max or y_min > y_max:
+                    continue
+                box = BBox(x_min, y_min, x_max, y_max)
+            dets.append(Detection(bbox=box, category=g.category, score=1.0))
+        out.append(dets)
+    return out

@@ -13,6 +13,7 @@ from longshort.config import (
 )
 from longshort.fusion import FusionVariant, InvalidConfig
 from longshort.runner import run_eval, run_sweep, sweep_to_csv
+from longshort.streaming import ConstantLatency, PerFrameLatency
 
 
 def base_config_dict(**extra):
@@ -99,6 +100,57 @@ def test_config_rejects_max_dets_per_frame_below_one(bad):
 def test_config_rejects_bad_values_naming_the_key(section, value, key):
     with pytest.raises(InvalidConfig, match=key):
         run_config_from_dict(base_config_dict(**{section: value}))
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"detector": {"kind": "long-short", "n_history": 3.9}}, "n_history"),
+        ({"detector": {"kind": "hold", "delta_t": 1.5}}, "delta_t"),
+        ({"detector": {"kind": "long-short", "forecast_steps": 2.5}}, "forecast_steps"),
+        ({"detector": {"kind": "delayed-gt", "latency_frames": 0.5}}, "latency_frames"),
+        ({"detector": {"kind": "pyramid", "weight_seed": 4.2}}, "weight_seed"),
+        ({"detector": {"kind": "pyramid", "category": 1.5}}, "category"),
+        ({"fusion": {"n_history": 2.7}}, "n_history"),
+        ({"fusion": {"delta_t": 1.5}}, "delta_t"),
+        ({"stream": {"horizon_frames": 7.9}}, "horizon_frames"),
+        ({"max_dets_per_frame": 2.5}, "max_dets_per_frame"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": float("inf")}, "seed"),
+    ],
+)
+def test_config_rejects_a_fractional_count_naming_the_key(extra, key):
+    with pytest.raises(InvalidConfig, match=f"{key} .*whole number"):
+        run_config_from_dict(base_config_dict(**extra))
+
+
+def test_config_takes_a_whole_float_as_a_count():
+    cfg = run_config_from_dict(base_config_dict(seed=2.0, fusion={"n_history": 4.0}, stream={"horizon_frames": 7.0}))
+    assert (cfg.seed, cfg.fusion.n_history, cfg.horizon_frames) == (2, 4, 7)
+    assert all(type(n) is int for n in (cfg.seed, cfg.fusion.n_history, cfg.horizon_frames))
+
+
+@pytest.mark.parametrize(
+    "stream, key",
+    [
+        ({"latency_ms": "x"}, "latency_ms"),
+        ({"latency_ms": -5.0}, "latency_ms"),
+        ({"latency_ms": [10.0]}, "latency_ms"),
+        ({"latency_per_frame_ms": 5}, "latency_per_frame_ms"),
+        ({"latency_per_frame_ms": "12345678901234567890"}, "latency_per_frame_ms"),
+        ({"latency_per_frame_ms": [0.0] * 19 + ["x"]}, "latency_per_frame_ms"),
+        ({"latency_per_frame_ms": [0.0] * 19 + [-1.0]}, "latency_per_frame_ms"),
+    ],
+)
+def test_config_rejects_a_bad_latency_naming_the_key(stream, key):
+    with pytest.raises(InvalidConfig, match=key):
+        run_config_from_dict(base_config_dict(stream=stream))
+
+
+def test_config_null_latency_takes_the_default():
+    assert run_config_from_dict(base_config_dict(stream={"latency_ms": None})).latency_model == ConstantLatency(0.0)
+    stream = {"latency_ms": None, "latency_per_frame_ms": [5.0] * 20}
+    assert run_config_from_dict(base_config_dict(stream=stream)).latency_model == PerFrameLatency((5.0,) * 20)
 
 
 def _load_benchmark_workloads():

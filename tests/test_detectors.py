@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox
+from longshort.boxes import BBox, GroundTruthBox
 from longshort.detectors import (
     DelayedGtDetector,
     ForecastDetector,
@@ -20,6 +20,7 @@ from longshort.scenarios import (
     generate_scenario,
     gts_by_frame,
 )
+from oracles import reference_forecast_detect
 
 
 def uniform_gts(v=(5.0, 0.0), n=10, box=BBox(0, 0, 10, 10), width=400, height=100):
@@ -179,6 +180,58 @@ def test_forecast_detector_skips_occluded_history_samples():
     assert len(dets) == 1
     truth = gts[5][0].bbox  # linear track: forecast should still be exact
     assert np.allclose(dets[0].bbox.as_tuple(), truth.as_tuple(), atol=1e-8)
+
+
+def draw_clip(rng, n_frames=16, width=100.0, height=80.0):
+    """Ground truth of a few tracks with non-contiguous ids, each starting
+    and ending at a random frame, with random gaps (occlusions), quadratic
+    motion plus jitter, and clipped to the image, so that a track running
+    off an edge shrinks there and may leave."""
+    clip = [[] for _ in range(n_frames)]
+    for track_id in rng.choice(100_000, size=int(rng.integers(1, 9)), replace=False).tolist():
+        first, last = np.sort(rng.integers(0, n_frames, size=2))
+        x, y = rng.uniform(0, width), rng.uniform(0, height)
+        w, h = rng.uniform(5, 40, size=2)
+        v, a = rng.uniform(-6, 6, size=2), rng.uniform(-0.5, 0.5, size=2)
+        for k in range(first, last + 1):
+            if rng.random() < 0.2:  # occluded
+                continue
+            dx, dy = v * (k - first) + a * (k - first) ** 2 + rng.normal(0, 0.5, size=2)
+            box = BBox(x + dx, y + dy, x + dx + w, y + dy + h).clipped(width, height)
+            if box is not None:
+                clip[k].append(GroundTruthBox(box, int(rng.integers(0, 3)), track_id, k))
+    for gts in clip:
+        rng.shuffle(gts)  # track rows in no particular order
+    return clip
+
+
+def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    mutant_caught = dropped = 0
+    for n_history in range(6):
+        for delta_t in range(1, 4):
+            for forecast_steps in range(5):
+                for _ in range(3):
+                    gts = draw_clip(rng)
+                    want = reference_forecast_detect(gts, n_history, delta_t, forecast_steps)
+                    det = ForecastDetector(gts, n_history, delta_t, forecast_steps)
+                    for k in range(len(gts)):
+                        assert det(k) == want[k], (n_history, delta_t, forecast_steps, k)
+                    dropped += sum(len(g) - len(d) for g, d in zip(gts, want))
+                    # dropping the presence mask (every window sample counted
+                    # as present) must break the equality above
+                    det._present[:] = True
+                    mutant_caught += any(det(k) != want[k] for k in range(len(gts)))
+    assert dropped > 0
+    assert mutant_caught > 50
+
+
+def test_forecast_detector_does_not_grow_with_single_box_tracks():
+    # a COCO file without track ids gives every box its own track
+    gts = [[GroundTruthBox(BBox(k, i, k + 5, i + 5), 0, 10 * k + i, k) for i in range(10)] for k in range(300)]
+    det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
+    assert det._boxes.nbytes <= 300 * 4 * 8  # one shared row, not 3000
+    assert [det(k) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
 
 
 @pytest.mark.parametrize("kind, vy, exit_frame", [("const-velocity", -2.0, 9), ("long-short", -3.0, 6)])

@@ -8,7 +8,9 @@ accepted config given a horizon beyond its scene, or a per-frame latency
 list shorter than its horizon, must be rejected at load, naming the key.
 A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
-completion time, and a perfect zero-latency detector scoring 1.0.
+completion time, and a perfect zero-latency detector scoring 1.0.  The
+forecasters (hold, const-velocity, long-short) of every accepted config give
+the per-track reference's detections on every frame.
 """
 
 import json
@@ -21,9 +23,10 @@ import pytest
 
 from longshort.config import DETECTOR_KINDS, run_config_from_dict
 from longshort.fusion import FusionVariant, InvalidConfig
-from longshort.runner import build_run_data, run_eval
+from longshort.runner import build_run_data, make_detector, run_eval
 from longshort.scenarios import TrajectoryKind
 from longshort.streaming import DispatchPolicy
+from oracles import reference_forecast_detect
 
 SEED = 3
 N_CONFIGS = 200
@@ -141,7 +144,7 @@ def with_knowable_defect(rng, data) -> tuple[Optional[str], dict]:
 def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     rng = np.random.default_rng(SEED)
     defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
-    completed = perfect = empty_horizons = 0
+    completed = perfect = empty_horizons = forecasters = 0
     knowable = Counter()
     for i in range(N_CONFIGS):
         data = draw_config(rng)
@@ -155,11 +158,16 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
                 run_config_from_dict(bad)
             knowable[key] += 1
         try:
-            build_run_data(cfg)
+            run_data = build_run_data(cfg)
         except InvalidConfig as exc:
             assert "horizon_frames" in str(exc), data
             empty_horizons += 1
             continue
+        if cfg.detector_kind in ("hold", "const-velocity", "long-short"):
+            det = make_detector(cfg, run_data)
+            want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
+            assert [det(k) for k in range(len(want))] == want, data
+            forecasters += 1
         out = tmp_path / str(i)
         cfg = replace(cfg, output=str(out))
         report = run_eval(cfg)  # must not raise: the config was accepted
@@ -176,5 +184,5 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             assert report.sap == 1.0, data
     # the draw reaches every outcome and the perfect-detector case
     assert N_CONFIGS // 4 < completed < N_CONFIGS
-    assert perfect > 0 and empty_horizons > 0
+    assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
