@@ -7,7 +7,7 @@ fixed-rate latency simulator, a streaming-AP evaluator, synthetic motion
 scenes, and an ablation sweep CLI.
 """
 
-from .boxes import BBox, Detection, GroundTruthBox
+from .boxes import BBox, Detection, DetectionTable, GroundTruthBox, GroundTruthTable
 from .fusion import (
     ChannelPlan,
     FusionSettings,
@@ -59,6 +59,7 @@ __all__ = [
     "ChannelPlan",
     "ConstantLatency",
     "Detection",
+    "DetectionTable",
     "DispatchPolicy",
     "DualPathNetwork",
     "EvalPairing",
@@ -68,6 +69,7 @@ __all__ = [
     "FusionSettings",
     "FusionVariant",
     "GroundTruthBox",
+    "GroundTruthTable",
     "LsfmConfig",
     "LsfmWeights",
     "MODEL_CHANNELS",

@@ -3,19 +3,24 @@
 Synthetic scenes export to the same images/annotations/categories schema
 that real datasets ship, so both feed one evaluation path.  Ingestion orders
 images by id to obtain frame indices, converts (x, y, w, h) boxes to corner
-form, and ignores unknown fields.  Exports additionally carry an exact
-corner quadruple per annotation ("bbox_corners") which ingestion prefers
-when present, keeping scene round-trips bit-exact.
+form, and ignores unknown fields; it reads the annotations column by column
+into one GroundTruthTable per frame, so an error names the annotation's
+index but no box is built as an object.  Exports additionally carry an
+exact corner quadruple per annotation ("bbox_corners") which ingestion
+prefers when present, keeping scene round-trips bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .boxes import BBox, GroundTruthBox
+import numpy as np
+
+from .boxes import BBox, GroundTruthBox, GroundTruthTable
 from .network import Frame
 from .scenarios import SyntheticScene
 
@@ -39,7 +44,7 @@ class CocoImage:
 @dataclass(frozen=True)
 class CocoDataset:
     images: tuple[CocoImage, ...]
-    gts_by_frame: tuple[tuple[GroundTruthBox, ...], ...]
+    gts_by_frame: tuple[GroundTruthTable, ...]
     categories: dict[int, str]
     frame_interval_ms: Optional[float] = None
 
@@ -48,6 +53,62 @@ def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise MissingField(f"missing field {key!r} in {where}")
     return obj[key]
+
+
+def _column(anns: list, key: str, rows: Optional[list[int]] = None) -> list:
+    """Every annotation's `key`, or the MissingField of the first without it;
+    rows[j] is the index in the file of anns[j] (default j)."""
+    try:
+        return [ann[key] for ann in anns]
+    except (KeyError, TypeError):
+        j = next(j for j, ann in enumerate(anns) if not isinstance(ann, dict) or key not in ann)
+        raise MissingField(f"missing field {key!r} in annotations[{j if rows is None else rows[j]}]") from None
+
+
+def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundTruthTable, ...]:
+    """One ground-truth table per image of `image_ids` (sorted), each in
+    annotation order, filled column by column."""
+    ids = np.array(_column(anns, "image_id"), dtype=np.int64)
+    category = np.array(_column(anns, "category_id"), dtype=np.int64)
+    corners = [ann.get("bbox_corners") for ann in anns]
+    xywh = [i for i, c in enumerate(corners) if c is None] if None in corners else []
+    for i, box in zip(xywh, _column([anns[i] for i in xywh], "bbox", xywh)):
+        corners[i] = box
+    try:
+        four = set(map(len, corners)) <= {4}
+    except TypeError:  # not a list
+        four = False
+    if not four:
+        i = next(i for i, c in enumerate(corners) if np.shape(c) != (4,))
+        raise ParseError(f"{path}: annotations[{i}]: a box takes 4 numbers, got {corners[i]!r}")
+    boxes = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
+    boxes[xywh, 2:] += boxes[xywh, :2]  # (x, y, w, h) -> corners
+    track_id = np.array(
+        [ann["track_id"] if "track_id" in ann else ann.get("id", i) for i, ann in enumerate(anns)], dtype=np.int64
+    )
+
+    known = np.array(image_ids, dtype=np.int64)
+    unknown = ~np.isin(ids, known)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ParseError(f"{path}: annotations[{i}]: unknown image_id {ids[i]}")
+    missing = ~np.isfinite(boxes).all(axis=1)  # a null reads NaN
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ParseError(f"{path}: annotations[{i}]: a box takes 4 finite numbers, got {corners[i]!r}")
+    degenerate = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        try:
+            BBox(*boxes[i].tolist())
+        except ValueError as exc:
+            raise ParseError(f"{path}: annotations[{i}]: {exc}") from None
+
+    frame = np.searchsorted(known, ids)
+    order = np.argsort(frame, kind="stable")
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    table = GroundTruthTable(boxes, category, track_id, frame, area).rows(order)
+    return table.split(np.bincount(frame, minlength=len(known)).tolist())
 
 
 def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
@@ -75,31 +136,10 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
             )
         )
     images.sort(key=lambda im: im.id)
-    frame_of_image = {im.id: k for k, im in enumerate(images)}
-    if len(frame_of_image) != len(images):
+    if len({im.id for im in images}) != len(images):
         raise ParseError(f"{path}: duplicate image ids")
 
-    gts: list[list[GroundTruthBox]] = [[] for _ in images]
-    for i, ann in enumerate(anns_raw):
-        where = f"annotations[{i}]"
-        image_id = int(_need(ann, "image_id", where))
-        if image_id not in frame_of_image:
-            raise ParseError(f"{path}: {where}: unknown image_id {image_id}")
-        category = int(_need(ann, "category_id", where))
-        if "bbox_corners" in ann:
-            x0, y0, x1, y1 = (float(v) for v in ann["bbox_corners"])
-        else:
-            x, y, w, h = (float(v) for v in _need(ann, "bbox", where))
-            x0, y0, x1, y1 = x, y, x + w, y + h
-        try:
-            box = BBox(x0, y0, x1, y1)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {where}: {exc}") from exc
-        frame_index = frame_of_image[image_id]
-        track_id = int(ann.get("track_id", ann.get("id", i)))
-        gts[frame_index].append(
-            GroundTruthBox(bbox=box, category=category, track_id=track_id, frame_index=frame_index)
-        )
+    gts = _ground_truth(path, anns_raw, [im.id for im in images])
 
     categories = {}
     for j, cat in enumerate(data.get("categories", [])):
@@ -110,7 +150,7 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
     interval = info.get("frame_interval_ms") if isinstance(info, dict) else None
     return CocoDataset(
         images=tuple(images),
-        gts_by_frame=tuple(tuple(g) for g in gts),
+        gts_by_frame=gts,
         categories=categories,
         frame_interval_ms=interval,
     )

@@ -22,11 +22,13 @@ annotation file.
       "output": "out/run1"
     }
 
-Unknown keys are rejected in every section, naming the key, and "stream"
-takes one latency form, a constant or a per-frame list, not both.  Bad
-values are rejected too, naming the key: detector, fusion and stream values
-are cast by their key's parser, a count refuses a fractional value instead
-of truncating it, and a null takes the default.  The range checks
+Unknown keys are rejected in every section (an inline scene and its
+trajectories too), naming the key, and "stream" takes one latency form, a
+constant or a per-frame list, not both.  Bad values are rejected too,
+naming the key: detector, fusion, stream and scene values are cast by their
+key's parser (a scene value must be a number, not a string), a count
+refuses a fractional value instead of truncating it, and a null takes the
+default.  The range checks
 run when a RunConfig, or a FusionSettings or scene it holds, is built, so a
 config derived with dataclasses.replace (a CLI flag, a sweep value) is
 checked like a file.  For a scene source that includes what the scene's
@@ -45,7 +47,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -71,6 +74,13 @@ def _whole(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("must be a whole number")
     return int(value)
+
+
+def _number(value):
+    """value, refusing anything but a number (a bool or a string too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):  # int, float: the fast checks
+        raise TypeError("must be a number")
+    return value
 
 
 def _per_frame_latency(values) -> PerFrameLatency:
@@ -109,7 +119,6 @@ _STREAM_FIELDS = {
 STREAM_KEYS = tuple(_STREAM_FIELDS)
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
 _FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": float, "residual": _BOOL}
-FUSION_KEYS = tuple(f.name for f in fields(FusionSettings))
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -178,6 +187,19 @@ def _parsed(section: str, key: str, value, parse: Callable):
         raise InvalidConfig(f"{section} {key} {value!r}: {exc}") from None
 
 
+def _parsed_section(raw, section: str, parsers: dict, required: tuple = ()) -> dict:
+    """The keys given in `raw`, each cast by its parser; an unknown or
+    missing key, or a value its parser refuses, is an InvalidConfig naming
+    the key.  A null value is left out, so the key's default applies."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{section} must be an object, got {raw!r}")
+    _reject_unknown_keys(raw, tuple(parsers), section)
+    for key in required:
+        if raw.get(key) is None:
+            raise InvalidConfig(f"{section} is missing {key!r}")
+    return {key: _parsed(section, key, value, parsers[key]) for key, value in raw.items() if value is not None}
+
+
 def _parse_detector(kind: str, params: dict) -> dict:
     """The given keys of a detector of `kind`, cast and checked; a null value
     is left out, so the key's default applies."""
@@ -200,10 +222,7 @@ def _parse_fusion(raw: dict) -> FusionSettings:
     """The fusion section, each given value cast by its key's parser; a null
     value is left out, so the key's default applies.  FusionSettings checks
     the ranges."""
-    _reject_unknown_keys(raw, FUSION_KEYS, "fusion")
-    return FusionSettings(**{
-        key: _parsed("fusion", key, value, _FUSION_PARSERS[key]) for key, value in raw.items() if value is not None
-    })
+    return FusionSettings(**_parsed_section(raw, "fusion", _FUSION_PARSERS))
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -272,7 +291,8 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     """Derive one run configuration from the sweep's base."""
     base = spec.base
     if spec.axis is SweepAxis.TEMPORAL_RANGE:
-        n, dt = int(value[0]), 1 if value[1] is None else int(value[1])
+        n = _parsed("sweep", "n_history", value[0], _COUNT)
+        dt = 1 if value[1] is None else _parsed("sweep", "delta_t", value[1], _STRIDE)
         cfg = replace(base, fusion=replace(base.fusion, n_history=n, delta_t=dt))
         if "n_history" in DETECTOR_KEYS[base.detector_kind]:
             params = {**base.detector_params, "n_history": n, "delta_t": dt}

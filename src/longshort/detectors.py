@@ -4,17 +4,21 @@ These make the long-vs-short temporal claim testable at the geometric level:
 a delayed ground-truth reader (an offline detector whose knowledge lags), a
 two-sample constant-velocity extrapolator, and a least-squares polynomial
 fit over a longer history.  DelayedGtDetector and ForecastDetector serve
-them to the latency simulator as streaming detector callables.
+them to the latency simulator as streaming detector callables, which take
+one ground-truth table per frame (or the frame's GroundTruthBox list) and
+return a DetectionTable per call.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .boxes import BBox, Detection, GroundTruthBox
+from .boxes import (
+    BBox, DetectionTable, GroundTruthFrames, GroundTruthTable, concat_tables, ground_truth_frames, ground_truth_table,
+)
 
 
 class SingularFit(ValueError):
@@ -57,15 +61,19 @@ class DelayedGtDetector:
     the ground truth of frame max(0, k - latency_frames) with full
     confidence."""
 
-    def __init__(self, gts_by_frame: Sequence[Sequence[GroundTruthBox]], latency_frames: int = 0):
+    def __init__(self, gts_by_frame: GroundTruthFrames, latency_frames: int = 0):
         if latency_frames < 0:
             raise ValueError("latency_frames must be >= 0")
-        self.gts_by_frame = gts_by_frame
+        self.gts_by_frame = ground_truth_frames(gts_by_frame)
         self.latency_frames = latency_frames
 
-    def __call__(self, frame_index: int) -> list[Detection]:
-        src = max(0, frame_index - self.latency_frames)
-        return [Detection(bbox=g.bbox, category=g.category, score=1.0) for g in self.gts_by_frame[src]]
+    def __call__(self, frame_index: int) -> DetectionTable:
+        return _certain(self.gts_by_frame[max(0, frame_index - self.latency_frames)])
+
+
+def _certain(gts: GroundTruthTable) -> DetectionTable:
+    """The ground truth reported back with full confidence."""
+    return DetectionTable(gts.boxes, gts.category, np.ones(len(gts)))
 
 
 class ForecastDetector:
@@ -91,7 +99,7 @@ class ForecastDetector:
 
     def __init__(
         self,
-        gts_by_frame: Sequence[Sequence[GroundTruthBox]],
+        gts_by_frame: GroundTruthFrames,
         n_history: int = 3,
         delta_t: int = 1,
         forecast_steps: int = 1,
@@ -101,34 +109,28 @@ class ForecastDetector:
         self.n_history = n_history
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
-        self.gts_by_frame = gts_by_frame
-        flat = [g for gts in gts_by_frame for g in gts]
-        n = len(flat)
-        _, rows, counts = np.unique(
-            np.fromiter((g.track_id for g in flat), np.int64, n), return_inverse=True, return_counts=True
-        )
+        self.gts_by_frame = ground_truth_frames(gts_by_frame)
+        flat = concat_tables([ground_truth_table(()), *self.gts_by_frame])
+        _, rows, counts = np.unique(flat.track_id, return_inverse=True, return_counts=True)
         # A track with one box is always held, so all such tracks share row 0,
         # which stays empty; the arrays then grow with the tracks that can be
         # fit, not with the boxes of a dataset without track ids, where
         # coco_io makes each box its own track.
         fit = counts > 1
         self._rows = np.where(fit[rows], np.cumsum(fit)[rows], 0)
-        frames = np.fromiter((g.frame_index for g in flat), np.intp, n)
-        shape = (fit.sum() + 1, frames.max(initial=-1) + 1)
+        shape = (fit.sum() + 1, flat.frame.max(initial=-1) + 1)
         self._boxes = np.full((*shape, 4), np.nan)
         self._present = np.zeros(shape, dtype=bool)
-        self._boxes[self._rows, frames] = np.fromiter(
-            chain.from_iterable(g.bbox.as_tuple() for g in flat), np.float64, 4 * n
-        ).reshape(n, 4)
-        self._present[self._rows, frames] = True
+        self._boxes[self._rows, flat.frame] = flat.boxes
+        self._present[self._rows, flat.frame] = True
         self._present[0] = False
         # frame k's track rows, in the frame's order, are _rows[_starts[k]:_starts[k + 1]]
-        self._starts = list(accumulate(map(len, gts_by_frame), initial=0))
+        self._starts = list(accumulate(map(len, self.gts_by_frame), initial=0))
 
-    def __call__(self, frame_index: int) -> list[Detection]:
+    def __call__(self, frame_index: int) -> DetectionTable:
         gts = self.gts_by_frame[frame_index]
         if self.n_history == 0 or self.forecast_steps == 0 or not gts:
-            return [Detection(bbox=g.bbox, category=g.category, score=1.0) for g in gts]
+            return _certain(gts)
         window = frame_index - self.delta_t * np.arange(self.n_history, -1, -1)  # oldest first
         window = window[(window >= 0) & (window < self._present.shape[1])]
         rows = self._rows[self._starts[frame_index]:self._starts[frame_index + 1]]
@@ -144,10 +146,7 @@ class ForecastDetector:
             samples = self._boxes[rows[sel, None], ks]  # (tracks, len(ks), 4)
             rhs = samples.transpose(1, 0, 2).reshape(len(ks), -1)  # four columns per track
             corners[sel] = _polyfit_at(ks, rhs, frame_index + self.forecast_steps).reshape(-1, 4)
-        held = np.isnan(corners[:, 0]).tolist()
-        crossed = ((corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])).tolist()
-        return [
-            Detection(bbox=g.bbox if hold else BBox(*corner), category=g.category, score=1.0)
-            for g, corner, hold, drop in zip(gts, corners.tolist(), held, crossed)
-            if not drop
-        ]
+        held = np.isnan(corners[:, 0])
+        corners[held] = gts.boxes[held]
+        kept = ~((corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3]))
+        return DetectionTable(corners[kept], gts.category[kept], np.ones(int(kept.sum())))

@@ -8,21 +8,24 @@ and 0.75 thresholds and the small/medium/large area splits.  A query frame
 with no completed prediction simply contributes zero detections against its
 ground truth.
 
-One IoU matrix per (frame, category) feeds the greedy match at all ten
-thresholds, as COCO's evaluator caches IoUs per image and category; each
-category is pooled and score-sorted once into a (category, threshold, area
-range) AP table that every report field is read from.
+Detections and ground truth arrive as column tables (boxes.py) and are
+pooled across the query frames in pairing order.  Each category is picked
+with a mask; the IoUs of all its query frames go in one padded (frames, D,
+G) block, as COCO's evaluator caches IoUs per image and category, and one
+greedy walk over score rank matches every frame at all ten thresholds.
+Each category's pool is score-sorted once into a (category, threshold,
+area range) AP table that every report field is read from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import BBox, Detection, GroundTruthBox
+from .boxes import GroundTruthFrames, concat_tables, detection_table, ground_truth_frames, ground_truth_table
 from .streaming import EvalPairing
 
 IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -35,52 +38,80 @@ AREA_RANGES = (AREA_ALL, AREA_SMALL, AREA_MEDIUM, AREA_LARGE)
 
 RECALL_POINTS = tuple(i / 100 for i in range(101))
 
-
-def _corners(boxes: Iterable[BBox]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+# Cells of the padded IoU block (and of the per-threshold claim and match
+# blocks) that one chunk of frames may fill: 2 MB per float64 block.
+_BLOCK_CELLS = 1 << 18
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(D, 4) x (G, 4) corner arrays -> (D, G) intersection over union; 0
-    where the union is empty.  Each entry takes the scalar operation order
-    (per-axis min - max, product of the clamped extents, a + b - inter), so
-    it does not depend on what else is in the batch."""
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    """(..., D, 4) x (..., G, 4) corner arrays -> (..., D, G) intersection
+    over union; 0 where the union is empty.  Each entry takes the scalar
+    operation order (per-axis min - max, product of the clamped extents,
+    a + b - inter), so it does not depend on what else is in the batch."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def _greedy_match(dets: Sequence[Detection], gts: Sequence[GroundTruthBox], thrs: np.ndarray) -> np.ndarray:
-    """(T, D) ground-truth index taken by each detection at each threshold,
-    -1 for none.  Detections go in descending score order (ties keep
-    insertion order) and each takes the unclaimed ground truth of highest
-    IoU >= threshold; argmax returns the first maximum, so IoU ties go to
-    the lowest ground-truth index."""
-    matched = np.full((len(thrs), len(dets)), -1)
-    if not dets or not gts:
+def _greedy_match(ious: np.ndarray, thrs: np.ndarray) -> np.ndarray:
+    """(F, T, D) ground-truth index taken by each detection at each
+    threshold, -1 for none, from the (F, D, G) IoUs of F frames whose
+    detections are in descending score order (ties in insertion order).
+    All frames walk the score ranks together: at rank r each frame's r-th
+    detection takes its unclaimed ground truth of highest IoU >= threshold;
+    argmax returns the first maximum, so IoU ties go to the lowest
+    ground-truth index.  Padding (an all-zero box, which has no extent)
+    reads IoU 0 and so matches nothing at a threshold > 0."""
+    n_frames, n_dets, _ = ious.shape
+    matched = np.full((n_frames, len(thrs), n_dets), -1)
+    claimed = np.zeros((n_frames, len(thrs), ious.shape[2]))  # -inf once claimed
+    for r in range(n_dets):
+        masked = ious[:, None, r, :] + claimed  # (F, T, G)
+        best = masked.argmax(axis=2)
+        f, t = np.nonzero(np.take_along_axis(masked, best[..., None], axis=2)[..., 0] >= thrs)
+        matched[f, t, r] = best[f, t]
+        claimed[f, t, best[f, t]] = -np.inf
+    return matched
+
+
+def _match_pooled(det_boxes, scores, det_query, gt_boxes, gt_query, thrs) -> np.ndarray:
+    """(T, N) index into the M pooled ground-truth rows taken by each of the
+    N pooled detections at each threshold, -1 for none.  det_query and
+    gt_query give the query each row is scored in (rows are grouped by it),
+    and a query's ground truth is matched only by that query's detections.
+    The queries that have both are matched in chunks whose padded (queries,
+    D, G) blocks stay within _BLOCK_CELLS, or hold one query."""
+    n_queries = max(det_query.max(initial=-1), gt_query.max(initial=-1)) + 1
+    n_det = np.bincount(det_query, minlength=n_queries)
+    n_gt = np.bincount(gt_query, minlength=n_queries)
+    det_start, gt_start = np.cumsum(n_det) - n_det, np.cumsum(n_gt) - n_gt
+    order = np.lexsort((-scores, det_query))  # by query, then descending score; ties keep pooling order
+    rank = np.empty(len(scores), dtype=np.int64)
+    rank[order] = np.arange(len(scores)) - det_start[det_query[order]]
+    column = np.arange(len(gt_query)) - gt_start[gt_query]
+    matched = np.full((len(thrs), len(scores)), -1)
+    queries = np.flatnonzero((n_det > 0) & (n_gt > 0))
+    if not len(queries):
         return matched
-    ious = _iou_matrix(_corners(d.bbox for d in dets), _corners(g.bbox for g in gts))
-    # A detection whose single candidate (IoU >= the lowest threshold) is no
-    # other detection's candidate takes it wherever its IoU clears the
-    # threshold, in any order; only the contested rest needs the greedy walk.
-    cand = ious >= thrs.min()
-    best = ious.argmax(axis=1)
-    alone = (cand.sum(axis=1) == 1) & (cand.sum(axis=0)[best] == 1)
-    hit = alone & (ious[np.arange(len(dets)), best] >= thrs[:, None])
-    matched[hit] = np.broadcast_to(best, hit.shape)[hit]
-    order = np.argsort([-d.score for d in dets], kind="stable")
-    covered = np.zeros((len(thrs), len(gts)), dtype=bool)
-    rows = np.arange(len(thrs))
-    for i in order[(cand.any(axis=1) & ~alone)[order]]:
-        masked = np.where(covered, -np.inf, ious[i])
-        best = masked.argmax(axis=1)
-        hit = masked[rows, best] >= thrs
-        matched[hit, i] = best[hit]
-        covered[rows[hit], best[hit]] = True
+    d_max, g_max = n_det[queries].max(), n_gt[queries].max()
+    chunk = max(1, _BLOCK_CELLS // (max(d_max, len(thrs)) * max(g_max, len(thrs))))
+    for lo in range(0, len(queries), chunk):
+        part = queries[lo:lo + chunk]
+        slot = np.full(n_queries, -1)  # the query's row in this chunk's blocks
+        slot[part] = np.arange(len(part))
+        d = np.flatnonzero(slot[det_query] >= 0)
+        g = np.flatnonzero(slot[gt_query] >= 0)
+        det_block = np.zeros((len(part), d_max, 4))
+        det_block[slot[det_query[d]], rank[d]] = det_boxes[d]
+        gt_block = np.zeros((len(part), g_max, 4))
+        gt_block[slot[gt_query[g]], column[g]] = gt_boxes[g]
+        local = _greedy_match(_iou_matrix(det_block, gt_block), thrs)[slot[det_query[d]], :, rank[d]]  # (len(d), T)
+        matched[:, d] = np.where(local < 0, -1, local + gt_start[det_query[d], None]).T
     return matched
 
 
@@ -99,15 +130,15 @@ def _ap(is_tp: np.ndarray, n_gt: int) -> float:
     return total / len(RECALL_POINTS)
 
 
-def _ap_table(scores: list[float], matched: np.ndarray, gt_areas: list[float], area_ranges) -> list[list]:
+def _ap_table(scores: np.ndarray, matched: np.ndarray, gt_areas: np.ndarray, area_ranges) -> list[list]:
     """AP per [area range][threshold] of one category's pooled detections:
     scores (N,) and matched (T, N) (pooled ground-truth index or -1) in
     pooling order, gt_areas (M,) of the pooled ground truth.  Ground truth
     outside a range is ignored, a detection matched to it is neither true
     nor false positive, and a range with no ground truth reads None."""
-    order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")  # ties keep pooling order
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")  # ties keep pooling order
     matched = matched[:, order]
-    gt_areas = np.array(gt_areas, dtype=np.float64)
+    gt_areas = np.asarray(gt_areas, dtype=np.float64)
     table = []
     for lo, hi in area_ranges:
         gt_ok = (lo <= gt_areas) & (gt_areas < hi)
@@ -140,7 +171,7 @@ def _report_values(report: SapReport) -> tuple[Optional[float], ...]:
 
 def compute_sap_report(
     pairings: Sequence[EvalPairing],
-    gts_by_frame: Sequence[Sequence[GroundTruthBox]],
+    gts_by_frame: GroundTruthFrames,
     max_dets_per_frame: Optional[int] = None,
 ) -> SapReport:
     """Score latency-paired detections against per-frame ground truth.
@@ -149,24 +180,27 @@ def compute_sap_report(
     IoU thresholds second.  Area splits use the ground-truth box area:
     small < 32^2, medium in [32^2, 96^2), large >= 96^2.
     """
-    categories = sorted({g.category for gts in gts_by_frame for g in gts})
-    thrs = np.array(IOU_THRESHOLDS)
-    # per category: scores, matched blocks (T, D_frame), ground-truth areas
-    pools = {cat: ([], [np.empty((len(thrs), 0), dtype=np.int64)], []) for cat in categories}
+    frames = ground_truth_frames(gts_by_frame)
+    no_gts, no_dets = ground_truth_table(()), detection_table(())
+    categories = np.unique(np.concatenate([no_gts.category, *(f.category for f in frames)])).tolist()
+    dets, gts = [], []
     for p in pairings:
-        dets = tuple(p.paired_record.detections) if p.paired_record is not None else ()
-        if max_dets_per_frame is not None and len(dets) > max_dets_per_frame:
-            keep = sorted(range(len(dets)), key=lambda i: -dets[i].score)[:max_dets_per_frame]
-            dets = tuple(dets[i] for i in sorted(keep))
-        for cat, (scores, matched, gt_areas) in pools.items():
-            dets_c = [d for d in dets if d.category == cat]
-            gts_c = [g for g in gts_by_frame[p.query_frame_index] if g.category == cat]
-            m = _greedy_match(dets_c, gts_c, thrs)
-            matched.append(np.where(m < 0, -1, m + len(gt_areas)))
-            scores += [d.score for d in dets_c]
-            gt_areas += [g.area for g in gts_c]
+        d = p.paired_record.detections if p.paired_record is not None else no_dets
+        if max_dets_per_frame is not None and len(d) > max_dets_per_frame:
+            d = d.rows(np.sort(np.argsort(-d.score, kind="stable")[:max_dets_per_frame]))
+        dets.append(d)
+        gts.append(frames[p.query_frame_index])
+    # every pairing's detections and ground truth, pooled in pairing order
+    det_query = np.repeat(np.arange(len(dets)), [len(d) for d in dets])
+    gt_query = np.repeat(np.arange(len(gts)), [len(g) for g in gts])
+    dets, gts = concat_tables([no_dets, *dets]), concat_tables([no_gts, *gts])
+    thrs = np.array(IOU_THRESHOLDS)
     # table[c][a][t]: category c, area range a (AREA_RANGES order), threshold t
-    table = [_ap_table(s, np.concatenate(m, axis=1), a, AREA_RANGES) for s, m, a in pools.values()]
+    table = []
+    for cat in categories:
+        d, g = np.flatnonzero(dets.category == cat), np.flatnonzero(gts.category == cat)
+        matched = _match_pooled(dets.boxes[d], dets.score[d], det_query[d], gts.boxes[g], gt_query[g], thrs)
+        table.append(_ap_table(dets.score[d], matched, gts.area[g], AREA_RANGES))
 
     def mean_ap(thr_indices: Sequence[int], area: int) -> Optional[float]:
         per_thr = []

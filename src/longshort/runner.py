@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from .boxes import GroundTruthBox
+from .boxes import DetectionTable, GroundTruthTable, ground_truth_frames
 from .coco_io import load_coco_annotations
 from .config import (
     RunConfig,
@@ -39,7 +39,7 @@ from .streaming import StreamConfig, pair_for_eval, simulate_stream, write_recor
 @dataclass(frozen=True)
 class RunData:
     frames: tuple[Frame, ...]
-    gts: tuple[tuple[GroundTruthBox, ...], ...]
+    gts: tuple[GroundTruthTable, ...]  # one table per frame
     frame_interval_ms: float
 
 
@@ -51,22 +51,22 @@ def build_run_data(cfg: RunConfig) -> RunData:
         frames = frames_of(scenario)
         if interval != cfg.scene.frame_interval_ms:
             frames = [Frame(f.index, f.index * interval, f.pixels) for f in frames]
-        gts = gts_by_frame(scenario)
+        gts = ground_truth_frames(gts_by_frame(scenario))
     else:
         ds = load_coco_annotations(cfg.dataset_path)
         interval = cfg.frame_interval_ms or ds.frame_interval_ms or 33.33
         frames = [Frame(k, k * interval, None) for k in range(len(ds.images))]
-        gts = [list(g) for g in ds.gts_by_frame]
+        gts = ds.gts_by_frame
     horizon = cfg.horizon_frames if cfg.horizon_frames is not None else len(frames)
     if horizon > len(frames):
         raise InvalidConfig(f"horizon {horizon} exceeds the {len(frames)} available frames")
-    gts = tuple(tuple(g) for g in gts[:horizon])
+    gts = gts[:horizon]
     if not any(gts):
         raise InvalidConfig(f"horizon_frames {horizon}: no ground-truth box in the first {horizon} frames")
     return RunData(tuple(frames[:horizon]), gts, interval)
 
 
-def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], list]:
+def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], Union[DetectionTable, list]]:
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -162,30 +162,47 @@ def frames_of(scenario: Sequence[tuple[Frame, list[GroundTruthBox]]]) -> list[Fr
 
 
 def scene_from_dict(data: dict) -> SyntheticScene:
-    trajectories = []
-    for td in data.get("trajectories", []):
-        x0, y0, x1, y1 = td["initial_bbox"]
-        window = td.get("occlusion_window")
-        trajectories.append(
-            TrajectorySpec(
-                kind=TrajectoryKind(td["kind"]),
-                initial_bbox=BBox(x0, y0, x1, y1),
-                velocity=tuple(td.get("velocity", (0.0, 0.0))),
-                acceleration=tuple(td.get("acceleration", (0.0, 0.0))),
-                turn_rate=td.get("turn_rate", 0.0),
-                occlusion_window=tuple(window) if window else None,
-                category=td.get("category", 0),
-                track_id=td.get("track_id"),
-            )
-        )
-    return SyntheticScene(
-        n_frames=data["n_frames"],
-        frame_interval_ms=data.get("frame_interval_ms", 33.33),
-        width=data["width"],
-        height=data["height"],
-        trajectories=tuple(trajectories),
-        seed=data.get("seed", 0),
+    """A scene from its JSON form: {"n_frames", "width", "height" (required),
+    "frame_interval_ms", "seed", "trajectories": [{"kind", "initial_bbox"
+    (required), "velocity", "acceleration", "turn_rate", "occlusion_window",
+    "category", "track_id"}, ...]}.  An unknown or missing key, or a value
+    its key's parser refuses (every value is a number, not a string, and
+    counts are whole), is an InvalidConfig naming the key; a null takes the
+    default."""
+    from .config import _number, _parsed_section, _whole  # config imports this module
+
+    def real(value) -> float:
+        return float(_number(value))
+
+    def whole(value) -> int:
+        return _whole(_number(value))
+
+    def list_of(n: int, parse: Callable) -> Callable:
+        def parse_all(value) -> tuple:
+            if not isinstance(value, (list, tuple)) or len(value) != n:
+                raise TypeError(f"must be a list of {n} numbers")
+            return tuple(map(parse, value))
+        return parse_all
+
+    def trajectories(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("must be a list of trajectories")
+        return value
+
+    trajectory_parsers = {
+        "kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*list_of(4, real)(v)),
+        "velocity": list_of(2, real), "acceleration": list_of(2, real), "turn_rate": real,
+        "occlusion_window": list_of(2, whole), "category": whole, "track_id": whole,
+    }
+    scene = _parsed_section(data, "scene", {
+        "n_frames": whole, "frame_interval_ms": real, "width": whole, "height": whole,
+        "trajectories": trajectories, "seed": whole,
+    }, ("n_frames", "width", "height"))
+    specs = tuple(
+        TrajectorySpec(**_parsed_section(td, f"scene trajectories[{i}]", trajectory_parsers, ("kind", "initial_bbox")))
+        for i, td in enumerate(scene.pop("trajectories", []))
     )
+    return SyntheticScene(**{"frame_interval_ms": 33.33, **scene}, trajectories=specs)
 
 
 def bundled_scene_names() -> list[str]:

@@ -19,10 +19,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from .boxes import BBox, Detection
+from .boxes import BBox, Detection, DetectionTable, detection_table
 from .network import Frame
 
-Detector = Callable[[int], list[Detection]]
+Detector = Callable[[int], Union[DetectionTable, Sequence[Detection]]]
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,18 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class PredictionRecord:
+    """One completed inference; `detections` is held as a DetectionTable
+    (a sequence of Detection is converted)."""
+
     source_frame_index: int
     issue_time_ms: float
     completion_time_ms: float
-    detections: tuple[Detection, ...]
+    detections: DetectionTable
 
     def __post_init__(self):
         if self.completion_time_ms < self.issue_time_ms:
             raise ValueError("completion before issue")
-        object.__setattr__(self, "detections", tuple(self.detections))
+        object.__setattr__(self, "detections", detection_table(self.detections))
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
                 source_frame_index=k,
                 issue_time_ms=float(start),
                 completion_time_ms=float(completion),
-                detections=tuple(detector(k)),
+                detections=detector(k),
             )
         )
         free_at = completion
@@ -158,13 +161,14 @@ def read_records(fp: TextIO) -> list[PredictionRecord]:
 
 
 def _record_to_json(r: PredictionRecord) -> dict:
+    d = r.detections
     return {
         "source_frame": r.source_frame_index,
         "issue_ms": r.issue_time_ms,
         "completion_ms": r.completion_time_ms,
         "detections": [
-            {"bbox": list(d.bbox.as_tuple()), "category": d.category, "score": d.score}
-            for d in r.detections
+            {"bbox": box, "category": category, "score": score}
+            for box, category, score in zip(d.boxes.tolist(), d.category.tolist(), d.score.tolist())
         ],
     }
 
@@ -174,8 +178,8 @@ def _record_from_json(data: dict) -> PredictionRecord:
         source_frame_index=data["source_frame"],
         issue_time_ms=data["issue_ms"],
         completion_time_ms=data["completion_ms"],
-        detections=tuple(
+        detections=[
             Detection(bbox=BBox(*d["bbox"]), category=d["category"], score=d["score"])
             for d in data["detections"]
-        ),
+        ],
     )

@@ -280,6 +280,52 @@ def test_fusion_values_are_cast_at_load_naming_the_key(value, key):
         run_config_from_dict(base_config_dict(fusion=value))
 
 
+def inline_scene(**extra):
+    scene = {"n_frames": 8, "width": 100, "height": 80, "trajectories": [
+        {"kind": "uniform", "initial_bbox": [10, 10, 30, 30], "velocity": [2, 1], "category": 1}]}
+    scene.update(extra)
+    return scene
+
+
+def test_inline_scene_loads_with_its_values_cast():
+    scene = run_config_from_dict({"scene": inline_scene(frame_interval_ms=None, seed=3.0)}).scene
+    assert (scene.n_frames, scene.width, scene.height, scene.seed, scene.frame_interval_ms) == (8, 100, 80, 3, 33.33)
+    assert scene.trajectories[0].category == 1 and scene.trajectories[0].velocity == (2.0, 1.0)
+
+
+def test_inline_scene_rejects_an_unknown_key():
+    with pytest.raises(InvalidConfig, match="unknown scene key 'colour'"):
+        run_config_from_dict({"scene": inline_scene(colour=1)})
+    scene = inline_scene()
+    scene["trajectories"][0]["speed"] = 1
+    with pytest.raises(InvalidConfig, match=r"unknown scene trajectories\[0\] key 'speed'"):
+        run_config_from_dict({"scene": scene})
+
+
+def test_inline_scene_rejects_a_fractional_frame_count():
+    with pytest.raises(InvalidConfig, match="scene n_frames 7.5: must be a whole number"):
+        run_config_from_dict({"scene": inline_scene(n_frames=7.5)})
+
+
+def test_inline_scene_rejects_a_missing_width():
+    scene = inline_scene()
+    del scene["width"]
+    with pytest.raises(InvalidConfig, match="scene is missing 'width'"):
+        run_config_from_dict({"scene": scene})
+
+
+def test_inline_scene_rejects_a_fractional_category():
+    scene = inline_scene()
+    scene["trajectories"][0]["category"] = 1.5
+    with pytest.raises(InvalidConfig, match=r"scene trajectories\[0\] category 1.5: must be a whole number"):
+        run_config_from_dict({"scene": scene})
+
+
+def test_inline_scene_rejects_a_width_given_as_a_string():
+    with pytest.raises(InvalidConfig, match="scene width '100': must be a number"):
+        run_config_from_dict({"scene": inline_scene(width="100")})
+
+
 def test_fusion_values_cast_like_detector_values():
     fusion = {"variant": "EfDil", "n_history": "2", "delta_t": 3.0, "ratio": "0.25", "residual": False}
     got = run_config_from_dict(base_config_dict(fusion=fusion)).fusion
@@ -452,6 +498,17 @@ def test_temporal_sweep_reconfigures_forecaster_detectors():
     assert cfg32.detector_params["n_history"] == 3
     assert cfg32.detector_params["delta_t"] == 2
     assert cfg32.fusion.delta_t == 2
+
+
+def test_temporal_sweep_rejects_a_fractional_value_naming_the_key():
+    base = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))
+    spec = SweepSpec(axis=SweepAxis.TEMPORAL_RANGE, base=base)
+    with pytest.raises(InvalidConfig, match="sweep n_history 2.7: must be a whole number"):
+        apply_sweep_value(spec, (2.7, 1.5))
+    with pytest.raises(InvalidConfig, match="sweep delta_t 1.5: must be a whole number"):
+        apply_sweep_value(spec, (2, 1.5))
+    cfg = apply_sweep_value(spec, (2.0, 1.0))
+    assert (cfg.detector_params["n_history"], cfg.detector_params["delta_t"]) == (2, 1)
 
 
 def test_sweep_records_per_run_failures_and_continues():

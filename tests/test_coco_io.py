@@ -39,7 +39,7 @@ def test_minimal_file_converts_to_corner_boxes(tmp_path):
 def test_empty_annotations_is_not_an_error(tmp_path):
     data = {"images": [{"id": 5, "width": 10, "height": 10}], "annotations": []}
     ds = load_coco_annotations(write(tmp_path, data))
-    assert ds.gts_by_frame == ((),)
+    assert [len(gts) for gts in ds.gts_by_frame] == [0]
 
 
 def test_images_are_ordered_by_id(tmp_path):
@@ -54,7 +54,7 @@ def test_images_are_ordered_by_id(tmp_path):
     ds = load_coco_annotations(write(tmp_path, data))
     assert [im.id for im in ds.images] == [10, 20, 30]
     assert len(ds.gts_by_frame[0]) == 1  # id 10 is frame 0
-    assert ds.gts_by_frame[1] == ds.gts_by_frame[2] == ()
+    assert len(ds.gts_by_frame[1]) == len(ds.gts_by_frame[2]) == 0
 
 
 def test_unknown_fields_are_ignored(tmp_path):
@@ -73,30 +73,29 @@ def test_parse_errors_carry_context(tmp_path):
         load_coco_annotations(bad)
     with pytest.raises(MissingField, match="images"):
         load_coco_annotations(write(tmp_path, {"annotations": []}))
-    with pytest.raises(MissingField, match=r"annotations\[0\]"):
-        load_coco_annotations(
-            write(tmp_path, {"images": [{"id": 1, "width": 5, "height": 5}], "annotations": [{"id": 0}]})
-        )
-    with pytest.raises(ParseError, match="unknown image_id"):
-        load_coco_annotations(
-            write(
-                tmp_path,
-                {
-                    "images": [{"id": 1, "width": 5, "height": 5}],
-                    "annotations": [{"id": 0, "image_id": 9, "category_id": 0, "bbox": [0, 0, 1, 1]}],
-                },
-            )
-        )
-    with pytest.raises(ParseError, match="degenerate"):
-        load_coco_annotations(
-            write(
-                tmp_path,
-                {
-                    "images": [{"id": 1, "width": 5, "height": 5}],
-                    "annotations": [{"id": 0, "image_id": 1, "category_id": 0, "bbox": [0, 0, -4, 1]}],
-                },
-            )
-        )
+    image = {"id": 1, "width": 5, "height": 5}
+    good = {"image_id": 1, "category_id": 0, "bbox": [0, 0, 1, 1]}
+    for i in range(3):
+        def load(bad):
+            # i good annotations with exact corners, then the bad one twice:
+            # the error names the first, counted over the whole file
+            anns = [dict(good, id=j, bbox_corners=[0, 0, 1, 1]) for j in range(i)] + [dict(bad, id=i), dict(bad, id=9)]
+            return load_coco_annotations(write(tmp_path, {"images": [image], "annotations": anns}))
+
+        with pytest.raises(MissingField, match=rf"'image_id' in annotations\[{i}\]"):
+            load({})
+        with pytest.raises(MissingField, match=rf"'bbox' in annotations\[{i}\]"):
+            load({"image_id": 1, "category_id": 0})
+        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: unknown image_id 9"):
+            load(dict(good, image_id=9))
+        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: degenerate box"):
+            load(dict(good, bbox=[0, 0, -4, 1]))
+        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: degenerate box"):
+            load(dict(good, bbox_corners=[0, 2, 1, 1]))
+        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: a box takes 4 numbers"):
+            load(dict(good, bbox=[0, 0, 1]))
+        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: a box takes 4 finite numbers"):
+            load(dict(good, bbox_corners=[0, None, 1, 1]))
 
 
 @pytest.mark.parametrize("name", ["uniform", "accelerating", "mixed"])

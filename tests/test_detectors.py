@@ -10,7 +10,7 @@ from longshort.detectors import (
     long_short_forecast,
 )
 from longshort.config import run_config_from_dict
-from longshort.metrics import _corners, _iou_matrix
+from longshort.metrics import _iou_matrix
 from longshort.runner import build_run_data, make_detector, run_eval
 from longshort.scenarios import (
     SyntheticScene,
@@ -144,8 +144,11 @@ def test_long_history_beats_short_on_accelerating_tracks():
         truth.append(track[k + 1])
         cv.append(const_velocity_forecast(track[k - 1], track[k], 1))
         ls.append(long_short_forecast([(i, track[i]) for i in range(k - 3, k + 1)], k + 1))
-    ious_cv = np.diag(_iou_matrix(_corners(cv), _corners(truth)))
-    ious_ls = np.diag(_iou_matrix(_corners(ls), _corners(truth)))
+    def corners(boxes):
+        return np.array([b.as_tuple() for b in boxes])
+
+    ious_cv = np.diag(_iou_matrix(corners(cv), corners(truth)))
+    ious_ls = np.diag(_iou_matrix(corners(ls), corners(truth)))
     assert np.mean(ious_ls) > np.mean(ious_cv)
 
 
@@ -175,7 +178,7 @@ def test_forecast_detector_skips_occluded_history_samples():
     scene = SyntheticScene(8, 33.33, 300, 100, (traj,))
     gts = gts_by_frame(generate_scenario(scene))
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
-    assert det(2) == []  # occluded now: nothing to anchor on
+    assert len(det(2)) == 0  # occluded now: nothing to anchor on
     dets = det(4)  # history window spans the occlusion gap
     assert len(dets) == 1
     truth = gts[5][0].bbox  # linear track: forecast should still be exact
@@ -216,12 +219,12 @@ def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
                     want = reference_forecast_detect(gts, n_history, delta_t, forecast_steps)
                     det = ForecastDetector(gts, n_history, delta_t, forecast_steps)
                     for k in range(len(gts)):
-                        assert det(k) == want[k], (n_history, delta_t, forecast_steps, k)
+                        assert list(det(k)) == want[k], (n_history, delta_t, forecast_steps, k)
                     dropped += sum(len(g) - len(d) for g, d in zip(gts, want))
                     # dropping the presence mask (every window sample counted
                     # as present) must break the equality above
                     det._present[:] = True
-                    mutant_caught += any(det(k) != want[k] for k in range(len(gts)))
+                    mutant_caught += any(list(det(k)) != want[k] for k in range(len(gts)))
     assert dropped > 0
     assert mutant_caught > 50
 
@@ -231,7 +234,7 @@ def test_forecast_detector_does_not_grow_with_single_box_tracks():
     gts = [[GroundTruthBox(BBox(k, i, k + 5, i + 5), 0, 10 * k + i, k) for i in range(10)] for k in range(300)]
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert det._boxes.nbytes <= 300 * 4 * 8  # one shared row, not 3000
-    assert [det(k) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
+    assert [list(det(k)) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
 
 
 @pytest.mark.parametrize("kind, vy, exit_frame", [("const-velocity", -2.0, 9), ("long-short", -3.0, 6)])

@@ -11,6 +11,12 @@ keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
 the per-track reference's detections on every frame.
+
+Some accepted configs are run a second time from a `dataset` source: their
+scene exported to a COCO file, in some files without the exact corners
+(read back from COCO's x, y, w, h) or without track ids (each box its own
+track).  That run keeps the same invariants, and a file that keeps both
+gives the scene run's report and records byte for byte.
 """
 
 import json
@@ -21,10 +27,11 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from longshort.coco_io import export_scenario
 from longshort.config import DETECTOR_KINDS, run_config_from_dict
 from longshort.fusion import FusionVariant, InvalidConfig
 from longshort.runner import build_run_data, make_detector, run_eval
-from longshort.scenarios import TrajectoryKind
+from longshort.scenarios import TrajectoryKind, generate_scenario
 from longshort.streaming import DispatchPolicy
 from oracles import reference_forecast_detect
 
@@ -141,11 +148,56 @@ def with_knowable_defect(rng, data) -> tuple[Optional[str], dict]:
     return None, data
 
 
+def as_dataset(rng, cfg, data: dict, path) -> tuple[str, dict]:
+    """Maybe export the config's scene to a COCO file at `path`, without the
+    exact corners, the track ids, both or neither.  Returns which was left
+    out ("" for neither) and the config reading the file, or (None, data)."""
+    if cfg.detector_kind == "pyramid" or rng.random() >= 0.5:
+        return None, data
+    export_scenario(generate_scenario(cfg.scene), cfg.scene, path)
+    dropped = [("", ()), ("corners", ("bbox_corners",)), ("track ids", ("track_id",)),
+               ("corners and track ids", ("bbox_corners", "track_id"))][int(rng.integers(0, 4))]
+    if dropped[1]:
+        coco = json.loads(path.read_text())
+        for ann in coco["annotations"]:
+            for key in dropped[1]:
+                del ann[key]
+        path.write_text(json.dumps(coco))
+    data = {key: value for key, value in data.items() if key != "scene"}
+    return dropped[0], {**data, "dataset": str(path)}
+
+
+def run_with_invariants(cfg, data: dict, out) -> tuple:
+    """run_eval with outputs in `out`; checks the forecasters against the
+    per-track reference, sAP in [0, 1], records ordered by completion time
+    and a perfect zero-latency detector scoring 1.0.  Returns the report and
+    whether the perfect-detector check ran."""
+    run_data = build_run_data(cfg)
+    if cfg.detector_kind in ("hold", "const-velocity", "long-short"):
+        det = make_detector(cfg, run_data)
+        want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
+        assert [list(det(k)) for k in range(len(want))] == want, data
+    cfg = replace(cfg, output=str(out))
+    report = run_eval(cfg)  # must not raise: the config was accepted
+    assert 0.0 <= report.sap <= 1.0, data
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    times = [r["completion_ms"] for r in records]
+    assert times == sorted(times), data
+    horizon = len(run_data.frames)
+    zero_latency = all(cfg.latency_model.latency_for(k) == 0.0 for k in range(horizon))
+    perfect = (cfg.detector_kind == "delayed-gt" and cfg.detector_settings["latency_frames"] == 0
+               and zero_latency and cfg.max_dets_per_frame is None)
+    if perfect:
+        assert report.sap == 1.0, data
+    return report, perfect
+
+
 def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     rng = np.random.default_rng(SEED)
     defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
+    dataset_rng = np.random.default_rng(SEED + 2)
     completed = perfect = empty_horizons = forecasters = 0
-    knowable = Counter()
+    knowable, datasets = Counter(), Counter()
     for i in range(N_CONFIGS):
         data = draw_config(rng)
         try:
@@ -163,26 +215,21 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             assert "horizon_frames" in str(exc), data
             empty_horizons += 1
             continue
-        if cfg.detector_kind in ("hold", "const-velocity", "long-short"):
-            det = make_detector(cfg, run_data)
-            want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
-            assert [det(k) for k in range(len(want))] == want, data
-            forecasters += 1
-        out = tmp_path / str(i)
-        cfg = replace(cfg, output=str(out))
-        report = run_eval(cfg)  # must not raise: the config was accepted
+        forecasters += cfg.detector_kind in ("hold", "const-velocity", "long-short")
+        report, was_perfect = run_with_invariants(cfg, data, tmp_path / str(i))
         completed += 1
-        assert 0.0 <= report.sap <= 1.0, data
-        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
-        times = [r["completion_ms"] for r in records]
-        assert times == sorted(times), data
-        horizon = cfg.horizon_frames or cfg.scene.n_frames
-        zero_latency = all(cfg.latency_model.latency_for(k) == 0.0 for k in range(horizon))
-        if (cfg.detector_kind == "delayed-gt" and cfg.detector_settings["latency_frames"] == 0
-                and zero_latency and cfg.max_dets_per_frame is None):
-            perfect += 1
-            assert report.sap == 1.0, data
+        perfect += was_perfect
+        dropped, from_file = as_dataset(dataset_rng, cfg, data, tmp_path / f"{i}.json")
+        if dropped is not None:
+            file_cfg = run_config_from_dict(from_file)
+            file_report, _ = run_with_invariants(file_cfg, from_file, tmp_path / f"{i}-dataset")
+            datasets[dropped] += 1
+            if dropped == "":  # the exact corners and the track ids: the scene run, byte for byte
+                assert file_report == report, from_file
+                for name in ("report.txt", "records.jsonl"):
+                    assert (tmp_path / f"{i}-dataset" / name).read_bytes() == (tmp_path / str(i) / name).read_bytes()
     # the draw reaches every outcome and the perfect-detector case
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
+    assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets

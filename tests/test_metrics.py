@@ -1,16 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, Detection, GroundTruthBox
+from longshort import metrics
+from longshort.boxes import BBox, Detection, GroundTruthBox, detection_table, ground_truth_table
 from longshort.detectors import DelayedGtDetector
 from longshort.metrics import (
     AREA_ALL,
     AREA_SMALL,
     IOU_THRESHOLDS,
+    SapReport,
     _ap_table,
-    _corners,
-    _greedy_match,
     _iou_matrix,
+    _match_pooled,
     compute_sap_report,
     report_csv_header,
     report_from_text,
@@ -59,6 +62,10 @@ def uniform_scene_gts(v=(5.0, 0.0), n=10, box=(0, 0, 20, 20), width=400, height=
 # ------------------------------------------------------------ _iou_matrix
 
 
+def _corners(boxes):
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def test_iou_identity_and_disjoint():
     a = BBox(0, 0, 2, 2)
     got = _iou_matrix(_corners([a]), _corners([a, BBox(5, 5, 7, 7)]))
@@ -76,7 +83,13 @@ def test_iou_degenerate_union():
     assert _iou_matrix(z, z)[0, 0] == 0.0
 
 
-# ---------------------------------------------------------- _greedy_match
+# ---------------------------------------------------------- _match_pooled
+
+
+def _greedy_match(dets, gts, thrs):
+    """(T, D) ground-truth index taken by each detection of one frame."""
+    d, g = detection_table(dets), ground_truth_table(gts)
+    return _match_pooled(d.boxes, d.score, np.zeros(len(d), int), g.boxes, np.zeros(len(g), int), thrs)
 
 
 def match_at(dets, gts, thr):
@@ -228,7 +241,7 @@ def test_report_agrees_with_independent_evaluator_on_random_scenes():
             assert ap == pytest.approx(want["per_category"][cat], abs=1e-9)
 
 
-def random_eval_scene(rng):
+def random_eval_scene(rng, max_frames=7):
     """Pairings, ground truth and a detection cap drawn to hit the matcher's
     corner cases: duplicate boxes (IoU ties), equal scores, 1-3 categories
     (one of them possibly never detected), empty frames, frames with no
@@ -244,7 +257,7 @@ def random_eval_scene(rng):
         return [float(round(v)) for v in c] if snap else c
 
     gts, pairings = [], []
-    for k in range(int(rng.integers(1, 8))):
+    for k in range(int(rng.integers(1, max_frames + 1))):
         frame_gts, frame_dets = [], []
         if rng.random() >= 0.2:  # otherwise an empty frame
             for j in range(int(rng.integers(0, 8))):
@@ -290,6 +303,46 @@ def test_report_text_is_byte_identical_to_scalar_reference_engine():
         pairings, gts, cap = random_eval_scene(rng)
         got = report_to_text(compute_sap_report(pairings, gts, max_dets_per_frame=cap))
         assert got == report_to_text(reference_sap_report(pairings, gts, max_dets_per_frame=cap)), trial
+
+
+def oracle_report(pairings, gts, cap) -> SapReport:
+    """oracle_sap_report of the detections each query frame is scored with:
+    the record's, the cap's top scorers in record order, none if unpaired."""
+    det_lists = []
+    for p in pairings:
+        dets = list(p.paired_record.detections) if p.paired_record is not None else []
+        if cap is not None and len(dets) > cap:
+            dets = [dets[i] for i in sorted(sorted(range(len(dets)), key=lambda i: -dets[i].score)[:cap])]
+        det_lists.append(dets)
+    want = oracle_sap_report(det_lists, gts)
+    return SapReport(want["sAP"], want["sAP50"], want["sAP75"], want["small"], want["medium"], want["large"],
+                     want["per_category"])
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_batched_report_is_byte_identical_to_both_scalar_references(monkeypatch, block_cells):
+    # Many frames per report, so one greedy walk matches every frame of a
+    # category at once; block_cells=1 makes each frame its own chunk.
+    if block_cells is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for trial in range(25):
+        pairings, gts, cap = random_eval_scene(rng, max_frames=30)
+        got = report_to_text(compute_sap_report(pairings, gts, max_dets_per_frame=cap))
+        assert got == report_to_text(reference_sap_report(pairings, gts, max_dets_per_frame=cap)), trial
+        assert got == report_to_text(oracle_report(pairings, gts, cap)), trial
+        cats = {g.category for frame in gts for g in frame}
+        for p, frame in zip(pairings, gts):
+            dets = list(p.paired_record.detections) if p.paired_record is not None else []
+            boxes = [d.bbox for d in dets] + [g.bbox for g in frame]
+            seen.update(frames=1, empty=not frame, unpaired=p.paired_record is None,
+                        capped=cap is not None and len(dets) > cap,
+                        same_box=len(set(boxes)) < len(boxes),
+                        same_score=len({d.score for d in dets}) < len(dets),
+                        missing_category=bool(frame) and {g.category for g in frame} != cats)
+    assert seen["frames"] >= 200
+    assert all(seen[k] > 0 for k in ("empty", "unpaired", "capped", "same_box", "same_score", "missing_category"))
 
 
 def test_sap50_always_upper_bounds_sap():
