@@ -1,19 +1,20 @@
 """Axis-aligned box types shared by the scenario generator, the detectors,
 and the evaluator.
 
-Ground truth and detections travel between the stages as column tables
-(GroundTruthTable, DetectionTable): one (n, 4) float64 corner array and one
-array per attribute, the layout COCO's evaluator keeps per image.  BBox,
-GroundTruthBox and Detection are the boundary types of the library API:
-indexing or iterating a table builds them on demand, and ground_truth_table
-and detection_table build a table from them.
+Inside the program, boxes exist only as column tables (GroundTruthTable,
+DetectionTable): one (n, 4) float64 corner array and one array per
+attribute, the layout COCO's evaluator keeps per image.  BBox,
+GroundTruthBox and Detection are the boundary types, for data entering or
+leaving, and each checks its box as it is built: ground_truth_table and
+detection_table build a table from them, and indexing or iterating a table
+builds them on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,23 +43,6 @@ class BBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
-
-    def shifted(self, dx: float, dy: float) -> "BBox":
-        return BBox(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
-    def clipped(self, width: float, height: float) -> "BBox | None":
-        """Clip to [0, width] x [0, height]; None when nothing remains."""
-        x0 = max(self.x_min, 0.0)
-        y0 = max(self.y_min, 0.0)
-        x1 = min(self.x_max, float(width))
-        y1 = min(self.y_max, float(height))
-        if x0 >= x1 or y0 >= y1:
-            return None
-        return BBox(x0, y0, x1, y1)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -152,18 +136,12 @@ class DetectionTable(_Table):
             yield Detection(BBox(*box), category, score)
 
 
-# One frame's ground truth per item, as a table or as its boxes.
-GroundTruthFrames = Sequence[Union[GroundTruthTable, Iterable[GroundTruthBox]]]
-
-
 def _corner_array(boxes: Iterable[BBox]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def ground_truth_table(gts: Union[GroundTruthTable, Iterable[GroundTruthBox]]) -> GroundTruthTable:
-    """`gts` if it is a table already, else the table of its boxes."""
-    if isinstance(gts, GroundTruthTable):
-        return gts
+def ground_truth_table(gts: Iterable[GroundTruthBox]) -> GroundTruthTable:
+    """The table of the given boxes, in order."""
     gts = list(gts)
     return GroundTruthTable(
         _corner_array(g.bbox for g in gts),
@@ -174,18 +152,8 @@ def ground_truth_table(gts: Union[GroundTruthTable, Iterable[GroundTruthBox]]) -
     )
 
 
-def ground_truth_frames(frames: GroundTruthFrames) -> tuple[GroundTruthTable, ...]:
-    """One table per frame; frames given as boxes are converted in one go."""
-    frames = [f if isinstance(f, GroundTruthTable) else list(f) for f in frames]
-    if all(isinstance(f, GroundTruthTable) for f in frames):
-        return tuple(frames)
-    return ground_truth_table(g for f in frames for g in f).split(map(len, frames))
-
-
-def detection_table(dets: Union[DetectionTable, Iterable[Detection]]) -> DetectionTable:
-    """`dets` if it is a table already, else the table of its detections."""
-    if isinstance(dets, DetectionTable):
-        return dets
+def detection_table(dets: Iterable[Detection]) -> DetectionTable:
+    """The table of the given detections, in order."""
     dets = list(dets)
     return DetectionTable(
         _corner_array(d.bbox for d in dets),

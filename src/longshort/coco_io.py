@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .boxes import BBox, GroundTruthBox, GroundTruthTable
+from .boxes import BBox, GroundTruthTable
 from .network import Frame
 from .scenarios import SyntheticScene
 
@@ -157,7 +157,7 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
 
 
 def scenario_to_coco(
-    scenario: Sequence[tuple[Frame, list[GroundTruthBox]]],
+    scenario: Sequence[tuple[Frame, GroundTruthTable]],
     scene: SyntheticScene,
 ) -> dict:
     """Build the COCO-style dict for a generated scene."""
@@ -199,7 +199,7 @@ def scenario_to_coco(
 
 
 def export_scenario(
-    scenario: Sequence[tuple[Frame, list[GroundTruthBox]]],
+    scenario: Sequence[tuple[Frame, GroundTruthTable]],
     scene: SyntheticScene,
     path: Union[str, Path],
 ) -> None:

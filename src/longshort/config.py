@@ -32,8 +32,9 @@ default.  The range checks
 run when a RunConfig, or a FusionSettings or scene it holds, is built, so a
 config derived with dataclasses.replace (a CLI flag, a sweep value) is
 checked like a file.  For a scene source that includes what the scene's
-frame count decides: a horizon beyond it, and a per-frame latency list
-shorter than the horizon.
+frame count decides: a horizon beyond it, a per-frame latency list shorter
+than the horizon, and a frame interval so large that the stream's clock
+overflows (for a dataset source build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  A null value takes the default.  The
@@ -163,8 +164,21 @@ class RunConfig:
                     f"latency_per_frame_ms has {len(self.latency_model.values_ms)} values,"
                     f" fewer than the {horizon} frames of the horizon"
                 )
+            self.check_stream_span(horizon, self.frame_interval_ms or self.scene.frame_interval_ms)
         if self.max_dets_per_frame is not None and self.max_dets_per_frame < 1:
             raise InvalidConfig(f"max_dets_per_frame must be >= 1, got {self.max_dets_per_frame}")
+
+    def check_stream_span(self, horizon: int, interval: float) -> None:
+        """InvalidConfig unless `horizon` frames `interval` ms apart, each
+        taking at most the largest latency, all end at a finite time, so
+        that every event time of the stream is a finite float."""
+        latency = self.latency_model
+        largest = max(latency.values_ms[:horizon], default=0.0) if isinstance(latency, PerFrameLatency) else latency.ms
+        if not math.isfinite(horizon * (interval + largest)):
+            raise InvalidConfig(
+                f"frame_interval_ms {interval}: {horizon} frames with latencies up to {largest} ms"
+                " overflow the stream's clock"
+            )
 
     @property
     def detector_settings(self) -> dict:

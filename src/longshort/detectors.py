@@ -1,12 +1,11 @@
 """Forecaster detectors.
 
 These make the long-vs-short temporal claim testable at the geometric level:
-a delayed ground-truth reader (an offline detector whose knowledge lags), a
-two-sample constant-velocity extrapolator, and a least-squares polynomial
-fit over a longer history.  DelayedGtDetector and ForecastDetector serve
-them to the latency simulator as streaming detector callables, which take
-one ground-truth table per frame (or the frame's GroundTruthBox list) and
-return a DetectionTable per call.
+a delayed ground-truth reader (an offline detector whose knowledge lags) and
+a least-squares polynomial fit over a track's history, of which the
+two-sample fit is constant-velocity extrapolation.  Both are streaming
+detector callables for the latency simulator: they take one
+GroundTruthTable per frame and return a DetectionTable per call.
 """
 
 from __future__ import annotations
@@ -16,44 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import (
-    BBox, DetectionTable, GroundTruthFrames, GroundTruthTable, concat_tables, ground_truth_frames, ground_truth_table,
-)
-
-
-class SingularFit(ValueError):
-    """Polynomial fit received duplicate frame indices."""
-
-
-def const_velocity_forecast(box_prev: BBox, box_curr: BBox, steps: int) -> BBox:
-    """Extrapolate each corner coordinate: out = curr + steps * (curr - prev)."""
-    p, c = box_prev.as_tuple(), box_curr.as_tuple()
-    return BBox(*(ci + steps * (ci - pi) for pi, ci in zip(p, c)))
-
-
-def long_short_forecast(history: Sequence[tuple[int, BBox]], target_index: int) -> BBox:
-    """Fit each corner coordinate by least squares over the frame index and
-    evaluate at target_index.
-
-    Degree is min(2, len(history) - 1): two samples reproduce the
-    constant-velocity extrapolation exactly, three or more capture
-    acceleration.  Accepts any history length >= 2.  Raises ValueError when
-    the forecast corners cross (a shrinking box extrapolated inside out).
-    """
-    if len(history) < 2:
-        raise ValueError(f"need at least 2 samples, got {len(history)}")
-    indices = [idx for idx, _ in history]
-    if len(set(indices)) != len(indices):
-        raise SingularFit(f"frame indices must be distinct, got {indices}")
-    coords = np.array([b.as_tuple() for _, b in history], dtype=np.float64)
-    return BBox(*_polyfit_at(np.array(indices, dtype=np.float64), coords, target_index).tolist())
-
-
-def _polyfit_at(ks: np.ndarray, columns: np.ndarray, target_index: int) -> np.ndarray:
-    """Least-squares polynomial of degree min(2, len(ks) - 1) through each
-    column of `columns` (len(ks) rows) over ks, evaluated at target_index:
-    one lstsq for every column."""
-    return np.polyval(np.polyfit(ks, columns, min(2, len(ks) - 1)), target_index)
+from .boxes import DetectionTable, GroundTruthTable, concat_tables, ground_truth_table
 
 
 class DelayedGtDetector:
@@ -61,10 +23,10 @@ class DelayedGtDetector:
     the ground truth of frame max(0, k - latency_frames) with full
     confidence."""
 
-    def __init__(self, gts_by_frame: GroundTruthFrames, latency_frames: int = 0):
+    def __init__(self, gts_by_frame: Sequence[GroundTruthTable], latency_frames: int = 0):
         if latency_frames < 0:
             raise ValueError("latency_frames must be >= 0")
-        self.gts_by_frame = ground_truth_frames(gts_by_frame)
+        self.gts_by_frame = tuple(gts_by_frame)
         self.latency_frames = latency_frames
 
     def __call__(self, frame_index: int) -> DetectionTable:
@@ -81,11 +43,13 @@ class ForecastDetector:
 
     At frame k it reads the track's boxes at k - n_history * delta_t, ...,
     k - delta_t, k (skipping gaps, e.g. occlusions) and predicts frame
-    k + forecast_steps with the long_short_forecast fit.  n_history = 0 is
-    the zero-motion hold; a single available sample also degrades to a hold.
-    A track whose forecast corners cross (a box shrinking at the image edge,
-    extrapolated inside out) is forecast to have left the image and reports
-    nothing.
+    k + forecast_steps with a least-squares polynomial of degree min(2,
+    samples - 1) in the frame index, fit to each corner coordinate: two
+    samples give constant-velocity extrapolation, three or more capture
+    acceleration.  n_history = 0 is the zero-motion hold; a single
+    available sample also degrades to a hold.  A track whose forecast
+    corners cross (a box shrinking at the image edge, extrapolated inside
+    out) is forecast to have left the image and reports nothing.
 
     The boxes are held as one (tracks, frames, 4) array with a (tracks,
     frames) presence mask, both indexed by frame_index; tracks with a single
@@ -93,13 +57,12 @@ class ForecastDetector:
     tracks whose windows have the same samples present share one design
     matrix, so each such pattern is a single np.polyfit whose right-hand
     side holds four columns per track.  LAPACK solves each column on its
-    own, so every forecast is bit for bit the one long_short_forecast gives
-    the track alone.
+    own, so every forecast is bit for bit the fit of the track alone.
     """
 
     def __init__(
         self,
-        gts_by_frame: GroundTruthFrames,
+        gts_by_frame: Sequence[GroundTruthTable],
         n_history: int = 3,
         delta_t: int = 1,
         forecast_steps: int = 1,
@@ -109,7 +72,7 @@ class ForecastDetector:
         self.n_history = n_history
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
-        self.gts_by_frame = ground_truth_frames(gts_by_frame)
+        self.gts_by_frame = tuple(gts_by_frame)
         flat = concat_tables([ground_truth_table(()), *self.gts_by_frame])
         _, rows, counts = np.unique(flat.track_id, return_inverse=True, return_counts=True)
         # A track with one box is always held, so all such tracks share row 0,
@@ -145,7 +108,8 @@ class ForecastDetector:
                 continue
             samples = self._boxes[rows[sel, None], ks]  # (tracks, len(ks), 4)
             rhs = samples.transpose(1, 0, 2).reshape(len(ks), -1)  # four columns per track
-            corners[sel] = _polyfit_at(ks, rhs, frame_index + self.forecast_steps).reshape(-1, 4)
+            fit = np.polyfit(ks, rhs, min(2, len(ks) - 1))
+            corners[sel] = np.polyval(fit, frame_index + self.forecast_steps).reshape(-1, 4)
         held = np.isnan(corners[:, 0])
         corners[held] = gts.boxes[held]
         kept = ~((corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3]))

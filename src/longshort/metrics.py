@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import GroundTruthFrames, concat_tables, detection_table, ground_truth_frames, ground_truth_table
+from .boxes import GroundTruthTable, concat_tables, detection_table, ground_truth_table
 from .streaming import EvalPairing
 
 IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -171,25 +171,25 @@ def _report_values(report: SapReport) -> tuple[Optional[float], ...]:
 
 def compute_sap_report(
     pairings: Sequence[EvalPairing],
-    gts_by_frame: GroundTruthFrames,
+    gts_by_frame: Sequence[GroundTruthTable],
     max_dets_per_frame: Optional[int] = None,
 ) -> SapReport:
-    """Score latency-paired detections against per-frame ground truth.
+    """Score latency-paired detections against the ground truth, one table
+    per frame.
 
     Categories are averaged first (those without ground truth are excluded),
     IoU thresholds second.  Area splits use the ground-truth box area:
     small < 32^2, medium in [32^2, 96^2), large >= 96^2.
     """
-    frames = ground_truth_frames(gts_by_frame)
     no_gts, no_dets = ground_truth_table(()), detection_table(())
-    categories = np.unique(np.concatenate([no_gts.category, *(f.category for f in frames)])).tolist()
+    categories = np.unique(np.concatenate([no_gts.category, *(f.category for f in gts_by_frame)])).tolist()
     dets, gts = [], []
     for p in pairings:
         d = p.paired_record.detections if p.paired_record is not None else no_dets
         if max_dets_per_frame is not None and len(d) > max_dets_per_frame:
             d = d.rows(np.sort(np.argsort(-d.score, kind="stable")[:max_dets_per_frame]))
         dets.append(d)
-        gts.append(frames[p.query_frame_index])
+        gts.append(gts_by_frame[p.query_frame_index])
     # every pairing's detections and ground truth, pooled in pairing order
     det_query = np.repeat(np.arange(len(dets)), [len(d) for d in dets])
     gt_query = np.repeat(np.arange(len(gts)), [len(g) for g in gts])

@@ -36,7 +36,7 @@ from typing import Any, Optional, Protocol
 import numpy as np
 from scipy import ndimage
 
-from .boxes import BBox, Detection
+from .boxes import DetectionTable
 from .fusion import FusionSettings, fuse_projected, init_weights, plan_channels, project_history
 
 PYRAMID_RATES = (8, 16, 32)
@@ -110,7 +110,7 @@ class DetectionHead(Protocol):
     tuple of the level indices predict() reads; the network then fuses only
     those levels.  A head without it gets every level fused."""
 
-    def predict(self, pyramid: FeaturePyramid) -> list[Detection]: ...
+    def predict(self, pyramid: FeaturePyramid) -> DetectionTable: ...
 
 
 def _block_reduce_mean(img: np.ndarray, rate: int) -> np.ndarray:
@@ -171,22 +171,17 @@ class BlobHead:
         self.threshold = threshold
         self.category = category
 
-    def predict(self, pyramid: FeaturePyramid) -> list[Detection]:
-        rate = PYRAMID_RATES[0]
+    def predict(self, pyramid: FeaturePyramid) -> DetectionTable:
         saliency = pyramid.levels[0].mean(axis=0)
-        labels, count = ndimage.label(saliency > self.threshold)
-        dets = []
-        for lab in range(1, count + 1):
-            rows, cols = np.nonzero(labels == lab)
-            box = BBox(
-                x_min=float(cols.min() * rate),
-                y_min=float(rows.min() * rate),
-                x_max=float((cols.max() + 1) * rate),
-                y_max=float((rows.max() + 1) * rate),
-            )
-            score = float(min(1.0, max(0.0, saliency[rows, cols].mean())))
-            dets.append(Detection(bbox=box, category=self.category, score=score))
-        return dets
+        labels, _ = ndimage.label(saliency > self.threshold)
+        blobs = ndimage.find_objects(labels)  # blob i + 1's bounding (rows, cols) slices
+        corners = [(cols.start, rows.start, cols.stop, rows.stop) for rows, cols in blobs]
+        scores = [min(1.0, max(0.0, saliency[b][labels[b] == i].mean())) for i, b in enumerate(blobs, 1)]
+        return DetectionTable(
+            np.array(corners, dtype=np.float64).reshape(-1, 4) * PYRAMID_RATES[0],
+            np.full(len(blobs), self.category, dtype=np.int64),
+            np.array(scores, dtype=np.float64),
+        )
 
 
 ProjectedMaps = tuple[np.ndarray, ...]
@@ -247,7 +242,7 @@ class DualPathNetwork:
                 self._levels[level] = (cfg, init_weights(cfg, plan_channels(cfg), self.weight_seed))
             self.buffer = FeatureBuffer(capacity=self.fusion.n_history * self.fusion.delta_t)
 
-    def step(self, frame: Frame) -> list[Detection]:
+    def step(self, frame: Frame) -> DetectionTable:
         """Process one frame: a single extractor call, one history
         projection per fused level, buffered history, fusion, then the
         head.  The projected maps are buffered after use, and they are

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from .boxes import DetectionTable, GroundTruthTable, ground_truth_frames
+from .boxes import DetectionTable, GroundTruthTable
 from .coco_io import load_coco_annotations
 from .config import (
     RunConfig,
@@ -32,7 +32,7 @@ from .metrics import (
     report_to_text,
 )
 from .network import BlobHead, BoxFilterExtractor, DualPathNetwork, Frame
-from .scenarios import frames_of, generate_scenario, gts_by_frame
+from .scenarios import generate_scenario
 from .streaming import StreamConfig, pair_for_eval, simulate_stream, write_records
 
 
@@ -46,12 +46,10 @@ class RunData:
 def build_run_data(cfg: RunConfig) -> RunData:
     """Materialize the configured data source as frames plus ground truth."""
     if cfg.scene is not None:
-        scenario = generate_scenario(cfg.scene)
+        frames, gts = zip(*generate_scenario(cfg.scene))
         interval = cfg.frame_interval_ms if cfg.frame_interval_ms is not None else cfg.scene.frame_interval_ms
-        frames = frames_of(scenario)
         if interval != cfg.scene.frame_interval_ms:
             frames = [Frame(f.index, f.index * interval, f.pixels) for f in frames]
-        gts = ground_truth_frames(gts_by_frame(scenario))
     else:
         ds = load_coco_annotations(cfg.dataset_path)
         interval = cfg.frame_interval_ms or ds.frame_interval_ms or 33.33
@@ -60,13 +58,14 @@ def build_run_data(cfg: RunConfig) -> RunData:
     horizon = cfg.horizon_frames if cfg.horizon_frames is not None else len(frames)
     if horizon > len(frames):
         raise InvalidConfig(f"horizon {horizon} exceeds the {len(frames)} available frames")
+    cfg.check_stream_span(horizon, interval)
     gts = gts[:horizon]
     if not any(gts):
         raise InvalidConfig(f"horizon_frames {horizon}: no ground-truth box in the first {horizon} frames")
     return RunData(tuple(frames[:horizon]), gts, interval)
 
 
-def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], Union[DetectionTable, list]]:
+def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], DetectionTable]:
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])

@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .boxes import BBox, GroundTruthBox
+from .boxes import BBox, GroundTruthTable
+from .fusion import InvalidConfig
 from .network import Frame
 
 SMALL_AREA_THRESHOLD = 32.0 * 32.0
 
 
-class DegenerateTrajectory(ValueError):
-    """A trajectory never places a visible box inside the image."""
+class DegenerateTrajectory(InvalidConfig):
+    """A trajectory's box is not finite on some frame, or never visible
+    inside the image."""
 
 
 class TrajectoryKind(Enum):
@@ -64,101 +66,99 @@ class TrajectorySpec:
                 f"small-object box area {self.initial_bbox.area} is not below {SMALL_AREA_THRESHOLD}"
             )
 
-    def occluded_at(self, k: int) -> bool:
-        if self.occlusion_window is None:
-            return False
-        lo, hi = self.occlusion_window
-        return lo <= k <= hi
-
-    def box_at(self, k: int) -> Optional[BBox]:
-        """Unclipped box at frame k, or None while occluded."""
-        if self.occluded_at(k):
-            return None
-        vx, vy = self.velocity
-        ax, ay = self.acceleration
-        dx = vx * k + 0.5 * ax * k * k
-        dy = vy * k + 0.5 * ay * k * k
-        if self.turn_rate != 0.0:
-            theta = self.turn_rate * k
-            c, s = math.cos(theta), math.sin(theta)
-            dx, dy = c * dx - s * dy, s * dx + c * dy
-        return self.initial_bbox.shifted(dx, dy)
+    def corners(self, n_frames: int) -> np.ndarray:
+        """(n_frames, 4) unclipped corners at frames 0, 1, ..., occlusion
+        not applied: the start box displaced by v*k + a*k^2/2, rotated by
+        turn_rate*k about the start.  A frame whose angle overflows reads
+        NaN."""
+        k = np.arange(n_frames, dtype=np.float64)
+        (vx, vy), (ax, ay) = self.velocity, self.acceleration
+        with np.errstate(over="ignore", invalid="ignore"):  # the scene rejects what overflows
+            dx = vx * k + 0.5 * ax * k * k
+            dy = vy * k + 0.5 * ay * k * k
+            if self.turn_rate != 0.0:
+                # math.cos/sin per frame: numpy's SIMD versions may differ in the last bit
+                theta = [t if math.isfinite(t) else math.nan for t in (self.turn_rate * k).tolist()]
+                c, s = np.array([math.cos(t) for t in theta]), np.array([math.sin(t) for t in theta])
+                dx, dy = c * dx - s * dy, s * dx + c * dy
+            return np.array(self.initial_bbox.as_tuple(), dtype=np.float64) + np.stack([dx, dy, dx, dy], axis=1)
 
 
 @dataclass(frozen=True)
 class SyntheticScene:
+    """A scene and, in `ground_truth`, every frame's visible boxes: one
+    GroundTruthTable per frame, computed once when the scene is built.  A
+    trajectory whose box is not finite on some frame, or that never shows
+    a box inside the image, is rejected then, naming it."""
+
     n_frames: int
     frame_interval_ms: float
     width: int
     height: int
     trajectories: tuple[TrajectorySpec, ...]
     seed: int = 0
+    ground_truth: tuple[GroundTruthTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_frames < 2:
             raise ValueError(f"a scene needs at least 2 frames, got {self.n_frames}")
-        if self.frame_interval_ms <= 0:
-            raise ValueError("frame_interval_ms must be positive")
+        if not 0 < self.frame_interval_ms < math.inf:
+            raise ValueError("frame_interval_ms must be finite and positive")
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        k = np.arange(self.n_frames)
+        # clipping to the image: the min corner from below, the max corner from above
+        lo = np.array([0.0, 0.0, -math.inf, -math.inf])
+        hi = np.array([math.inf, math.inf, float(self.width), float(self.height)])
+        clipped = np.empty((self.n_frames, len(self.trajectories), 4))
+        shown = np.empty((self.n_frames, len(self.trajectories)), dtype=bool)
         for i, traj in enumerate(self.trajectories):
-            if all(self.visible_box(traj, k) is None for k in range(self.n_frames)):
+            raw = traj.corners(self.n_frames)
+            bad = ~np.isfinite(raw).all(axis=1)
+            if bad.any():
+                raise DegenerateTrajectory(f"trajectory {i}: its box is not finite at frame {int(np.argmax(bad))}")
+            box = np.where(raw < lo, lo, raw)
+            clipped[:, i] = box = np.where(box > hi, hi, box)
+            shown[:, i] = (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
+            if traj.occlusion_window is not None:
+                first, last = traj.occlusion_window
+                shown[:, i] &= (k < first) | (k > last)
+            if not shown[:, i].any():
                 raise DegenerateTrajectory(f"trajectory {i} never appears inside the image")
+        frame, track = np.nonzero(shown)  # frame by frame, each in trajectory order
+        boxes = clipped[frame, track]
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        category = np.array([t.category for t in self.trajectories], dtype=np.int64)
+        track_id = np.array([i if t.track_id is None else t.track_id for i, t in enumerate(self.trajectories)],
+                            dtype=np.int64)
+        table = GroundTruthTable(boxes, category[track], track_id[track], frame, area)
+        object.__setattr__(self, "ground_truth", table.split(shown.sum(axis=1).tolist()))
 
-    def visible_box(self, traj: TrajectorySpec, k: int) -> Optional[BBox]:
-        """The trajectory's box at frame k clipped to the image, or None
-        while it is occluded or wholly outside."""
-        raw = traj.box_at(k)
-        return None if raw is None else raw.clipped(self.width, self.height)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneDescriptor:
-    """Synthetic image payload: the visible boxes of one frame.  Rasterizes
-    to a binary grayscale image on demand."""
+    """Synthetic image payload: the (n, 4) corners of one frame's visible
+    boxes.  Rasterizes to a binary grayscale image on demand."""
 
     width: int
     height: int
-    boxes: tuple[BBox, ...]
+    boxes: np.ndarray
 
     def rasterize(self) -> np.ndarray:
         img = np.zeros((self.height, self.width))
-        for b in self.boxes:
-            x0 = max(0, int(math.floor(b.x_min)))
-            y0 = max(0, int(math.floor(b.y_min)))
-            x1 = min(self.width, int(math.ceil(b.x_max)))
-            y1 = min(self.height, int(math.ceil(b.y_max)))
-            img[y0:y1, x0:x1] = 1.0
+        for x_min, y_min, x_max, y_max in self.boxes.tolist():
+            x0, y0 = max(0, math.floor(x_min)), max(0, math.floor(y_min))
+            img[y0:min(self.height, math.ceil(y_max)), x0:min(self.width, math.ceil(x_max))] = 1.0
         return img
 
 
-def generate_scenario(scene: SyntheticScene) -> list[tuple[Frame, list[GroundTruthBox]]]:
-    """Roll the scene forward: per frame, every trajectory contributes its
-    closed-form box, clipped to the image and dropped while occluded or
-    fully outside."""
-    out = []
-    for k in range(scene.n_frames):
-        gts = []
-        for i, traj in enumerate(scene.trajectories):
-            clipped = scene.visible_box(traj, k)
-            if clipped is None:
-                continue
-            track = traj.track_id if traj.track_id is not None else i
-            gts.append(GroundTruthBox(bbox=clipped, category=traj.category, track_id=track, frame_index=k))
-        frame = Frame(
-            index=k,
-            timestamp_ms=k * scene.frame_interval_ms,
-            pixels=SceneDescriptor(scene.width, scene.height, tuple(g.bbox for g in gts)),
-        )
-        out.append((frame, gts))
-    return out
-
-
-def gts_by_frame(scenario: Sequence[tuple[Frame, list[GroundTruthBox]]]) -> list[list[GroundTruthBox]]:
-    return [gts for _, gts in scenario]
-
-
-def frames_of(scenario: Sequence[tuple[Frame, list[GroundTruthBox]]]) -> list[Frame]:
-    return [frame for frame, _ in scenario]
+def generate_scenario(scene: SyntheticScene) -> list[tuple[Frame, GroundTruthTable]]:
+    """Per frame, the frame, whose pixels rasterize its visible boxes, and
+    its ground truth: every trajectory's closed-form box, clipped to the
+    image and dropped while occluded or fully outside."""
+    return [
+        (Frame(k, k * scene.frame_interval_ms, SceneDescriptor(scene.width, scene.height, gts.boxes)), gts)
+        for k, gts in enumerate(scene.ground_truth)
+    ]
 
 
 def scene_from_dict(data: dict) -> SyntheticScene:
@@ -169,10 +169,10 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     its key's parser refuses (every value is a number, not a string, and
     counts are whole), is an InvalidConfig naming the key; a null takes the
     default."""
-    from .config import _number, _parsed_section, _whole  # config imports this module
+    from .config import _FINITE, _number, _parsed_section, _whole  # config imports this module
 
     def real(value) -> float:
-        return float(_number(value))
+        return _FINITE(_number(value))
 
     def whole(value) -> int:
         return _whole(_number(value))

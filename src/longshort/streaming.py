@@ -3,10 +3,11 @@
 Frames arrive on a fixed-rate clock and a single non-preemptive worker runs
 the detector with a modeled latency.  Under the default dispatch policy the
 worker always takes the newest frame: a frame arriving while the worker is
-busy is skipped outright, so work starts only at arrival instants.  Each
-completed inference becomes a timestamped record, and evaluation pairs every
-annotated frame with the latest record completed by that frame's arrival
-time (ties count as available).
+busy is skipped outright, so work starts only at arrival instants.  A
+detector maps a frame index to a DetectionTable.  Each completed inference
+becomes a timestamped record, and evaluation pairs every annotated frame
+with the latest record completed by that frame's arrival time (ties count
+as available).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 from .boxes import BBox, Detection, DetectionTable, detection_table
 from .network import Frame
 
-Detector = Callable[[int], Union[DetectionTable, Sequence[Detection]]]
+Detector = Callable[[int], DetectionTable]
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One completed inference; `detections` is held as a DetectionTable
-    (a sequence of Detection is converted)."""
+    """One completed inference and its detections."""
 
     source_frame_index: int
     issue_time_ms: float
@@ -93,7 +93,6 @@ class PredictionRecord:
     def __post_init__(self):
         if self.completion_time_ms < self.issue_time_ms:
             raise ValueError("completion before issue")
-        object.__setattr__(self, "detections", detection_table(self.detections))
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,8 @@ def write_records(records: Sequence[PredictionRecord], fp: TextIO) -> None:
 
 
 def read_records(fp: TextIO) -> list[PredictionRecord]:
+    """Records from write_records' format; each detection is checked as a
+    Detection on the way in."""
     return [_record_from_json(json.loads(line)) for line in fp if line.strip()]
 
 
@@ -178,8 +179,7 @@ def _record_from_json(data: dict) -> PredictionRecord:
         source_frame_index=data["source_frame"],
         issue_time_ms=data["issue_ms"],
         completion_time_ms=data["completion_ms"],
-        detections=[
-            Detection(bbox=BBox(*d["bbox"]), category=d["category"], score=d["score"])
-            for d in data["detections"]
-        ],
+        detections=detection_table(
+            Detection(bbox=BBox(*d["bbox"]), category=d["category"], score=d["score"]) for d in data["detections"]
+        ),
     )

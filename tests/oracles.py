@@ -457,3 +457,97 @@ def reference_forecast_detect(gts_by_frame, n_history, delta_t, forecast_steps) 
             dets.append(Detection(bbox=box, category=g.category, score=1.0))
         out.append(dets)
     return out
+
+
+# ---------------------------------------------------------------- scenes
+
+
+def reference_scene_ground_truth(scene) -> list:
+    """The frame-by-frame scene walk that the vectorized one replaced, kept
+    as a bit-exact reference: each trajectory's box displaced, rotated and
+    clipped in Python floats.  Returns every frame's GroundTruthBox list."""
+    import math
+
+    from longshort.boxes import GroundTruthBox
+
+    out = []
+    for k in range(scene.n_frames):
+        gts = []
+        for i, traj in enumerate(scene.trajectories):
+            if traj.occlusion_window is not None and traj.occlusion_window[0] <= k <= traj.occlusion_window[1]:
+                continue
+            (vx, vy), (ax, ay) = traj.velocity, traj.acceleration
+            dx = vx * k + 0.5 * ax * k * k
+            dy = vy * k + 0.5 * ay * k * k
+            if traj.turn_rate != 0.0:
+                c, s = math.cos(traj.turn_rate * k), math.sin(traj.turn_rate * k)
+                dx, dy = c * dx - s * dy, s * dx + c * dy
+            b = traj.initial_bbox
+            x0, y0 = max(b.x_min + dx, 0.0), max(b.y_min + dy, 0.0)
+            x1, y1 = min(b.x_max + dx, float(scene.width)), min(b.y_max + dy, float(scene.height))
+            if x0 < x1 and y0 < y1:
+                track = i if traj.track_id is None else traj.track_id
+                gts.append(GroundTruthBox(BBox(x0, y0, x1, y1), traj.category, track, k))
+        out.append(gts)
+    return out
+
+
+# --------------------------------------------------------- forecast fits
+
+
+class SingularFit(ValueError):
+    """Polynomial fit received duplicate frame indices."""
+
+
+def const_velocity_forecast(box_prev: BBox, box_curr: BBox, steps: int) -> BBox:
+    """Extrapolate each corner coordinate: out = curr + steps * (curr - prev)."""
+    p, c = box_prev.as_tuple(), box_curr.as_tuple()
+    return BBox(*(ci + steps * (ci - pi) for pi, ci in zip(p, c)))
+
+
+def long_short_forecast(history, target_index: int) -> BBox:
+    """Fit each corner coordinate of the (frame index, BBox) history by
+    least squares over the frame index and evaluate at target_index.
+
+    Degree is min(2, len(history) - 1): two samples reproduce the
+    constant-velocity extrapolation exactly, three or more capture
+    acceleration.  Accepts any history length >= 2.  Raises ValueError when
+    the forecast corners cross (a shrinking box extrapolated inside out).
+    """
+    import numpy as np
+
+    if len(history) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(history)}")
+    indices = [idx for idx, _ in history]
+    if len(set(indices)) != len(indices):
+        raise SingularFit(f"frame indices must be distinct, got {indices}")
+    coords = np.array([b.as_tuple() for _, b in history], dtype=np.float64)
+    fit = np.polyfit(np.array(indices, dtype=np.float64), coords, min(2, len(history) - 1))
+    return BBox(*np.polyval(fit, target_index).tolist())
+
+
+# -------------------------------------------------------------- blob head
+
+
+def reference_blob_detect(saliency, threshold: float, category: int, rate: int) -> list:
+    """The BlobHead decoder that the find_objects one replaced, kept as a
+    bit-exact reference: one np.nonzero(labels == lab) scan of the whole
+    map per blob.  Returns the Detection of each blob in label order."""
+    import numpy as np
+    from scipy import ndimage
+
+    from longshort.boxes import Detection
+
+    labels, count = ndimage.label(saliency > threshold)
+    dets = []
+    for lab in range(1, count + 1):
+        rows, cols = np.nonzero(labels == lab)
+        box = BBox(
+            x_min=float(cols.min() * rate),
+            y_min=float(rows.min() * rate),
+            x_max=float((cols.max() + 1) * rate),
+            y_max=float((rows.max() + 1) * rate),
+        )
+        score = float(min(1.0, max(0.0, saliency[rows, cols].mean())))
+        dets.append(Detection(bbox=box, category=category, score=score))
+    return dets

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, Detection, GroundTruthBox
+from longshort.boxes import BBox, Detection, GroundTruthBox, detection_table, ground_truth_table
 from longshort.config import SweepAxis, SweepSpec, run_config_from_dict
 from longshort.detectors import DelayedGtDetector
 from longshort.fusion import (
@@ -35,7 +35,7 @@ from longshort.network import (
     MODEL_CHANNELS,
 )
 from longshort.runner import run_eval, run_sweep, sweep_to_csv
-from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario, gts_by_frame
+from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario
 from longshort.streaming import EvalPairing, PredictionRecord, pair_for_eval
 from oracles import arr3, brute_force_pairings, naive_fuse, oracle_sap_report, prefix_ap
 
@@ -172,7 +172,7 @@ def test_criterion_5_streaming_protocol():
         frames = [Frame(k, k * INTERVAL, None) for k in range(n)]
         for latency in (0.0, 20.0, 40.0, 80.0):
             records = [
-                PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency, ())
+                PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency, detection_table(()))
                 for k in range(n)
             ]
             pairings = pair_for_eval(records, frames)
@@ -215,12 +215,12 @@ def _uniform_scene_oracle_sap(latency_frames):
 
 def test_criterion_6_staleness_monotonicity():
     with criterion(6, "delayed-GT streaming AP strictly decays with staleness on the uniform scene"):
-        gts = gts_by_frame(generate_scenario(bundled_scene("uniform")))
+        gts = [gts for _, gts in generate_scenario(bundled_scene("uniform"))]
         got = []
         for j in range(6):
             detector = DelayedGtDetector(gts, j)
             pairings = [
-                EvalPairing(k, PredictionRecord(k, k * INTERVAL, k * INTERVAL, tuple(detector(k))))
+                EvalPairing(k, PredictionRecord(k, k * INTERVAL, k * INTERVAL, detector(k)))
                 for k in range(len(gts))
             ]
             got.append(compute_sap_report(pairings, gts).sap)
@@ -257,8 +257,8 @@ def test_criterion_7_long_history_beats_short():
 def test_criterion_8_ap_engine_correctness():
     with criterion(8, "AP engine: hand-oracle cases plus independent-evaluator agreement"):
         def one_frame_report(dets, gts):
-            pairing = EvalPairing(0, PredictionRecord(0, 0.0, 0.0, tuple(dets)))
-            return compute_sap_report([pairing], [gts])
+            pairing = EvalPairing(0, PredictionRecord(0, 0.0, 0.0, detection_table(dets)))
+            return compute_sap_report([pairing], [ground_truth_table(gts)])
 
         g = GroundTruthBox(BBox(0, 0, 10, 10), category=0, track_id=0, frame_index=0)
         exact = Detection(BBox(0, 0, 10, 10), 0, 0.8)
@@ -288,10 +288,10 @@ def test_criterion_8_ap_engine_correctness():
                 continue
             scenes_checked += 1
             pairings = [
-                EvalPairing(k, PredictionRecord(k, 0.0, 0.0, tuple(det_lists[k])))
+                EvalPairing(k, PredictionRecord(k, 0.0, 0.0, detection_table(det_lists[k])))
                 for k in range(n_frames)
             ]
-            report = compute_sap_report(pairings, gts)
+            report = compute_sap_report(pairings, [ground_truth_table(f) for f in gts])
             want = oracle_sap_report(det_lists, gts)
             assert report.sap == pytest.approx(want["sAP"], abs=1e-9)
             assert report.sap50 == pytest.approx(want["sAP50"], abs=1e-9)

@@ -326,6 +326,73 @@ def test_inline_scene_rejects_a_width_given_as_a_string():
         run_config_from_dict({"scene": inline_scene(width="100")})
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "custom_scene_example.json"
+NAN, INF = float("nan"), float("inf")
+
+
+def example_with(tmp_path, *edits):
+    """configs/custom_scene_example.json with each (path, value) of `edits`
+    set, where a path is the keys and list indices down to the value,
+    written as JSON (NaN and Infinity included) and loaded back."""
+    data = json.loads(EXAMPLE.read_text())
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return load_run_config(write_config(tmp_path, data))
+
+
+def forbid_detectors(monkeypatch):
+    import longshort.runner as runner
+
+    def no_detector(cfg, data):
+        raise AssertionError("a detector was built for a config that should have been rejected")
+
+    monkeypatch.setattr(runner, "make_detector", no_detector)
+
+
+TRAJ = ("scene", "trajectories")
+
+
+@pytest.mark.parametrize("edits, match", [
+    ([(TRAJ + (0, "velocity", 0), NAN)], r"scene trajectories\[0\] velocity \[nan, 0.5\]: must be finite"),
+    ([(TRAJ + (2, "initial_bbox", 3), NAN)], r"scene trajectories\[2\] initial_bbox .*: must be finite"),
+    ([(TRAJ + (4, "acceleration", 1), -INF)], r"scene trajectories\[4\] acceleration .*: must be finite"),
+    ([(TRAJ + (1, "turn_rate"), NAN)], r"scene trajectories\[1\] turn_rate nan: must be finite"),
+    ([(TRAJ + (1, "turn_rate"), INF)], r"scene trajectories\[1\] turn_rate inf: must be finite"),
+    ([(("scene", "frame_interval_ms"), NAN)], "scene frame_interval_ms nan: must be finite"),
+    ([(("scene", "frame_interval_ms"), INF)], "scene frame_interval_ms inf: must be finite"),
+    # finite values whose motion overflows: the angle, or v*k + a*k^2/2 (inf - inf)
+    ([(TRAJ + (1, "turn_rate"), 1e308)], "trajectory 1: its box is not finite at frame 2"),
+    ([(TRAJ + (0, "velocity"), [-1e308, 0]), (TRAJ + (0, "acceleration"), [1e308, 0])],
+     "trajectory 0: its box is not finite at frame 2"),
+    # a finite interval whose stream clock overflows, and a FIFO queue whose latencies add up past it
+    ([(("stream", "frame_interval_ms"), 1e308)], "frame_interval_ms 1e[+]308: 24 frames"),
+    ([(("scene", "frame_interval_ms"), 1e308)], "frame_interval_ms 1e[+]308: 24 frames"),
+    ([(("stream",), {"latency_ms": 1e307, "dispatch": "fifo"})], "frame_interval_ms 33.33: 24 frames with latencies up to 1e[+]307"),
+], ids=["velocity-nan", "initial_bbox-nan", "acceleration-neg-inf", "turn_rate-nan", "turn_rate-inf",
+        "scene-interval-nan", "scene-interval-inf", "turn_rate-1e308", "velocity-acceleration-1e308",
+        "stream-interval-1e308", "scene-interval-1e308", "fifo-latency-1e307"])
+def test_non_finite_or_overflowing_scene_and_stream_values_are_rejected_at_load(tmp_path, edits, match):
+    with pytest.raises(InvalidConfig, match=match):
+        example_with(tmp_path, *edits)
+
+
+def test_overflowing_frame_interval_of_a_dataset_is_rejected_before_any_detector_call(tmp_path, monkeypatch):
+    assert main(["gen-scene", "--scene", "uniform", "--output", str(tmp_path / "ann.json")]) == 0
+    forbid_detectors(monkeypatch)
+    for stream in ({"frame_interval_ms": 1e308}, {"latency_ms": 1e307, "dispatch": "fifo"}):
+        cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"), "stream": stream})
+        with pytest.raises(InvalidConfig, match="frame_interval_ms .*: 20 frames with latencies up to"):
+            run_eval(cfg, write=False)
+
+
+def test_a_one_frame_horizon_keeps_a_huge_frame_interval(tmp_path):
+    cfg = example_with(tmp_path, (("stream", "frame_interval_ms"), 1e308), (("stream", "horizon_frames"), 1))
+    assert 0.0 <= run_eval(cfg, write=False).sap <= 1.0
+
+
 def test_fusion_values_cast_like_detector_values():
     fusion = {"variant": "EfDil", "n_history": "2", "delta_t": 3.0, "ratio": "0.25", "residual": False}
     got = run_config_from_dict(base_config_dict(fusion=fusion)).fusion

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, GroundTruthBox
-from longshort.detectors import (
-    DelayedGtDetector,
-    ForecastDetector,
-    SingularFit,
-    const_velocity_forecast,
-    long_short_forecast,
-)
+from longshort.boxes import BBox, GroundTruthBox, ground_truth_table
+from longshort.detectors import DelayedGtDetector, ForecastDetector
 from longshort.config import run_config_from_dict
 from longshort.metrics import _iou_matrix
 from longshort.runner import build_run_data, make_detector, run_eval
@@ -18,15 +12,21 @@ from longshort.scenarios import (
     TrajectorySpec,
     bundled_scene,
     generate_scenario,
-    gts_by_frame,
 )
-from oracles import reference_forecast_detect
+from oracles import SingularFit, const_velocity_forecast, long_short_forecast, reference_forecast_detect
+
+
+def scene_gts(scene):
+    return [gts for _, gts in generate_scenario(scene)]
 
 
 def uniform_gts(v=(5.0, 0.0), n=10, box=BBox(0, 0, 10, 10), width=400, height=100):
     traj = TrajectorySpec(TrajectoryKind.UNIFORM, box, velocity=v)
-    scene = SyntheticScene(n, 33.33, width, height, (traj,))
-    return gts_by_frame(generate_scenario(scene))
+    return scene_gts(SyntheticScene(n, 33.33, width, height, (traj,)))
+
+
+def shifted(box, dx, dy):
+    return BBox(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
 
 
 # ------------------------------------------------------------ delayed gt
@@ -126,18 +126,18 @@ def test_forecasters_are_translation_equivariant():
         xs = rng.uniform(0, 50, size=4)
         hist = [(k, BBox(x, x / 2, x + 10, x / 2 + 8)) for k, x in enumerate(xs)]
         dx, dy = rng.uniform(-20, 20, size=2)
-        shifted = [(k, b.shifted(dx, dy)) for k, b in hist]
+        moved = [(k, shifted(b, dx, dy)) for k, b in hist]
         a = long_short_forecast(hist, 6)
-        b = long_short_forecast(shifted, 6)
-        assert np.allclose(b.as_tuple(), a.shifted(dx, dy).as_tuple(), atol=1e-7)
+        b = long_short_forecast(moved, 6)
+        assert np.allclose(b.as_tuple(), shifted(a, dx, dy).as_tuple(), atol=1e-7)
     a = const_velocity_forecast(BBox(0, 0, 4, 4), BBox(2, 1, 6, 5), 2)
     b = const_velocity_forecast(BBox(3, 5, 7, 9), BBox(5, 6, 9, 10), 2)
-    assert b.as_tuple() == a.shifted(3, 5).as_tuple()
+    assert b.as_tuple() == shifted(a, 3, 5).as_tuple()
 
 
 def test_long_history_beats_short_on_accelerating_tracks():
     scene = bundled_scene("accelerating")
-    gts = gts_by_frame(generate_scenario(scene))
+    gts = scene_gts(scene)
     track = {g.frame_index: g.bbox for frame in gts for g in frame}
     cv, ls, truth = [], [], []
     for k in range(4, scene.n_frames - 1):
@@ -176,7 +176,7 @@ def test_forecast_detector_skips_occluded_history_samples():
         TrajectoryKind.OCCLUDED, BBox(0, 0, 10, 10), velocity=(2.0, 0.0), occlusion_window=(2, 3)
     )
     scene = SyntheticScene(8, 33.33, 300, 100, (traj,))
-    gts = gts_by_frame(generate_scenario(scene))
+    gts = scene_gts(scene)
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert len(det(2)) == 0  # occluded now: nothing to anchor on
     dets = det(4)  # history window spans the occlusion gap
@@ -200,12 +200,13 @@ def draw_clip(rng, n_frames=16, width=100.0, height=80.0):
             if rng.random() < 0.2:  # occluded
                 continue
             dx, dy = v * (k - first) + a * (k - first) ** 2 + rng.normal(0, 0.5, size=2)
-            box = BBox(x + dx, y + dy, x + dx + w, y + dy + h).clipped(width, height)
-            if box is not None:
-                clip[k].append(GroundTruthBox(box, int(rng.integers(0, 3)), track_id, k))
+            x0, y0 = max(x + dx, 0.0), max(y + dy, 0.0)  # clipped to the image
+            x1, y1 = min(x + dx + w, width), min(y + dy + h, height)
+            if x0 < x1 and y0 < y1:
+                clip[k].append(GroundTruthBox(BBox(x0, y0, x1, y1), int(rng.integers(0, 3)), track_id, k))
     for gts in clip:
         rng.shuffle(gts)  # track rows in no particular order
-    return clip
+    return [ground_truth_table(gts) for gts in clip]
 
 
 def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
@@ -231,7 +232,8 @@ def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
 
 def test_forecast_detector_does_not_grow_with_single_box_tracks():
     # a COCO file without track ids gives every box its own track
-    gts = [[GroundTruthBox(BBox(k, i, k + 5, i + 5), 0, 10 * k + i, k) for i in range(10)] for k in range(300)]
+    gts = [ground_truth_table(GroundTruthBox(BBox(k, i, k + 5, i + 5), 0, 10 * k + i, k) for i in range(10))
+           for k in range(300)]
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert det._boxes.nbytes <= 300 * 4 * 8  # one shared row, not 3000
     assert [list(det(k)) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)

@@ -17,8 +17,17 @@ scene exported to a COCO file, in some files without the exact corners
 (read back from COCO's x, y, w, h) or without track ids (each box its own
 track).  That run keeps the same invariants, and a file that keeps both
 gives the scene run's report and records byte for byte.
+
+A second draw sets one scene value (a trajectory's initial_bbox, velocity,
+acceleration or turn_rate, or the scene's frame_interval_ms), or the
+stream's frame_interval_ms, of an accepted config to NaN, +-inf or 1e308.
+NaN and +-inf are rejected at load, naming the key.  1e308 is rejected at
+load or in build_run_data, both before any detector is built (a motion
+that overflows, or a stream clock that does, some as `dataset` sources),
+or the run completes with the invariants above.
 """
 
+import copy
 import json
 from collections import Counter
 from dataclasses import replace
@@ -233,3 +242,65 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
+
+
+# ------------------------------------------------ non-finite and huge values
+
+POISON = (float("nan"), float("inf"), float("-inf"), 1e308)
+POISONED_KEYS = ("initial_bbox", "velocity", "acceleration", "turn_rate", "frame_interval_ms", "stream frame_interval_ms")
+
+
+def poisoned(rng, data: dict, value: float) -> tuple[str, dict]:
+    """A copy of `data` with one scene value, or the stream's
+    frame_interval_ms, set to `value` (one coordinate of a list).  Returns
+    the key and the copy."""
+    data = copy.deepcopy(data)
+    key = POISONED_KEYS[int(rng.integers(0, len(POISONED_KEYS)))]
+    scene = data["scene"]
+    traj = scene["trajectories"][int(rng.integers(0, len(scene["trajectories"])))]
+    if key == "stream frame_interval_ms":
+        data["stream"]["frame_interval_ms"] = value
+    elif key in ("frame_interval_ms", "turn_rate"):
+        (scene if key == "frame_interval_ms" else traj)[key] = value
+    else:
+        coords = list(traj.get(key, [0.0, 0.0]))
+        coords[int(rng.integers(0, len(coords)))] = value
+        traj[key] = coords
+    return key, data
+
+
+def test_non_finite_and_huge_values_are_rejected_before_any_detector_call_or_run(tmp_path):
+    rng = np.random.default_rng(SEED + 3)
+    outcomes = Counter()
+    for i in range(100):
+        data = draw_config(rng)
+        try:
+            cfg = run_config_from_dict(data)
+        except ValueError:
+            continue  # only accepted configs are poisoned, so that a rejection is the poison's
+        as_file = cfg.detector_kind != "pyramid" and rng.random() < 0.5
+        if as_file:  # the stream's interval over a dataset, whose frame count load does not know
+            export_scenario(generate_scenario(cfg.scene), cfg.scene, tmp_path / f"{i}.json")
+        for value in POISON:
+            key, bad = poisoned(rng, data, value)
+            if as_file and key == "stream frame_interval_ms":
+                bad = {**{k: v for k, v in bad.items() if k != "scene"}, "dataset": str(tmp_path / f"{i}.json")}
+            try:
+                bad_cfg = run_config_from_dict(bad)
+            except ValueError as exc:
+                if value != 1e308:
+                    assert isinstance(exc, InvalidConfig) and key.split()[-1] in str(exc), (bad, exc)
+                outcomes["rejected at load", repr(value)] += 1
+                continue
+            assert value == 1e308, bad  # NaN and +-inf never load
+            try:
+                build_run_data(bad_cfg)
+            except InvalidConfig as exc:
+                assert "frame_interval_ms" in str(exc) or "horizon_frames" in str(exc), (bad, exc)
+                outcomes["rejected in build_run_data", "dataset" in bad] += 1
+                continue
+            run_with_invariants(bad_cfg, bad, tmp_path / f"{i}-{key}")  # must not raise: the config was accepted
+            outcomes["ran", key] += 1
+    assert all(outcomes["rejected at load", repr(value)] > 0 for value in POISON), outcomes
+    assert outcomes["rejected in build_run_data", True] > 0, outcomes  # a dataset's overflowing clock
+    assert sum(n for (outcome, _), n in outcomes.items() if outcome == "ran") > 0, outcomes  # 1e308 that fits

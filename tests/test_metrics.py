@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from longshort.scenarios import (
     TrajectorySpec,
     bundled_scene,
     generate_scenario,
-    gts_by_frame,
 )
 from longshort.streaming import EvalPairing, PredictionRecord
 from oracles import grid_count_iou, oracle_greedy_match, oracle_sap_report, reference_sap_report
@@ -41,22 +42,35 @@ def det(x0, y0, x1, y1, score=1.0, cat=0):
     return Detection(BBox(x0, y0, x1, y1), category=cat, score=score)
 
 
+def shifted(box, dx):
+    return BBox(box.x_min + dx, box.y_min + 0.0, box.x_max + dx, box.y_max + 0.0)
+
+
 def pairings_from_dets(det_lists):
-    """Wrap per-frame detection lists as identity pairings."""
+    """Wrap per-frame detections (a table or a list) as identity pairings."""
     out = []
     for k, dets in enumerate(det_lists):
-        rec = PredictionRecord(k, k * 33.33, k * 33.33, tuple(dets))
+        rec = PredictionRecord(k, k * 33.33, k * 33.33, detection_table(dets))
         out.append(EvalPairing(k, rec))
     return out
 
 
+def tables(gts):
+    """One ground-truth table per frame of boxes."""
+    return [ground_truth_table(frame) for frame in gts]
+
+
 def report_via(det_lists, gts):
-    return compute_sap_report(pairings_from_dets(det_lists), gts)
+    return compute_sap_report(pairings_from_dets(det_lists), tables(gts))
+
+
+def scene_gts(scene):
+    return [gts for _, gts in generate_scenario(scene)]
 
 
 def uniform_scene_gts(v=(5.0, 0.0), n=10, box=(0, 0, 20, 20), width=400, height=200):
     traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(*box), velocity=v)
-    return gts_by_frame(generate_scenario(SyntheticScene(n, 33.33, width, height, (traj,))))
+    return scene_gts(SyntheticScene(n, 33.33, width, height, (traj,)))
 
 
 # ------------------------------------------------------------ _iou_matrix
@@ -176,7 +190,7 @@ def test_ap_ignores_gt_outside_area_range():
 
 
 def test_zero_latency_oracle_scores_perfectly():
-    gts = gts_by_frame(generate_scenario(bundled_scene("uniform")))
+    gts = scene_gts(bundled_scene("uniform"))
     detector = DelayedGtDetector(gts, 0)
     report = report_via([detector(k) for k in range(len(gts))], gts)
     assert report.sap == report.sap50 == report.sap75 == 1.0
@@ -279,9 +293,9 @@ def random_eval_scene(rng, max_frames=7):
                 # lower-scored one on the second shows which of them it took
                 g = frame_gts[0]
                 step = float(rng.integers(1, 4))
-                twin = g.bbox.shifted(2 * step, 0.0)
+                twin = shifted(g.bbox, 2 * step)
                 frame_gts.append(GroundTruthBox(twin, g.category, len(frame_gts), k))
-                frame_dets.append(Detection(g.bbox.shifted(step, 0.0), g.category, 1.0))
+                frame_dets.append(Detection(shifted(g.bbox, step), g.category, 1.0))
                 frame_dets.append(Detection(twin, g.category, 0.5))
             for _ in range(int(rng.integers(0, 4))):
                 cats = [c for c in range(n_cats) if c != undetected]
@@ -289,7 +303,7 @@ def random_eval_scene(rng, max_frames=7):
             if frame_dets and rng.random() < 0.4:
                 frame_dets.append(frame_dets[int(rng.integers(len(frame_dets)))])
         gts.append(frame_gts)
-        record = None if rng.random() < 0.1 else PredictionRecord(k, k * 33.33, k * 33.33, tuple(frame_dets))
+        record = None if rng.random() < 0.1 else PredictionRecord(k, k * 33.33, k * 33.33, detection_table(frame_dets))
         pairings.append(EvalPairing(k, record))
     if not any(gts):
         gts[0].append(gt(*box(), cat=0, frame=0))
@@ -301,7 +315,7 @@ def test_report_text_is_byte_identical_to_scalar_reference_engine():
     rng = np.random.default_rng(2020)
     for trial in range(200):
         pairings, gts, cap = random_eval_scene(rng)
-        got = report_to_text(compute_sap_report(pairings, gts, max_dets_per_frame=cap))
+        got = report_to_text(compute_sap_report(pairings, tables(gts), max_dets_per_frame=cap))
         assert got == report_to_text(reference_sap_report(pairings, gts, max_dets_per_frame=cap)), trial
 
 
@@ -329,7 +343,7 @@ def test_batched_report_is_byte_identical_to_both_scalar_references(monkeypatch,
     seen = Counter()
     for trial in range(25):
         pairings, gts, cap = random_eval_scene(rng, max_frames=30)
-        got = report_to_text(compute_sap_report(pairings, gts, max_dets_per_frame=cap))
+        got = report_to_text(compute_sap_report(pairings, tables(gts), max_dets_per_frame=cap))
         assert got == report_to_text(reference_sap_report(pairings, gts, max_dets_per_frame=cap)), trial
         assert got == report_to_text(oracle_report(pairings, gts, cap)), trial
         cats = {g.category for frame in gts for g in frame}
@@ -349,7 +363,7 @@ def test_sap50_always_upper_bounds_sap():
     # AP is non-increasing in the IoU threshold, so the 0.50 number bounds
     # the 10-threshold mean from above.  This direction is a theorem.
     for name in ("uniform", "accelerating", "mixed"):
-        gts = gts_by_frame(generate_scenario(bundled_scene(name)))
+        gts = scene_gts(bundled_scene(name))
         for latency in (0, 1, 2, 3):
             detector = DelayedGtDetector(gts, latency)
             report = report_via([detector(k) for k in range(len(gts))], gts)
@@ -360,7 +374,7 @@ def test_threshold_ordering_with_spread_ious():
     # With overlap quality spread across the threshold range the familiar
     # sAP50 >= sAP >= sAP75 ordering holds.
     for name, latency in (("uniform", 2), ("accelerating", 1), ("accelerating", 2), ("mixed", 2)):
-        gts = gts_by_frame(generate_scenario(bundled_scene(name)))
+        gts = scene_gts(bundled_scene(name))
         detector = DelayedGtDetector(gts, latency)
         report = report_via([detector(k) for k in range(len(gts))], gts)
         assert report.sap50 >= report.sap >= report.sap75, (name, latency)
@@ -370,7 +384,7 @@ def test_sap75_can_exceed_sap_when_ious_cluster_above_075():
     # Deliberate counterexample to "sAP >= sAP75 always": every overlap on
     # this scene at staleness 1 lies in (0.75, 0.97), so the 0.75 threshold
     # scores perfectly while the stricter thresholds drag the mean down.
-    gts = gts_by_frame(generate_scenario(bundled_scene("uniform")))
+    gts = scene_gts(bundled_scene("uniform"))
     detector = DelayedGtDetector(gts, 1)
     report = report_via([detector(k) for k in range(len(gts))], gts)
     assert report.sap75 == 1.0
@@ -413,17 +427,17 @@ def test_duplicate_detection_never_improves_ap():
 def test_max_detections_cap():
     gts = [[gt(0, 0, 10, 10)]]
     dets = [[det(0, 0, 10, 10, score=0.3)] + [det(40, 40, 50, 50, score=0.9)] * 3]
-    capped = compute_sap_report(pairings_from_dets(dets), gts, max_dets_per_frame=2)
+    capped = compute_sap_report(pairings_from_dets(dets), tables(gts), max_dets_per_frame=2)
     # the low-scoring true positive is dropped by the cap
     assert capped.sap == 0.0
-    uncapped = compute_sap_report(pairings_from_dets(dets), gts)
+    uncapped = compute_sap_report(pairings_from_dets(dets), tables(gts))
     assert uncapped.sap > 0.0
 
 
 def test_empty_pairing_counts_as_no_detections():
     gts = [[gt(0, 0, 10, 10)], [gt(0, 0, 10, 10)]]
     pairings = [EvalPairing(0, None), pairings_from_dets([[], [det(0, 0, 10, 10)]])[1]]
-    report = compute_sap_report(pairings, gts)
+    report = compute_sap_report(pairings, tables(gts))
     assert report.sap == pytest.approx(0.5, abs=1e-2)  # one of two GTs covered
 
 
@@ -442,3 +456,15 @@ def test_report_text_and_csv_round_trip():
     assert len(row.split(",")) == 6
     table = report_to_human_table(report)
     assert table.splitlines()[0].split(" | ")[0].strip() == "sAP"
+
+
+# ------------------------------------------------------------ README example
+
+
+def test_readme_library_example_scores_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = [block for block in re.findall(r"```python\n(.*?)```", readme, re.S) if "compute_sap_report(" in block]
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["report"].sap == 1.0
+    assert namespace["record"].detections[0] == Detection(BBox(0, 0, 10, 10), category=0, score=0.9)

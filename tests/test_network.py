@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from longshort.boxes import detection_table
 from longshort.fusion import FusionSettings, FusionVariant, init_weights, fuse, plan_channels
 from longshort.network import (
     BlobHead,
@@ -15,7 +19,8 @@ from longshort.network import (
     _block_reduce_mean,
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
-from longshort.scenarios import bundled_scene, frames_of, generate_scenario
+from longshort.scenarios import bundled_scene, generate_scenario
+from oracles import reference_blob_detect
 
 
 def tiny_maps(value: float) -> tuple:
@@ -36,7 +41,7 @@ class RecordingHead:
 
     def predict(self, pyramid):
         self.pyramids.append(pyramid)
-        return []
+        return detection_table(())
 
 
 # ---------------------------------------------------------------- buffer
@@ -266,6 +271,31 @@ def test_blob_head_recovers_rectangles_through_identity_fusion():
     assert 0.0 <= d.score <= 1.0
 
 
+def test_blob_head_matches_the_per_label_reference_decoder_bit_for_bit():
+    rng = np.random.default_rng(12)
+    seen = Counter()
+    for trial in range(300):
+        height, width = (int(n) for n in rng.integers(1, 24, size=2))
+        density = rng.uniform(0.0, 0.7)  # 0 gives no blobs, high values blobs touching the edges
+        level = rng.uniform(-0.5, 2.5, size=(2, height, width)) * (rng.random((1, height, width)) < density)
+        level *= rng.choice([-1.0, 1.0], p=[0.2, 0.8])  # negated, with a threshold below 0: scores clamped to 0
+        threshold = float(rng.choice([-1.0, -0.2, 0.0, 0.3, 0.9, 1.4]))  # above 1: every score is clamped to 1
+        head = BlobHead(threshold=threshold, category=int(rng.integers(0, 5)))
+        got = head.predict(FeaturePyramid((level, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))))
+        saliency = level.mean(axis=0)
+        want = reference_blob_detect(saliency, threshold, head.category, PYRAMID_RATES[0])
+        assert list(got) == want, trial
+        labels = ndimage.label(saliency > threshold)[0]
+        diagonal = (labels[1:, 1:] * labels[:-1, :-1] > 0) & (labels[1:, 1:] != labels[:-1, :-1])
+        edge = PYRAMID_RATES[0] * np.array([0, 0, width, height])
+        seen.update(
+            trials=1, no_blobs=not want, diagonal_neighbours=bool(diagonal.any()),
+            touches_edge=any(np.any(np.array(d.bbox.as_tuple()) == edge) for d in want),
+            clamped_above=any(d.score == 1.0 for d in want), clamped_below=any(d.score == 0.0 for d in want),
+        )
+    assert all(seen[k] > 10 for k in ("no_blobs", "diagonal_neighbours", "touches_edge", "clamped_above", "clamped_below")), seen
+
+
 # ---------------------------------------------------------- head contract
 
 
@@ -275,7 +305,7 @@ class AllLevelsBlobHead(BlobHead):
 
 def test_blob_head_detections_do_not_depend_on_unused_levels():
     scene = bundled_scene("mixed")
-    frames = frames_of(generate_scenario(scene))
+    frames = [frame for frame, _ in generate_scenario(scene)]
     base = run_config_from_dict(
         {"scene_name": "mixed", "detector": {"kind": "pyramid", "model_size": "S", "weight_seed": 3}}
     )

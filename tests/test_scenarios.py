@@ -1,5 +1,8 @@
 import math
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from longshort.boxes import BBox
@@ -14,6 +17,7 @@ from longshort.scenarios import (
     generate_scenario,
     scene_from_dict,
 )
+from oracles import reference_scene_ground_truth
 
 
 def one_track_scene(traj, n_frames=8, width=200, height=100):
@@ -43,12 +47,12 @@ def test_turning_rotates_the_displacement_about_the_start():
     traj = TrajectorySpec(
         TrajectoryKind.TURNING, BBox(50, 50, 60, 60), velocity=(1.0, 0.0), turn_rate=math.pi / 2
     )
-    b1 = traj.box_at(1)
+    x_min, y_min, x_max, y_max = traj.corners(2)[1]
     # displacement (1, 0) rotated by pi/2 becomes (0, 1): pure downward motion
-    assert b1.center[0] == pytest.approx(55.0, abs=1e-12)
-    assert b1.center[1] == pytest.approx(56.0, abs=1e-12)
-    assert b1.width == pytest.approx(10.0)
-    assert b1.height == pytest.approx(10.0)
+    assert (x_min + x_max) / 2 == pytest.approx(55.0, abs=1e-12)
+    assert (y_min + y_max) / 2 == pytest.approx(56.0, abs=1e-12)
+    assert x_max - x_min == pytest.approx(10.0)
+    assert y_max - y_min == pytest.approx(10.0)
 
 
 def test_occlusion_window_removes_boxes():
@@ -65,7 +69,7 @@ def test_clipping_and_degenerate_trajectory():
     traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(190, 0, 210, 10), velocity=(20.0, 0.0))
     scenario = generate_scenario(one_track_scene(traj, n_frames=4))
     assert scenario[0][1][0].bbox.as_tuple() == (190.0, 0.0, 200.0, 10.0)  # clipped
-    assert scenario[1][1] == []  # fully outside
+    assert len(scenario[1][1]) == 0  # fully outside
     never_inside = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(500, 0, 510, 10), velocity=(1.0, 0.0))
     with pytest.raises(DegenerateTrajectory, match="trajectory 0"):
         one_track_scene(never_inside, n_frames=3)
@@ -152,7 +156,7 @@ def test_bundled_scenes_all_generate():
 
 
 def test_descriptor_rasterizes_boxes_as_ones():
-    desc = SceneDescriptor(20, 10, (BBox(2, 3, 6, 8),))
+    desc = SceneDescriptor(20, 10, np.array([[2.0, 3.0, 6.0, 8.0]]))
     img = desc.rasterize()
     assert img.shape == (10, 20)
     assert img[3:8, 2:6].min() == 1.0
@@ -163,3 +167,55 @@ def test_scene_needs_two_frames():
     traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(0, 0, 5, 5))
     with pytest.raises(ValueError):
         SyntheticScene(1, 33.33, 100, 100, (traj,))
+
+
+def random_scene_dict(rng):
+    n_frames = int(rng.integers(2, 30))
+    width, height = int(rng.integers(16, 200)), int(rng.integers(16, 200))
+    reach = 2.0 * max(width, height) / n_frames
+    trajectories = []
+    for _ in range(int(rng.integers(1, 6))):
+        w, h = rng.uniform(3, 30, size=2)
+        x, y = rng.uniform(-0.5 * width, width), rng.uniform(-0.5 * height, height)
+        if rng.random() < 0.3:  # whole corners, so that clipped edges meet the image's exactly
+            x, y, w, h = float(round(x)), float(round(y)), float(round(w)), float(round(h))
+        turning = rng.random() < 0.5
+        trajectories.append({
+            "kind": "turning" if turning else "uniform", "initial_bbox": [x, y, x + w, y + h],
+            "velocity": list(rng.uniform(-reach, reach, size=2)) if rng.random() < 0.9 else [-0.0, 0.0],
+            "acceleration": list(rng.uniform(-reach, reach, size=2) / n_frames) if rng.random() < 0.5 else None,
+            "turn_rate": float(rng.uniform(-3, 3)) if turning else None,
+            "occlusion_window": [int(v) for v in rng.integers(-n_frames, n_frames, size=2)] if rng.random() < 0.5 else None,
+            "category": int(rng.integers(0, 3)),
+            "track_id": int(rng.integers(0, 9)) if rng.random() < 0.3 else None,
+        })
+    return {"n_frames": n_frames, "width": width, "height": height, "trajectories": trajectories}
+
+
+def spec_of(traj: dict) -> TrajectorySpec:
+    parse = {"kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*v), "velocity": tuple, "acceleration": tuple,
+             "occlusion_window": tuple}
+    return TrajectorySpec(**{k: parse.get(k, lambda v: v)(v) for k, v in traj.items() if v is not None})
+
+
+def test_scene_walk_matches_the_frame_by_frame_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    built = rejected = 0
+    for trial in range(300):
+        data = random_scene_dict(rng)
+        try:
+            scene = scene_from_dict(data)
+        except DegenerateTrajectory as exc:
+            # the reference walk shows no box of the trajectory named, and some of each before it
+            named = int(re.match(r"trajectory (\d+) never appears", str(exc))[1])
+            for i, traj in enumerate(data["trajectories"][:named + 1]):
+                alone = SimpleNamespace(**{**data, "trajectories": [spec_of(traj)]})
+                assert any(reference_scene_ground_truth(alone)) == (i < named), trial
+            rejected += 1
+            continue
+        want = reference_scene_ground_truth(scene)
+        for (frame, gts), frame_want in zip(generate_scenario(scene), want):
+            assert repr(list(gts)) == repr(frame_want), trial  # repr keeps the sign of a zero, which == does not
+            assert np.array_equal(frame.pixels.boxes, gts.boxes)
+        built += 1
+    assert built > 100 and rejected > 10, (built, rejected)

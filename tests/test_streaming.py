@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from longshort.boxes import BBox, Detection
+from longshort.boxes import BBox, Detection, detection_table
 from longshort.network import Frame
 from longshort.streaming import (
     ConstantLatency,
@@ -22,11 +22,11 @@ INTERVAL = 33.33
 
 
 def null_detector(k):
-    return []
+    return detection_table(())
 
 
 def tagged_detector(k):
-    return [Detection(BBox(k, 0, k + 1, 1), category=0, score=1.0)]
+    return detection_table([Detection(BBox(k, 0, k + 1, 1), category=0, score=1.0)])
 
 
 def stream(latency_ms, horizon=12, policy=DispatchPolicy.LATEST_FRAME_ON_FREE):
@@ -43,7 +43,7 @@ def per_frame_records(latency_ms, n):
     """Synthetic per-frame record list: every frame completes at arrival +
     latency (the constant-latency pairing abstraction)."""
     return [
-        PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency_ms, tuple(tagged_detector(k)))
+        PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency_ms, tagged_detector(k))
         for k in range(n)
     ]
 
@@ -240,4 +240,4 @@ def test_stream_config_validation():
     with pytest.raises(ValueError, match="latency_per_frame_ms has 2 values, fewer than the 3 frames"):
         StreamConfig(horizon_frames=3, latency_model=PerFrameLatency((1.0, 2.0)))
     with pytest.raises(ValueError):
-        PredictionRecord(0, 10.0, 5.0, ())
+        PredictionRecord(0, 10.0, 5.0, detection_table(()))
