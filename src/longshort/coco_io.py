@@ -13,6 +13,7 @@ prefers when present, keeping scene round-trips bit-exact.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -148,6 +149,10 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
 
     info = data.get("info", {})
     interval = info.get("frame_interval_ms") if isinstance(info, dict) else None
+    if interval is not None and (
+        isinstance(interval, bool) or not isinstance(interval, (int, float)) or not 0 < interval <= sys.float_info.max
+    ):
+        raise ParseError(f"{path}: info.frame_interval_ms must be a finite number > 0, got {interval!r}")
     return CocoDataset(
         images=tuple(images),
         gts_by_frame=gts,

@@ -17,12 +17,15 @@ Maps are plain (C, H, W) float64 arrays.  fuse() checks its inputs' shapes
 and finiteness; fuse_projected() trusts them, so the network's hot path
 runs no per-operation check (its extractor checks each frame's pixels).
 
-fuse_projected() allocates one buffer per call, as wide as the branches'
-concatenation: the short projection is written straight into its first
-rows (project_1x1 with out=), the projected history is copied into the rows
-after it, and the EfDil history sum and the EfAvg sum accumulate in place,
-left to right.  The output projection reads that buffer, and the residual is
-added in place.  Only arrays the call allocated are written: never the
+fuse_projected() writes every branch into one concatenation buffer, as wide
+as the branches together: the short projection straight into its first rows
+(project_1x1 with out=), the projected history copied into the rows after
+it, and the EfDil history sum and the EfAvg sum accumulated in place, left
+to right.  The output projection reads that buffer, and the residual is
+added in place.  A caller that fuses frame after frame may lend it a
+workspace to hold the concatenation, and project_history() an out= array to
+hold a projection, so that the same arrays serve every frame; the fused map
+it returns is always a fresh array.  Nothing else is written: never the
 current map or a history map, which the network's buffer keeps (for EfAvg,
 whose history projection is the identity, those are the extractor's maps).
 """
@@ -213,16 +216,25 @@ def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
     return w
 
 
-def project_history(cfg: LsfmConfig, w: LsfmWeights, fmap: np.ndarray) -> np.ndarray:
+def project_history(
+    cfg: LsfmConfig, w: LsfmWeights, fmap: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The part of fusion that depends on one history map alone: the shared
-    long projection (EfDil, LfDil) or avg projection (LfAvg).  It is the
-    identity for EfAvg, which sums raw maps, and for a branch whose planned
-    width is zero, which fuse_projected() never reads."""
-    if cfg.variant is FusionVariant.EF_AVG or plan_channels(cfg).long_out == 0:
+    long projection (EfDil, LfDil) or avg projection (LfAvg), written into
+    out when given (see project_1x1).  It is the identity for EfAvg, which
+    sums raw maps, and for a branch whose planned width is zero, which
+    fuse_projected() never reads; those return fmap itself and leave out
+    untouched."""
+    if history_is_identity(cfg):
         return fmap
     if cfg.variant is FusionVariant.LF_AVG:
-        return project_1x1(fmap, _require(w.avg_proj, "avg"))
-    return project_1x1(fmap, _require(w.long_proj, "long"))
+        return project_1x1(fmap, _require(w.avg_proj, "avg"), out=out)
+    return project_1x1(fmap, _require(w.long_proj, "long"), out=out)
+
+
+def history_is_identity(cfg: LsfmConfig) -> bool:
+    """Whether project_history() returns its map unchanged."""
+    return cfg.variant is FusionVariant.EF_AVG or plan_channels(cfg).long_out == 0
 
 
 def fuse(
@@ -261,12 +273,18 @@ def fuse_projected(
     current: np.ndarray,
     projected_current: Optional[np.ndarray],
     projected_history: Sequence[np.ndarray],
+    workspace: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """fuse() for maps that already went through project_history(), so a
     caller that keeps them can project each frame once.  projected_current
     is project_history() of the current map; only LfAvg reads it, and other
     variants may pass None.  Inputs are trusted to have the shapes and the
-    finite values fuse() checks."""
+    finite values fuse() checks.
+
+    workspace, a C-contiguous float64 (pre_projection_total, H, W) array,
+    holds the concatenation when the plan has an output projection, in
+    place of a fresh buffer; without one the concatenation is the fused map,
+    which is always fresh, so the workspace is left unused."""
     shape = (cfg.d, *current.shape[1:])
     if cfg.variant is FusionVariant.EF_AVG:
         # A plain sum including the current frame, left to right; the
@@ -277,7 +295,10 @@ def fuse_projected(
         return fused
 
     plan = plan_channels(cfg)
-    concat = np.empty((plan.pre_projection_total, *shape[1:]))
+    if workspace is not None and plan.needs_output_projection:
+        concat = workspace
+    else:
+        concat = np.empty((plan.pre_projection_total, *shape[1:]))
     row = 0
     if plan.short_out > 0 and cfg.variant is not FusionVariant.LF_AVG:
         project_1x1(current, _require(w.short_proj, "short"), out=concat[: plan.short_out])

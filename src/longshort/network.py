@@ -13,8 +13,18 @@ pixels when it is called and keeps its own copy of them; a level is pooled
 from that copy the first time anything reads it, and kept.  step() reads
 only the levels it fuses and hands the head a pyramid with those replaced
 by their fused maps and the others still unbuilt, so BlobHead, which reads
-level 0, costs one pooled level per frame.  Fusion writes only into arrays
-it allocates, never into a pyramid's level or a buffered projected map.
+level 0, costs one pooled level per frame.
+
+Each fused level keeps two kinds of frame-size array across steps, both
+allocated at its first step.  A ring of capacity + 1 slots holds the
+projected history: each frame's projection is written into the slot of the
+frame buffered capacity + 1 steps before it, which the buffer has already
+evicted, and the buffer holds views of the slots.  A concat workspace holds
+the branches' concatenation, for a level whose plan has an output
+projection.  EfAvg, and a zero-width long branch, project history by the
+identity and have no ring.  The fused map handed to the head is a fresh
+array every step, so a head may keep its pyramids; fusion never writes
+into a pyramid's level or into a slot the buffer holds.
 
 Feature maps are plain (C, H, W) float64 arrays.  Values are checked for
 finiteness once, where they enter: the extractor rejects a frame with a
@@ -37,7 +47,15 @@ import numpy as np
 from scipy import ndimage
 
 from .boxes import DetectionTable
-from .fusion import FusionSettings, fuse_projected, init_weights, plan_channels, project_history
+from .fusion import (
+    FusionSettings,
+    LsfmConfig,
+    fuse_projected,
+    history_is_identity,
+    init_weights,
+    plan_channels,
+    project_history,
+)
 
 PYRAMID_RATES = (8, 16, 32)
 
@@ -216,6 +234,34 @@ class FeatureBuffer:
         return out
 
 
+class _FusedLevel:
+    """One fused pyramid level: its fusion config and weights, and the
+    frame-size arrays its steps reuse, allocated at its first step (and
+    again if the frame size changes): a ring of `slots` projected-history
+    maps, unless history is projected by the identity, and a concat
+    workspace, if the plan has an output projection."""
+
+    def __init__(self, cfg: LsfmConfig, weight_seed: int, slots: int):
+        self.cfg = cfg
+        self.plan = plan_channels(cfg)
+        self.weights = init_weights(cfg, self.plan, weight_seed)
+        self.slots = slots
+        self.sites: Optional[tuple[int, ...]] = None
+        self.ring: Optional[np.ndarray] = None
+        self.workspace: Optional[np.ndarray] = None
+
+    def project(self, fmap: np.ndarray, slot: int) -> np.ndarray:
+        """fmap's history projection, written into the ring's `slot`."""
+        sites = fmap.shape[1:]
+        if sites != self.sites:
+            self.sites = sites
+            if not history_is_identity(self.cfg):
+                self.ring = np.empty((self.slots, self.plan.long_out, *sites))
+            if self.plan.needs_output_projection and self.plan.pre_projection_total > 0:
+                self.workspace = np.empty((self.plan.pre_projection_total, *sites))
+        return project_history(self.cfg, self.weights, fmap, None if self.ring is None else self.ring[slot])
+
+
 @dataclass
 class DualPathNetwork:
     """The full assembly: extractor, per-level fusion, head, feature buffer.
@@ -223,7 +269,8 @@ class DualPathNetwork:
     With fusion.n_history == 0 the history path is disabled and the current
     pyramid passes straight to the head.  Otherwise fusion configs and
     weights exist only for the levels the head reads, and the buffer holds
-    one tuple of projected maps per frame, one map per fused level.
+    one tuple of projected maps per frame, one map per fused level, each a
+    view of a slot in that level's ring.
     """
 
     extractor: FeatureExtractor
@@ -236,11 +283,12 @@ class DualPathNetwork:
         if self.fusion.n_history > 0:
             channels = MODEL_CHANNELS[self.extractor.model_size]
             used = getattr(self.head, "levels_used", range(len(PYRAMID_RATES)))
-            self._levels = {}
-            for level in used:
-                cfg = self.fusion.config_for(channels[level])
-                self._levels[level] = (cfg, init_weights(cfg, plan_channels(cfg), self.weight_seed))
             self.buffer = FeatureBuffer(capacity=self.fusion.n_history * self.fusion.delta_t)
+            self._levels = {
+                level: _FusedLevel(self.fusion.config_for(channels[level]), self.weight_seed, self.buffer.capacity + 1)
+                for level in used
+            }
+            self._pushes = 0
 
     def step(self, frame: Frame) -> DetectionTable:
         """Process one frame: a single extractor call, one history
@@ -250,14 +298,15 @@ class DualPathNetwork:
         current = self.extractor.extract(frame)
         if self.fusion.n_history == 0:
             return self.head.predict(current)
-        projected = tuple(
-            project_history(cfg, w, current.levels[level]) for level, (cfg, w) in self._levels.items()
-        )
+        maps = [current.levels[level] for level in self._levels]
+        slot = self._pushes % (self.buffer.capacity + 1)  # its last frame left the buffer at the last push
+        projected = tuple(lv.project(fmap, slot) for lv, fmap in zip(self._levels.values(), maps))
         history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, projected)
         fused = {
-            level: fuse_projected(cfg, w, current.levels[level], projected[k], [h[k] for h in history])
-            for k, (level, (cfg, w)) in enumerate(self._levels.items())
+            level: fuse_projected(lv.cfg, lv.weights, fmap, projected[k], [h[k] for h in history], lv.workspace)
+            for k, ((level, lv), fmap) in enumerate(zip(self._levels.items(), maps))
         }
         dets = self.head.predict(current.replace(fused))
         self.buffer.push(frame.index, projected)
+        self._pushes += 1
         return dets

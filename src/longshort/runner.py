@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .network import BlobHead, BoxFilterExtractor, DualPathNetwork, Frame
 from .scenarios import generate_scenario
-from .streaming import StreamConfig, pair_for_eval, simulate_stream, write_records
+from .streaming import PredictionRecord, StreamConfig, pair_for_eval, simulate_stream, write_records
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ def build_run_data(cfg: RunConfig) -> RunData:
             frames = [Frame(f.index, f.index * interval, f.pixels) for f in frames]
     else:
         ds = load_coco_annotations(cfg.dataset_path)
-        interval = cfg.frame_interval_ms or ds.frame_interval_ms or 33.33
+        interval = cfg.frame_interval_ms if cfg.frame_interval_ms is not None else ds.frame_interval_ms
+        if interval is None:
+            interval = 33.33
         frames = [Frame(k, k * interval, None) for k in range(len(ds.images))]
         gts = ds.gts_by_frame
     horizon = cfg.horizon_frames if cfg.horizon_frames is not None else len(frames)
@@ -94,16 +96,7 @@ def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], DetectionTab
 
 def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
     """Simulate the stream for one configuration and score it."""
-    data = build_run_data(cfg)
-    stream_cfg = StreamConfig(
-        horizon_frames=len(data.frames),
-        latency_model=cfg.latency_model,
-        frame_interval_ms=data.frame_interval_ms,
-        dispatch_policy=cfg.dispatch_policy,
-    )
-    records = simulate_stream(stream_cfg, make_detector(cfg, data))
-    pairings = pair_for_eval(records, data.frames)
-    report = compute_sap_report(pairings, data.gts, max_dets_per_frame=cfg.max_dets_per_frame)
+    report, records = _evaluate(cfg, build_run_data(cfg))
     if write and cfg.output is not None:
         out = Path(cfg.output)
         out.mkdir(parents=True, exist_ok=True)
@@ -115,6 +108,20 @@ def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
     return report
 
 
+def _evaluate(cfg: RunConfig, data: RunData) -> tuple[SapReport, list[PredictionRecord]]:
+    """The report of one configuration on its run data, and the stream's
+    prediction records."""
+    stream_cfg = StreamConfig(
+        horizon_frames=len(data.frames),
+        latency_model=cfg.latency_model,
+        frame_interval_ms=data.frame_interval_ms,
+        dispatch_policy=cfg.dispatch_policy,
+    )
+    records = simulate_stream(stream_cfg, make_detector(cfg, data))
+    pairings = pair_for_eval(records, data.frames)
+    return compute_sap_report(pairings, data.gts, max_dets_per_frame=cfg.max_dets_per_frame), records
+
+
 @dataclass(frozen=True)
 class SweepRow:
     value: object
@@ -123,11 +130,22 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One run per sweep value, in spec order; failures land in the row."""
+    """One run per sweep value, in spec order; failures land in the row.
+    The run data is built once, from the base: a sweep value changes only
+    fusion and detector settings, which build_run_data does not read, so a
+    data error lands in every row."""
+    data = data_error = None
+    try:
+        data = build_run_data(spec.base)
+    except Exception as exc:  # reported in each row, after that row's own config errors
+        data_error = exc
     rows = []
     for value in spec.values:
         try:
-            report = run_eval(apply_sweep_value(spec, value), write=False)
+            cfg = apply_sweep_value(spec, value)
+            if data_error is not None:
+                raise data_error.with_traceback(None)  # one row's frames, not every row's
+            report, _ = _evaluate(cfg, data)
             rows.append(SweepRow(value=value, report=report, error=None))
         except Exception as exc:  # keep sweeping; the row records the failure
             rows.append(SweepRow(value=value, report=None, error=f"{type(exc).__name__}: {exc}"))

@@ -56,13 +56,13 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.kind is TrajectoryKind.ACCELERATING and self.acceleration == (0.0, 0.0):
-            raise ValueError("accelerating trajectory needs a nonzero acceleration")
+            raise InvalidConfig("accelerating trajectory needs a nonzero acceleration")
         if self.kind is TrajectoryKind.TURNING and self.turn_rate == 0.0:
-            raise ValueError("turning trajectory needs a nonzero turn_rate")
+            raise InvalidConfig("turning trajectory needs a nonzero turn_rate")
         if self.kind is TrajectoryKind.OCCLUDED and self.occlusion_window is None:
-            raise ValueError("occluded trajectory needs an occlusion_window")
+            raise InvalidConfig("occluded trajectory needs an occlusion_window")
         if self.kind is TrajectoryKind.SMALL_OBJECT and self.initial_bbox.area >= SMALL_AREA_THRESHOLD:
-            raise ValueError(
+            raise InvalidConfig(
                 f"small-object box area {self.initial_bbox.area} is not below {SMALL_AREA_THRESHOLD}"
             )
 
@@ -167,8 +167,9 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     (required), "velocity", "acceleration", "turn_rate", "occlusion_window",
     "category", "track_id"}, ...]}.  An unknown or missing key, or a value
     its key's parser refuses (every value is a number, not a string, and
-    counts are whole), is an InvalidConfig naming the key; a null takes the
-    default."""
+    counts are whole), is an InvalidConfig naming the key, and a trajectory
+    that breaks its kind's rule is one naming the trajectory; a null takes
+    the default."""
     from .config import _FINITE, _number, _parsed_section, _whole  # config imports this module
 
     def real(value) -> float:
@@ -198,10 +199,16 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         "n_frames": whole, "frame_interval_ms": real, "width": whole, "height": whole,
         "trajectories": trajectories, "seed": whole,
     }, ("n_frames", "width", "height"))
-    specs = tuple(
-        TrajectorySpec(**_parsed_section(td, f"scene trajectories[{i}]", trajectory_parsers, ("kind", "initial_bbox")))
-        for i, td in enumerate(scene.pop("trajectories", []))
-    )
+
+    def trajectory(i: int, raw) -> TrajectorySpec:
+        section = f"scene trajectories[{i}]"
+        fields = _parsed_section(raw, section, trajectory_parsers, ("kind", "initial_bbox"))
+        try:
+            return TrajectorySpec(**fields)
+        except InvalidConfig as exc:  # a rule of the trajectory's kind
+            raise InvalidConfig(f"{section}: {exc}") from None
+
+    specs = tuple(trajectory(i, td) for i, td in enumerate(scene.pop("trajectories", [])))
     return SyntheticScene(**{"frame_interval_ms": 33.33, **scene}, trajectories=specs)
 
 

@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from longshort.cli import main
+from longshort.coco_io import ParseError
 from longshort.config import (
     SweepAxis,
     SweepSpec,
@@ -12,7 +14,7 @@ from longshort.config import (
     run_config_from_dict,
 )
 from longshort.fusion import FusionVariant, InvalidConfig
-from longshort.runner import run_eval, run_sweep, sweep_to_csv
+from longshort.runner import SweepRow, build_run_data, run_eval, run_sweep, sweep_to_csv
 from longshort.streaming import ConstantLatency, PerFrameLatency
 
 
@@ -388,6 +390,44 @@ def test_overflowing_frame_interval_of_a_dataset_is_rejected_before_any_detector
             run_eval(cfg, write=False)
 
 
+@pytest.mark.parametrize("edit, match", [
+    ((4, "acceleration", [0.0, 0.0]), "accelerating trajectory needs a nonzero acceleration"),
+    ((1, "turn_rate", 0.0), "turning trajectory needs a nonzero turn_rate"),
+    ((2, "occlusion_window", None), "occluded trajectory needs an occlusion_window"),
+    ((3, "initial_bbox", [40.0, 180.0, 90.0, 230.0]), "small-object box area 2500.0 is not below 1024.0"),
+], ids=["accelerating", "turning", "occluded", "small_object"])
+def test_a_trajectory_breaking_its_kinds_rule_is_rejected_at_load_naming_it(tmp_path, edit, match):
+    i, key, value = edit
+    with pytest.raises(InvalidConfig, match=re.escape(f"scene trajectories[{i}]: {match}")):
+        example_with(tmp_path, (TRAJ + (i, key), value))
+
+
+def exported_uniform(tmp_path, **info):
+    """The bundled uniform scene exported as a COCO file, with `info` set."""
+    path = tmp_path / "ann.json"
+    assert main(["gen-scene", "--scene", "uniform", "--output", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["info"].update(info)
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("interval", [-5.0, "abc", 0, True, NAN, INF, 10**400],
+                         ids=["negative", "string", "zero", "bool", "nan", "inf", "int-beyond-float"])
+def test_a_bad_frame_interval_in_a_dataset_is_rejected_at_load_naming_file_and_key(tmp_path, monkeypatch, interval):
+    path = exported_uniform(tmp_path, frame_interval_ms=interval)
+    forbid_detectors(monkeypatch)
+    cfg = run_config_from_dict({"dataset": str(path)})
+    with pytest.raises(ParseError, match=re.escape(f"{path}: info.frame_interval_ms must be a finite number > 0")):
+        run_eval(cfg, write=False)
+
+
+def test_a_dataset_without_a_frame_interval_runs_at_the_default(tmp_path):
+    for info, want in (({"frame_interval_ms": None}, 33.33), ({"frame_interval_ms": 50}, 50)):
+        cfg = run_config_from_dict({"dataset": str(exported_uniform(tmp_path, **info))})
+        assert build_run_data(cfg).frame_interval_ms == want
+
+
 def test_a_one_frame_horizon_keeps_a_huge_frame_interval(tmp_path):
     cfg = example_with(tmp_path, (("stream", "frame_interval_ms"), 1e308), (("stream", "horizon_frames"), 1))
     assert 0.0 <= run_eval(cfg, write=False).sap <= 1.0
@@ -587,6 +627,38 @@ def test_sweep_records_per_run_failures_and_continues():
     assert rows[2].error is None
     csv_text = sweep_to_csv(spec, rows)
     assert len(csv_text.strip().splitlines()) == 4
+
+
+def per_row_sweep(spec):
+    """run_sweep as one run_eval per row, each building its own run data."""
+    rows = []
+    for value in spec.values:
+        try:
+            rows.append(SweepRow(value, run_eval(apply_sweep_value(spec, value), write=False), None))
+        except Exception as exc:
+            rows.append(SweepRow(value, None, f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+def test_a_sweep_builds_its_run_data_once(tmp_path, monkeypatch):
+    import longshort.runner as runner
+
+    loads = []
+    load = runner.load_coco_annotations
+    monkeypatch.setattr(runner, "load_coco_annotations", lambda path: loads.append(path) or load(path))
+    dataset = str(exported_uniform(tmp_path))
+    values = ((0, None), (2.5, 1), (3, 2), (1, 1))  # one value fails its own check
+    for stream in ({"latency_ms": 40.0}, {"latency_ms": 40.0, "horizon_frames": 500}):  # the second: a data error
+        base = run_config_from_dict({"dataset": dataset, "stream": stream, "detector": {"kind": "long-short"}})
+        spec = SweepSpec(SweepAxis.TEMPORAL_RANGE, base, values)
+        loads.clear()
+        rows = run_sweep(spec)
+        assert len(loads) == 1
+        assert sweep_to_csv(spec, rows) == sweep_to_csv(spec, per_row_sweep(spec))
+        errors = [row.error for row in rows]
+        assert errors[1].startswith("InvalidConfig: sweep n_history 2.5")
+        data_error = "InvalidConfig: horizon 500 exceeds the 20 available frames" if "horizon_frames" in stream else None
+        assert errors[:1] + errors[2:] == [data_error] * 3
 
 
 def test_sweep_values_override(tmp_path):

@@ -237,7 +237,8 @@ def test_fuse_projected_matches_the_concatenating_reference_bit_for_bit():
         height, width = (int(v) for v in rng.integers(1, 7, size=2))
         current = rng.standard_normal((d, height, width))
         projected_current = project_history(cfg, w, current)
-        projected = [project_history(cfg, w, rng.standard_normal((d, height, width))) for _ in range(n)]
+        raw = [rng.standard_normal((d, height, width)) for _ in range(n)]
+        projected = [project_history(cfg, w, m) for m in raw]
         inputs = [current, projected_current, *projected]
         before = [m.copy() for m in inputs]
         got = fuse_projected(cfg, w, current, projected_current, projected)
@@ -247,6 +248,14 @@ def test_fuse_projected_matches_the_concatenating_reference_bit_for_bit():
         assert np.array_equal(got, want), case
         assert all(np.array_equal(m, b) for m, b in zip(inputs, before)), case
         assert not any(np.shares_memory(got, m) for m in inputs), case
+        # lent arrays holding a previous frame's values (NaN here) give the same bits
+        plan = plan_channels(cfg)
+        out = np.full_like(projected[0], np.nan)
+        assert np.array_equal(project_history(cfg, w, raw[0], out=out), projected[0]), case
+        workspace = np.full((plan.pre_projection_total, height, width), np.nan)
+        lent = fuse_projected(cfg, w, current, projected_current, projected, workspace)
+        assert np.array_equal(lent, want), case
+        assert not np.shares_memory(lent, workspace), case
 
 
 def test_fuse_output_shape_always_d():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -200,19 +201,21 @@ def test_extractor_called_exactly_once_per_step():
 
 
 def reference_fused_pyramids(frames, model_size, settings, weight_seed, extractor_seed):
-    """No-buffer reference: re-extract every needed historical frame and fuse
-    it with the public fuse(); history before the stream start is the
-    current pyramid."""
+    """No-buffer reference: re-extract every needed historical frame, looked
+    up by frame index among `frames`, and fuse it with the public fuse();
+    history not among them (before the stream start, or a frame the stream
+    skipped) is the current pyramid."""
     ext = BoxFilterExtractor(model_size, seed=extractor_seed)
     configs = [settings.config_for(d) for d in MODEL_CHANNELS[model_size]]
     weights = [init_weights(cfg, plan_channels(cfg), weight_seed) for cfg in configs]
+    by_index = {f.index: f for f in frames}
     out = []
-    for t in range(len(frames)):
-        current = ext.extract(frames[t])
+    for frame in frames:
+        current = ext.extract(frame)
         history = []
         for i in range(1, settings.n_history + 1):
-            idx = t - i * settings.delta_t
-            history.append(ext.extract(frames[idx]) if idx >= 0 else current)
+            idx = frame.index - i * settings.delta_t
+            history.append(ext.extract(by_index[idx]) if idx in by_index else current)
         fused = tuple(
             fuse(cfg, w, current.levels[lvl], [h.levels[lvl] for h in history])
             for lvl, (cfg, w) in enumerate(zip(configs, weights))
@@ -221,24 +224,49 @@ def reference_fused_pyramids(frames, model_size, settings, weight_seed, extracto
     return out
 
 
+def skipping_frames(n, seed=8, height=40, width=48):
+    """n noise frames whose indices step ahead by 1 to 3, the way
+    latest-frame dispatch skips the frames that arrive while its worker is
+    busy."""
+    rng = np.random.default_rng(seed)
+    indices = np.cumsum(rng.integers(1, 4, size=n)) - 1
+    return [Frame(int(k), k * 33.33, rng.random((height, width))) for k in indices]
+
+
 def test_buffered_step_equals_recompute_reference():
     # The buffer holds projected history, so the pad for history before the
-    # stream start must be the projected current map, not the raw one.
-    frames = noise_frames(6)
+    # stream start must be the projected current map, not the raw one.  The
+    # skipping stream runs every ring of capacity + 1 slots round three times.
     for variant in FusionVariant:
         for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
-            settings = FusionSettings(variant, n_history=n, delta_t=dt)
-            ext = BoxFilterExtractor("S", seed=11)
-            head = RecordingHead()
-            net = DualPathNetwork(ext, head, settings, weight_seed=7)
-            for f in frames:
-                net.step(f)
-            want = reference_fused_pyramids(frames, "S", settings, 7, 11)
-            assert len(head.pyramids) == len(want)
-            for got_p, want_p in zip(head.pyramids, want):
-                for got_l, want_l in zip(got_p.levels, want_p.levels):
-                    assert np.array_equal(got_l, want_l), (variant, n, dt)
-            assert ext.calls == len(frames)
+            for residual in (True, False):
+                settings = FusionSettings(variant, n_history=n, delta_t=dt, residual=residual)
+                for frames in (noise_frames(6), skipping_frames(3 * (n * dt + 1))):
+                    ext = BoxFilterExtractor("S", seed=11)
+                    head = RecordingHead()
+                    net = DualPathNetwork(ext, head, settings, weight_seed=7)
+                    for f in frames:
+                        net.step(f)
+                    want = reference_fused_pyramids(frames, "S", settings, 7, 11)
+                    assert len(head.pyramids) == len(want)
+                    for got_p, want_p in zip(head.pyramids, want):
+                        for got_l, want_l in zip(got_p.levels, want_p.levels):
+                            assert np.array_equal(got_l, want_l), (variant, n, dt, residual)
+                    assert ext.calls == len(frames)
+
+
+def test_a_new_frame_size_gets_new_buffers():
+    # history from before the change of size is too far back to be read
+    frames = noise_frames(4) + [Frame(40, 40 * 33.33, np.random.default_rng(1).random((56, 64)))]
+    for variant in FusionVariant:
+        settings = FusionSettings(variant, n_history=3)
+        head = RecordingHead()
+        net = DualPathNetwork(BoxFilterExtractor("S", seed=11), head, settings, weight_seed=7)
+        for f in frames:
+            net.step(f)
+        want = reference_fused_pyramids(frames, "S", settings, 7, 11)
+        for got_p, want_p in zip(head.pyramids, want):
+            assert all(np.array_equal(g, w) for g, w in zip(got_p.levels, want_p.levels)), variant
 
 
 def test_history_disabled_passes_current_through():
@@ -403,13 +431,68 @@ def test_levels_are_built_from_the_pixels_as_they_were_at_extract():
         assert np.array_equal(got_l, want_l)
 
 
-@pytest.mark.parametrize("variant", [FusionVariant.EF_AVG, FusionVariant.LF_DIL])
+class KeepingHead(RecordingHead):
+    """Keeps every pyramid, and a copy of each level as predict() read it."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = []
+
+    def predict(self, pyramid):
+        self.copies.append([m.copy() for m in pyramid.levels])
+        return super().predict(pyramid)
+
+
+@pytest.mark.parametrize("variant", list(FusionVariant))
 def test_a_step_leaves_the_buffered_maps_as_they_were(variant):
-    net = DualPathNetwork(BoxFilterExtractor("S", seed=2), AllLevelsBlobHead(),
-                          FusionSettings(variant, n_history=3), weight_seed=7)
-    for f in noise_frames(6):
-        before = {k: tuple(m.copy() for m in maps) for k, maps in net.buffer.slots.items()}
+    for residual in (True, False):
+        head = KeepingHead()
+        net = DualPathNetwork(BoxFilterExtractor("S", seed=2), head,
+                              FusionSettings(variant, n_history=3, residual=residual), weight_seed=7)
+        for f in noise_frames(3 * (3 + 1)):
+            before = {k: tuple(m.copy() for m in maps) for k, maps in net.buffer.slots.items()}
+            net.step(f)
+            for k, maps in before.items():
+                if k in net.buffer.slots:
+                    assert all(np.array_equal(m, b) for m, b in zip(net.buffer.slots[k], maps)), (variant, f.index, k)
+        # the head kept every pyramid it was handed; later steps changed none
+        for k, (kept, copies) in enumerate(zip(head.pyramids, head.copies)):
+            assert all(np.array_equal(m, c) for m, c in zip(kept.levels, copies)), (variant, residual, k)
+
+
+class LevelZeroReader:
+    levels_used = (0,)
+
+    def predict(self, pyramid):
+        pyramid.levels[0]
+        return detection_table(())
+
+
+def last_step_peak(net, frames) -> int:
+    """Bytes the last frame's step allocated at its peak, above what was
+    allocated before it, as tracemalloc counts them."""
+    for f in frames[:-1]:
         net.step(f)
-        for k, maps in before.items():
-            if k in net.buffer.slots:
-                assert all(np.array_equal(m, b) for m, b in zip(net.buffer.slots[k], maps)), (variant, f.index, k)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net.step(frames[-1])
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_step_after_the_ring_fills_allocates_no_concat_buffer_or_projected_map():
+    settings = FusionSettings(FusionVariant.LF_DIL, n_history=3)
+    rng = np.random.default_rng(3)
+    frames = [Frame(k, k * 33.33, rng.random((480, 640))) for k in range(3 * (3 + 1))]
+    d = MODEL_CHANNELS["S"][0]
+    plan = plan_channels(settings.config_for(d))
+    assert plan.needs_output_projection
+    map_bytes = 8 * 60 * 80  # per channel of a level-0 map
+    fusing = last_step_peak(DualPathNetwork(BoxFilterExtractor("S"), LevelZeroReader(), settings, weight_seed=3), frames)
+    bypass = last_step_peak(DualPathNetwork(BoxFilterExtractor("S"), LevelZeroReader(), FusionSettings(n_history=0)), frames)
+    # Beyond what the unfused step holds (the pixels and level 0), fusion
+    # allocates the fused map the head gets, and neither a concatenation
+    # (pre_projection_total channels) nor a projected map (long_out).
+    assert fusing - bypass < (d + min(plan.long_out, plan.pre_projection_total)) * map_bytes, (fusing, bypass)
