@@ -5,9 +5,14 @@ that real datasets ship, so both feed one evaluation path.  Ingestion orders
 images by id to obtain frame indices, converts (x, y, w, h) boxes to corner
 form, and ignores unknown fields; it reads the annotations column by column
 into one GroundTruthTable per frame, so an error names the annotation's
-index but no box is built as an object.  Exports additionally carry an
-exact corner quadruple per annotation ("bbox_corners") which ingestion
-prefers when present, keeping scene round-trips bit-exact.
+index but no box is built as an object.  Every entry of images, annotations
+and categories must be an object, and every id and image size a whole
+number, as config counts are read: a string, a null, a bool or a fractional
+value is rejected naming the entry and key (images[i].width, say), checked
+a column at a time.  Exports additionally carry an exact corner quadruple
+per annotation ("bbox_corners") which ingestion prefers when present,
+keeping scene round-trips bit-exact; the indented JSON is streamed to the
+file, not built as one string first.
 """
 
 from __future__ import annotations
@@ -56,24 +61,67 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _column(anns: list, key: str, rows: Optional[list[int]] = None) -> list:
-    """Every annotation's `key`, or the MissingField of the first without it;
-    rows[j] is the index in the file of anns[j] (default j)."""
+def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
+    """data[key], a list (or [] when optional and absent); its entries are
+    checked as objects by the first _column read of them."""
+    entries = _need(data, key, str(path)) if required else data.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: {key} must be a list, got {entries!r}")
+    return entries
+
+
+def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[int]] = None, default=None) -> list:
+    """Every object's `key`, or default[j] where objs[j] has none (when a
+    default is given).  A ParseError names the first entry that is not an
+    object, then a MissingField the first without the key; rows[j] is the
+    index in the file of objs[j] (default j)."""
     try:
-        return [ann[key] for ann in anns]
-    except (KeyError, TypeError):
-        j = next(j for j, ann in enumerate(anns) if not isinstance(ann, dict) or key not in ann)
-        raise MissingField(f"missing field {key!r} in annotations[{j if rows is None else rows[j]}]") from None
+        return [obj[key] for obj in objs]
+    except (KeyError, TypeError):  # a JSON value other than an object raises TypeError
+        pass
+    rows = range(len(objs)) if rows is None else rows
+    j = next((j for j, obj in enumerate(objs) if type(obj) is not dict), None)
+    if j is not None:
+        raise ParseError(f"{path}: {table}[{rows[j]}] must be an object, got {objs[j]!r}")
+    if default is not None:
+        return [obj.get(key, d) for obj, d in zip(objs, default)]
+    j = next(j for j, obj in enumerate(objs) if key not in obj)
+    raise MissingField(f"missing field {key!r} in {table}[{rows[j]}]")
+
+
+def _is_whole(value) -> bool:
+    # type(True) is bool, so neither a bool nor a string nor a null passes
+    return (type(value) is int or type(value) is float and value.is_integer()) and -(2**63) <= value < 2**63
+
+
+def _whole(path: Path, values: list, table: str, key: str) -> np.ndarray:
+    """values as an int64 column, or a ParseError naming the first that is
+    not a whole number, the rule config counts follow: a fractional value is
+    rejected, not truncated."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    j = next((j for j, v in enumerate(values) if not _is_whole(v)), None)
+    if j is not None:
+        raise ParseError(f"{path}: {table}[{j}].{key} must be a 64-bit whole number, got {values[j]!r}")
+    return np.array([int(v) for v in values], dtype=np.int64)
+
+
+def _ids(path: Path, objs: list, table: str, key: str, default=None) -> np.ndarray:
+    """Every object's `key` as an int64 column (see _column and _whole)."""
+    return _whole(path, _column(path, objs, key, table, default=default), table, key)
 
 
 def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundTruthTable, ...]:
     """One ground-truth table per image of `image_ids` (sorted), each in
     annotation order, filled column by column."""
-    ids = np.array(_column(anns, "image_id"), dtype=np.int64)
-    category = np.array(_column(anns, "category_id"), dtype=np.int64)
+    ids = _ids(path, anns, "annotations", "image_id")
+    category = _ids(path, anns, "annotations", "category_id")
     corners = [ann.get("bbox_corners") for ann in anns]
     xywh = [i for i, c in enumerate(corners) if c is None] if None in corners else []
-    for i, box in zip(xywh, _column([anns[i] for i in xywh], "bbox", xywh)):
+    for i, box in zip(xywh, _column(path, [anns[i] for i in xywh], "bbox", "annotations", xywh)):
         corners[i] = box
     try:
         four = set(map(len, corners)) <= {4}
@@ -84,9 +132,10 @@ def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundT
         raise ParseError(f"{path}: annotations[{i}]: a box takes 4 numbers, got {corners[i]!r}")
     boxes = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
     boxes[xywh, 2:] += boxes[xywh, :2]  # (x, y, w, h) -> corners
-    track_id = np.array(
-        [ann["track_id"] if "track_id" in ann else ann.get("id", i) for i, ann in enumerate(anns)], dtype=np.int64
-    )
+    # an annotation without a track_id is its own track, keyed by its id
+    # (by its index without one)
+    ann_id = _ids(path, anns, "annotations", "id", default=range(len(anns)))
+    track_id = _ids(path, anns, "annotations", "track_id", default=ann_id.tolist())
 
     known = np.array(image_ids, dtype=np.int64)
     unknown = ~np.isin(ids, known)
@@ -122,30 +171,22 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
 
-    images_raw = _need(data, "images", str(path))
-    anns_raw = _need(data, "annotations", str(path))
+    images_raw = _entries(path, data, "images")
+    anns_raw = _entries(path, data, "annotations")
+    cats_raw = _entries(path, data, "categories", required=False)
 
-    images = []
-    for i, img in enumerate(images_raw):
-        where = f"images[{i}]"
-        images.append(
-            CocoImage(
-                id=int(_need(img, "id", where)),
-                width=int(_need(img, "width", where)),
-                height=int(_need(img, "height", where)),
-                file_name=str(img.get("file_name", "")),
-            )
-        )
-    images.sort(key=lambda im: im.id)
-    if len({im.id for im in images}) != len(images):
+    id_, width, height = (_ids(path, images_raw, "images", key).tolist() for key in ("id", "width", "height"))
+    images = sorted(
+        (CocoImage(i, w, h, str(img.get("file_name", ""))) for i, w, h, img in zip(id_, width, height, images_raw)),
+        key=lambda im: im.id,
+    )
+    if len(set(id_)) != len(images):
         raise ParseError(f"{path}: duplicate image ids")
 
     gts = _ground_truth(path, anns_raw, [im.id for im in images])
 
-    categories = {}
-    for j, cat in enumerate(data.get("categories", [])):
-        cid = int(_need(cat, "id", f"categories[{j}]"))
-        categories[cid] = str(cat.get("name", f"category_{cid}"))
+    cids = _ids(path, cats_raw, "categories", "id").tolist()
+    categories = {cid: str(cat.get("name", f"category_{cid}")) for cid, cat in zip(cids, cats_raw)}
 
     info = data.get("info", {})
     interval = info.get("frame_interval_ms") if isinstance(info, dict) else None
@@ -208,4 +249,7 @@ def export_scenario(
     scene: SyntheticScene,
     path: Union[str, Path],
 ) -> None:
-    Path(path).write_text(json.dumps(scenario_to_coco(scenario, scene), indent=2) + "\n")
+    """Write the scene's COCO dict to path as indented JSON."""
+    with Path(path).open("w") as fp:
+        json.dump(scenario_to_coco(scenario, scene), fp, indent=2)
+        fp.write("\n")

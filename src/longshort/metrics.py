@@ -14,7 +14,9 @@ with a mask; the IoUs of all its query frames go in one padded (frames, D,
 G) block, as COCO's evaluator caches IoUs per image and category, and one
 greedy walk over score rank matches every frame at all ten thresholds.
 Each category's pool is score-sorted once into a (category, threshold,
-area range) AP table that every report field is read from.
+area range) AP table that every report field is read from; the table's
+rows are computed together, from the true positives of one (ranges x
+thresholds, detections) block.
 """
 
 from __future__ import annotations
@@ -115,37 +117,54 @@ def _match_pooled(det_boxes, scores, det_query, gt_boxes, gt_query, thrs) -> np.
     return matched
 
 
-def _ap(is_tp: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP of detections in descending score order."""
-    if not len(is_tp):
-        return 0.0
-    tp = np.cumsum(is_tp)
-    precision = tp / np.arange(1, len(tp) + 1)
-    # Right-to-left precision envelope read at the recall grid; grid points
-    # beyond the last recall read the appended 0.
-    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    total = 0.0
-    for v in envelope[np.searchsorted(tp / n_gt, RECALL_POINTS, side="left")].tolist():
-        total += v  # sequential on purpose: np.sum pairs terms and changes bits
-    return total / len(RECALL_POINTS)
-
-
 def _ap_table(scores: np.ndarray, matched: np.ndarray, gt_areas: np.ndarray, area_ranges) -> list[list]:
-    """AP per [area range][threshold] of one category's pooled detections:
-    scores (N,) and matched (T, N) (pooled ground-truth index or -1) in
-    pooling order, gt_areas (M,) of the pooled ground truth.  Ground truth
-    outside a range is ignored, a detection matched to it is neither true
-    nor false positive, and a range with no ground truth reads None."""
+    """101-point interpolated AP per [area range][threshold] of one
+    category's pooled detections: scores (N,) and matched (T, N) (pooled
+    ground-truth index or -1) in pooling order, gt_areas (M,) of the pooled
+    ground truth.  Ground truth outside a range is ignored, a detection
+    matched to it is neither true nor false positive, and a range with no
+    ground truth reads None.
+
+    Every (range, threshold) pair is one row of a (rows, N) block in score
+    order.  The precision envelope at a detection is the highest precision
+    at or after it, which is reached at a true positive: each false positive
+    lowers the precision, and one before the first true positive has 0.
+    So only the true positives' precisions are computed, i / (i + false
+    positives before it) for the row's i-th, and the envelope at recall r is
+    read at the first true positive reaching it, or is 0 if none does.  The
+    101 grid values are summed in order, as the last column of a cumulative
+    sum: np.sum pairs terms and would change the bits of a sequential sum."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")  # ties keep pooling order
     matched = matched[:, order]
     gt_areas = np.asarray(gt_areas, dtype=np.float64)
-    table = []
-    for lo, hi in area_ranges:
-        gt_ok = (lo <= gt_areas) & (gt_areas < hi)
-        n_gt = int(gt_ok.sum())
-        keep = np.append(gt_ok, True)[matched]  # index -1 (unmatched) reads the appended True
-        table.append([None if n_gt == 0 else _ap(m[k] >= 0, n_gt) for m, k in zip(matched, keep)])
-    return table
+    n_thr, n = matched.shape
+    gt_ok = np.array([(lo <= gt_areas) & (gt_areas < hi) for lo, hi in area_ranges])  # (ranges, M)
+    n_gt = gt_ok.sum(axis=1).tolist()
+    rows = len(n_gt) * n_thr
+    hit = np.array([np.append(ok, False)[matched] for ok in gt_ok]).reshape(rows, n)  # -1 reads the appended False
+    false_pos = np.cumsum(matched < 0, axis=1)  # an unmatched detection is a false positive in every range
+    at = np.flatnonzero(hit)  # the true positives, row by row
+    count = np.count_nonzero(hit, axis=1)
+    first = np.cumsum(count) - count  # each row's first in `at`
+    rank = np.arange(len(at)) - np.repeat(first, count) + 1
+    fp_before = false_pos.ravel()[at % false_pos.size]  # each range's rows repeat the (T, N) layout
+    precision = np.append(rank / (rank + fp_before), 0.0)
+    # the least true-positive count i with i / n_gt >= r (the recall's own
+    # division), at least 1, for each row and recall point r
+    least = [np.searchsorted(np.arange(g + 1) / max(g, 1), RECALL_POINTS, side="left") for g in n_gt]
+    least = np.maximum(np.repeat(least, n_thr, axis=0), 1)
+    reached = least <= count[:, None]
+    # Row by row, reduceat takes the maximum from each point's true positive
+    # up to the next point's; the last reached one runs to the row's end,
+    # where the next row's true positives (or the appended 0) begin, which
+    # is where an unreached point starts, masked to 0.  Two points reached
+    # at one true positive leave an empty segment, which reduceat reads as
+    # that true positive's precision, within the envelope from there on.
+    starts = first[:, None] + np.minimum(least, count[:, None] + 1) - 1
+    segments = np.where(reached, np.maximum.reduceat(precision, starts.ravel()).reshape(rows, -1), 0.0)
+    grid = np.maximum.accumulate(segments[:, ::-1], axis=1)[:, ::-1]
+    ap = (np.cumsum(grid, axis=1)[:, -1] / len(RECALL_POINTS)).reshape(len(n_gt), n_thr).tolist()
+    return [[None] * n_thr if g == 0 else row for g, row in zip(n_gt, ap)]
 
 
 @dataclass(frozen=True)

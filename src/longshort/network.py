@@ -33,7 +33,10 @@ on the extractor-to-head path copies or scans a map to check it again.
 
 The desk-scale extractor here is a deterministic box-filter pyramid and the
 desk-scale head scores thresholded blobs; together they exercise every
-architectural contract without any training.
+architectural contract without any training.  The head labels its blobs
+with scipy.ndimage, which it imports when it is built, not when this module
+is: a run without the pyramid detector never loads it, and a pyramid run
+loads it before its first frame.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from functools import partial
 from typing import Any, Optional, Protocol
 
 import numpy as np
-from scipy import ndimage
 
 from .boxes import DetectionTable
 from .fusion import (
@@ -181,18 +183,23 @@ class BoxFilterExtractor:
 class BlobHead:
     """Pass-through scorer: thresholds the channel-mean of the finest fused
     level and reports each connected blob as a detection, scored by its mean
-    activation (clamped to [0, 1])."""
+    activation (clamped to [0, 1]).  scipy.ndimage, which labels the blobs,
+    is imported when the head is built, so a run without this head never
+    loads it."""
 
     levels_used = (0,)
 
     def __init__(self, threshold: float = 0.3, category: int = 0):
+        from scipy import ndimage
+
+        self._ndimage = ndimage
         self.threshold = threshold
         self.category = category
 
     def predict(self, pyramid: FeaturePyramid) -> DetectionTable:
         saliency = pyramid.levels[0].mean(axis=0)
-        labels, _ = ndimage.label(saliency > self.threshold)
-        blobs = ndimage.find_objects(labels)  # blob i + 1's bounding (rows, cols) slices
+        labels, _ = self._ndimage.label(saliency > self.threshold)
+        blobs = self._ndimage.find_objects(labels)  # blob i + 1's bounding (rows, cols) slices
         corners = [(cols.start, rows.start, cols.stop, rows.stop) for rows, cols in blobs]
         scores = [min(1.0, max(0.0, saliency[b][labels[b] == i].mean())) for i, b in enumerate(blobs, 1)]
         return DetectionTable(

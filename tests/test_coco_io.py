@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -140,3 +141,78 @@ def test_xywh_only_files_still_load(tmp_path):
     for orig, back in zip(gts, ds.gts_by_frame[0]):
         assert back.bbox.x_min == orig.bbox.x_min
         assert back.bbox.x_max == pytest.approx(orig.bbox.x_max, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["a", None, True, 0.5, 1.5, float("inf")], ids=repr)
+@pytest.mark.parametrize(
+    "table, index, key",
+    [
+        ("images", 0, "id"),
+        ("images", 1, "width"),
+        ("images", 1, "height"),
+        ("categories", 1, "id"),
+        ("annotations", 1, "image_id"),
+        ("annotations", 1, "category_id"),
+        ("annotations", 1, "track_id"),
+        ("annotations", 1, "id"),
+    ],
+)
+def test_ids_and_sizes_must_be_whole_numbers(tmp_path, table, index, key, bad):
+    # a string, a null, a bool or a fractional value is rejected naming the
+    # entry and key; none is cast, truncated or read as 1
+    data = {
+        "images": [{"id": 1, "width": 100, "height": 80}, {"id": 2, "width": 100, "height": 80}],
+        "annotations": [
+            {"id": j, "track_id": j, "image_id": 1, "category_id": 3, "bbox": [0, 0, 10, 10]} for j in range(3)
+        ],
+        "categories": [{"id": 3, "name": "car"}, {"id": 4, "name": "bus"}],
+    }
+    data[table][index][key] = bad
+    message = f"{table}[{index}].{key} must be a 64-bit whole number, got {bad!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_coco_annotations(write(tmp_path, data))
+
+
+def test_whole_float_ids_load_as_integers(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data["images"][0].update(id=1.0, width=100.0)
+    data["annotations"][0].update(image_id=1.0, category_id=3.0, track_id=7.0)
+    data["categories"][0]["id"] = 3.0
+    ds = load_coco_annotations(write(tmp_path, data))
+    assert (ds.images[0].id, ds.images[0].width) == (1, 100)
+    assert ds.categories == {3: "car"}
+    box = ds.gts_by_frame[0][0]
+    assert (box.category, box.track_id) == (3, 7)
+
+
+def test_an_annotation_without_track_id_is_tracked_by_its_id_or_index(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    ann = data["annotations"][0]
+    data["annotations"] = [dict(ann, id=5, track_id=9), dict(ann, id=6), {k: v for k, v in ann.items() if k != "id"}]
+    ds = load_coco_annotations(write(tmp_path, data))
+    assert [g.track_id for g in ds.gts_by_frame[0]] == [9, 6, 2]
+
+
+@pytest.mark.parametrize("table", ["images", "annotations", "categories"])
+@pytest.mark.parametrize("entry", [5, "x", None, [1, 2]], ids=repr)
+def test_a_non_object_entry_is_rejected_naming_it(tmp_path, table, entry):
+    data = json.loads(json.dumps(MINIMAL))
+    data[table].append(entry)
+    with pytest.raises(ParseError, match=re.escape(f"{table}[1] must be an object, got {entry!r}")):
+        load_coco_annotations(write(tmp_path, data))
+
+
+@pytest.mark.parametrize("table", ["images", "annotations", "categories"])
+def test_a_table_that_is_not_a_list_is_rejected(tmp_path, table):
+    data = dict(MINIMAL, **{table: {"0": {}}})
+    with pytest.raises(ParseError, match=re.escape(f"{table} must be a list")):
+        load_coco_annotations(write(tmp_path, data))
+
+
+@pytest.mark.parametrize("name", ["uniform", "accelerating", "mixed"])
+def test_export_streams_the_bytes_of_one_indented_dump(tmp_path, name):
+    scene = bundled_scene(name)
+    scenario = generate_scenario(scene)
+    path = tmp_path / f"{name}.json"
+    export_scenario(scenario, scene, path)
+    assert path.read_bytes() == (json.dumps(scenario_to_coco(scenario, scene), indent=2) + "\n").encode()

@@ -10,6 +10,7 @@ from longshort.boxes import BBox, Detection, GroundTruthBox, detection_table, gr
 from longshort.detectors import DelayedGtDetector
 from longshort.metrics import (
     AREA_ALL,
+    AREA_RANGES,
     AREA_SMALL,
     IOU_THRESHOLDS,
     SapReport,
@@ -31,7 +32,7 @@ from longshort.scenarios import (
     generate_scenario,
 )
 from longshort.streaming import EvalPairing, PredictionRecord
-from oracles import grid_count_iou, oracle_greedy_match, oracle_sap_report, reference_sap_report
+from oracles import _ref_ap, grid_count_iou, oracle_greedy_match, oracle_sap_report, reference_sap_report
 
 
 def gt(x0, y0, x1, y1, cat=0, track=0, frame=0):
@@ -184,6 +185,32 @@ def test_ap_ignores_gt_outside_area_range():
     dets = [det(0, 0, 8, 8, 0.9), det(100, 100, 200, 200, 0.8)]
     # small split: the large-GT detection is neither TP nor FP
     assert ap_at(dets, gts, area_range=AREA_SMALL) == 1.0
+
+
+def test_ap_table_is_bit_identical_to_the_scalar_reference_row_by_row():
+    # One category's whole (range, threshold) table against the scalar
+    # evaluator's AP, one row at a time: score ties, detections matched to
+    # ground truth outside a range, rows with no detection kept, ground-truth
+    # counts that put recall exactly on the 101-point grid, and long pools.
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for trial in range(300):
+        n = int(rng.choice([0, 1, 5, 40, 400]))
+        m = int(rng.choice([0, 1, 7, 50, 100]))
+        scores = (rng.choice([0.2, 0.5, 0.9], n) if trial % 2 else rng.uniform(0, 1, n)).tolist()
+        areas = rng.choice([100.0, 1024.0, 5000.0, 9216.0, 20000.0], m).tolist()
+        matched = np.full((len(IOU_THRESHOLDS), n), -1)
+        for row in matched:
+            k = int(rng.integers(0, min(n, m) + 1))
+            row[rng.choice(n, k, replace=False)] = rng.choice(m, k, replace=False)
+        dets = [Detection(BBox(0, 0, 1, 1), category=0, score=s) for s in scores]
+        gts = [GroundTruthBox(BBox(0, 0, 1, 1), category=0, track_id=0, frame_index=0, area=a) for a in areas]
+        want = [[_ref_ap([(dets, gts, [None if j < 0 else j for j in row.tolist()])], area) for row in matched]
+                for area in AREA_RANGES]
+        got = _ap_table(np.array(scores), matched, np.array(areas), AREA_RANGES)
+        assert repr(got) == repr(want), trial
+        seen.update(none=any(r[0] is None for r in got), long=n == 400, grid=m in (50, 100) and n >= 40)
+    assert all(seen[k] > 0 for k in ("none", "long", "grid"))
 
 
 # ------------------------------------------------------ compute_sap_report

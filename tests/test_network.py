@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +501,36 @@ def test_a_step_after_the_ring_fills_allocates_no_concat_buffer_or_projected_map
     # allocates the fused map the head gets, and neither a concatenation
     # (pre_projection_total channels) nor a projected map (long_out).
     assert fusing - bypass < (d + min(plan.long_out, plan.pre_projection_total)) * map_bytes, (fusing, bypass)
+
+
+SCIPY_PROBE = """
+import json, sys
+from dataclasses import replace
+import longshort
+from longshort.config import load_run_config
+from longshort.runner import build_run_data, make_detector, run_eval
+loaded = ['scipy.ndimage' in sys.modules]
+run_eval(replace(load_run_config(sys.argv[1] + '/accelerating_long_short.json'), output=sys.argv[2]))
+loaded.append('scipy.ndimage' in sys.modules)
+cfg = load_run_config(sys.argv[1] + '/mixed_pyramid.json')
+make_detector(cfg, build_run_data(cfg))
+loaded.append('scipy.ndimage' in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_ndimage_is_loaded_only_by_the_pyramid_head(tmp_path):
+    # a fresh interpreter: importing the package and a forecaster eval leave
+    # scipy.ndimage unloaded; building the pyramid detector loads it, before
+    # any frame is stepped
+    import longshort
+
+    src = str(Path(longshort.__file__).resolve().parent.parent)
+    configs = str(Path(__file__).resolve().parent.parent / "configs")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, configs, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [False, False, True]
+    assert (tmp_path / "run" / "report.txt").is_file()
