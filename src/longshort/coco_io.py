@@ -55,16 +55,12 @@ class CocoDataset:
     frame_interval_ms: Optional[float] = None
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise MissingField(f"missing field {key!r} in {where}")
-    return obj[key]
-
-
 def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
     """data[key], a list (or [] when optional and absent); its entries are
     checked as objects by the first _column read of them."""
-    entries = _need(data, key, str(path)) if required else data.get(key, [])
+    if required and key not in data:
+        raise MissingField(f"{path}: missing field {key!r}")
+    entries = data.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"{path}: {key} must be a list, got {entries!r}")
     return entries
@@ -86,7 +82,7 @@ def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[in
     if default is not None:
         return [obj.get(key, d) for obj, d in zip(objs, default)]
     j = next(j for j, obj in enumerate(objs) if key not in obj)
-    raise MissingField(f"missing field {key!r} in {table}[{rows[j]}]")
+    raise MissingField(f"{path}: missing field {key!r} in {table}[{rows[j]}]")
 
 
 def _is_whole(value) -> bool:

@@ -25,16 +25,16 @@ annotation file.
 Unknown keys are rejected in every section (an inline scene and its
 trajectories too), naming the key, and "stream" takes one latency form, a
 constant or a per-frame list, not both.  Bad values are rejected too,
-naming the key: detector, fusion, stream and scene values are cast by their
-key's parser (a scene value must be a number, not a string), a count
+naming the key: each value is checked by its key's parser, so a number
+must be a JSON number, not a string or a bool (a sweep value too), a count
 refuses a fractional value instead of truncating it, and a null takes the
-default.  The range checks
-run when a RunConfig, or a FusionSettings or scene it holds, is built, so a
-config derived with dataclasses.replace (a CLI flag, a sweep value) is
-checked like a file.  For a scene source that includes what the scene's
-frame count decides: a horizon beyond it, a per-frame latency list shorter
-than the horizon, and a frame interval so large that the stream's clock
-overflows (for a dataset source build_run_data checks that last one).
+default.  The range checks run when a RunConfig, or a FusionSettings or
+scene it holds, is built, so a config derived with dataclasses.replace (a
+CLI flag, a sweep value) is checked like a file.  For a scene source that
+includes what the scene's frame count decides: a horizon beyond it, a
+per-frame latency list shorter than the horizon, and a frame interval so
+large that the stream's clock overflows (for a dataset source
+build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  A null value takes the default.  The
@@ -70,13 +70,6 @@ def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
     return parse
 
 
-def _whole(value) -> int:
-    """int(value), refusing a fractional number instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("must be a whole number")
-    return int(value)
-
-
 def _number(value):
     """value, refusing anything but a number (a bool or a string too)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):  # int, float: the fast checks
@@ -84,15 +77,29 @@ def _number(value):
     return value
 
 
+def _whole(value) -> int:
+    """int(value) of a number, refusing a fractional one instead of
+    truncating it."""
+    value = _number(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
+def _real(value) -> float:
+    """float(value) of a number."""
+    return float(_number(value))
+
+
 def _per_frame_latency(values) -> PerFrameLatency:
     if not isinstance(values, (list, tuple)):
         raise TypeError("must be a list of latencies")
-    return PerFrameLatency(tuple(values))
+    return PerFrameLatency(tuple(map(_real, values)))
 
 
 _COUNT = _checked(_whole, lambda n: n >= 0, "must be >= 0")
 _STRIDE = _checked(_whole, lambda n: n >= 1, "must be >= 1")
-_FINITE = _checked(float, math.isfinite, "must be finite")
+_FINITE = _checked(_real, math.isfinite, "must be finite")
 _MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
 
 # kind -> key -> (default, parse).  The three forecasters share one key set:
@@ -111,15 +118,15 @@ DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
 # stream key -> (the RunConfig field it sets, parse)
 _STREAM_FIELDS = {
-    "latency_ms": ("latency_model", lambda v: ConstantLatency(float(v))),
+    "latency_ms": ("latency_model", lambda v: ConstantLatency(_real(v))),
     "latency_per_frame_ms": ("latency_model", _per_frame_latency),
-    "frame_interval_ms": ("frame_interval_ms", float),
+    "frame_interval_ms": ("frame_interval_ms", _real),
     "dispatch": ("dispatch_policy", DispatchPolicy),
     "horizon_frames": ("horizon_frames", _whole),
 }
 STREAM_KEYS = tuple(_STREAM_FIELDS)
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
-_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": float, "residual": _BOOL}
+_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -313,7 +320,7 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
             cfg = replace(cfg, detector_kind="hold" if n == 0 else "long-short", detector_params=params)
         return cfg
     if spec.axis is SweepAxis.DILATION_RATIO:
-        return replace(base, fusion=replace(base.fusion, ratio=float(value)))
+        return replace(base, fusion=replace(base.fusion, ratio=_parsed("sweep", "ratio", value, _real)))
     # FUSION_VARIANT
     name = str(value)
     residual = not name.endswith("*")

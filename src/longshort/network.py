@@ -34,9 +34,9 @@ on the extractor-to-head path copies or scans a map to check it again.
 The desk-scale extractor here is a deterministic box-filter pyramid and the
 desk-scale head scores thresholded blobs; together they exercise every
 architectural contract without any training.  The head labels its blobs
-with scipy.ndimage, which it imports when it is built, not when this module
-is: a run without the pyramid detector never loads it, and a pyramid run
-loads it before its first frame.
+with label_blobs, a numpy labeller over row runs that gives what
+scipy.ndimage.label and find_objects give, so the program needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -180,26 +180,71 @@ class BoxFilterExtractor:
         return pooled[None, :, :] * self._lifts[k][:, None, None]
 
 
+def label_blobs(mask: np.ndarray) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """The 4-connected components of a 2-d boolean mask, as scipy.ndimage's
+    label and find_objects give them: an int32 label image, 0 off the mask
+    and each blob numbered from 1 in the raster order of its first pixel,
+    and each blob's bounding (rows, cols) slices, in label order.
+
+    Components are found over row runs.  np.diff of the mask padded with a
+    zero column on each side gives each row's run starts and ends;
+    np.searchsorted pairs each run with the runs of the row above that
+    share a column with it; and a union-find loop over those pairs, never
+    over pixels, joins each run to the first run of its component."""
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(edges == 1)  # raster order, as are the ends
+    ends = np.nonzero(edges == -1)[1]
+    # each run as a [start, end) span of the rows laid end to end, `stride`
+    # apart: the runs of the row above that share a column with run i are
+    # those that end after its start and begin before its end, one stride
+    # back, runs first[i] to first[i] + count[i] - 1
+    stride = width + 1
+    start_at, end_at = rows * stride + starts, rows * stride + ends
+    first = np.searchsorted(end_at, start_at - stride, side="right")
+    count = np.maximum(np.searchsorted(start_at, end_at - stride) - first, 0)
+    below = np.repeat(np.arange(len(starts)), count)
+    above = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+    parent = list(range(len(starts)))
+    for a, b in zip(above.tolist(), below.tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[max(a, b)] = min(a, b)
+    for run, up in enumerate(parent):  # up <= run, so parent[up] is already a root
+        parent[run] = parent[up]
+    root = np.array(parent, dtype=np.intp)
+    is_first = root == np.arange(len(root))
+    label = np.cumsum(is_first)[root]  # a component's first run is its first raster pixel's
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(label, ends - starts)
+    n = int(is_first.sum())
+    last_row, first_col, end_col = np.zeros(n, np.intp), np.full(n, width), np.zeros(n, np.intp)
+    np.maximum.at(last_row, label - 1, rows)
+    np.minimum.at(first_col, label - 1, starts)
+    np.maximum.at(end_col, label - 1, ends)
+    bounds = zip(rows[is_first].tolist(), last_row.tolist(), first_col.tolist(), end_col.tolist())
+    return labels, [(slice(r0, r1 + 1), slice(c0, c1)) for r0, r1, c0, c1 in bounds]
+
+
 class BlobHead:
     """Pass-through scorer: thresholds the channel-mean of the finest fused
-    level and reports each connected blob as a detection, scored by its mean
-    activation (clamped to [0, 1]).  scipy.ndimage, which labels the blobs,
-    is imported when the head is built, so a run without this head never
-    loads it."""
+    level and reports each 4-connected blob (label_blobs) as a detection,
+    in label order, boxed by its bounding pixels and scored by the mean of
+    its activations in raster order, clamped to [0, 1]."""
 
     levels_used = (0,)
 
     def __init__(self, threshold: float = 0.3, category: int = 0):
-        from scipy import ndimage
-
-        self._ndimage = ndimage
         self.threshold = threshold
         self.category = category
 
     def predict(self, pyramid: FeaturePyramid) -> DetectionTable:
         saliency = pyramid.levels[0].mean(axis=0)
-        labels, _ = self._ndimage.label(saliency > self.threshold)
-        blobs = self._ndimage.find_objects(labels)  # blob i + 1's bounding (rows, cols) slices
+        labels, blobs = label_blobs(saliency > self.threshold)
         corners = [(cols.start, rows.start, cols.stop, rows.stop) for rows, cols in blobs]
         scores = [min(1.0, max(0.0, saliency[b][labels[b] == i].mean())) for i, b in enumerate(blobs, 1)]
         return DetectionTable(

@@ -170,13 +170,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     counts are whole), is an InvalidConfig naming the key, and a trajectory
     that breaks its kind's rule is one naming the trajectory; a null takes
     the default."""
-    from .config import _FINITE, _number, _parsed_section, _whole  # config imports this module
-
-    def real(value) -> float:
-        return _FINITE(_number(value))
-
-    def whole(value) -> int:
-        return _whole(_number(value))
+    from .config import _FINITE, _parsed_section, _whole  # config imports this module
 
     def list_of(n: int, parse: Callable) -> Callable:
         def parse_all(value) -> tuple:
@@ -191,13 +185,13 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         return value
 
     trajectory_parsers = {
-        "kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*list_of(4, real)(v)),
-        "velocity": list_of(2, real), "acceleration": list_of(2, real), "turn_rate": real,
-        "occlusion_window": list_of(2, whole), "category": whole, "track_id": whole,
+        "kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*list_of(4, _FINITE)(v)),
+        "velocity": list_of(2, _FINITE), "acceleration": list_of(2, _FINITE), "turn_rate": _FINITE,
+        "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
     }
     scene = _parsed_section(data, "scene", {
-        "n_frames": whole, "frame_interval_ms": real, "width": whole, "height": whole,
-        "trajectories": trajectories, "seed": whole,
+        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
+        "trajectories": trajectories, "seed": _whole,
     }, ("n_frames", "width", "height"))
 
     def trajectory(i: int, raw) -> TrajectorySpec:

@@ -126,6 +126,34 @@ def test_config_rejects_a_fractional_count_naming_the_key(extra, key):
         run_config_from_dict(base_config_dict(**extra))
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"seed": "7"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"max_dets_per_frame": "5"}, "max_dets_per_frame"),
+        ({"max_dets_per_frame": True}, "max_dets_per_frame"),
+        ({"stream": {"latency_ms": "10"}}, "latency_ms"),
+        ({"stream": {"latency_ms": True}}, "latency_ms"),
+        ({"stream": {"frame_interval_ms": "33"}}, "frame_interval_ms"),
+        ({"stream": {"frame_interval_ms": True}}, "frame_interval_ms"),
+        ({"stream": {"horizon_frames": "5"}}, "horizon_frames"),
+        ({"stream": {"latency_per_frame_ms": [0.0] * 19 + ["10"]}}, "latency_per_frame_ms"),
+        ({"fusion": {"n_history": "3"}}, "n_history"),
+        ({"fusion": {"delta_t": True}}, "delta_t"),
+        ({"fusion": {"ratio": "0.5"}}, "ratio"),
+        ({"detector": {"kind": "delayed-gt", "latency_frames": "1"}}, "latency_frames"),
+        ({"detector": {"kind": "long-short", "n_history": "2"}}, "n_history"),
+        ({"detector": {"kind": "pyramid", "threshold": "0.3"}}, "threshold"),
+        ({"detector": {"kind": "pyramid", "threshold": True}}, "threshold"),
+        ({"detector": {"kind": "pyramid", "weight_seed": True}}, "weight_seed"),
+    ],
+)
+def test_config_rejects_a_value_that_is_not_a_json_number_naming_the_key(extra, key):
+    with pytest.raises(InvalidConfig, match=f"{key} .*must be a number"):
+        run_config_from_dict(base_config_dict(**extra))
+
+
 def test_config_takes_a_whole_float_as_a_count():
     cfg = run_config_from_dict(base_config_dict(seed=2.0, fusion={"n_history": 4.0}, stream={"horizon_frames": 7.0}))
     assert (cfg.seed, cfg.fusion.n_history, cfg.horizon_frames) == (2, 4, 7)
@@ -434,10 +462,16 @@ def test_a_one_frame_horizon_keeps_a_huge_frame_interval(tmp_path):
 
 
 def test_fusion_values_cast_like_detector_values():
-    fusion = {"variant": "EfDil", "n_history": "2", "delta_t": 3.0, "ratio": "0.25", "residual": False}
+    # a whole float is a count, and a string is not a number, as for a
+    # detector's values
+    fusion = {"variant": "EfDil", "n_history": 2, "delta_t": 3.0, "ratio": 0.25, "residual": False}
     got = run_config_from_dict(base_config_dict(fusion=fusion)).fusion
     assert (got.variant, got.n_history, got.delta_t, got.ratio, got.residual) == (FusionVariant.EF_DIL, 2, 3, 0.25, False)
+    assert type(got.delta_t) is int
     assert run_config_from_dict(base_config_dict(fusion={"n_history": None})).fusion.n_history == 3
+    for key, bad in [("n_history", "2"), ("ratio", "0.25")]:
+        with pytest.raises(InvalidConfig, match=f"fusion {key} '{bad}': must be a number"):
+            run_config_from_dict(base_config_dict(fusion={**fusion, key: bad}))
 
 
 def eval_config(monkeypatch, argv):
@@ -616,6 +650,18 @@ def test_temporal_sweep_rejects_a_fractional_value_naming_the_key():
         apply_sweep_value(spec, (2, 1.5))
     cfg = apply_sweep_value(spec, (2.0, 1.0))
     assert (cfg.detector_params["n_history"], cfg.detector_params["delta_t"]) == (2, 1)
+    with pytest.raises(InvalidConfig, match="sweep n_history '2': must be a number"):
+        apply_sweep_value(spec, ("2", 1))
+
+
+def test_dilation_sweep_rejects_a_value_that_is_not_a_number_naming_the_key():
+    base = run_config_from_dict(base_config_dict(detector={"kind": "pyramid"}))
+    spec = SweepSpec(axis=SweepAxis.DILATION_RATIO, base=base, values=("0.5",))
+    with pytest.raises(InvalidConfig, match="sweep ratio '0.5': must be a number"):
+        apply_sweep_value(spec, "0.5")
+    assert apply_sweep_value(spec, 0.5).fusion.ratio == 0.5
+    [row] = run_sweep(spec)
+    assert row.report is None and row.error == "InvalidConfig: sweep ratio '0.5': must be a number"
 
 
 def test_sweep_records_per_run_failures_and_continues():

@@ -72,7 +72,10 @@ def test_parse_errors_carry_context(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError, match="line"):
         load_coco_annotations(bad)
-    with pytest.raises(MissingField, match="images"):
+    # every message starts with the file, so a sweep over datasets says
+    # which one is at fault
+    from_file = re.escape(str(tmp_path / "ann.json")) + ": "
+    with pytest.raises(MissingField, match=f"^{from_file}missing field 'images'"):
         load_coco_annotations(write(tmp_path, {"annotations": []}))
     image = {"id": 1, "width": 5, "height": 5}
     good = {"image_id": 1, "category_id": 0, "bbox": [0, 0, 1, 1]}
@@ -83,20 +86,17 @@ def test_parse_errors_carry_context(tmp_path):
             anns = [dict(good, id=j, bbox_corners=[0, 0, 1, 1]) for j in range(i)] + [dict(bad, id=i), dict(bad, id=9)]
             return load_coco_annotations(write(tmp_path, {"images": [image], "annotations": anns}))
 
-        with pytest.raises(MissingField, match=rf"'image_id' in annotations\[{i}\]"):
-            load({})
-        with pytest.raises(MissingField, match=rf"'bbox' in annotations\[{i}\]"):
-            load({"image_id": 1, "category_id": 0})
-        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: unknown image_id 9"):
-            load(dict(good, image_id=9))
-        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: degenerate box"):
-            load(dict(good, bbox=[0, 0, -4, 1]))
-        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: degenerate box"):
-            load(dict(good, bbox_corners=[0, 2, 1, 1]))
-        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: a box takes 4 numbers"):
-            load(dict(good, bbox=[0, 0, 1]))
-        with pytest.raises(ParseError, match=rf"annotations\[{i}\]: a box takes 4 finite numbers"):
-            load(dict(good, bbox_corners=[0, None, 1, 1]))
+        for cls, bad, message in [
+            (MissingField, {}, rf"missing field 'image_id' in annotations\[{i}\]"),
+            (MissingField, {"image_id": 1, "category_id": 0}, rf"missing field 'bbox' in annotations\[{i}\]"),
+            (ParseError, dict(good, image_id=9), rf"annotations\[{i}\]: unknown image_id 9"),
+            (ParseError, dict(good, bbox=[0, 0, -4, 1]), rf"annotations\[{i}\]: degenerate box"),
+            (ParseError, dict(good, bbox_corners=[0, 2, 1, 1]), rf"annotations\[{i}\]: degenerate box"),
+            (ParseError, dict(good, bbox=[0, 0, 1]), rf"annotations\[{i}\]: a box takes 4 numbers"),
+            (ParseError, dict(good, bbox_corners=[0, None, 1, 1]), rf"annotations\[{i}\]: a box takes 4 finite numbers"),
+        ]:
+            with pytest.raises(cls, match=f"^{from_file}{message}"):
+                load(bad)
 
 
 @pytest.mark.parametrize("name", ["uniform", "accelerating", "mixed"])

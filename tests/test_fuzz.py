@@ -5,7 +5,8 @@ run_eval to completion; nothing may fail halfway through a stream.  The one
 check that needs the data, a horizon that holds no ground truth, rejects in
 build_run_data, which runs before any detector is built.  A copy of an
 accepted config given a horizon beyond its scene, or a per-frame latency
-list shorter than its horizon, must be rejected at load, naming the key.
+list shorter than its horizon, must be rejected at load, naming the key,
+and so must a copy with one number given as a string or a bool.
 A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
@@ -157,6 +158,30 @@ def with_knowable_defect(rng, data) -> tuple[Optional[str], dict]:
     return None, data
 
 
+NUMBER_KEYS = ("seed", "max_dets_per_frame", "latency_ms", "latency_per_frame_ms", "frame_interval_ms",
+               "horizon_frames", "n_history", "delta_t", "ratio", "forecast_steps", "latency_frames", "threshold", "weight_seed")
+
+
+def not_a_number(rng, data: dict) -> tuple[str, dict]:
+    """A copy of an accepted config with one number, given or not, set to
+    its string form or to true: the seed, max_dets_per_frame, or a stream,
+    fusion or detector number (one entry of a per-frame latency list).
+    Returns the key and the copy."""
+    data = copy.deepcopy(data)
+    stream, detector = data["stream"], data["detector"]
+    places = [(data, "seed"), (data, "max_dets_per_frame"), (stream, "frame_interval_ms"), (stream, "horizon_frames")]
+    places += [(data["fusion"], key) for key in ("n_history", "delta_t", "ratio")]
+    places += [(detector, key) for key in detector if key not in ("kind", "model_size")]
+    places += [(stream, key) for key in ("latency_ms", "latency_per_frame_ms") if key in stream]
+    section, name = places[int(rng.integers(0, len(places)))]
+    key = name
+    if name == "latency_per_frame_ms":
+        section, key = section[name], int(rng.integers(0, len(section[name])))
+    given = section[key] if isinstance(key, int) else section.get(key, 1)
+    section[key] = str(given) if rng.random() < 0.5 else True
+    return name, data
+
+
 def as_dataset(rng, cfg, data: dict, path) -> tuple[str, dict]:
     """Maybe export the config's scene to a COCO file at `path`, without the
     exact corners, the track ids, both or neither.  Returns which was left
@@ -205,8 +230,9 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     rng = np.random.default_rng(SEED)
     defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
     dataset_rng = np.random.default_rng(SEED + 2)
+    number_rng = np.random.default_rng(SEED + 4)
     completed = perfect = empty_horizons = forecasters = 0
-    knowable, datasets = Counter(), Counter()
+    knowable, datasets, not_numbers = Counter(), Counter(), Counter()
     for i in range(N_CONFIGS):
         data = draw_config(rng)
         try:
@@ -218,6 +244,11 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             with pytest.raises(InvalidConfig, match=key):
                 run_config_from_dict(bad)
             knowable[key] += 1
+        for _ in range(3):
+            key, bad = not_a_number(number_rng, data)
+            with pytest.raises(InvalidConfig, match=f"{key} .*must be a number"):
+                run_config_from_dict(bad)
+            not_numbers[key] += 1
         try:
             run_data = build_run_data(cfg)
         except InvalidConfig as exc:
@@ -241,6 +272,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
+    assert all(not_numbers[key] > 0 for key in NUMBER_KEYS), not_numbers
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
 
 

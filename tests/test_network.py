@@ -23,6 +23,7 @@ from longshort.network import (
     NonMonotonicIndex,
     PYRAMID_RATES,
     _block_reduce_mean,
+    label_blobs,
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
 from longshort.scenarios import bundled_scene, generate_scenario
@@ -329,6 +330,83 @@ def test_blob_head_matches_the_per_label_reference_decoder_bit_for_bit():
     assert all(seen[k] > 10 for k in ("no_blobs", "diagonal_neighbours", "touches_edge", "clamped_above", "clamped_below")), seen
 
 
+def spiral(height: int, width: int) -> np.ndarray:
+    """One path from the top-left corner, turning right wherever a step
+    would run off the mask or come beside a pixel already drawn."""
+    mask = np.zeros((height, width), dtype=bool)
+    r = c = dr = turns = 0
+    dc = 1
+    mask[0, 0] = True
+    while turns < 2:
+        ahead, beyond = (r + dr, c + dc), (r + 2 * dr, c + 2 * dc)
+        inside = [0 <= i < height and 0 <= j < width for i, j in (ahead, beyond)]
+        if inside[0] and not mask[ahead] and not (inside[1] and mask[beyond]):
+            (r, c), turns = ahead, 0
+            mask[r, c] = True
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return mask
+
+
+def u_shapes(rng, height: int, width: int) -> np.ndarray:
+    """Up to three overlapping combs, each a row of arms joined only at its
+    lowest row (two arms make a U), so the arms' runs merge below where
+    each began."""
+    mask = np.zeros((height, width), dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        top, left = int(rng.integers(0, height - 1)), int(rng.integers(0, width - 2))
+        bottom, right = int(rng.integers(top + 1, height)), int(rng.integers(left + 2, width))
+        arms = np.arange(left, right + 1, int(rng.integers(2, 4)))
+        mask[top:bottom, arms] = True
+        mask[bottom, arms[0]:arms[-1] + 1] = True
+    return mask
+
+
+def labeler_masks(family: str):
+    rng = np.random.default_rng(7)
+    if family == "random":  # 1x1 to 60x80 at several densities
+        for _ in range(400):
+            height, width = int(rng.integers(1, 61)), int(rng.integers(1, 81))
+            yield rng.random((height, width)) < rng.choice([0.05, 0.3, 0.5, 0.6, 0.9])
+        yield rng.random((60, 80)) < 0.5
+    elif family == "empty and full":
+        for shape in [(1, 1), (1, 80), (60, 1), (7, 9), (60, 80)]:
+            yield np.zeros(shape, dtype=bool)
+            yield np.ones(shape, dtype=bool)
+    elif family == "single rows and columns":
+        for n in (1, 2, 5, 80):
+            for density in (0.2, 0.5, 0.8):
+                yield rng.random((1, n)) < density
+                yield rng.random((n, 1)) < density
+    elif family == "checkerboards":  # diagonal pixels never join
+        for height, width in [(1, 1), (2, 2), (3, 5), (60, 80)]:
+            board = np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
+            yield board
+            yield ~board
+    elif family == "u-shapes":
+        for _ in range(100):
+            yield u_shapes(rng, int(rng.integers(3, 61)), int(rng.integers(4, 81)))
+    else:  # spirals
+        for height, width in [(1, 1), (3, 3), (5, 9), (12, 7), (31, 31), (60, 80)]:
+            yield spiral(height, width)
+            yield spiral(height, width)[::-1]  # read from its innermost turn upwards
+
+
+@pytest.mark.parametrize(
+    "family", ["random", "empty and full", "single rows and columns", "checkerboards", "u-shapes", "spirals"]
+)
+def test_label_blobs_matches_ndimage_label_and_find_objects(family):
+    for k, mask in enumerate(labeler_masks(family)):
+        want, count = ndimage.label(mask)  # 4-connected
+        labels, blobs = label_blobs(mask)
+        assert labels.dtype == want.dtype and np.array_equal(labels, want), (family, k)
+        assert blobs == ndimage.find_objects(want), (family, k)
+        if family == "checkerboards":
+            assert count == mask.sum()
+        if family == "spirals":
+            assert count == 1
+
+
 # ---------------------------------------------------------- head contract
 
 
@@ -506,31 +584,44 @@ def test_a_step_after_the_ring_fills_allocates_no_concat_buffer_or_projected_map
 SCIPY_PROBE = """
 import json, sys
 from dataclasses import replace
+configs, out, blocked = sys.argv[1], sys.argv[2], sys.argv[3] == 'scipy-blocked'
+if blocked:
+    sys.modules['scipy'] = None  # import scipy, or any module of it, raises ImportError
 import longshort
 from longshort.config import load_run_config
-from longshort.runner import build_run_data, make_detector, run_eval
-loaded = ['scipy.ndimage' in sys.modules]
-run_eval(replace(load_run_config(sys.argv[1] + '/accelerating_long_short.json'), output=sys.argv[2]))
-loaded.append('scipy.ndimage' in sys.modules)
-cfg = load_run_config(sys.argv[1] + '/mixed_pyramid.json')
-make_detector(cfg, build_run_data(cfg))
-loaded.append('scipy.ndimage' in sys.modules)
+from longshort.runner import run_eval
+
+def scipy_loaded():
+    return any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)
+
+loaded = [scipy_loaded()]
+if not blocked:
+    run_eval(replace(load_run_config(configs + '/accelerating_long_short.json'), output=out + '/forecast'))
+    loaded.append(scipy_loaded())
+run_eval(replace(load_run_config(configs + '/mixed_pyramid.json'), output=out + '/pyramid'))
+loaded.append(scipy_loaded())
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_ndimage_is_loaded_only_by_the_pyramid_head(tmp_path):
-    # a fresh interpreter: importing the package and a forecaster eval leave
-    # scipy.ndimage unloaded; building the pyramid detector loads it, before
-    # any frame is stepped
+@pytest.mark.parametrize("mode", ["scipy-importable", "scipy-blocked"])
+def test_no_run_loads_scipy_and_a_pyramid_eval_runs_without_it(tmp_path, mode):
+    # a fresh interpreter: importing the package, a forecaster eval and a
+    # pyramid eval leave no scipy module loaded, and with scipy made
+    # unimportable the pyramid eval still runs
     import longshort
 
     src = str(Path(longshort.__file__).resolve().parent.parent)
     configs = str(Path(__file__).resolve().parent.parent / "configs")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, configs, str(tmp_path / "run")],
+        [sys.executable, "-c", SCIPY_PROBE, configs, str(tmp_path), mode],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == [False, False, True]
-    assert (tmp_path / "run" / "report.txt").is_file()
+    loaded = json.loads(out.splitlines()[-1])
+    if mode == "scipy-importable":
+        assert loaded == [False, False, False]
+        assert (tmp_path / "forecast" / "report.txt").is_file()
+    else:  # sys.modules['scipy'] is None, which counts as a loaded name
+        assert loaded == [True, True]
+    assert (tmp_path / "pyramid" / "report.txt").is_file()
