@@ -75,9 +75,7 @@ def _cmd_sweep(args) -> int:
     base = load_run_config(args.config)
     if args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
-    values = tuple(json.loads(args.values)) if args.values else ()
-    if values and args.axis == SweepAxis.TEMPORAL_RANGE.value:
-        values = tuple((v[0], v[1]) for v in values)
+    values = None if args.values is None else json.loads(args.values)
     spec = SweepSpec(axis=SweepAxis(args.axis), base=base, values=values)
     rows = run_sweep(spec)
     csv_text = sweep_to_csv(spec, rows)

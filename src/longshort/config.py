@@ -297,21 +297,26 @@ DEFAULT_SWEEP_VALUES: dict[SweepAxis, list] = {
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """values: a non-empty list, or None for the axis's default grid.  Each
+    value is checked when its row runs, so a bad one fails that row only."""
+
     axis: SweepAxis
     base: RunConfig
-    values: tuple = ()
+    values: Optional[tuple] = None
 
     def __post_init__(self):
-        values = tuple(self.values) if self.values else tuple(DEFAULT_SWEEP_VALUES[self.axis])
-        if not values:
-            raise InvalidConfig("sweep needs a non-empty value list")
-        object.__setattr__(self, "values", values)
+        values = DEFAULT_SWEEP_VALUES[self.axis] if self.values is None else self.values
+        if not isinstance(values, (list, tuple)) or not values:
+            raise InvalidConfig(f"sweep values must be a non-empty list, got {values!r}")
+        object.__setattr__(self, "values", tuple(values))
 
 
 def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     """Derive one run configuration from the sweep's base."""
     base = spec.base
     if spec.axis is SweepAxis.TEMPORAL_RANGE:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise InvalidConfig(f"sweep temporal-range value {value!r}: must be a pair of N and delta_t")
         n = _parsed("sweep", "n_history", value[0], _COUNT)
         dt = 1 if value[1] is None else _parsed("sweep", "delta_t", value[1], _STRIDE)
         cfg = replace(base, fusion=replace(base.fusion, n_history=n, delta_t=dt))
@@ -324,7 +329,7 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     # FUSION_VARIANT
     name = str(value)
     residual = not name.endswith("*")
-    variant = FusionVariant.parse(name.rstrip("*"))
+    variant = FusionVariant.parse(name.removesuffix("*"))
     return replace(base, fusion=replace(base.fusion, variant=variant, residual=residual))
 
 
@@ -336,10 +341,18 @@ def sweep_key_columns(axis: SweepAxis) -> list[str]:
     return ["fusion"]
 
 
+def _key_cell(value) -> str:
+    """A whole number as an int, null as "-", anything else (which the row
+    rejects) as given."""
+    try:
+        return "-" if value is None else str(_whole(value))
+    except (TypeError, ValueError):
+        return str(value)
+
+
 def sweep_key_cells(axis: SweepAxis, value) -> list[str]:
-    if axis is SweepAxis.TEMPORAL_RANGE:
-        n, dt = value
-        return [str(int(n)), "-" if dt is None else str(int(dt))]
-    if axis is SweepAxis.DILATION_RATIO:
-        return [repr(float(value))]
-    return [str(value)]
+    if axis is not SweepAxis.TEMPORAL_RANGE:
+        return [str(value)]  # as given: the str of a valid ratio, a float, is its repr
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        return [str(value), ""]
+    return [_key_cell(n) for n in value]

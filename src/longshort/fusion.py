@@ -9,9 +9,11 @@ historical maps, all of width d:
   LfDil  - wide projection for the current frame, narrow shared projection
            per history frame, concatenate.
 
-Channel widths follow floor arithmetic on d, so the concatenated width can
-fall short of d; a final 1x1 projection then restores d.  A residual
-connection adds the current map back after that projection.
+plan_channels() alone reads the variant; all else follows the widths and
+branch layout of the ChannelPlan it returns.  Channel widths follow floor
+arithmetic on d, so the concatenated width can fall short of d; a final 1x1
+projection then restores d.  A residual connection adds the current map
+back after that projection (not for EfAvg).
 
 Maps are plain (C, H, W) float64 arrays.  fuse() checks its inputs' shapes
 and finiteness; fuse_projected() trusts them, so the network's hot path
@@ -19,15 +21,16 @@ runs no per-operation check (its extractor checks each frame's pixels).
 
 fuse_projected() writes every branch into one concatenation buffer, as wide
 as the branches together: the short projection straight into its first rows
-(project_1x1 with out=), the projected history copied into the rows after
-it, and the EfDil history sum and the EfAvg sum accumulated in place, left
-to right.  The output projection reads that buffer, and the residual is
+(project_1x1 with out=), then the history path, either each projected map
+copied into rows of its own or all its maps summed in place, left to right,
+into one branch (EfDil's projected history; EfAvg's raw maps, current one
+first).  The output projection reads that buffer, and the residual is
 added in place.  A caller that fuses frame after frame may lend it a
 workspace to hold the concatenation, and project_history() an out= array to
 hold a projection, so that the same arrays serve every frame; the fused map
 it returns is always a fresh array.  Nothing else is written: never the
-current map or a history map, which the network's buffer keeps (for EfAvg,
-whose history projection is the identity, those are the extractor's maps).
+current map or a history map, which the network's buffer keeps (when the
+plan does not project history, those are the extractor's maps).
 """
 
 from __future__ import annotations
@@ -121,60 +124,72 @@ class FusionSettings:
             raise InvalidConfig("history is disabled; there is no fusion config")
         return LsfmConfig(self.variant, self.n_history, self.delta_t, d, self.ratio, self.residual)
 
+
 @dataclass(frozen=True)
 class ChannelPlan:
-    """Derived per-branch channel widths for one fusion configuration."""
+    """One fusion configuration's branches in concatenation order, the
+    current frame's short branch, then the history path (skipped when zero
+    wide), and their widths."""
 
     short_out: int
-    long_out: int
+    long_out: int  # one history-path map's width once projected
     pre_projection_total: int
-    needs_output_projection: bool
+    needs_output_projection: bool  # 0 < pre_projection_total != d
+    short_branch: bool  # the current frame has its own projection (EfDil, LfDil)
+    current_as_history: bool  # the current map leads the history path (EfAvg, LfAvg)
+    projects_history: bool  # the shared long projection maps each to long_out rows; else it enters at width d
+    sums_history: bool  # the history path is summed into one branch (EfAvg, EfDil), else one branch per map
+    residual: bool
 
 
 def plan_channels(cfg: LsfmConfig) -> ChannelPlan:
-    """Compute branch output widths and whether an output projection is needed.
+    """The plan of cfg's variant; no other code reads the variant.
 
     LfDil splits d between the current frame (ratio r) and the N history
     frames (sharing 1-r); at r=0.5 this is floor(d/2) and floor(d/2N).
-    LfAvg gives every one of the N+1 frames floor(d/(1+N)).  EfDil gives
-    both branches floor(d/2).  EfAvg keeps full width (a plain sum).
+    LfAvg gives every one of the N+1 frames floor(d/(1+N)) through one
+    shared projection.  EfDil gives the current frame and the summed
+    projected history floor(d/2) each.  EfAvg sums the N+1 raw maps at full
+    width, with no residual.
     """
-    n, d, r = cfg.n_history, cfg.d, cfg.ratio
-    if cfg.variant is FusionVariant.LF_DIL:
-        short = math.floor(r * d)
-        long = math.floor((1.0 - r) * d / n)
-        total = short + n * long
-    elif cfg.variant is FusionVariant.LF_AVG:
+    n, d, r, variant = cfg.n_history, cfg.d, cfg.ratio, cfg.variant
+    if variant is FusionVariant.LF_DIL:
+        short, long = math.floor(r * d), math.floor((1.0 - r) * d / n)
+    elif variant is FusionVariant.LF_AVG:
         short = long = d // (1 + n)
-        total = (1 + n) * short
-    elif cfg.variant is FusionVariant.EF_DIL:
+    elif variant is FusionVariant.EF_DIL:
         short = long = d // 2
-        total = 2 * short
     else:  # EF_AVG
         short = long = d
-        total = d
+    dilated = variant in (FusionVariant.EF_DIL, FusionVariant.LF_DIL)
+    summed = variant in (FusionVariant.EF_AVG, FusionVariant.EF_DIL)
+    path = n + (not dilated)  # maps down the history path
+    total = (short if dilated else 0) + (long if summed else path * long)
     assert total <= d, f"pre-projection width {total} exceeds d={d}"
     return ChannelPlan(
         short_out=short,
         long_out=long,
         pre_projection_total=total,
-        needs_output_projection=(total != d),
+        needs_output_projection=0 < total != d,
+        short_branch=dilated and short > 0,
+        current_as_history=not dilated,
+        projects_history=variant is not FusionVariant.EF_AVG and long > 0,
+        sums_history=summed,
+        residual=cfg.residual and variant is not FusionVariant.EF_AVG,
     )
 
 
 @dataclass(frozen=True)
 class LsfmWeights:
-    """Projection weights for one fusion configuration.
-
-    Which slots are populated depends on the variant: EfAvg has none,
-    EfDil/LfDil carry short+long, LfAvg carries the single shared avg
-    projection.  output_proj is present exactly when the plan calls for it.
-    The long/avg projection is shared across frames.
+    """Projection weights for one fusion configuration, each present exactly
+    when its plan calls for it: short_proj when it has a short branch
+    (EfDil, LfDil), long_proj, shared by every map of the history path, when
+    it projects history (EfDil, LfAvg, LfDil), and output_proj when it has
+    an output projection.  EfAvg has none.
     """
 
     short_proj: Optional[ProjectionWeights] = None
     long_proj: Optional[ProjectionWeights] = None
-    avg_proj: Optional[ProjectionWeights] = None
     output_proj: Optional[ProjectionWeights] = None
 
 
@@ -189,25 +204,18 @@ def _draw(rng: Optional[np.random.Generator], out_ch: int, in_ch: int) -> Projec
 
 
 def init_weights(cfg: LsfmConfig, plan: ChannelPlan, seed: int) -> LsfmWeights:
-    """Deterministically initialize weights matching the plan's shapes.
+    """Deterministically initialize weights matching the plan's shapes,
+    drawn short, long, output in turn.
 
     Seed 0 is a sentinel producing all-zero matrices and biases, which makes
     the residual path an exact identity.  Branches whose planned width
     floors to zero (tiny d with deep history) carry no weights at all.
     """
     rng = None if seed == 0 else np.random.default_rng(seed)
-    short = long = avg = out = None
-    if cfg.variant in (FusionVariant.EF_DIL, FusionVariant.LF_DIL):
-        if plan.short_out > 0:
-            short = _draw(rng, plan.short_out, cfg.d)
-        if plan.long_out > 0:
-            long = _draw(rng, plan.long_out, cfg.d)
-    elif cfg.variant is FusionVariant.LF_AVG:
-        if plan.short_out > 0:
-            avg = _draw(rng, plan.short_out, cfg.d)
-    if plan.needs_output_projection and plan.pre_projection_total > 0:
-        out = _draw(rng, cfg.d, plan.pre_projection_total)
-    return LsfmWeights(short_proj=short, long_proj=long, avg_proj=avg, output_proj=out)
+    short = _draw(rng, plan.short_out, cfg.d) if plan.short_branch else None
+    long = _draw(rng, plan.long_out, cfg.d) if plan.projects_history else None
+    out = _draw(rng, cfg.d, plan.pre_projection_total) if plan.needs_output_projection else None
+    return LsfmWeights(short_proj=short, long_proj=long, output_proj=out)
 
 
 def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
@@ -219,22 +227,13 @@ def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
 def project_history(
     cfg: LsfmConfig, w: LsfmWeights, fmap: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """The part of fusion that depends on one history map alone: the shared
-    long projection (EfDil, LfDil) or avg projection (LfAvg), written into
-    out when given (see project_1x1).  It is the identity for EfAvg, which
-    sums raw maps, and for a branch whose planned width is zero, which
-    fuse_projected() never reads; those return fmap itself and leave out
-    untouched."""
-    if history_is_identity(cfg):
+    """The part of fusion that depends on one history-path map alone: the
+    shared long projection, written into out when given (see project_1x1).
+    A plan that does not project history (EfAvg, a zero-width history path)
+    gets fmap itself, and out is left untouched."""
+    if not plan_channels(cfg).projects_history:
         return fmap
-    if cfg.variant is FusionVariant.LF_AVG:
-        return project_1x1(fmap, _require(w.avg_proj, "avg"), out=out)
     return project_1x1(fmap, _require(w.long_proj, "long"), out=out)
-
-
-def history_is_identity(cfg: LsfmConfig) -> bool:
-    """Whether project_history() returns its map unchanged."""
-    return cfg.variant is FusionVariant.EF_AVG or plan_channels(cfg).long_out == 0
 
 
 def fuse(
@@ -262,8 +261,7 @@ def fuse(
     for m in (current, *history):
         if m.shape != shape:
             raise ShapeMismatch(f"map shape {m.shape} != {shape}")
-    # Only LfAvg reads the current map's history projection (its avg branch).
-    projected_current = project_history(cfg, w, current) if cfg.variant is FusionVariant.LF_AVG else None
+    projected_current = project_history(cfg, w, current) if plan_channels(cfg).current_as_history else None
     return fuse_projected(cfg, w, current, projected_current, [project_history(cfg, w, m) for m in history])
 
 
@@ -277,41 +275,36 @@ def fuse_projected(
 ) -> np.ndarray:
     """fuse() for maps that already went through project_history(), so a
     caller that keeps them can project each frame once.  projected_current
-    is project_history() of the current map; only LfAvg reads it, and other
-    variants may pass None.  Inputs are trusted to have the shapes and the
-    finite values fuse() checks.
+    is project_history() of the current map; only a plan whose current frame
+    goes down the history path (EfAvg, LfAvg) reads it, and others may pass
+    None.  Inputs are trusted to have the shapes and the finite values
+    fuse() checks.
 
     workspace, a C-contiguous float64 (pre_projection_total, H, W) array,
     holds the concatenation when the plan has an output projection, in
     place of a fresh buffer; without one the concatenation is the fused map,
     which is always fresh, so the workspace is left unused."""
-    shape = (cfg.d, *current.shape[1:])
-    if cfg.variant is FusionVariant.EF_AVG:
-        # A plain sum including the current frame, left to right; the
-        # residual flag is moot.
-        fused = current + projected_history[0]
-        for m in projected_history[1:]:
-            fused += m
-        return fused
-
     plan = plan_channels(cfg)
+    shape = (cfg.d, *current.shape[1:])
     if workspace is not None and plan.needs_output_projection:
         concat = workspace
     else:
         concat = np.empty((plan.pre_projection_total, *shape[1:]))
     row = 0
-    if plan.short_out > 0 and cfg.variant is not FusionVariant.LF_AVG:
+    if plan.short_branch:
         project_1x1(current, _require(w.short_proj, "short"), out=concat[: plan.short_out])
         row = plan.short_out
-    if cfg.variant is FusionVariant.EF_DIL:
-        if plan.long_out > 0:
-            long = concat[row:]
-            np.copyto(long, projected_history[0])
-            for m in projected_history[1:]:
-                long += m
-    elif plan.long_out > 0:  # LfDil; LfAvg, whose long_out is its short_out
-        lf_avg = cfg.variant is FusionVariant.LF_AVG
-        for m in (projected_current, *projected_history) if lf_avg else projected_history:
+    maps = (projected_current, *projected_history) if plan.current_as_history else projected_history
+    if plan.long_out > 0 and plan.sums_history:  # left to right, into the rows after the short branch
+        summed = concat[row:]
+        if len(maps) == 1:
+            np.copyto(summed, maps[0])
+        else:
+            np.add(maps[0], maps[1], out=summed)
+        for m in maps[2:]:
+            summed += m
+    elif plan.long_out > 0:
+        for m in maps:
             concat[row : row + plan.long_out] = m
             row += plan.long_out
 
@@ -321,7 +314,7 @@ def fuse_projected(
         fused = project_1x1(concat, _require(w.output_proj, "output"))
     else:
         fused = concat
-    if cfg.residual:
+    if plan.residual:
         fused += current
     return fused
 
@@ -331,25 +324,17 @@ def count_fusion_flops(cfg: LsfmConfig, plan: ChannelPlan, height: int, width: i
     recomputing every history projection; DualPathNetwork.step, which keeps
     projected history, does less.
 
-    Projections cost 2*H*W*in*out each (the shared long/avg projection is
-    counted once per frame it is applied to); every elementwise add over the
-    maps costs H*W*d.
+    Projections cost 2*H*W*in*out each (the shared long projection is
+    counted once per map it is applied to); every elementwise add over the
+    maps costs H*W*d: summing the history path's maps, and the residual.
     """
     sites = height * width
-    n, d = cfg.n_history, cfg.d
-    macs = 0
-    adds = 0
-    if cfg.variant is FusionVariant.EF_AVG:
-        adds = n  # summing N+1 maps
-    elif cfg.variant is FusionVariant.EF_DIL:
-        macs = d * plan.short_out + n * d * plan.long_out
-        adds = (n - 1) + (1 if cfg.residual else 0)
-    elif cfg.variant is FusionVariant.LF_AVG:
-        macs = (1 + n) * d * plan.short_out
-        adds = 1 if cfg.residual else 0
-    else:  # LF_DIL
-        macs = d * plan.short_out + n * d * plan.long_out
-        adds = 1 if cfg.residual else 0
-    if cfg.variant is not FusionVariant.EF_AVG and plan.needs_output_projection:
+    d = cfg.d
+    path = cfg.n_history + plan.current_as_history  # maps down the history path
+    macs = d * plan.short_out if plan.short_branch else 0
+    if plan.projects_history:
+        macs += path * d * plan.long_out
+    if plan.needs_output_projection:
         macs += plan.pre_projection_total * d
+    adds = (path - 1 if plan.sums_history else 0) + plan.residual
     return 2 * sites * macs + adds * sites * d

@@ -21,10 +21,11 @@ projected history: each frame's projection is written into the slot of the
 frame buffered capacity + 1 steps before it, which the buffer has already
 evicted, and the buffer holds views of the slots.  A concat workspace holds
 the branches' concatenation, for a level whose plan has an output
-projection.  EfAvg, and a zero-width long branch, project history by the
-identity and have no ring.  The fused map handed to the head is a fresh
-array every step, so a head may keep its pyramids; fusion never writes
-into a pyramid's level or into a slot the buffer holds.
+projection.  Both follow the level's fusion.ChannelPlan: without history
+projection (EfAvg, a zero-width history path) the extractor's maps are
+buffered as they are and there is no ring.  The fused map handed to the
+head is a fresh array every step, so a head may keep its pyramids; fusion
+never writes into a pyramid's level or into a slot the buffer holds.
 
 Feature maps are plain (C, H, W) float64 arrays.  Values are checked for
 finiteness once, where they enter: the extractor rejects a frame with a
@@ -53,7 +54,6 @@ from .fusion import (
     FusionSettings,
     LsfmConfig,
     fuse_projected,
-    history_is_identity,
     init_weights,
     plan_channels,
     project_history,
@@ -290,8 +290,8 @@ class _FusedLevel:
     """One fused pyramid level: its fusion config and weights, and the
     frame-size arrays its steps reuse, allocated at its first step (and
     again if the frame size changes): a ring of `slots` projected-history
-    maps, unless history is projected by the identity, and a concat
-    workspace, if the plan has an output projection."""
+    maps, if the plan projects history, and a concat workspace, if it has
+    an output projection."""
 
     def __init__(self, cfg: LsfmConfig, weight_seed: int, slots: int):
         self.cfg = cfg
@@ -307,9 +307,9 @@ class _FusedLevel:
         sites = fmap.shape[1:]
         if sites != self.sites:
             self.sites = sites
-            if not history_is_identity(self.cfg):
+            if self.plan.projects_history:
                 self.ring = np.empty((self.slots, self.plan.long_out, *sites))
-            if self.plan.needs_output_projection and self.plan.pre_projection_total > 0:
+            if self.plan.needs_output_projection:
                 self.workspace = np.empty((self.plan.pre_projection_total, *sites))
         return project_history(self.cfg, self.weights, fmap, None if self.ring is None else self.ring[slot])
 

@@ -162,6 +162,7 @@ def sweep_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
             cells += [""]
         else:
             cells += [""] * 6
-            cells += [row.error.replace(",", ";").replace("\n", " ")]
-        lines.append(",".join(cells))
+            cells += [row.error]
+        # a rejected value's label and an error are free text; numbers pass unchanged
+        lines.append(",".join(cell.replace(",", ";").replace("\n", " ") for cell in cells))
     return "\n".join(lines) + "\n"

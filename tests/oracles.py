@@ -78,7 +78,7 @@ def naive_fuse(cfg, weights, current3: list, history3: list[list]) -> list:
             blocks.append(naive_sum([proj(m, weights.long_proj) for m in history3]))
     elif cfg.variant is FusionVariant.LF_AVG:
         if plan.short_out > 0:
-            blocks.extend(proj(m, weights.avg_proj) for m in [current3] + history3)
+            blocks.extend(proj(m, weights.long_proj) for m in [current3] + history3)
     else:  # LF_DIL
         if plan.short_out > 0:
             blocks.append(proj(current3, weights.short_proj))

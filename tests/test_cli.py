@@ -592,7 +592,7 @@ def test_dataset_source_round_trip(tmp_path):
 # -------------------------------------------------------------- run_sweep
 
 
-def sweep_rows(axis, base=None, values=()):
+def sweep_rows(axis, base=None, values=None):
     base = base or run_config_from_dict(base_config_dict())
     spec = SweepSpec(axis=axis, base=base, values=values)
     return spec, run_sweep(spec)
@@ -710,6 +710,53 @@ def test_a_sweep_builds_its_run_data_once(tmp_path, monkeypatch):
 def test_sweep_values_override(tmp_path):
     spec, rows = sweep_rows(SweepAxis.TEMPORAL_RANGE, values=((0, None), (2, 2)))
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("values", [[], (), {}, {"a": 1}, "abc", 5])
+def test_sweep_rejects_a_value_set_that_is_not_a_non_empty_list(values):
+    base = run_config_from_dict(base_config_dict())
+    with pytest.raises(InvalidConfig, match="sweep values must be a non-empty list"):
+        SweepSpec(SweepAxis.DILATION_RATIO, base, values)
+    assert SweepSpec(SweepAxis.DILATION_RATIO, base).values == (0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("values", ["[]", '{"a": 1}'])
+def test_cli_sweep_rejects_an_empty_or_object_value_list(tmp_path, capsys, values):
+    cfg_path = write_config(tmp_path, base_config_dict())
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", str(cfg_path), "--axis", "dilation-ratio", "--values", values, "--output", str(out)]
+    assert main(args) == 1
+    assert "error: InvalidConfig: sweep values must be a non-empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_labels_each_rejected_value_as_given(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config_dict(detector={"kind": "long-short"}))
+
+    def sweep(axis, values):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values, "--output", str(out)]) == 0
+        return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+    rows = sweep("temporal-range", '[[1], 5, ["x", 1], [2, "y"], [1, 2, 3], [2, 1]]')
+    assert [row[:2] for row in rows] == [["[1]", ""], ["5", ""], ["x", "1"], ["2", "y"], ["[1; 2; 3]", ""], ["2", "1"]]
+    pair = "InvalidConfig: sweep temporal-range value {}: must be a pair of N and delta_t"
+    assert [row[-1] for row in rows] == [
+        pair.format("[1]"), pair.format(5), "InvalidConfig: sweep n_history 'x': must be a number",
+        "InvalidConfig: sweep delta_t 'y': must be a number", pair.format("[1; 2; 3]"), "",
+    ]
+    rows = sweep("dilation-ratio", '["abc", "a,b", true, 0.5]')
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("abc", "InvalidConfig: sweep ratio 'abc': must be a number"),
+        ("a;b", "InvalidConfig: sweep ratio 'a;b': must be a number"),
+        ("True", "InvalidConfig: sweep ratio True: must be a number"),
+        ("0.5", ""),
+    ]
+    rows = sweep("fusion-variant", '["LfDil**", "LfDil*"]')  # one "*" marks the residual-free variant
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("LfDil**", "InvalidConfig: unknown fusion variant 'LfDil*'"),
+        ("LfDil*", ""),
+    ]
 
 
 # -------------------------------------------------------------------- cli

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,25 @@ def test_plan_early_variants():
     assert not plan.needs_output_projection
 
 
+def test_plan_branch_layout_per_variant():
+    # (short_branch, current_as_history, projects_history, sums_history)
+    layouts = {
+        FusionVariant.EF_AVG: (False, True, False, True),
+        FusionVariant.EF_DIL: (True, False, True, True),
+        FusionVariant.LF_AVG: (False, True, True, False),
+        FusionVariant.LF_DIL: (True, False, True, False),
+    }
+    for variant, layout in layouts.items():
+        for residual in (True, False):
+            plan = plan_channels(cfg_for(variant, residual=residual))
+            assert (plan.short_branch, plan.current_as_history, plan.projects_history, plan.sums_history) == layout
+            assert plan.residual == (residual and variant is not FusionVariant.EF_AVG), (variant, residual)
+    # a branch whose width floors to zero is not built, nor an output projection for nothing
+    empty = plan_channels(cfg_for(FusionVariant.LF_AVG, n=3, d=3))
+    assert (empty.projects_history, empty.pre_projection_total, empty.needs_output_projection) == (False, 0, False)
+    assert not plan_channels(cfg_for(FusionVariant.LF_DIL, n=3, d=8, ratio=0.1)).short_branch
+
+
 def test_plan_two_frame_configuration_splits_evenly():
     # N=1, ratio 0.5: both branches get floor(d/2).
     for d in (7, 32, 128):
@@ -125,7 +146,6 @@ def test_seed_zero_gives_all_zero_weights():
     for proj in (w.short_proj, w.long_proj, w.output_proj):
         assert proj is not None
         assert np.all(proj.matrix == 0.0) and np.all(proj.bias == 0.0)
-    assert w.avg_proj is None
 
 
 def test_same_seed_is_bit_identical():
@@ -148,17 +168,43 @@ def test_weight_shapes_small_model_finest_level():
 
 
 def test_weight_presence_pattern():
-    for variant, has_short, has_avg in [
+    for variant, has_short, has_long in [
         (FusionVariant.EF_AVG, False, False),
-        (FusionVariant.EF_DIL, True, False),
+        (FusionVariant.EF_DIL, True, True),
         (FusionVariant.LF_AVG, False, True),
-        (FusionVariant.LF_DIL, True, False),
+        (FusionVariant.LF_DIL, True, True),
     ]:
         cfg = cfg_for(variant, d=24)
         w = init_weights(cfg, plan_channels(cfg), seed=5)
         assert (w.short_proj is not None) == has_short
-        assert (w.long_proj is not None) == has_short
-        assert (w.avg_proj is not None) == has_avg
+        assert (w.long_proj is not None) == has_long
+
+
+# sha256 of each variant's init_weights matrix and bias bytes, slot by slot
+# (short, long, output), at N=3 and seed 2024: a changed draw order or shape
+# changes them.  EfAvg has no weights, so its digest is that of no bytes.
+WEIGHT_DIGESTS = {
+    (FusionVariant.EF_AVG, 9): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (FusionVariant.EF_DIL, 9): "d8c783c8cdf37f5f996dd18a5c18e64acbefa617f4e1066580fdd77882b8c928",
+    (FusionVariant.LF_AVG, 9): "9060c76b4cd954048aba8663b9e5e032e4751f604eee02ae0bcce631208fc8c1",
+    (FusionVariant.LF_DIL, 9): "b4410df2bc082446a26c0bec82eadf1df81f66c6c6c9f2c3c542fcc5683a983e",
+    (FusionVariant.EF_AVG, 128): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (FusionVariant.EF_DIL, 128): "eb31b3ed450b081ac3880ec3a0d9e9c6bec799eb76cfa89f8c90c27617bf592b",
+    (FusionVariant.LF_AVG, 128): "a23552486df06451b67c153df7f33d3c81aed1d09a948c1c3a44519c8b96d465",
+    (FusionVariant.LF_DIL, 128): "9c53b7153ef994d65cc995e05b12df59d211581a22d96c5cc1ae68d8ed52a1c4",
+}
+
+
+@pytest.mark.parametrize("variant, d", sorted(WEIGHT_DIGESTS, key=lambda k: (k[0].value, k[1])))
+def test_init_weights_draws_are_pinned(variant, d):
+    cfg = cfg_for(variant, n=3, d=d)
+    w = init_weights(cfg, plan_channels(cfg), seed=2024)
+    digest = hashlib.sha256()
+    for proj in (w.short_proj, w.long_proj, w.output_proj):
+        if proj is not None:
+            digest.update(proj.matrix.tobytes())
+            digest.update(proj.bias.tobytes())
+    assert digest.hexdigest() == WEIGHT_DIGESTS[(variant, d)]
 
 
 # ------------------------------------------------------------------ fuse
@@ -352,6 +398,34 @@ def test_flops_monotone_in_history_for_early_fusion():
                 val = count_fusion_flops(cfg, plan_channels(cfg), 4, 4)
                 assert val > prev, (variant, d, n)
                 prev = val
+
+
+def test_flops_early_dilated_hand_count_with_and_without_residual():
+    # d=9: short and long 4 each, 8 concatenated rows projected back to 9;
+    # the three projected history maps are summed with two adds
+    for residual, adds in ((True, 2 + 1), (False, 2)):
+        cfg = cfg_for(FusionVariant.EF_DIL, n=3, d=9, residual=residual)
+        want = 2 * (9 * 4 + 3 * 9 * 4 + 8 * 9) + adds * 9
+        assert count_fusion_flops(cfg, plan_channels(cfg), 1, 1) == want, residual
+
+
+def test_flops_averaged_late_hand_count_with_and_without_residual():
+    # d=9: the shared projection maps each of the 4 frames to 2 rows, and
+    # the 8 concatenated rows are projected back to 9
+    for residual, adds in ((True, 1), (False, 0)):
+        cfg = cfg_for(FusionVariant.LF_AVG, n=3, d=9, residual=residual)
+        want = 2 * (4 * 9 * 2 + 8 * 9) + adds * 9
+        assert count_fusion_flops(cfg, plan_channels(cfg), 1, 1) == want, residual
+
+
+def test_flops_hand_count_with_zero_width_branches():
+    # LfAvg with d < N + 1: every branch floors to zero width, leaving the residual alone
+    for residual, want in ((True, 3), (False, 0)):
+        cfg = cfg_for(FusionVariant.LF_AVG, n=3, d=3, residual=residual)
+        assert count_fusion_flops(cfg, plan_channels(cfg), 1, 1) == want, residual
+    # LfDil at ratio 0.1, d=8: no short branch, three long maps of 2 rows each, 6 rows projected back to 8
+    cfg = cfg_for(FusionVariant.LF_DIL, n=3, d=8, ratio=0.1)
+    assert count_fusion_flops(cfg, plan_channels(cfg), 1, 1) == 2 * (3 * 8 * 2 + 6 * 8) + 8
 
 
 def test_fusion_settings_round_trip():
