@@ -25,7 +25,6 @@ from .network import (
     BlobHead,
     BoxFilterExtractor,
     DualPathNetwork,
-    FeatureBuffer,
     FeaturePyramid,
     Frame,
     MODEL_CHANNELS,
@@ -63,7 +62,6 @@ __all__ = [
     "DispatchPolicy",
     "DualPathNetwork",
     "EvalPairing",
-    "FeatureBuffer",
     "FeaturePyramid",
     "Frame",
     "FusionSettings",

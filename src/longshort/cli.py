@@ -26,6 +26,7 @@ from .config import (
     SweepAxis,
     SweepSpec,
     load_run_config,
+    parse_scene_name,
 )
 from .coco_io import export_scenario
 from .fusion import FusionVariant
@@ -54,7 +55,7 @@ def _with_eval_flags(cfg: RunConfig, args) -> RunConfig:
                      latency_model=None if args.latency_ms is None else ConstantLatency(args.latency_ms),
                      dispatch_policy=args.dispatch and DispatchPolicy(args.dispatch))
     if args.scene_name is not None:
-        changes.update(scene=bundled_scene(args.scene_name), dataset_path=None)
+        changes.update(scene=parse_scene_name(args.scene_name), dataset_path=None)
     params = {**cfg.detector_params, **{k: v for k, v in fusion.items() if k in DETECTOR_KEYS[kind]}}
     return dataclasses.replace(cfg, **changes, detector_kind=kind, detector_params=params,
                                fusion=dataclasses.replace(cfg.fusion, **fusion))

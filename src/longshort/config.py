@@ -27,14 +27,15 @@ trajectories too), naming the key, and "stream" takes one latency form, a
 constant or a per-frame list, not both.  Bad values are rejected too,
 naming the key: each value is checked by its key's parser, so a number
 must be a JSON number, not a string or a bool (a sweep value too), a count
-refuses a fractional value instead of truncating it, and a null takes the
-default.  The range checks run when a RunConfig, or a FusionSettings or
-scene it holds, is built, so a config derived with dataclasses.replace (a
-CLI flag, a sweep value) is checked like a file.  For a scene source that
-includes what the scene's frame count decides: a horizon beyond it, a
-per-frame latency list shorter than the horizon, and a frame interval so
-large that the stream's clock overflows (for a dataset source
-build_run_data checks that last one).
+refuses a fractional value instead of truncating it, scene_name, dataset
+and output must be strings, a scene_name (the CLI's --scene-name too) must
+name a bundled scene, and a null takes the default.  The range checks run
+when a RunConfig, or a FusionSettings or scene it holds, is built, so a
+config derived with dataclasses.replace (a CLI flag, a sweep value) is
+checked like a file.  For a scene source that includes what the scene's
+frame count decides: a horizon beyond it, a per-frame latency list shorter
+than the horizon, and a frame interval so large that the stream's clock
+overflows (for a dataset source build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  A null value takes the default.  The
@@ -56,7 +57,7 @@ from typing import Any, Callable, Optional, Union
 
 from .fusion import FusionSettings, FusionVariant, InvalidConfig
 from .network import MODEL_CHANNELS
-from .scenarios import SyntheticScene, bundled_scene, scene_from_dict
+from .scenarios import SyntheticScene, bundled_scene, bundled_scene_names, scene_from_dict
 from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency
 
 
@@ -126,6 +127,7 @@ _STREAM_FIELDS = {
 }
 STREAM_KEYS = tuple(_STREAM_FIELDS)
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
+_STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
 _FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
@@ -255,9 +257,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if "scene" in sources:
         kwargs["scene"] = scene_from_dict(data["scene"])
     elif "scene_name" in sources:
-        kwargs["scene"] = bundled_scene(data["scene_name"])
+        kwargs["scene"] = parse_scene_name(data["scene_name"])
     else:
-        kwargs["dataset_path"] = str(data["dataset"])
+        kwargs["dataset_path"] = _parsed("config", "dataset", data["dataset"], _STRING)
     kwargs.update(_parse_stream(data.get("stream", {})))
     if "fusion" in data:
         kwargs["fusion"] = _parse_fusion(data["fusion"])
@@ -268,8 +270,16 @@ def run_config_from_dict(data: dict) -> RunConfig:
         kwargs["max_dets_per_frame"] = _parsed("config", "max_dets_per_frame", data["max_dets_per_frame"], _whole)
     kwargs["seed"] = _parsed("config", "seed", data.get("seed", 0), _whole)
     if data.get("output") is not None:
-        kwargs["output"] = str(data["output"])
+        kwargs["output"] = _parsed("config", "output", data["output"], _STRING)
     return RunConfig(**kwargs)
+
+
+def parse_scene_name(name) -> SyntheticScene:
+    """The bundled scene `name`, or an InvalidConfig naming scene_name if it
+    is not a string or names no bundled scene."""
+    names = bundled_scene_names()
+    bundled = _checked(_STRING, names.__contains__, f"must be one of {names}")
+    return bundled_scene(_parsed("config", "scene_name", name, bundled))
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:

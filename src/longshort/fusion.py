@@ -29,8 +29,8 @@ added in place.  A caller that fuses frame after frame may lend it a
 workspace to hold the concatenation, and project_history() an out= array to
 hold a projection, so that the same arrays serve every frame; the fused map
 it returns is always a fresh array.  Nothing else is written: never the
-current map or a history map, which the network's buffer keeps (when the
-plan does not project history, those are the extractor's maps).
+current map or a history map, which the network's fused levels hold (when
+the plan does not project history, those are the extractor's maps).
 """
 
 from __future__ import annotations

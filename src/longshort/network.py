@@ -3,10 +3,10 @@
 One weight-shared feature extractor serves both temporal paths: the current
 frame is extracted once per step.  Fusion runs independently per pyramid
 level, and only on the levels the detection head reads; the head gets the
-current frame's unfused map at the others.  The history path is fed from a
-ring buffer that holds, per fused level, each past frame's map already
-passed through the history projection (fusion.project_history), so no frame
-goes through the extractor or that projection twice.
+current frame's unfused map at the others.  Each fused level holds each
+recent frame's history-path map, already passed through the history
+projection (fusion.project_history), so no frame goes through the extractor
+or that projection twice.
 
 Pyramid levels are built when first read.  The extractor checks a frame's
 pixels when it is called and keeps its own copy of them; a level is pooled
@@ -15,17 +15,19 @@ only the levels it fuses and hands the head a pyramid with those replaced
 by their fused maps and the others still unbuilt, so BlobHead, which reads
 level 0, costs one pooled level per frame.
 
-Each fused level keeps two kinds of frame-size array across steps, both
-allocated at its first step.  A ring of capacity + 1 slots holds the
-projected history: each frame's projection is written into the slot of the
-frame buffered capacity + 1 steps before it, which the buffer has already
-evicted, and the buffer holds views of the slots.  A concat workspace holds
-the branches' concatenation, for a level whose plan has an output
-projection.  Both follow the level's fusion.ChannelPlan: without history
-projection (EfAvg, a zero-width history path) the extractor's maps are
-buffered as they are and there is no ring.  The fused map handed to the
-head is a fresh array every step, so a head may keep its pyramids; fusion
-never writes into a pyramid's level or into a slot the buffer holds.
+History lives in n_history * delta_t + 1 slots.  The network records the
+frame index each slot holds, and each step looks its history up by frame
+index there, then takes the oldest frame's slot, which no step reads.  Each
+fused level keeps two kinds of frame-size array across steps, both
+allocated at its first step and again when the frame size changes, which
+also drops the level's history.  A ring holds the projected history, one
+row block per slot, and the level's held maps are views of it.  A concat
+workspace holds the branches' concatenation, for a level whose plan has an
+output projection.  Both follow the level's fusion.ChannelPlan: without
+history projection (EfAvg, a zero-width history path) the level holds the
+extractor's maps as they are and there is no ring.  The fused map handed to
+the head is a fresh array every step, so a head may keep its pyramids;
+fusion never writes into a pyramid's level or into a held map.
 
 Feature maps are plain (C, H, W) float64 arrays.  Values are checked for
 finiteness once, where they enter: the extractor rejects a frame with a
@@ -70,7 +72,7 @@ MODEL_CHANNELS = {
 
 
 class NonMonotonicIndex(ValueError):
-    """Buffer pushes must use strictly increasing frame indices."""
+    """A network's steps must take strictly increasing frame indices."""
 
 
 @dataclass(frozen=True)
@@ -254,111 +256,92 @@ class BlobHead:
         )
 
 
-ProjectedMaps = tuple[np.ndarray, ...]
-
-
-class FeatureBuffer:
-    """Index-keyed cache of the most recent frames' projected maps (one
-    tuple per frame, one map per fused level), capacity n_history *
-    delta_t.  Gathering strides backwards through it; indices that fall off
-    the front of the stream (or were never stored) get the caller's pad."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.slots: dict[int, ProjectedMaps] = {}
-
-    def push(self, index: int, maps: ProjectedMaps) -> None:
-        if self.slots and index <= max(self.slots):
-            raise NonMonotonicIndex(f"index {index} not greater than stored {max(self.slots)}")
-        self.slots[index] = maps
-        while len(self.slots) > self.capacity:
-            del self.slots[min(self.slots)]
-
-    def gather(self, t: int, n: int, delta_t: int, pad: ProjectedMaps) -> list[ProjectedMaps]:
-        """Entries for t - delta_t, t - 2*delta_t, ..., t - n*delta_t,
-        most-recent-first, with pad in place of every missing one."""
-        out = []
-        for i in range(1, n + 1):
-            idx = t - i * delta_t
-            out.append(self.slots.get(idx, pad) if idx >= 0 else pad)
-        return out
-
-
 class _FusedLevel:
-    """One fused pyramid level: its fusion config and weights, and the
-    frame-size arrays its steps reuse, allocated at its first step (and
-    again if the frame size changes): a ring of `slots` projected-history
-    maps, if the plan projects history, and a concat workspace, if it has
-    an output projection."""
+    """One fused pyramid level: its fusion config and weights, the
+    history-path map of the frame in each of the network's slots, and the
+    frame-size arrays its steps reuse.  held[slot] is a view of the ring's
+    row block `slot` if the plan projects history, else the extractor's own
+    map, and None while the slot holds nothing.  The ring, and a concat
+    workspace if the plan has an output projection, are allocated at the
+    first step and again when the frame size changes, which drops every
+    held map: history of another size is never read."""
 
     def __init__(self, cfg: LsfmConfig, weight_seed: int, slots: int):
         self.cfg = cfg
         self.plan = plan_channels(cfg)
         self.weights = init_weights(cfg, self.plan, weight_seed)
-        self.slots = slots
+        self.held: list[Optional[np.ndarray]] = [None] * slots
         self.sites: Optional[tuple[int, ...]] = None
         self.ring: Optional[np.ndarray] = None
         self.workspace: Optional[np.ndarray] = None
 
-    def project(self, fmap: np.ndarray, slot: int) -> np.ndarray:
-        """fmap's history projection, written into the ring's `slot`."""
+    def hold(self, fmap: np.ndarray, slot: int) -> np.ndarray:
+        """fmap's history-path map (fusion.project_history), held at `slot`."""
         sites = fmap.shape[1:]
         if sites != self.sites:
             self.sites = sites
+            self.held = [None] * len(self.held)
             if self.plan.projects_history:
-                self.ring = np.empty((self.slots, self.plan.long_out, *sites))
+                self.ring = np.empty((len(self.held), self.plan.long_out, *sites))
             if self.plan.needs_output_projection:
                 self.workspace = np.empty((self.plan.pre_projection_total, *sites))
-        return project_history(self.cfg, self.weights, fmap, None if self.ring is None else self.ring[slot])
+        self.held[slot] = project_history(self.cfg, self.weights, fmap, None if self.ring is None else self.ring[slot])
+        return self.held[slot]
 
 
 @dataclass
 class DualPathNetwork:
-    """The full assembly: extractor, per-level fusion, head, feature buffer.
+    """The full assembly: extractor, per-level fusion and head.
 
     With fusion.n_history == 0 the history path is disabled and the current
     pyramid passes straight to the head.  Otherwise fusion configs and
-    weights exist only for the levels the head reads, and the buffer holds
-    one tuple of projected maps per frame, one map per fused level, each a
-    view of a slot in that level's ring.
+    weights exist only for the levels the head reads, and history has
+    n_history * delta_t + 1 slots.  The network records which frame index
+    each slot holds, and each fused level holds that frame's history-path
+    map in the same slot.  A step takes the slot of the oldest frame, which
+    is further back than any step reads.
     """
 
     extractor: FeatureExtractor
     head: DetectionHead
     fusion: FusionSettings = field(default_factory=FusionSettings)
     weight_seed: int = 0
-    buffer: Optional[FeatureBuffer] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.fusion.n_history > 0:
             channels = MODEL_CHANNELS[self.extractor.model_size]
             used = getattr(self.head, "levels_used", range(len(PYRAMID_RATES)))
-            self.buffer = FeatureBuffer(capacity=self.fusion.n_history * self.fusion.delta_t)
+            slots = self.fusion.n_history * self.fusion.delta_t + 1
             self._levels = {
-                level: _FusedLevel(self.fusion.config_for(channels[level]), self.weight_seed, self.buffer.capacity + 1)
-                for level in used
+                level: _FusedLevel(self.fusion.config_for(channels[level]), self.weight_seed, slots) for level in used
             }
-            self._pushes = 0
+            self._frames: list[Optional[int]] = [None] * slots  # the frame index each slot holds
+            self._steps = 0
 
     def step(self, frame: Frame) -> DetectionTable:
-        """Process one frame: a single extractor call, one history
-        projection per fused level, buffered history, fusion, then the
-        head.  The projected maps are buffered after use, and they are
-        also the pad for history missing from the buffer."""
-        current = self.extractor.extract(frame)
+        """Process one frame: a single extractor call, one history-path map
+        per fused level, fusion with the history looked up by frame index,
+        then the head.  The current frame's history-path map is also the pad
+        for history no slot holds: before the stream start, a frame the
+        stream skipped, or one before the level's last change of frame size.
+        A frame index not above the last step's is refused before any work."""
         if self.fusion.n_history == 0:
-            return self.head.predict(current)
-        maps = [current.levels[level] for level in self._levels]
-        slot = self._pushes % (self.buffer.capacity + 1)  # its last frame left the buffer at the last push
-        projected = tuple(lv.project(fmap, slot) for lv, fmap in zip(self._levels.values(), maps))
-        history = self.buffer.gather(frame.index, self.fusion.n_history, self.fusion.delta_t, projected)
-        fused = {
-            level: fuse_projected(lv.cfg, lv.weights, fmap, projected[k], [h[k] for h in history], lv.workspace)
-            for k, ((level, lv), fmap) in enumerate(zip(self._levels.items(), maps))
-        }
+            return self.head.predict(self.extractor.extract(frame))
+        slot = self._steps % len(self._frames)
+        last = self._frames[slot - 1]  # slot - 1 is -1, the last slot, when the steps wrap
+        if last is not None and frame.index <= last:
+            raise NonMonotonicIndex(f"frame index {frame.index} not greater than the last step's {last}")
+        current = self.extractor.extract(frame)
+        at = {index: s for s, index in enumerate(self._frames)}
+        wanted = (frame.index - i * self.fusion.delta_t for i in range(1, self.fusion.n_history + 1))
+        found = [at.get(index) if index >= 0 else None for index in wanted]
+        fused = {}
+        for level, lv in self._levels.items():
+            fmap = current.levels[level]
+            projected = lv.hold(fmap, slot)
+            history = [projected if s is None or lv.held[s] is None else lv.held[s] for s in found]
+            fused[level] = fuse_projected(lv.cfg, lv.weights, fmap, projected, history, lv.workspace)
         dets = self.head.predict(current.replace(fused))
-        self.buffer.push(frame.index, projected)
-        self._pushes += 1
+        self._frames[slot] = frame.index
+        self._steps += 1
         return dets

@@ -84,7 +84,7 @@ def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], DetectionTab
             forecast_steps=math.ceil(cfg.latency_model.ms / data.frame_interval_ms) if steps is None else steps,
         )
     # pyramid: the dual-path network steps over the frames the simulator
-    # dispatches (frames it skips never reach the buffer)
+    # dispatches (frames it skips never reach its history)
     network = DualPathNetwork(
         extractor=BoxFilterExtractor(model_size=s["model_size"], seed=cfg.seed),
         head=BlobHead(threshold=s["threshold"], category=s["category"]),

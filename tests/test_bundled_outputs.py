@@ -48,6 +48,15 @@ SWEEP_DIGESTS = {
     ("accelerating_long_short", "temporal-range"): "0e174284d0bf77fd25fcb306dbfd681b8777f4ddc303d900bb5c0c62f88bbeca",
 }
 
+# `eval --config mixed_pyramid.json --variant EfAvg --latency-ms 50`: a 50 ms
+# latency on 33.33 ms frames dispatches every other frame, so the network's
+# history lookups meet skipped frame indices and pads.  EfAvg runs no matrix
+# product, so these bytes do not depend on the BLAS build.
+SKIPPED_FRAME_DIGESTS = {
+    "report.txt": "d159cd25a14e0aa2485bc19d4d6407e9328d7506c572df493e931b46bba2f232",
+    "records.jsonl": "224a02bfba21024754ab69f110c9b1cf291308303d006719e091a42d07a41138",
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -68,3 +77,9 @@ def test_readme_sweep_csvs_match_their_digests(name, axis, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(CONFIGS / f"{name}.json"), "--axis", axis, "--output", str(out)]) == 0
     assert sha256(out) == SWEEP_DIGESTS[(name, axis)]
+
+
+def test_a_pyramid_eval_that_skips_frames_matches_its_digests(tmp_path, capsys):
+    args = ["eval", "--config", str(CONFIGS / "mixed_pyramid.json"), "--variant", "EfAvg", "--latency-ms", "50"]
+    assert main([*args, "--output", str(tmp_path)]) == 0
+    assert {f: sha256(tmp_path / f) for f in SKIPPED_FRAME_DIGESTS} == SKIPPED_FRAME_DIGESTS

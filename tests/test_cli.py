@@ -154,6 +154,30 @@ def test_config_rejects_a_value_that_is_not_a_json_number_naming_the_key(extra, 
         run_config_from_dict(base_config_dict(**extra))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"scene_name": "turning"}, "config scene_name 'turning': must be one of ['accelerating', 'mixed', 'uniform']"),
+        ({"scene_name": 5}, "config scene_name 5: must be a string"),
+        ({"scene_name": None, "dataset": 5}, "config dataset 5: must be a string"),
+        ({"output": 5}, "config output 5: must be a string"),
+    ],
+)
+def test_eval_rejects_a_bad_string_key_at_load_naming_it(changes, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config_dict(**changes))
+    assert main(["eval", "--config", "run.json"]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]  # nothing written, not into ./5
+
+
+def test_eval_rejects_an_unknown_scene_name_flag_naming_the_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config_dict())
+    assert main(["eval", "--config", str(cfg_path), "--scene-name", "turning", "--output", str(tmp_path / "o")]) == 1
+    assert "InvalidConfig: config scene_name 'turning': must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_takes_a_whole_float_as_a_count():
     cfg = run_config_from_dict(base_config_dict(seed=2.0, fusion={"n_history": 4.0}, stream={"horizon_frames": 7.0}))
     assert (cfg.seed, cfg.fusion.n_history, cfg.horizon_frames) == (2, 4, 7)

@@ -6,8 +6,9 @@ check that needs the data, a horizon that holds no ground truth, rejects in
 build_run_data, which runs before any detector is built.  A copy of an
 accepted config given a horizon beyond its scene, or a per-frame latency
 list shorter than its horizon, must be rejected at load, naming the key,
-and so must a copy with one number given as a string or a bool.
-A completed run
+and so must a copy with one value of the wrong type: a number given as a
+string or a bool, a number in place of the output, scene_name or dataset
+string, or a scene_name that names no bundled scene.  A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
@@ -162,11 +163,28 @@ NUMBER_KEYS = ("seed", "max_dets_per_frame", "latency_ms", "latency_per_frame_ms
                "horizon_frames", "n_history", "delta_t", "ratio", "forecast_steps", "latency_frames", "threshold", "weight_seed")
 
 
-def not_a_number(rng, data: dict) -> tuple[str, dict]:
-    """A copy of an accepted config with one number, given or not, set to
-    its string form or to true: the seed, max_dets_per_frame, or a stream,
-    fusion or detector number (one entry of a per-frame latency list).
-    Returns the key and the copy."""
+# case -> (key, bad value, the rule its refusal states); scene_name and
+# dataset replace the config's scene
+STRING_CASES = {
+    "output": ("output", 5, "must be a string"),
+    "scene_name": ("scene_name", 5, "must be a string"),
+    "dataset": ("dataset", 5, "must be a string"),
+    "unknown scene_name": ("scene_name", "turning", "must be one of"),
+}
+
+
+def wrong_type(rng, data: dict) -> tuple[str, str, dict]:
+    """A copy of an accepted config with one value of the wrong type.
+    Mostly a number, given or not, set to its string form or to true: the
+    seed, max_dets_per_frame, or a stream, fusion or detector number (one
+    entry of a per-frame latency list).  Otherwise one of STRING_CASES.
+    Returns the case (the key, for a number), a pattern of the refusal's
+    message and the copy."""
+    if rng.random() < 0.2:
+        case = list(STRING_CASES)[int(rng.integers(0, len(STRING_CASES)))]
+        key, bad, rule = STRING_CASES[case]
+        data = {name: value for name, value in data.items() if name != "scene" or key == "output"}
+        return case, f"{key} .*{rule}", {**data, key: bad}
     data = copy.deepcopy(data)
     stream, detector = data["stream"], data["detector"]
     places = [(data, "seed"), (data, "max_dets_per_frame"), (stream, "frame_interval_ms"), (stream, "horizon_frames")]
@@ -179,7 +197,7 @@ def not_a_number(rng, data: dict) -> tuple[str, dict]:
         section, key = section[name], int(rng.integers(0, len(section[name])))
     given = section[key] if isinstance(key, int) else section.get(key, 1)
     section[key] = str(given) if rng.random() < 0.5 else True
-    return name, data
+    return name, f"{name} .*must be a number", data
 
 
 def as_dataset(rng, cfg, data: dict, path) -> tuple[str, dict]:
@@ -230,9 +248,9 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     rng = np.random.default_rng(SEED)
     defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
     dataset_rng = np.random.default_rng(SEED + 2)
-    number_rng = np.random.default_rng(SEED + 4)
+    type_rng = np.random.default_rng(SEED + 4)
     completed = perfect = empty_horizons = forecasters = 0
-    knowable, datasets, not_numbers = Counter(), Counter(), Counter()
+    knowable, datasets, wrong_types = Counter(), Counter(), Counter()
     for i in range(N_CONFIGS):
         data = draw_config(rng)
         try:
@@ -245,10 +263,10 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
                 run_config_from_dict(bad)
             knowable[key] += 1
         for _ in range(3):
-            key, bad = not_a_number(number_rng, data)
-            with pytest.raises(InvalidConfig, match=f"{key} .*must be a number"):
+            case, message, bad = wrong_type(type_rng, data)
+            with pytest.raises(InvalidConfig, match=message):
                 run_config_from_dict(bad)
-            not_numbers[key] += 1
+            wrong_types[case] += 1
         try:
             run_data = build_run_data(cfg)
         except InvalidConfig as exc:
@@ -272,7 +290,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
-    assert all(not_numbers[key] > 0 for key in NUMBER_KEYS), not_numbers
+    assert all(wrong_types[case] > 0 for case in (*NUMBER_KEYS, *STRING_CASES)), wrong_types
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
 
 

@@ -16,7 +16,6 @@ from longshort.network import (
     BlobHead,
     BoxFilterExtractor,
     DualPathNetwork,
-    FeatureBuffer,
     FeaturePyramid,
     Frame,
     MODEL_CHANNELS,
@@ -28,11 +27,6 @@ from longshort.network import (
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
 from longshort.scenarios import bundled_scene, generate_scenario
 from oracles import reference_blob_detect
-
-
-def tiny_maps(value: float) -> tuple:
-    """One buffer entry: a map per pyramid level, all filled with value."""
-    return tuple(np.full((2, 1, 1), value) for _ in PYRAMID_RATES)
 
 
 def noise_frames(n, height=40, width=48, seed=42):
@@ -51,78 +45,111 @@ class RecordingHead:
         return detection_table(())
 
 
-# ---------------------------------------------------------------- buffer
+# --------------------------------------------------------------- history
 
 
-def test_push_evicts_oldest_first():
-    buf = FeatureBuffer(capacity=3)
-    for i in range(5):
-        buf.push(i, tiny_maps(float(i)))
-    assert sorted(buf.slots) == [2, 3, 4]
+def constant_frames(indices, size=16):
+    """Frames whose pixels are all their index + 1."""
+    return [Frame(k, k * 33.33, np.full((size, size), k + 1.0)) for k in indices]
+
+
+def gathered(monkeypatch, frames, n, dt):
+    """The frame index of each history map a network over `frames` handed
+    to level 0's fusion, per step, most recent first, and the network.  A
+    map is told by its first value: each frame's projection is its own, and
+    the pad is the current frame's."""
+    import longshort.network as network
+
+    seen = []
+    fuse = network.fuse_projected
+
+    def spy(cfg, w, current, projected, history, workspace):
+        seen.append([m[0, 0, 0] for m in (projected, *history)])
+        return fuse(cfg, w, current, projected, history, workspace)
+
+    monkeypatch.setattr(network, "fuse_projected", spy)
+    net = DualPathNetwork(BoxFilterExtractor("S", seed=2), LevelZeroReader(),
+                          FusionSettings(n_history=n, delta_t=dt), weight_seed=7)
+    for f in frames:
+        net.step(f)
+    frame_of = {values[0]: f.index for values, f in zip(seen, frames)}
+    assert len(frame_of) == len(frames)
+    return [[frame_of[v] for v in values[1:]] for values in seen], net
+
+
+def test_push_evicts_oldest_first(monkeypatch):
+    # n_history * delta_t + 1 = 4 slots; frame 4 takes frame 0's
+    _, net = gathered(monkeypatch, constant_frames(range(5)), 3, 1)
+    assert net._frames == [4, 1, 2, 3]
 
 
 def test_push_rejects_non_monotonic_index():
-    buf = FeatureBuffer(capacity=3)
-    buf.push(5, tiny_maps(0.0))
-    with pytest.raises(NonMonotonicIndex):
-        buf.push(5, tiny_maps(1.0))
-    with pytest.raises(NonMonotonicIndex):
-        buf.push(4, tiny_maps(1.0))
+    # a repeated or decreasing index is refused before the extractor runs,
+    # also where the steps wrap round the slots, and the next valid step
+    # still gives the recompute reference
+    settings = FusionSettings(n_history=3)
+    frames = noise_frames(7)
+    for stop in range(1, len(frames)):
+        ext = BoxFilterExtractor("S", seed=11)
+        head = RecordingHead()
+        net = DualPathNetwork(ext, head, settings, weight_seed=7)
+        for f in frames[:stop]:
+            net.step(f)
+        for refused in (frames[stop - 1], frames[0]):
+            with pytest.raises(NonMonotonicIndex):
+                net.step(refused)
+        assert ext.calls == stop
+        net.step(frames[stop])
+        want = reference_fused_pyramids(frames[: stop + 1], "S", settings, 7, 11)
+        for got_p, want_p in zip(head.pyramids, want, strict=True):
+            assert all(np.array_equal(g, w) for g, w in zip(got_p.levels, want_p.levels)), stop
 
 
-def test_strided_gather_before_and_after_push():
-    # capacity = N * delta_t = 6 with N=3, delta_t=2
-    buf = FeatureBuffer(capacity=6)
-    for i in range(9):
-        buf.push(i, tiny_maps(float(i)))
-    current = tiny_maps(9.0)
-    got = buf.gather(9, 3, 2, current)
-    assert [m[0].flat[0] for m in got] == [7.0, 5.0, 3.0]
-    buf.push(9, current)
-    assert sorted(buf.slots) == [4, 5, 6, 7, 8, 9]
-    assert len(buf.slots) <= 6
+def test_strided_gather_before_and_after_push(monkeypatch):
+    # N=3, delta_t=2: 7 slots
+    got, net = gathered(monkeypatch, constant_frames(range(10)), 3, 2)
+    assert got[9] == [7, 5, 3]
+    assert sorted(net._frames) == [3, 4, 5, 6, 7, 8, 9]
+    net.step(constant_frames([10])[0])
+    assert sorted(net._frames) == [4, 5, 6, 7, 8, 9, 10]
 
 
-def test_gather_pads_with_current_at_stream_start():
-    buf = FeatureBuffer(capacity=3)
-    pad = tiny_maps(7.0)
-    got = buf.gather(0, 3, 1, pad)
-    assert all(p is pad for p in got)
+def test_gather_pads_with_current_at_stream_start(monkeypatch):
+    got, _ = gathered(monkeypatch, constant_frames([0]), 3, 1)
+    assert got == [[0, 0, 0]]
 
 
-def test_gather_direct_lookup():
-    buf = FeatureBuffer(capacity=3)
-    for i in range(3):
-        buf.push(i, tiny_maps(float(i)))
-    got = buf.gather(3, 3, 1, tiny_maps(3.0))
-    assert [m[0].flat[0] for m in got] == [2.0, 1.0, 0.0]
+def test_gather_direct_lookup(monkeypatch):
+    got, _ = gathered(monkeypatch, constant_frames(range(4)), 3, 1)
+    assert got[3] == [2, 1, 0]
 
 
-def test_gather_strided_with_negative_index_padding():
-    buf = FeatureBuffer(capacity=6)
-    for i in range(5):
-        buf.push(i, tiny_maps(float(i)))
-    current = tiny_maps(5.0)
-    got = buf.gather(5, 3, 2, current)
-    assert [m[0].flat[0] for m in got] == [3.0, 1.0, 5.0]  # -1 -> current
+def test_gather_strided_with_negative_index_padding(monkeypatch):
+    got, _ = gathered(monkeypatch, constant_frames(range(6)), 3, 2)
+    assert got[5] == [3, 1, 5]  # -1 -> current
 
 
 def test_memory_bound_holds_throughout_a_long_stream():
-    for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
-        buf = FeatureBuffer(capacity=n * dt)
-        for i in range(40):
-            buf.push(i, tiny_maps(float(i)))
-            assert len(buf.slots) <= n * dt + 1
+    # every fused level holds a map for each of the n_history * delta_t + 1
+    # slots at most, and for all of them once the stream is that long
+    for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2), (3, 3), (3, 4)):
+        slots = n * dt + 1
+        net = DualPathNetwork(BoxFilterExtractor("S", seed=2), RecordingHead(),
+                              FusionSettings(n_history=n, delta_t=dt), weight_seed=7)
+        for f in noise_frames(40, height=16, width=16):
+            net.step(f)
+            assert len(net._frames) == slots
+            for lv in net._levels.values():
+                assert len(lv.held) == len(lv.ring) == slots
+                assert sum(m is not None for m in lv.held) == min(f.index + 1, slots), (n, dt, f.index)
+        assert sorted(net._frames) == list(range(40 - slots, 40))
+        assert all(m is not None for lv in net._levels.values() for m in lv.held), (n, dt)
 
 
-def test_delta_t_changes_gathered_indices():
-    buf = FeatureBuffer(capacity=12)
-    for i in range(12):
-        buf.push(i, tiny_maps(float(i)))
-    current = tiny_maps(12.0)
-    for dt, want in ((1, [11.0, 10.0, 9.0]), (2, [10.0, 8.0, 6.0]), (3, [9.0, 6.0, 3.0]), (4, [8.0, 4.0, 0.0])):
-        got = buf.gather(12, 3, dt, current)
-        assert [m[0].flat[0] for m in got] == want
+def test_delta_t_changes_gathered_indices(monkeypatch):
+    for dt, want in ((1, [11, 10, 9]), (2, [10, 8, 6]), (3, [9, 6, 3]), (4, [8, 4, 0])):
+        got, _ = gathered(monkeypatch, constant_frames(range(13)), 3, dt)
+        assert got[12] == want, dt
 
 
 # ------------------------------------------------------------- extractor
@@ -210,23 +237,28 @@ def reference_fused_pyramids(frames, model_size, settings, weight_seed, extracto
     """No-buffer reference: re-extract every needed historical frame, looked
     up by frame index among `frames`, and fuse it with the public fuse();
     history not among them (before the stream start, or a frame the stream
-    skipped) is the current pyramid."""
+    skipped) is the current pyramid.  A frame size change clears history:
+    at each level, a frame from before the last change of that level's map
+    size is the current pyramid too."""
     ext = BoxFilterExtractor(model_size, seed=extractor_seed)
     configs = [settings.config_for(d) for d in MODEL_CHANNELS[model_size]]
     weights = [init_weights(cfg, plan_channels(cfg), weight_seed) for cfg in configs]
     by_index = {f.index: f for f in frames}
+    sizes, since = {}, {}  # per level: the map size, and the first frame index at it
     out = []
     for frame in frames:
         current = ext.extract(frame)
         history = []
         for i in range(1, settings.n_history + 1):
             idx = frame.index - i * settings.delta_t
-            history.append(ext.extract(by_index[idx]) if idx in by_index else current)
-        fused = tuple(
-            fuse(cfg, w, current.levels[lvl], [h.levels[lvl] for h in history])
-            for lvl, (cfg, w) in enumerate(zip(configs, weights))
-        )
-        out.append(FeaturePyramid(fused))
+            history.append((idx, ext.extract(by_index[idx]) if idx in by_index else current))
+        fused = []
+        for lvl, (cfg, w) in enumerate(zip(configs, weights)):
+            if sizes.get(lvl) != current.levels[lvl].shape:
+                sizes[lvl], since[lvl] = current.levels[lvl].shape, frame.index
+            maps = [(h if idx >= since[lvl] else current).levels[lvl] for idx, h in history]
+            fused.append(fuse(cfg, w, current.levels[lvl], maps))
+        out.append(FeaturePyramid(tuple(fused)))
     return out
 
 
@@ -244,7 +276,7 @@ def test_buffered_step_equals_recompute_reference():
     # stream start must be the projected current map, not the raw one.  The
     # skipping stream runs every ring of capacity + 1 slots round three times.
     for variant in FusionVariant:
-        for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2)):
+        for n, dt in ((1, 1), (3, 1), (3, 2), (5, 2), (3, 3), (3, 4)):
             for residual in (True, False):
                 settings = FusionSettings(variant, n_history=n, delta_t=dt, residual=residual)
                 for frames in (noise_frames(6), skipping_frames(3 * (n * dt + 1))):
@@ -262,17 +294,27 @@ def test_buffered_step_equals_recompute_reference():
 
 
 def test_a_new_frame_size_gets_new_buffers():
-    # history from before the change of size is too far back to be read
-    frames = noise_frames(4) + [Frame(40, 40 * 33.33, np.random.default_rng(1).random((56, 64)))]
-    for variant in FusionVariant:
-        settings = FusionSettings(variant, n_history=3)
-        head = RecordingHead()
-        net = DualPathNetwork(BoxFilterExtractor("S", seed=11), head, settings, weight_seed=7)
-        for f in frames:
-            net.step(f)
-        want = reference_fused_pyramids(frames, "S", settings, 7, 11)
-        for got_p, want_p in zip(head.pyramids, want):
-            assert all(np.array_equal(g, w) for g, w in zip(got_p.levels, want_p.levels)), variant
+    # In the first stream, history from before the change of size is too far
+    # back to be read.  The second has three 48x64 frames, a 56x64 one (the
+    # level 0 and 1 maps grow, level 2's stay 2x2) and two more 48x64 ones,
+    # so the change falls inside the history window: history from before a
+    # level's last change of map size is the pad.
+    rng = np.random.default_rng(5)
+    shapes = [(48, 64)] * 3 + [(56, 64)] + [(48, 64)] * 2
+    streams = [
+        noise_frames(4) + [Frame(40, 40 * 33.33, np.random.default_rng(1).random((56, 64)))],
+        [Frame(k, k * 33.33, rng.random(shape)) for k, shape in enumerate(shapes)],
+    ]
+    for frames in streams:
+        for variant in FusionVariant:
+            settings = FusionSettings(variant, n_history=3)
+            head = RecordingHead()
+            net = DualPathNetwork(BoxFilterExtractor("S", seed=11), head, settings, weight_seed=7)
+            for f in frames:
+                net.step(f)
+            want = reference_fused_pyramids(frames, "S", settings, 7, 11)
+            for got_p, want_p in zip(head.pyramids, want, strict=True):
+                assert all(np.array_equal(g, w) for g, w in zip(got_p.levels, want_p.levels)), (variant, len(frames))
 
 
 def test_history_disabled_passes_current_through():
@@ -439,10 +481,10 @@ def test_blob_head_network_holds_level_zero_weights_only():
     assert list(net._levels) == [0]
     for f in noise_frames(5):
         net.step(f)
-    # one projected level-0 map per buffered frame, at the long-branch width
+    # one projected level-0 map per slot, at the long-branch width
     long_out = plan_channels(settings.config_for(MODEL_CHANNELS["S"][0])).long_out
-    assert all(len(entry) == 1 for entry in net.buffer.slots.values())
-    assert all(entry[0].shape[0] == long_out for entry in net.buffer.slots.values())
+    assert len(net._levels[0].held) == 4
+    assert all(m.shape[0] == long_out for m in net._levels[0].held)
 
 
 def test_unused_levels_reach_the_head_unfused_and_a_plain_head_gets_all_fused():
@@ -533,11 +575,12 @@ def test_a_step_leaves_the_buffered_maps_as_they_were(variant):
         net = DualPathNetwork(BoxFilterExtractor("S", seed=2), head,
                               FusionSettings(variant, n_history=3, residual=residual), weight_seed=7)
         for f in noise_frames(3 * (3 + 1)):
-            before = {k: tuple(m.copy() for m in maps) for k, maps in net.buffer.slots.items()}
+            taken = net._steps % len(net._frames)  # the oldest frame's slot, which this step takes
+            before = {(level, slot): m.copy() for level, lv in net._levels.items()
+                      for slot, m in enumerate(lv.held) if m is not None and slot != taken}
             net.step(f)
-            for k, maps in before.items():
-                if k in net.buffer.slots:
-                    assert all(np.array_equal(m, b) for m, b in zip(net.buffer.slots[k], maps)), (variant, f.index, k)
+            for (level, slot), m in before.items():
+                assert np.array_equal(net._levels[level].held[slot], m), (variant, f.index, level, slot)
         # the head kept every pyramid it was handed; later steps changed none
         for k, (kept, copies) in enumerate(zip(head.pyramids, head.copies)):
             assert all(np.array_equal(m, c) for m, c in zip(kept.levels, copies)), (variant, residual, k)
