@@ -30,9 +30,9 @@ from .config import (
 )
 from .coco_io import export_scenario
 from .fusion import FusionVariant
-from .metrics import report_csv_header, report_to_csv_row, report_to_human_table, report_from_text
+from .metrics import report_to_csv, report_to_human_table, report_from_text
 from .runner import run_eval, run_sweep, sweep_to_csv
-from .scenarios import bundled_scene, bundled_scene_names, generate_scenario, scene_from_dict
+from .scenarios import bundled_scene_names, generate_scenario, scene_from_dict
 from .streaming import ConstantLatency, DispatchPolicy
 
 
@@ -89,10 +89,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_scene(args) -> int:
-    if args.scene in bundled_scene_names():
-        scene = bundled_scene(args.scene)
-    else:
+    if args.scene not in bundled_scene_names() and Path(args.scene).is_file():
         scene = scene_from_dict(json.loads(Path(args.scene).read_text()))
+    else:  # a bundled name; anything else is refused, listing them
+        scene = parse_scene_name(args.scene)
     if args.seed is not None:
         scene = dataclasses.replace(scene, seed=args.seed)
     scenario = generate_scenario(scene)
@@ -106,10 +106,7 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_export_report(args) -> int:
     report = report_from_text(Path(args.report).read_text())
-    if args.format == "csv":
-        text = report_csv_header() + "\n" + report_to_csv_row(report) + "\n"
-    else:
-        text = report_to_human_table(report)
+    text = report_to_csv(report) if args.format == "csv" else report_to_human_table(report)
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")

@@ -22,27 +22,27 @@ annotation file.
       "output": "out/run1"
     }
 
-Unknown keys are rejected in every section (an inline scene and its
-trajectories too), naming the key, and "stream" takes one latency form, a
-constant or a per-frame list, not both.  Bad values are rejected too,
-naming the key: each value is checked by its key's parser, so a number
-must be a JSON number, not a string or a bool (a sweep value too), a count
-refuses a fractional value instead of truncating it, scene_name, dataset
-and output must be strings, a scene_name (the CLI's --scene-name too) must
-name a bundled scene, and a null takes the default.  The range checks run
-when a RunConfig, or a FusionSettings or scene it holds, is built, so a
-config derived with dataclasses.replace (a CLI flag, a sweep value) is
-checked like a file.  For a scene source that includes what the scene's
-frame count decides: a horizon beyond it, a per-frame latency list shorter
-than the horizon, and a frame interval so large that the stream's clock
-overflows (for a dataset source build_run_data checks that last one).
+Every section (the config itself, stream, fusion, detector, an inline scene
+and its trajectories) must be an object, and one parser walks them all: an
+unknown key, or a value its key's parser refuses, is rejected naming the
+key.  So a number must be a JSON number, not a string or a bool (a sweep
+value too), a count refuses a fractional value instead of truncating it,
+scene_name, dataset and output must be strings, and a scene_name (the CLI's
+--scene-name too) must name a bundled scene.  A null takes the default, a
+null section or detector kind too.  "stream" takes one latency form, a
+constant or a per-frame list, not both.  The range checks run when a
+RunConfig, or a FusionSettings or scene it holds, is built, so a config
+derived with dataclasses.replace (a CLI flag, a sweep value) is checked
+like a file, and for a scene source they include what its frame count
+decides: a horizon beyond it, a per-frame latency list shorter than the
+horizon, and a frame interval that overflows the stream's clock (for a
+dataset source build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
-that casts and checks a given value).  A null value takes the default.  The
-forecasters' forecast_steps defaults to the pairing staleness of a
-constant-latency stream and is required with latency_per_frame_ms.  Kind
-"pyramid" runs the dual-path network over rasterized frames and so needs a
-scene source, not a dataset.
+that casts and checks a given value).  The forecasters' forecast_steps
+defaults to the pairing staleness of a constant-latency stream and is
+required with latency_per_frame_ms.  Kind "pyramid" runs the dual-path
+network over rasterized frames and so needs a scene source, not a dataset.
 """
 
 from __future__ import annotations
@@ -116,19 +116,25 @@ DETECTOR_KEYS = {
     "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, _whole), "threshold": (0.3, _FINITE), "category": (0, _whole)},
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
-RUN_KEYS = ("seed", "scene", "scene_name", "dataset", "stream", "fusion", "detector", "max_dets_per_frame", "output")
-# stream key -> (the RunConfig field it sets, parse)
-_STREAM_FIELDS = {
-    "latency_ms": ("latency_model", lambda v: ConstantLatency(_real(v))),
-    "latency_per_frame_ms": ("latency_model", _per_frame_latency),
-    "frame_interval_ms": ("frame_interval_ms", _real),
-    "dispatch": ("dispatch_policy", DispatchPolicy),
-    "horizon_frames": ("horizon_frames", _whole),
-}
-STREAM_KEYS = tuple(_STREAM_FIELDS)
+_DETECTOR_PARSERS = {kind: {key: parse for key, (_, parse) in keys.items()} for kind, keys in DETECTOR_KEYS.items()}
+_STREAM_PARSERS = {"latency_ms": lambda v: ConstantLatency(_real(v)), "latency_per_frame_ms": _per_frame_latency,
+                   "frame_interval_ms": _real, "dispatch": DispatchPolicy, "horizon_frames": _whole}
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
 _STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
-_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
+
+
+def _variant(name) -> FusionVariant:
+    """FusionVariant.parse(name), refusing with a ValueError for _parsed to name the key."""
+    try:
+        return FusionVariant.parse(name)
+    except InvalidConfig as exc:
+        raise ValueError(exc) from None
+
+
+_FUSION_PARSERS = {"variant": _variant, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
+# config key -> the RunConfig field it sets, where the two differ
+_FIELDS = {"scene_name": "scene", "dataset": "dataset_path", "latency_ms": "latency_model",
+           "latency_per_frame_ms": "latency_model", "dispatch": "dispatch_policy"}
 
 OUTPUT_DIR_ENV = "LONGSHORT_OUT_DIR"
 
@@ -154,7 +160,9 @@ class RunConfig:
         kind = self.detector_kind
         if kind not in DETECTOR_KINDS:
             raise InvalidConfig(f"unknown detector kind {kind!r}; use one of {DETECTOR_KINDS}")
-        object.__setattr__(self, "detector_params", _parse_detector(kind, self.detector_params))
+        params = _parsed_section(self.detector_params, "detector", _DETECTOR_PARSERS[kind],
+                                 context=f" for kind {kind!r}")
+        object.__setattr__(self, "detector_params", params)
         if kind == "pyramid" and self.dataset_path is not None:
             raise InvalidConfig("detector kind 'pyramid' needs rendered frames; a 'dataset' source has no pixels")
         per_frame = isinstance(self.latency_model, PerFrameLatency)
@@ -196,82 +204,52 @@ class RunConfig:
         return {key: self.detector_params.get(key, default) for key, (default, _) in table.items()}
 
 
-def _reject_unknown_keys(data: dict, allowed: tuple, section: str, context: str = "") -> None:
-    for key in data:
-        if key not in allowed:
-            raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {allowed}")
+def _object(raw, section: str) -> dict:
+    """raw, or an InvalidConfig naming the section unless it is an object."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{section} must be an object, got {raw!r}")
+    return raw
 
 
 def _parsed(section: str, key: str, value, parse: Callable):
-    """parse(value), or an InvalidConfig that names the key."""
+    """parse(value), or an InvalidConfig that names the key; a nested
+    section's own InvalidConfig, which names it already, passes unchanged."""
     try:
         return parse(value)
+    except InvalidConfig:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"{section} {key} {value!r}: {exc}") from None
 
 
-def _parsed_section(raw, section: str, parsers: dict, required: tuple = ()) -> dict:
-    """The keys given in `raw`, each cast by its parser; an unknown or
-    missing key, or a value its parser refuses, is an InvalidConfig naming
-    the key.  A null value is left out, so the key's default applies."""
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{section} must be an object, got {raw!r}")
-    _reject_unknown_keys(raw, tuple(parsers), section)
+def _parsed_section(raw, section: str, parsers: dict, required: tuple = (), context: str = "") -> dict:
+    """The keys given in the object `raw`, each cast by its parser; a raw
+    that is not an object, an unknown or missing key, or a value its parser
+    refuses is an InvalidConfig naming the section or key (an unknown one
+    followed by `context`).  A null value is left out: the default applies."""
+    for key in _object(raw, section):
+        if key not in parsers:
+            raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {tuple(parsers)}")
     for key in required:
         if raw.get(key) is None:
             raise InvalidConfig(f"{section} is missing {key!r}")
     return {key: _parsed(section, key, value, parsers[key]) for key, value in raw.items() if value is not None}
 
 
-def _parse_detector(kind: str, params: dict) -> dict:
-    """The given keys of a detector of `kind`, cast and checked; a null value
-    is left out, so the key's default applies."""
-    table = DETECTOR_KEYS[kind]
-    _reject_unknown_keys(params, tuple(table), "detector", f" for kind {kind!r}")
-    return {key: _parsed("detector", key, value, table[key][1]) for key, value in params.items() if value is not None}
-
-
-def _parse_stream(raw: dict) -> dict:
-    """The stream section as RunConfig fields, each given value cast by its
-    key's parser; a null value is left out, so the field's default applies."""
-    _reject_unknown_keys(raw, STREAM_KEYS, "stream")
-    given = {key: value for key, value in raw.items() if value is not None}
-    if "latency_ms" in given and "latency_per_frame_ms" in given:
+def _stream(raw) -> dict:
+    """The stream section, which takes one latency form."""
+    stream = _parsed_section(raw, "stream", _STREAM_PARSERS)
+    if "latency_ms" in stream and "latency_per_frame_ms" in stream:
         raise InvalidConfig("stream sets both latency_ms and latency_per_frame_ms; give one")
-    return {_STREAM_FIELDS[key][0]: _parsed("stream", key, value, _STREAM_FIELDS[key][1]) for key, value in given.items()}
+    return stream
 
 
-def _parse_fusion(raw: dict) -> FusionSettings:
-    """The fusion section, each given value cast by its key's parser; a null
-    value is left out, so the key's default applies.  FusionSettings checks
-    the ranges."""
-    return FusionSettings(**_parsed_section(raw, "fusion", _FUSION_PARSERS))
-
-
-def run_config_from_dict(data: dict) -> RunConfig:
-    _reject_unknown_keys(data, RUN_KEYS, "config")
-    kwargs: dict[str, Any] = {}
-    sources = [k for k in ("scene", "scene_name", "dataset") if data.get(k) is not None]
-    if len(sources) != 1:
-        raise InvalidConfig(f"exactly one of scene/scene_name/dataset required, got {sources}")
-    if "scene" in sources:
-        kwargs["scene"] = scene_from_dict(data["scene"])
-    elif "scene_name" in sources:
-        kwargs["scene"] = parse_scene_name(data["scene_name"])
-    else:
-        kwargs["dataset_path"] = _parsed("config", "dataset", data["dataset"], _STRING)
-    kwargs.update(_parse_stream(data.get("stream", {})))
-    if "fusion" in data:
-        kwargs["fusion"] = _parse_fusion(data["fusion"])
-    detector = dict(data.get("detector", {}))
-    kwargs["detector_kind"] = detector.pop("kind", "delayed-gt")
-    kwargs["detector_params"] = detector
-    if data.get("max_dets_per_frame") is not None:
-        kwargs["max_dets_per_frame"] = _parsed("config", "max_dets_per_frame", data["max_dets_per_frame"], _whole)
-    kwargs["seed"] = _parsed("config", "seed", data.get("seed", 0), _whole)
-    if data.get("output") is not None:
-        kwargs["output"] = _parsed("config", "output", data["output"], _STRING)
-    return RunConfig(**kwargs)
+def _detector(raw) -> dict:
+    """The detector section as RunConfig fields: its kind, unless null, and
+    its other keys, which RunConfig checks against the kind's table."""
+    params = dict(_object(raw, "detector"))
+    kind = params.pop("kind", None)
+    return {"detector_params": params} if kind is None else {"detector_kind": kind, "detector_params": params}
 
 
 def parse_scene_name(name) -> SyntheticScene:
@@ -280,6 +258,24 @@ def parse_scene_name(name) -> SyntheticScene:
     names = bundled_scene_names()
     bundled = _checked(_STRING, names.__contains__, f"must be one of {names}")
     return bundled_scene(_parsed("config", "scene_name", name, bundled))
+
+
+# config key -> parse; "stream" and "detector" each give several RunConfig fields
+_RUN_PARSERS = {
+    "seed": _whole, "scene": scene_from_dict, "scene_name": parse_scene_name, "dataset": _STRING, "stream": _stream,
+    "fusion": lambda raw: FusionSettings(**_parsed_section(raw, "fusion", _FUSION_PARSERS)),
+    "detector": _detector, "max_dets_per_frame": _whole, "output": _STRING,
+}
+
+
+def run_config_from_dict(data: dict) -> RunConfig:
+    given = _parsed_section(data, "config", _RUN_PARSERS)
+    sources = [key for key in ("scene", "scene_name", "dataset") if key in given]
+    if len(sources) != 1:
+        raise InvalidConfig(f"exactly one of scene/scene_name/dataset required, got {sources}")
+    given.update(given.pop("stream", {}))
+    given.update(given.pop("detector", {}))
+    return RunConfig(**{_FIELDS.get(key, key): value for key, value in given.items()})
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:

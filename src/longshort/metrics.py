@@ -277,12 +277,13 @@ def report_from_text(text: str) -> SapReport:
     )
 
 
-def report_csv_header() -> str:
-    return ",".join(REPORT_COLUMNS)
-
-
 def report_to_csv_row(report: SapReport) -> str:
     return ",".join("" if v is None else repr(v) for v in _report_values(report))
+
+
+def report_to_csv(report: SapReport) -> str:
+    """The header line and the report's row."""
+    return ",".join(REPORT_COLUMNS) + "\n" + report_to_csv_row(report) + "\n"
 
 
 def report_to_human_table(report: SapReport) -> str:

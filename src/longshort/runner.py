@@ -24,9 +24,10 @@ from .config import (
 from .detectors import DelayedGtDetector, ForecastDetector
 from .fusion import InvalidConfig
 from .metrics import (
+    REPORT_COLUMNS,
     SapReport,
     compute_sap_report,
-    report_csv_header,
+    report_to_csv,
     report_to_csv_row,
     report_to_human_table,
     report_to_text,
@@ -101,7 +102,7 @@ def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
         out = Path(cfg.output)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report_to_text(report))
-        (out / "report.csv").write_text(report_csv_header() + "\n" + report_to_csv_row(report) + "\n")
+        (out / "report.csv").write_text(report_to_csv(report))
         (out / "report_table.txt").write_text(report_to_human_table(report))
         with (out / "records.jsonl").open("w") as fp:
             write_records(records, fp)
@@ -153,16 +154,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def sweep_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
-    header = sweep_key_columns(spec.axis) + list(report_csv_header().split(",")) + ["error"]
+    header = sweep_key_columns(spec.axis) + list(REPORT_COLUMNS) + ["error"]
     lines = [",".join(header)]
     for row in rows:
         cells = sweep_key_cells(spec.axis, row.value)
         if row.report is not None:
-            cells += report_to_csv_row(row.report).split(",")
-            cells += [""]
+            cells += report_to_csv_row(row.report).split(",") + [""]
         else:
-            cells += [""] * 6
-            cells += [row.error]
+            cells += [""] * len(REPORT_COLUMNS) + [row.error]
         # a rejected value's label and an error are free text; numbers pass unchanged
         lines.append(",".join(cell.replace(",", ";").replace("\n", " ") for cell in cells))
     return "\n".join(lines) + "\n"

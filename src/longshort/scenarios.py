@@ -101,9 +101,9 @@ class SyntheticScene:
 
     def __post_init__(self):
         if self.n_frames < 2:
-            raise ValueError(f"a scene needs at least 2 frames, got {self.n_frames}")
+            raise InvalidConfig(f"scene n_frames {self.n_frames}: must be >= 2")
         if not 0 < self.frame_interval_ms < math.inf:
-            raise ValueError("frame_interval_ms must be finite and positive")
+            raise InvalidConfig(f"scene frame_interval_ms {self.frame_interval_ms}: must be finite and > 0")
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
         k = np.arange(self.n_frames)
         # clipping to the image: the min corner from below, the max corner from above

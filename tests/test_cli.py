@@ -66,6 +66,35 @@ def test_config_rejects_unknown_top_level_and_stream_keys_naming_them():
         run_config_from_dict(base_config_dict(stream={"latncy_ms": 50}))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"scene_name": "uniform", "detector": "pyramid"}, "detector must be an object, got 'pyramid'"),
+        ({"scene_name": "uniform", "stream": 5}, "stream must be an object, got 5"),
+        ({"scene_name": "uniform", "stream": ["latency_ms"]}, "stream must be an object, got ['latency_ms']"),
+        (["scene_name"], "config must be an object, got ['scene_name']"),
+        ({"scene_name": "uniform", "detector": []}, "detector must be an object, got []"),
+    ],
+    ids=["detector-string", "stream-number", "stream-list", "top-level-list", "detector-list"],
+)
+def test_eval_rejects_a_section_that_is_not_an_object_naming_it(data, message, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, data)
+    assert main(["eval", "--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("stream", None), ("seed", None), ("fusion", None), ("detector", None), ("detector", {"kind": None})],
+    ids=["stream", "seed", "fusion", "detector", "detector-kind"],
+)
+def test_a_null_section_seed_or_detector_kind_takes_its_default(key, value, tmp_path):
+    data = {"scene_name": "uniform", key: value}
+    assert run_config_from_dict(data) == run_config_from_dict({"scene_name": "uniform"})
+    assert main(["eval", "--config", str(write_config(tmp_path, data)), "--output", str(tmp_path / "o")]) == 0
+
+
 def test_config_rejects_both_latency_forms():
     stream = {"latency_ms": 10.0, "latency_per_frame_ms": [0.0] * 20}
     with pytest.raises(InvalidConfig, match="latency_ms.*latency_per_frame_ms"):
@@ -378,6 +407,20 @@ def test_inline_scene_rejects_a_fractional_category():
 def test_inline_scene_rejects_a_width_given_as_a_string():
     with pytest.raises(InvalidConfig, match="scene width '100': must be a number"):
         run_config_from_dict({"scene": inline_scene(width="100")})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n_frames": 1}, "scene n_frames 1: must be >= 2"),
+        ({"frame_interval_ms": 0}, "scene frame_interval_ms 0.0: must be finite and > 0"),
+        ({"frame_interval_ms": -33.33}, "scene frame_interval_ms -33.33: must be finite and > 0"),
+    ],
+)
+def test_inline_scene_rejects_a_frame_count_or_interval_out_of_range_naming_the_key(edit, message):
+    with pytest.raises(InvalidConfig) as exc:
+        run_config_from_dict({"scene": inline_scene(**edit)})
+    assert str(exc.value) == message
 
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "custom_scene_example.json"
@@ -845,6 +888,21 @@ def test_cli_gen_scene_and_export_report(tmp_path):
         "--format", "csv", "--output", str(csv_out),
     ]) == 0
     assert csv_out.read_text() == (tmp_path / "out" / "report.csv").read_text()
+
+
+def test_cli_gen_scene_reads_a_scene_file(tmp_path):
+    scene_path = write_config(tmp_path, inline_scene(), name="scene.json")
+    assert main(["gen-scene", "--scene", str(scene_path), "--output", str(tmp_path / "ann.json")]) == 0
+    assert len(json.loads((tmp_path / "ann.json").read_text())["images"]) == 8
+
+
+def test_cli_gen_scene_rejects_an_unknown_scene_listing_the_bundled_ones(tmp_path, capsys):
+    out = tmp_path / "ann.json"
+    assert main(["gen-scene", "--scene", "turning", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidConfig: config scene_name 'turning': must be one of ['accelerating', 'mixed', 'uniform']\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

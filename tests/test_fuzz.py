@@ -8,7 +8,11 @@ accepted config given a horizon beyond its scene, or a per-frame latency
 list shorter than its horizon, must be rejected at load, naming the key,
 and so must a copy with one value of the wrong type: a number given as a
 string or a bool, a number in place of the output, scene_name or dataset
-string, or a scene_name that names no bundled scene.  A completed run
+string, a scene_name that names no bundled scene, or the stream, fusion or
+detector section, or the config itself, given as a string, a number or a
+list, which is rejected naming the section.  A copy with the seed, the
+stream, fusion or detector section or the detector's kind null loads as the
+copy without it.  A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
@@ -173,18 +177,46 @@ STRING_CASES = {
 }
 
 
-def wrong_type(rng, data: dict) -> tuple[str, str, dict]:
+# case -> (section, which "config" names the top level of, and a shape
+# given in its place: its JSON text, its key count or its keys)
+SHAPE_CASES = {
+    f"{section} as {shape}": (section, make)
+    for section in ("stream", "fusion", "detector", "config")
+    for shape, make in (("a string", json.dumps), ("a number", len), ("a list", list))
+}
+NULL_CASES = ("seed", "stream", "fusion", "detector", "detector kind")
+
+
+def pick(rng, cases):
+    return list(cases)[int(rng.integers(0, len(cases)))]
+
+
+def wrong_type(rng, data: dict) -> tuple[str, object, dict]:
     """A copy of an accepted config with one value of the wrong type.
     Mostly a number, given or not, set to its string form or to true: the
     seed, max_dets_per_frame, or a stream, fusion or detector number (one
-    entry of a per-frame latency list).  Otherwise one of STRING_CASES.
-    Returns the case (the key, for a number), a pattern of the refusal's
-    message and the copy."""
-    if rng.random() < 0.2:
-        case = list(STRING_CASES)[int(rng.integers(0, len(STRING_CASES)))]
+    entry of a per-frame latency list).  Otherwise one of STRING_CASES,
+    SHAPE_CASES or NULL_CASES.  Returns the case (the key, for a number),
+    what loading the copy gives, and the copy.  What it gives is a pattern
+    of the refusal's message, or for a null the config without the key,
+    which the copy must load as."""
+    draw = rng.random()
+    if draw < 0.1:
+        case = pick(rng, STRING_CASES)
         key, bad, rule = STRING_CASES[case]
         data = {name: value for name, value in data.items() if name != "scene" or key == "output"}
         return case, f"{key} .*{rule}", {**data, key: bad}
+    if draw < 0.35:
+        case = pick(rng, SHAPE_CASES)
+        section, make = SHAPE_CASES[case]
+        bad = make(data) if section == "config" else {**data, section: make(data[section])}
+        return case, f"^{section} must be an object", bad
+    if draw < 0.45:
+        case = pick(rng, NULL_CASES)
+        if case == "detector kind":
+            detector = {key: value for key, value in data["detector"].items() if key != "kind"}
+            return case, {**data, "detector": detector}, {**data, "detector": {**detector, "kind": None}}
+        return case, {name: value for name, value in data.items() if name != case}, {**data, case: None}
     data = copy.deepcopy(data)
     stream, detector = data["stream"], data["detector"]
     places = [(data, "seed"), (data, "max_dets_per_frame"), (stream, "frame_interval_ms"), (stream, "horizon_frames")]
@@ -198,6 +230,14 @@ def wrong_type(rng, data: dict) -> tuple[str, str, dict]:
     given = section[key] if isinstance(key, int) else section.get(key, 1)
     section[key] = str(given) if rng.random() < 0.5 else True
     return name, f"{name} .*must be a number", data
+
+
+def loaded(data: dict):
+    """The config `data` loads as, or the message of its refusal."""
+    try:
+        return run_config_from_dict(data)
+    except InvalidConfig as exc:
+        return str(exc)
 
 
 def as_dataset(rng, cfg, data: dict, path) -> tuple[str, dict]:
@@ -263,9 +303,12 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
                 run_config_from_dict(bad)
             knowable[key] += 1
         for _ in range(3):
-            case, message, bad = wrong_type(type_rng, data)
-            with pytest.raises(InvalidConfig, match=message):
-                run_config_from_dict(bad)
+            case, expected, bad = wrong_type(type_rng, data)
+            if isinstance(expected, str):
+                with pytest.raises(InvalidConfig, match=expected):
+                    run_config_from_dict(bad)
+            else:
+                assert loaded(bad) == loaded(expected), case
             wrong_types[case] += 1
         try:
             run_data = build_run_data(cfg)
@@ -290,7 +333,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
-    assert all(wrong_types[case] > 0 for case in (*NUMBER_KEYS, *STRING_CASES)), wrong_types
+    assert all(wrong_types[case] > 0 for case in (*NUMBER_KEYS, *STRING_CASES, *SHAPE_CASES, *NULL_CASES)), wrong_types
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
 
 

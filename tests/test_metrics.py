@@ -18,8 +18,8 @@ from longshort.metrics import (
     _iou_matrix,
     _match_pooled,
     compute_sap_report,
-    report_csv_header,
     report_from_text,
+    report_to_csv,
     report_to_csv_row,
     report_to_human_table,
     report_to_text,
@@ -477,10 +477,9 @@ def test_report_text_and_csv_round_trip():
     report = report_via([detector(k) for k in range(len(gts))], gts)
     back = report_from_text(report_to_text(report))
     assert back == report
-    header = report_csv_header()
+    header, row = report_to_csv(report).splitlines()
     assert header == "sAP,sAP50,sAP75,sAP_s,sAP_m,sAP_l"
-    row = report_to_csv_row(report)
-    assert len(row.split(",")) == 6
+    assert row == report_to_csv_row(report) and len(row.split(",")) == 6
     table = report_to_human_table(report)
     assert table.splitlines()[0].split(" | ")[0].strip() == "sAP"
 
