@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,46 +25,39 @@ from .config import (
     SweepAxis,
     SweepSpec,
     load_run_config,
-    parse_scene_name,
+    run_config_from_dict,
 )
-from .coco_io import export_scenario
-from .fusion import FusionVariant
+from .coco_io import export_scenario, parse_json
+from .fusion import FusionVariant, InvalidConfig
 from .metrics import report_to_csv, report_to_human_table, report_from_text
 from .runner import run_eval, run_sweep, sweep_to_csv
 from .scenarios import bundled_scene_names, generate_scenario, scene_from_dict
-from .streaming import ConstantLatency, DispatchPolicy
+from .streaming import DispatchPolicy
 
 
 def _default_out_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
-def _given(**values) -> dict:
-    return {key: value for key, value in values.items() if value is not None}
-
-
 def _with_eval_flags(cfg: RunConfig, args) -> RunConfig:
-    """Each given flag replaces its field of the parsed config (--latency-ms
-    replaces either latency form).  A fusion flag also sets the detector key
-    of the same name when the detector's kind takes it."""
-    kind = args.detector or cfg.detector_kind
-    fusion = _given(variant=args.variant and FusionVariant(args.variant), n_history=args.n_history,
-                    delta_t=args.delta_t, ratio=args.ratio, residual=False if args.no_residual else None)
-    changes = _given(seed=args.seed, frame_interval_ms=args.frame_interval_ms, output=args.output,
-                     latency_model=None if args.latency_ms is None else ConstantLatency(args.latency_ms),
-                     dispatch_policy=args.dispatch and DispatchPolicy(args.dispatch))
-    if args.scene_name is not None:
-        changes.update(scene=parse_scene_name(args.scene_name), dataset_path=None)
-    params = {**cfg.detector_params, **{k: v for k, v in fusion.items() if k in DETECTOR_KEYS[kind]}}
-    return dataclasses.replace(cfg, **changes, detector_kind=kind, detector_params=params,
-                               fusion=dataclasses.replace(cfg.fusion, **fusion))
+    """The parsed config with each flag given as the config key of its name
+    (--detector the detector's kind; an unset flag is null, not given).  A
+    fusion flag also sets the detector key of the same name when the
+    detector's kind takes it."""
+    fusion = {key: getattr(args, key) for key in ("variant", "n_history", "delta_t", "ratio", "residual")}
+    kind_keys = DETECTOR_KEYS[args.detector or cfg.detector_kind]
+    return run_config_from_dict({
+        "seed": args.seed, "scene_name": args.scene_name, "output": args.output,
+        "stream": {key: getattr(args, key) for key in ("latency_ms", "frame_interval_ms", "dispatch")},
+        "fusion": fusion,
+        "detector": {"kind": args.detector, **{key: v for key, v in fusion.items() if key in kind_keys}},
+    }, cfg)
 
 
 def _cmd_eval(args) -> int:
     cfg = _with_eval_flags(load_run_config(args.config), args)
     if cfg.output is None:
-        out = _default_out_dir() / Path(args.config).stem
-        cfg = dataclasses.replace(cfg, output=str(out))
+        cfg = run_config_from_dict({"output": str(_default_out_dir() / Path(args.config).stem)}, cfg)
     report = run_eval(cfg)
     print(report_to_human_table(report), end="")
     print(f"report written to {cfg.output}")
@@ -73,10 +65,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = load_run_config(args.config)
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
-    values = None if args.values is None else json.loads(args.values)
+    base = run_config_from_dict({"seed": args.seed}, load_run_config(args.config))
+    values = None if args.values is None else parse_json(args.values, "sweep values", InvalidConfig)
     spec = SweepSpec(axis=SweepAxis(args.axis), base=base, values=values)
     rows = run_sweep(spec)
     csv_text = sweep_to_csv(spec, rows)
@@ -90,9 +80,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_scene(args) -> int:
     if args.scene not in bundled_scene_names() and Path(args.scene).is_file():
-        scene = scene_from_dict(json.loads(Path(args.scene).read_text()))
-    else:  # a bundled name; anything else is refused, listing them
-        scene = parse_scene_name(args.scene)
+        scene = scene_from_dict(parse_json(Path(args.scene).read_text(), args.scene, InvalidConfig))
+    else:  # a bundled name, the config key scene_name; anything else is refused, listing them
+        scene = run_config_from_dict({"scene_name": args.scene}).scene
     if args.seed is not None:
         scene = dataclasses.replace(scene, seed=args.seed)
     scenario = generate_scenario(scene)
@@ -132,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n-history", type=int)
     p_eval.add_argument("--delta-t", type=int)
     p_eval.add_argument("--ratio", type=float)
-    p_eval.add_argument("--no-residual", action="store_true")
+    p_eval.add_argument("--no-residual", dest="residual", action="store_false", default=None)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="run an ablation sweep and emit a CSV table")

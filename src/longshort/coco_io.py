@@ -157,13 +157,19 @@ def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundT
     return table.split(np.bincount(frame, minlength=len(known)).tolist())
 
 
+def parse_json(text: str, source, error: type = ParseError):
+    """The JSON value of `text`, or an `error` naming `source` and the line
+    of the syntax error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
 def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
     """Read a COCO-style annotation file into frames and ground truth."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = parse_json(path.read_text(), path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
 

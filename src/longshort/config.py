@@ -1,9 +1,9 @@
 """Run and sweep configuration.
 
-Configs are plain JSON with explicit keys (schema below); each CLI flag
-replaces one field of the parsed RunConfig.  A run names exactly one data
-source: an inline synthetic scene, a bundled scene by name, or a COCO-format
-annotation file.
+Configs are plain JSON with explicit keys (schema below); a CLI flag or a
+sweep value is the config key of its name, given over a parsed RunConfig.
+A run names exactly one data source: an inline synthetic scene, a bundled
+scene by name, or a COCO-format annotation file.
 
     {
       "seed": 7,
@@ -25,17 +25,16 @@ annotation file.
 Every section (the config itself, stream, fusion, detector, an inline scene
 and its trajectories) must be an object, and one parser walks them all: an
 unknown key, or a value its key's parser refuses, is rejected naming the
-key.  So a number must be a JSON number, not a string or a bool (a sweep
-value too), a count refuses a fractional value instead of truncating it,
-scene_name, dataset and output must be strings, and a scene_name (the CLI's
---scene-name too) must name a bundled scene.  A null takes the default, a
-null section or detector kind too.  "stream" takes one latency form, a
-constant or a per-frame list, not both.  The range checks run when a
-RunConfig, or a FusionSettings or scene it holds, is built, so a config
-derived with dataclasses.replace (a CLI flag, a sweep value) is checked
-like a file, and for a scene source they include what its frame count
-decides: a horizon beyond it, a per-frame latency list shorter than the
-horizon, and a frame interval that overflows the stream's clock (for a
+key.  So a number must be a JSON number, not a string or a bool (a flag's
+or sweep's value too), a count refuses a fractional value instead of
+truncating it, scene_name, dataset and output must be strings, and a
+scene_name must name a bundled scene.  A null is not given: it takes the
+default (the base's value over a base), a null section or detector kind
+too.  "stream" takes one latency form, a constant or a per-frame list, not
+both.  The range checks run when a RunConfig, or a FusionSettings or scene
+it holds, is built, and for a scene source they include what its frame
+count decides: a horizon beyond it, a per-frame latency list shorter than
+the horizon, and a frame interval that overflows the stream's clock (for a
 dataset source build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
@@ -47,7 +46,6 @@ network over rasterized frames and so needs a scene source, not a dataset.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -55,6 +53,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
+from .coco_io import parse_json
 from .fusion import FusionSettings, FusionVariant, InvalidConfig
 from .network import MODEL_CHANNELS
 from .scenarios import SyntheticScene, bundled_scene, bundled_scene_names, scene_from_dict
@@ -113,7 +112,7 @@ DETECTOR_KEYS = {
     "hold": _FORECASTER_KEYS,
     "const-velocity": _FORECASTER_KEYS,
     "long-short": _FORECASTER_KEYS,
-    "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, _whole), "threshold": (0.3, _FINITE), "category": (0, _whole)},
+    "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, _COUNT), "threshold": (0.3, _FINITE), "category": (0, _whole)},
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 _DETECTOR_PARSERS = {kind: {key: parse for key, (_, parse) in keys.items()} for kind, keys in DETECTOR_KEYS.items()}
@@ -124,11 +123,10 @@ _STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string"
 
 
 def _variant(name) -> FusionVariant:
-    """FusionVariant.parse(name), refusing with a ValueError for _parsed to name the key."""
-    try:
-        return FusionVariant.parse(name)
-    except InvalidConfig as exc:
-        raise ValueError(exc) from None
+    """The FusionVariant called `name`; any other value is a ValueError."""
+    if name not in (names := [v.value for v in FusionVariant]):
+        raise ValueError(f"must be one of {names}")
+    return FusionVariant(name)
 
 
 _FUSION_PARSERS = {"variant": _variant, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
@@ -244,43 +242,46 @@ def _stream(raw) -> dict:
     return stream
 
 
-def _detector(raw) -> dict:
-    """The detector section as RunConfig fields: its kind, unless null, and
-    its other keys, which RunConfig checks against the kind's table."""
-    params = dict(_object(raw, "detector"))
-    kind = params.pop("kind", None)
-    return {"detector_params": params} if kind is None else {"detector_kind": kind, "detector_params": params}
-
-
-def parse_scene_name(name) -> SyntheticScene:
-    """The bundled scene `name`, or an InvalidConfig naming scene_name if it
-    is not a string or names no bundled scene."""
+def _scene_name(name) -> SyntheticScene:
+    """The bundled scene `name`, refusing a name that is not one."""
     names = bundled_scene_names()
-    bundled = _checked(_STRING, names.__contains__, f"must be one of {names}")
-    return bundled_scene(_parsed("config", "scene_name", name, bundled))
+    return bundled_scene(_checked(_STRING, names.__contains__, f"must be one of {names}")(name))
 
 
-# config key -> parse; "stream" and "detector" each give several RunConfig fields
+# config key -> parse; "stream" gives several RunConfig fields, and the
+# detector's keys, which RunConfig checks against its kind's table, are kept
 _RUN_PARSERS = {
-    "seed": _whole, "scene": scene_from_dict, "scene_name": parse_scene_name, "dataset": _STRING, "stream": _stream,
-    "fusion": lambda raw: FusionSettings(**_parsed_section(raw, "fusion", _FUSION_PARSERS)),
-    "detector": _detector, "max_dets_per_frame": _whole, "output": _STRING,
+    "seed": _COUNT, "scene": scene_from_dict, "scene_name": _scene_name, "dataset": _STRING, "stream": _stream,
+    "fusion": lambda raw: _parsed_section(raw, "fusion", _FUSION_PARSERS),
+    "detector": lambda raw: dict(_object(raw, "detector")), "max_dets_per_frame": _whole, "output": _STRING,
 }
 
 
-def run_config_from_dict(data: dict) -> RunConfig:
+def run_config_from_dict(data: dict, base: Optional[RunConfig] = None) -> RunConfig:
+    """The RunConfig of the config object `data`, or `base` with each key
+    `data` gives replacing that value alone (a data source or latency form
+    the base's; a detector kind keeps the base's detector keys)."""
     given = _parsed_section(data, "config", _RUN_PARSERS)
     sources = [key for key in ("scene", "scene_name", "dataset") if key in given]
-    if len(sources) != 1:
+    if len(sources) != 1 and (base is None or sources):
         raise InvalidConfig(f"exactly one of scene/scene_name/dataset required, got {sources}")
+    fields = {} if base is None else dict(vars(base))
+    if sources:
+        fields.update(scene=None, dataset_path=None)
+    fields["fusion"] = replace(fields.get("fusion", FusionSettings()), **given.pop("fusion", {}))
+    detector = given.pop("detector", {})
+    if (kind := detector.pop("kind", None)) is not None:
+        fields["detector_kind"] = kind
+    # a null detector key keeps the base's value; RunConfig drops it once it has checked the key
+    params = fields.get("detector_params", {})
+    fields["detector_params"] = {**detector, **{k: v for k, v in params.items() if detector.get(k) is None}}
     given.update(given.pop("stream", {}))
-    given.update(given.pop("detector", {}))
-    return RunConfig(**{_FIELDS.get(key, key): value for key, value in given.items()})
+    return RunConfig(**{**fields, **{_FIELDS.get(key, key): value for key, value in given.items()}})
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
     """Read a JSON run config."""
-    return run_config_from_dict(json.loads(Path(path).read_text()))
+    return run_config_from_dict(parse_json(Path(path).read_text(), path, InvalidConfig))
 
 
 class SweepAxis(Enum):
@@ -318,25 +319,26 @@ class SweepSpec:
 
 
 def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
-    """Derive one run configuration from the sweep's base."""
-    base = spec.base
+    """The sweep's base with the config keys `value` sets: temporal-range (N,
+    delta_t) the fusion n_history and delta_t (a null delta_t is 1), and the
+    detector's, with kind hold for N = 0 else long-short, if its kind takes
+    them; dilation-ratio the fusion ratio; fusion-variant X or X* the fusion
+    variant X and residual, false for X* only."""
     if spec.axis is SweepAxis.TEMPORAL_RANGE:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise InvalidConfig(f"sweep temporal-range value {value!r}: must be a pair of N and delta_t")
-        n = _parsed("sweep", "n_history", value[0], _COUNT)
-        dt = 1 if value[1] is None else _parsed("sweep", "delta_t", value[1], _STRIDE)
-        cfg = replace(base, fusion=replace(base.fusion, n_history=n, delta_t=dt))
-        if "n_history" in DETECTOR_KEYS[base.detector_kind]:
-            params = {**base.detector_params, "n_history": n, "delta_t": dt}
-            cfg = replace(cfg, detector_kind="hold" if n == 0 else "long-short", detector_params=params)
-        return cfg
-    if spec.axis is SweepAxis.DILATION_RATIO:
-        return replace(base, fusion=replace(base.fusion, ratio=_parsed("sweep", "ratio", value, _real)))
-    # FUSION_VARIANT
-    name = str(value)
-    residual = not name.endswith("*")
-    variant = FusionVariant.parse(name.removesuffix("*"))
-    return replace(base, fusion=replace(base.fusion, variant=variant, residual=residual))
+        n, dt = value[0], 1 if value[1] is None else value[1]
+        keys = {"fusion": {"n_history": n, "delta_t": dt}}
+        if "n_history" in DETECTOR_KEYS[spec.base.detector_kind]:
+            keys["detector"] = {"kind": "hold" if n == 0 else "long-short", "n_history": n, "delta_t": dt}
+    elif spec.axis is SweepAxis.DILATION_RATIO:
+        keys = {"fusion": {"ratio": value}}
+    else:  # FUSION_VARIANT
+        starred = isinstance(value, str) and value.endswith("*")
+        keys = {"fusion": {"variant": value[:-1] if starred else value, "residual": not starred}}
+    for key in [key for key, given in keys["fusion"].items() if given is None]:
+        _parsed("fusion", key, None, _FUSION_PARSERS[key])  # a null key is not given: its parser refuses it here
+    return run_config_from_dict(keys, spec.base)
 
 
 def sweep_key_columns(axis: SweepAxis) -> list[str]:

@@ -592,6 +592,99 @@ def test_flag_values_are_checked_like_file_values(tmp_path, capsys, flags, key):
     assert "InvalidConfig" in err and key in err
 
 
+# flag -> (its argument, and the config key it is: section, None for the
+# top level, key and value)
+EVAL_FLAGS = {
+    "--seed": ("9", None, "seed", 9),
+    "--scene-name": ("mixed", None, "scene_name", "mixed"),
+    "--latency-ms": ("50", "stream", "latency_ms", 50.0),
+    "--frame-interval-ms": ("20", "stream", "frame_interval_ms", 20.0),
+    "--dispatch": ("fifo", "stream", "dispatch", "fifo"),
+    "--detector": ("long-short", "detector", "kind", "long-short"),
+    "--variant": ("EfAvg", "fusion", "variant", "EfAvg"),
+    "--n-history": ("2", "fusion", "n_history", 2),
+    "--delta-t": ("2", "fusion", "delta_t", 2),
+    "--ratio": ("0.25", "fusion", "ratio", 0.25),
+    "--no-residual": (None, "fusion", "residual", False),
+    "--output": ("elsewhere", None, "output", "elsewhere"),
+}
+
+
+def with_keys(data, keys):
+    """A copy of the config object `data` with the keys of each section in
+    `keys` (None: the top level) set."""
+    data = {**data, **keys.get(None, {})}
+    return {**data, **{section: {**data.get(section, {}), **sub} for section, sub in keys.items() if section}}
+
+
+@pytest.mark.parametrize("flag", EVAL_FLAGS)
+def test_an_eval_flag_is_its_config_key(flag, tmp_path, monkeypatch):
+    data = base_config_dict(output=str(tmp_path / "out"))  # delayed-gt takes no fusion key
+    arg, section, key, value = EVAL_FLAGS[flag]
+    cfg = eval_config(monkeypatch, ["--config", str(write_config(tmp_path, data)), flag, *([arg] if arg else [])])
+    assert cfg == run_config_from_dict(with_keys(data, {section: {key: value}}))
+
+
+def test_a_fusion_flag_is_also_the_detector_key_of_a_kind_that_takes_it(tmp_path, monkeypatch):
+    data = base_config_dict(detector={"kind": "long-short", "forecast_steps": 1}, output=str(tmp_path / "out"))
+    cfg = eval_config(monkeypatch, ["--config", str(write_config(tmp_path, data)), "--n-history", "2", "--ratio", "0.25"])
+    keys = {"fusion": {"n_history": 2, "ratio": 0.25}, "detector": {"n_history": 2}}
+    assert cfg == run_config_from_dict(with_keys(data, keys))
+
+
+@pytest.mark.parametrize("arg, value", [("-5", -5.0), ("nan", float("nan"))])
+def test_a_refused_flag_prints_what_its_config_key_prints(arg, value, tmp_path, capsys):
+    data = base_config_dict()
+    argvs = (["--config", str(write_config(tmp_path, data, "flag.json")), "--latency-ms", arg],
+             ["--config", str(write_config(tmp_path, with_keys(data, {"stream": {"latency_ms": value}}), "file.json"))])
+    errors = []
+    for argv in argvs:
+        assert main(["eval", *argv, "--output", str(tmp_path / "o")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: InvalidConfig: stream latency_ms {value!r}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, flags, message",
+    [
+        ({"seed": -3}, [], "config seed -3: must be >= 0"),
+        ({"detector": {"kind": "pyramid", "weight_seed": -1}}, [], "detector weight_seed -1: must be >= 0"),
+        ({}, ["--seed", "-1", "--detector", "pyramid"], "config seed -1: must be >= 0"),
+    ],
+)
+def test_a_negative_seed_is_refused_at_load(changes, flags, message, tmp_path, capsys):
+    path = write_config(tmp_path, base_config_dict(**{"detector": {"kind": "pyramid"}, **changes}))
+    assert main(["eval", "--config", str(path), "--output", str(tmp_path / "o"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_file_that_is_not_json_is_refused_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"scene_name": "uniform",\n}')
+    message = f"{path}: invalid JSON at line 2: Expecting property name enclosed in double quotes"
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        load_run_config(path)
+    out = tmp_path / "out"
+    for command in (["eval", "--config"], ["sweep", "--axis", "dilation-ratio", "--config"], ["gen-scene", "--scene"]):
+        assert main([*command, str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_values_that_are_not_json_are_refused_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    import longshort.cli as cli
+
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("a row ran"))
+    out = tmp_path / "sweep.csv"
+    args = ["--config", str(write_config(tmp_path, base_config_dict())), "--values", "[0.5", "--output", str(out)]
+    assert main(["sweep", "--axis", "dilation-ratio", *args]) == 1
+    assert capsys.readouterr().err == "error: InvalidConfig: sweep values: invalid JSON at line 1: Expecting ',' delimiter\n"
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- run_eval
 
 
@@ -711,24 +804,24 @@ def test_temporal_sweep_reconfigures_forecaster_detectors():
 def test_temporal_sweep_rejects_a_fractional_value_naming_the_key():
     base = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))
     spec = SweepSpec(axis=SweepAxis.TEMPORAL_RANGE, base=base)
-    with pytest.raises(InvalidConfig, match="sweep n_history 2.7: must be a whole number"):
+    with pytest.raises(InvalidConfig, match="fusion n_history 2.7: must be a whole number"):
         apply_sweep_value(spec, (2.7, 1.5))
-    with pytest.raises(InvalidConfig, match="sweep delta_t 1.5: must be a whole number"):
+    with pytest.raises(InvalidConfig, match="fusion delta_t 1.5: must be a whole number"):
         apply_sweep_value(spec, (2, 1.5))
     cfg = apply_sweep_value(spec, (2.0, 1.0))
     assert (cfg.detector_params["n_history"], cfg.detector_params["delta_t"]) == (2, 1)
-    with pytest.raises(InvalidConfig, match="sweep n_history '2': must be a number"):
+    with pytest.raises(InvalidConfig, match="fusion n_history '2': must be a number"):
         apply_sweep_value(spec, ("2", 1))
 
 
 def test_dilation_sweep_rejects_a_value_that_is_not_a_number_naming_the_key():
     base = run_config_from_dict(base_config_dict(detector={"kind": "pyramid"}))
     spec = SweepSpec(axis=SweepAxis.DILATION_RATIO, base=base, values=("0.5",))
-    with pytest.raises(InvalidConfig, match="sweep ratio '0.5': must be a number"):
+    with pytest.raises(InvalidConfig, match="fusion ratio '0.5': must be a number"):
         apply_sweep_value(spec, "0.5")
     assert apply_sweep_value(spec, 0.5).fusion.ratio == 0.5
     [row] = run_sweep(spec)
-    assert row.report is None and row.error == "InvalidConfig: sweep ratio '0.5': must be a number"
+    assert row.report is None and row.error == "InvalidConfig: fusion ratio '0.5': must be a number"
 
 
 def test_sweep_records_per_run_failures_and_continues():
@@ -769,9 +862,34 @@ def test_a_sweep_builds_its_run_data_once(tmp_path, monkeypatch):
         assert len(loads) == 1
         assert sweep_to_csv(spec, rows) == sweep_to_csv(spec, per_row_sweep(spec))
         errors = [row.error for row in rows]
-        assert errors[1].startswith("InvalidConfig: sweep n_history 2.5")
+        assert errors[1].startswith("InvalidConfig: fusion n_history 2.5")
         data_error = "InvalidConfig: horizon 500 exceeds the 20 available frames" if "horizon_frames" in stream else None
         assert errors[:1] + errors[2:] == [data_error] * 3
+
+
+@pytest.mark.parametrize(
+    "axis, value, keys",
+    [
+        ("temporal-range", [2, 2], {"fusion": {"n_history": 2, "delta_t": 2},
+                                    "detector": {"kind": "long-short", "n_history": 2, "delta_t": 2}}),
+        ("temporal-range", [0, None], {"fusion": {"n_history": 0, "delta_t": 1},
+                                       "detector": {"kind": "hold", "n_history": 0, "delta_t": 1}}),
+        ("dilation-ratio", 0.25, {"fusion": {"ratio": 0.25}}),
+        ("fusion-variant", "EfDil*", {"fusion": {"variant": "EfDil", "residual": False}}),
+        ("fusion-variant", "EfDil", {"fusion": {"variant": "EfDil", "residual": True}}),
+    ],
+)
+def test_a_sweep_value_is_its_config_keys(axis, value, keys, tmp_path, monkeypatch):
+    import longshort.runner as runner
+
+    seen = []
+    evaluate = runner._evaluate
+    monkeypatch.setattr(runner, "_evaluate", lambda cfg, data: seen.append(cfg) or evaluate(cfg, data))
+    # const-velocity takes the temporal keys, and its forecast_steps stays
+    data = base_config_dict(detector={"kind": "const-velocity", "forecast_steps": 1}, fusion={"residual": False})
+    args = ["--config", str(write_config(tmp_path, data)), "--axis", axis, "--values", json.dumps([value])]
+    assert main(["sweep", *args, "--seed", "5", "--output", str(tmp_path / "sweep.csv")]) == 0
+    assert seen == [run_config_from_dict(with_keys(data, {None: {"seed": 5}, **keys}))]
 
 
 def test_sweep_values_override(tmp_path):
@@ -805,23 +923,32 @@ def test_cli_sweep_labels_each_rejected_value_as_given(tmp_path, capsys):
         assert main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values, "--output", str(out)]) == 0
         return [line.split(",") for line in out.read_text().splitlines()[1:]]
 
-    rows = sweep("temporal-range", '[[1], 5, ["x", 1], [2, "y"], [1, 2, 3], [2, 1]]')
-    assert [row[:2] for row in rows] == [["[1]", ""], ["5", ""], ["x", "1"], ["2", "y"], ["[1; 2; 3]", ""], ["2", "1"]]
+    # a null delta_t runs delta_t 1 under the "-" label; a null N is refused
+    rows = sweep("temporal-range", '[[1], 5, ["x", 1], [2, "y"], [1, 2, 3], [2, 1], [2, null], [null, 1]]')
+    assert [row[:2] for row in rows] == [
+        ["[1]", ""], ["5", ""], ["x", "1"], ["2", "y"], ["[1; 2; 3]", ""], ["2", "1"], ["2", "-"], ["-", "1"],
+    ]
     pair = "InvalidConfig: sweep temporal-range value {}: must be a pair of N and delta_t"
     assert [row[-1] for row in rows] == [
-        pair.format("[1]"), pair.format(5), "InvalidConfig: sweep n_history 'x': must be a number",
-        "InvalidConfig: sweep delta_t 'y': must be a number", pair.format("[1; 2; 3]"), "",
+        pair.format("[1]"), pair.format(5), "InvalidConfig: fusion n_history 'x': must be a number",
+        "InvalidConfig: fusion delta_t 'y': must be a number", pair.format("[1; 2; 3]"), "", "",
+        "InvalidConfig: fusion n_history None: must be a number",
     ]
-    rows = sweep("dilation-ratio", '["abc", "a,b", true, 0.5]')
+    assert rows[6][2:-1] == rows[5][2:-1]  # [2, null] is [2, 1]
+    # a null ratio is refused, not run at the base's ratio
+    rows = sweep("dilation-ratio", '["abc", "a,b", true, null, 0.5]')
     assert [(row[0], row[-1]) for row in rows] == [
-        ("abc", "InvalidConfig: sweep ratio 'abc': must be a number"),
-        ("a;b", "InvalidConfig: sweep ratio 'a;b': must be a number"),
-        ("True", "InvalidConfig: sweep ratio True: must be a number"),
+        ("abc", "InvalidConfig: fusion ratio 'abc': must be a number"),
+        ("a;b", "InvalidConfig: fusion ratio 'a;b': must be a number"),
+        ("True", "InvalidConfig: fusion ratio True: must be a number"),
+        ("None", "InvalidConfig: fusion ratio None: must be a number"),
         ("0.5", ""),
     ]
-    rows = sweep("fusion-variant", '["LfDil**", "LfDil*"]')  # one "*" marks the residual-free variant
+    rows = sweep("fusion-variant", '["LfDil**", null, "LfDil*"]')  # one "*" marks the residual-free variant
+    variants = "must be one of ['EfAvg'; 'EfDil'; 'LfAvg'; 'LfDil']"
     assert [(row[0], row[-1]) for row in rows] == [
-        ("LfDil**", "InvalidConfig: unknown fusion variant 'LfDil*'"),
+        ("LfDil**", f"InvalidConfig: fusion variant 'LfDil*': {variants}"),
+        ("None", f"InvalidConfig: fusion variant None: {variants}"),
         ("LfDil*", ""),
     ]
 

@@ -12,7 +12,8 @@ string, a scene_name that names no bundled scene, or the stream, fusion or
 detector section, or the config itself, given as a string, a number or a
 list, which is rejected naming the section.  A copy with the seed, the
 stream, fusion or detector section or the detector's kind null loads as the
-copy without it.  A completed run
+copy without it.  A copy with the seed, or a pyramid detector's
+weight_seed, negative is rejected at load, naming the key.  A completed run
 keeps the north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
@@ -185,6 +186,7 @@ SHAPE_CASES = {
     for shape, make in (("a string", json.dumps), ("a number", len), ("a list", list))
 }
 NULL_CASES = ("seed", "stream", "fusion", "detector", "detector kind")
+NEGATIVE_CASES = ("negative seed", "negative weight_seed")
 
 
 def pick(rng, cases):
@@ -230,6 +232,17 @@ def wrong_type(rng, data: dict) -> tuple[str, object, dict]:
     given = section[key] if isinstance(key, int) else section.get(key, 1)
     section[key] = str(given) if rng.random() < 0.5 else True
     return name, f"{name} .*must be a number", data
+
+
+def negative_seed(rng, data: dict) -> tuple[str, str, dict]:
+    """A copy of an accepted config with its seed, or half the time for a
+    pyramid detector its weight_seed, negative.  Returns the case, the
+    refusal's message and the copy."""
+    bad = -int(rng.integers(1, 1000))
+    if data["detector"]["kind"] == "pyramid" and rng.random() < 0.5:
+        detector = {**data["detector"], "weight_seed": bad}
+        return "negative weight_seed", f"detector weight_seed {bad}: must be >= 0", {**data, "detector": detector}
+    return "negative seed", f"config seed {bad}: must be >= 0", {**data, "seed": bad}
 
 
 def loaded(data: dict):
@@ -289,6 +302,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     defect_rng = np.random.default_rng(SEED + 1)  # leaves the configs drawn from rng as they are
     dataset_rng = np.random.default_rng(SEED + 2)
     type_rng = np.random.default_rng(SEED + 4)
+    negative_rng = np.random.default_rng(SEED + 5)
     completed = perfect = empty_horizons = forecasters = 0
     knowable, datasets, wrong_types = Counter(), Counter(), Counter()
     for i in range(N_CONFIGS):
@@ -310,6 +324,11 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             else:
                 assert loaded(bad) == loaded(expected), case
             wrong_types[case] += 1
+        case, message, bad = negative_seed(negative_rng, data)
+        with pytest.raises(InvalidConfig) as refused:
+            run_config_from_dict(bad)
+        assert str(refused.value) == message
+        wrong_types[case] += 1
         try:
             run_data = build_run_data(cfg)
         except InvalidConfig as exc:
@@ -333,7 +352,8 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
-    assert all(wrong_types[case] > 0 for case in (*NUMBER_KEYS, *STRING_CASES, *SHAPE_CASES, *NULL_CASES)), wrong_types
+    cases = (*NUMBER_KEYS, *STRING_CASES, *SHAPE_CASES, *NULL_CASES, *NEGATIVE_CASES)
+    assert all(wrong_types[case] > 0 for case in cases), wrong_types
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
 
 
