@@ -27,15 +27,16 @@ and its trajectories) must be an object, and one parser walks them all: an
 unknown key, or a value its key's parser refuses, is rejected naming the
 key.  So a number must be a JSON number, not a string or a bool (a flag's
 or sweep's value too), a count refuses a fractional value instead of
-truncating it, scene_name, dataset and output must be strings, and a
-scene_name must name a bundled scene.  A null is not given: it takes the
-default (the base's value over a base), a null section or detector kind
-too.  "stream" takes one latency form, a constant or a per-frame list, not
-both.  The range checks run when a RunConfig, or a FusionSettings or scene
-it holds, is built, and for a scene source they include what its frame
-count decides: a horizon beyond it, a per-frame latency list shorter than
-the horizon, and a frame interval that overflows the stream's clock (for a
-dataset source build_run_data checks that last one).
+truncating it, a value outside its key's range is refused as "section key
+value: rule" (fusion ratio 1.5: must lie in (0, 1)), scene_name, dataset
+and output must be strings, and a scene_name must name a bundled scene.  A
+null is not given: it takes the default (the base's value over a base), a
+null section or detector kind too.  "stream" takes one latency form, a
+constant or a per-frame list, not both.  The checks that relate keys run
+when a RunConfig is built, and for a scene source they include what its
+frame count decides: a horizon beyond it, a per-frame latency list shorter
+than the horizon, and a frame interval that overflows the stream's clock
+(for a dataset source build_run_data checks that last one).
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  The forecasters' forecast_steps
@@ -100,6 +101,8 @@ def _per_frame_latency(values) -> PerFrameLatency:
 _COUNT = _checked(_whole, lambda n: n >= 0, "must be >= 0")
 _STRIDE = _checked(_whole, lambda n: n >= 1, "must be >= 1")
 _FINITE = _checked(_real, math.isfinite, "must be finite")
+_INTERVAL = _checked(_real, lambda v: 0 < v < math.inf, "must be finite and > 0")
+_RATIO = _checked(_real, lambda r: 0 < r < 1, "must lie in (0, 1)")
 _MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
 
 # kind -> key -> (default, parse).  The three forecasters share one key set:
@@ -117,7 +120,7 @@ DETECTOR_KEYS = {
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 _DETECTOR_PARSERS = {kind: {key: parse for key, (_, parse) in keys.items()} for kind, keys in DETECTOR_KEYS.items()}
 _STREAM_PARSERS = {"latency_ms": lambda v: ConstantLatency(_real(v)), "latency_per_frame_ms": _per_frame_latency,
-                   "frame_interval_ms": _real, "dispatch": DispatchPolicy, "horizon_frames": _whole}
+                   "frame_interval_ms": _INTERVAL, "dispatch": DispatchPolicy, "horizon_frames": _STRIDE}
 _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
 _STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
 
@@ -129,7 +132,7 @@ def _variant(name) -> FusionVariant:
     return FusionVariant(name)
 
 
-_FUSION_PARSERS = {"variant": _variant, "n_history": _whole, "delta_t": _whole, "ratio": _real, "residual": _BOOL}
+_FUSION_PARSERS = {"variant": _variant, "n_history": _COUNT, "delta_t": _STRIDE, "ratio": _RATIO, "residual": _BOOL}
 # config key -> the RunConfig field it sets, where the two differ
 _FIELDS = {"scene_name": "scene", "dataset": "dataset_path", "latency_ms": "latency_model",
            "latency_per_frame_ms": "latency_model", "dispatch": "dispatch_policy"}
@@ -166,10 +169,6 @@ class RunConfig:
         per_frame = isinstance(self.latency_model, PerFrameLatency)
         if kind in ("const-velocity", "long-short") and per_frame and "forecast_steps" not in self.detector_params:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
-        if not (self.frame_interval_ms is None or 0 < self.frame_interval_ms < math.inf):
-            raise InvalidConfig(f"frame_interval_ms must be finite and > 0, got {self.frame_interval_ms}")
-        if self.horizon_frames is not None and self.horizon_frames < 1:
-            raise InvalidConfig(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if self.scene is not None:  # a scene's frame count is known at load
             horizon = self.horizon_frames or self.scene.n_frames
             if horizon > self.scene.n_frames:
@@ -180,8 +179,6 @@ class RunConfig:
                     f" fewer than the {horizon} frames of the horizon"
                 )
             self.check_stream_span(horizon, self.frame_interval_ms or self.scene.frame_interval_ms)
-        if self.max_dets_per_frame is not None and self.max_dets_per_frame < 1:
-            raise InvalidConfig(f"max_dets_per_frame must be >= 1, got {self.max_dets_per_frame}")
 
     def check_stream_span(self, horizon: int, interval: float) -> None:
         """InvalidConfig unless `horizon` frames `interval` ms apart, each
@@ -253,7 +250,7 @@ def _scene_name(name) -> SyntheticScene:
 _RUN_PARSERS = {
     "seed": _COUNT, "scene": scene_from_dict, "scene_name": _scene_name, "dataset": _STRING, "stream": _stream,
     "fusion": lambda raw: _parsed_section(raw, "fusion", _FUSION_PARSERS),
-    "detector": lambda raw: dict(_object(raw, "detector")), "max_dets_per_frame": _whole, "output": _STRING,
+    "detector": lambda raw: dict(_object(raw, "detector")), "max_dets_per_frame": _STRIDE, "output": _STRING,
 }
 
 

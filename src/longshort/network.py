@@ -13,7 +13,8 @@ pixels when it is called and keeps its own copy of them; a level is pooled
 from that copy the first time anything reads it, and kept.  step() reads
 only the levels it fuses and hands the head a pyramid with those replaced
 by their fused maps and the others still unbuilt, so BlobHead, which reads
-level 0, costs one pooled level per frame.
+level 0, costs one pooled level per frame.  That pyramid's base is the
+current frame's own, so a head can also read the maps fusion started from.
 
 History lives in n_history * delta_t + 1 slots.  The network records the
 frame index each slot holds, and each step looks its history up by frame
@@ -106,19 +107,23 @@ class PyramidLevels(Sequence):
 
 class FeaturePyramid:
     """Per-frame (C, H, W) feature maps at down-sampling rates /8, /16, /32,
-    each an array or a callable that builds it when first read."""
+    each an array or a callable that builds it when first read.  `base` is
+    the pyramid that replace() made this one from, else None."""
 
     def __init__(self, levels):
         if len(levels) != len(PYRAMID_RATES):
             raise ValueError(f"expected {len(PYRAMID_RATES)} levels, got {len(levels)}")
         self.levels = PyramidLevels(levels)
+        self.base: Optional[FeaturePyramid] = None
 
     def replace(self, maps: dict[int, np.ndarray]) -> "FeaturePyramid":
-        """This pyramid with the given levels replaced; the others stay this
-        pyramid's own, unbuilt until read."""
-        return FeaturePyramid(
+        """This pyramid with the given levels replaced, and this one as its
+        base; the others stay this pyramid's own, unbuilt until read."""
+        pyramid = FeaturePyramid(
             [maps[i] if i in maps else partial(self.levels.__getitem__, i) for i in range(len(self.levels))]
         )
+        pyramid.base = self
+        return pyramid
 
 
 class FeatureExtractor(Protocol):

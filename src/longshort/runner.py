@@ -2,13 +2,16 @@
 
 run_eval executes one configuration; run_sweep executes one configuration
 per value along an ablation axis and renders a CSV table with one row per
-configuration, continuing past per-run failures.
+configuration, continuing past per-run failures.  The two rows of a
+fusion-variant pair X / X* (the same variant with and without its residual)
+share one pyramid network pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -22,7 +25,7 @@ from .config import (
     sweep_key_columns,
 )
 from .detectors import DelayedGtDetector, ForecastDetector
-from .fusion import InvalidConfig
+from .fusion import InvalidConfig, plan_channels
 from .metrics import (
     REPORT_COLUMNS,
     SapReport,
@@ -32,7 +35,7 @@ from .metrics import (
     report_to_human_table,
     report_to_text,
 )
-from .network import BlobHead, BoxFilterExtractor, DualPathNetwork, Frame
+from .network import MODEL_CHANNELS, BlobHead, BoxFilterExtractor, DualPathNetwork, FeaturePyramid, Frame
 from .scenarios import generate_scenario
 from .streaming import PredictionRecord, StreamConfig, pair_for_eval, simulate_stream, write_records
 
@@ -68,7 +71,13 @@ def build_run_data(cfg: RunConfig) -> RunData:
     return RunData(tuple(frames[:horizon]), gts, interval)
 
 
-def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], DetectionTable]:
+def make_detector(
+    cfg: RunConfig, data: RunData, shared: Optional[_SharedPass] = None
+) -> Callable[[int], DetectionTable]:
+    """cfg's detector; for a row of an X / X* pair, its part of the pass
+    the pair shares."""
+    if shared is not None:
+        return shared.detector(cfg)
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
@@ -86,13 +95,89 @@ def make_detector(cfg: RunConfig, data: RunData) -> Callable[[int], DetectionTab
         )
     # pyramid: the dual-path network steps over the frames the simulator
     # dispatches (frames it skips never reach its history)
-    network = DualPathNetwork(
+    network = _network(cfg)
+    return lambda k: network.step(data.frames[k])
+
+
+def _network(cfg: RunConfig, pair: bool = False) -> DualPathNetwork:
+    """The pyramid detector's network; with `pair`, it fuses without the
+    residual and its head is a _ResidualPair of the BlobHead."""
+    s = cfg.detector_settings
+    head = BlobHead(threshold=s["threshold"], category=s["category"])
+    return DualPathNetwork(
         extractor=BoxFilterExtractor(model_size=s["model_size"], seed=cfg.seed),
-        head=BlobHead(threshold=s["threshold"], category=s["category"]),
-        fusion=cfg.fusion,
+        head=_ResidualPair(head) if pair else head,
+        fusion=replace(cfg.fusion, residual=False) if pair else cfg.fusion,
         weight_seed=s["weight_seed"],
     )
-    return lambda k: network.step(data.frames[k])
+
+
+class _ResidualPair:
+    """The head of an X / X* pair's network, which fuses without the
+    residual: predict() gives X*'s detections, `head`'s on the fused
+    pyramid, and X's, `head`'s with the base's map, the current frame's,
+    added to each level it reads, bit for bit the residual add."""
+
+    def __init__(self, head):
+        self.head = head
+        self.levels_used = head.levels_used
+
+    def predict(self, pyramid: FeaturePyramid) -> tuple[DetectionTable, DetectionTable]:
+        bare = self.head.predict(pyramid)
+        added = {i: pyramid.levels[i] + pyramid.base.levels[i] for i in self.levels_used}
+        return bare, self.head.predict(pyramid.replace(added))
+
+
+class _SharedPass:
+    """The network pass of an X / X* pair, built with the first row's
+    detector.  Both rows dispatch the same frames; the row that asks for a
+    frame first steps the network, and the other row's table waits here."""
+
+    def __init__(self, frames: Sequence[Frame]):
+        self._frames = frames
+        self._network: Optional[DualPathNetwork] = None
+        self._waiting: dict[tuple[int, bool], DetectionTable] = {}
+
+    def detector(self, cfg: RunConfig) -> Callable[[int], DetectionTable]:
+        if self._network is None:
+            self._network = _network(cfg, pair=True)
+        return partial(self.detections, cfg.fusion.residual)
+
+    def detections(self, residual: bool, k: int) -> DetectionTable:
+        if (k, residual) not in self._waiting:
+            self._waiting[k, False], self._waiting[k, True] = self._network.step(self._frames[k])
+        return self._waiting.pop((k, residual))
+
+
+def _pairs(cfgs: dict[int, RunConfig]) -> list[tuple[int, int]]:
+    """The row pairs of a sweep that share one network pass, X and X* in
+    either order: pyramid rows with history whose configs differ in
+    fusion.residual alone, where X's plan has a residual (EfAvg's never
+    has).  A row pairs with the first free match after it."""
+    def key(cfg):  # the config without its residual, if its variant has one
+        fusion = replace(cfg.fusion, residual=True)
+        if cfg.detector_kind == "pyramid" and fusion.n_history > 0:
+            d = MODEL_CHANNELS[cfg.detector_settings["model_size"]][0]  # no width changes the residual
+            if plan_channels(fusion.config_for(d)).residual:
+                return {**vars(cfg), "fusion": replace(fusion, residual=False)}
+        return None
+
+    keys = {i: key(cfg) for i, cfg in cfgs.items()}
+    free = [i for i, k in keys.items() if k is not None]
+    pairs = []
+    while free:
+        i = free.pop(0)
+        j = next((j for j in free if keys[j] == keys[i] and cfgs[j].fusion.residual != cfgs[i].fusion.residual), None)
+        if j is not None:
+            free.remove(j)
+            pairs.append((i, j))
+    return pairs
+
+
+def _shared_reports(cfgs: Sequence[RunConfig], data: RunData) -> list[SapReport]:
+    """A pair's reports; its pass is dropped on return."""
+    shared = _SharedPass(data.frames)
+    return [_evaluate(cfg, data, shared)[0] for cfg in cfgs]
 
 
 def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
@@ -109,16 +194,18 @@ def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
     return report
 
 
-def _evaluate(cfg: RunConfig, data: RunData) -> tuple[SapReport, list[PredictionRecord]]:
+def _evaluate(
+    cfg: RunConfig, data: RunData, shared: Optional[_SharedPass] = None
+) -> tuple[SapReport, list[PredictionRecord]]:
     """The report of one configuration on its run data, and the stream's
-    prediction records."""
+    prediction records; `shared` as for make_detector."""
     stream_cfg = StreamConfig(
         horizon_frames=len(data.frames),
         latency_model=cfg.latency_model,
         frame_interval_ms=data.frame_interval_ms,
         dispatch_policy=cfg.dispatch_policy,
     )
-    records = simulate_stream(stream_cfg, make_detector(cfg, data))
+    records = simulate_stream(stream_cfg, make_detector(cfg, data, shared))
     pairings = pair_for_eval(records, data.frames)
     return compute_sap_report(pairings, data.gts, max_dets_per_frame=cfg.max_dets_per_frame), records
 
@@ -131,26 +218,41 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One run per sweep value, in spec order; failures land in the row.
-    The run data is built once, from the base: a sweep value changes only
-    fusion and detector settings, which build_run_data does not read, so a
-    data error lands in every row."""
+    """One run per sweep value, rows in spec order; failures land in the
+    row.  The run data is built once, from the base: a sweep value changes
+    only fusion and detector settings, which build_run_data does not read,
+    so a data error lands in every row.  The two rows of each pair that
+    _pairs finds run first, sharing one network pass; if it raises, both
+    run alone, so that each reports the error it gets alone."""
     data = data_error = None
     try:
         data = build_run_data(spec.base)
     except Exception as exc:  # reported in each row, after that row's own config errors
         data_error = exc
-    rows = []
-    for value in spec.values:
+    cfgs, errors = {}, {}  # row -> its config, or the error it reports
+    for i, value in enumerate(spec.values):
         try:
-            cfg = apply_sweep_value(spec, value)
-            if data_error is not None:
-                raise data_error.with_traceback(None)  # one row's frames, not every row's
-            report, _ = _evaluate(cfg, data)
-            rows.append(SweepRow(value=value, report=report, error=None))
+            cfgs[i] = apply_sweep_value(spec, value)
+        except Exception as exc:  # a row's own config error comes before a data error
+            errors[i] = exc
+    if data_error is not None:
+        errors.update(dict.fromkeys(cfgs, data_error))
+        cfgs = {}
+    reports = {}
+    for pair in _pairs(cfgs):
+        try:
+            reports.update(zip(pair, _shared_reports([cfgs[i] for i in pair], data)))
+        except Exception:  # both rows run alone below
+            pass
+    for i in [i for i in cfgs if i not in reports]:
+        try:
+            reports[i], _ = _evaluate(cfgs[i], data)
         except Exception as exc:  # keep sweeping; the row records the failure
-            rows.append(SweepRow(value=value, report=None, error=f"{type(exc).__name__}: {exc}"))
-    return rows
+            errors[i] = exc
+    return [
+        SweepRow(value, reports.get(i), f"{type(errors[i]).__name__}: {errors[i]}" if i in errors else None)
+        for i, value in enumerate(spec.values)
+    ]
 
 
 def sweep_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:

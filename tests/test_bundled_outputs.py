@@ -7,6 +7,7 @@ output re-records the digest and says which number moved and why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,14 @@ SWEEP_DIGESTS = {
     ("accelerating_long_short", "temporal-range"): "0e174284d0bf77fd25fcb306dbfd681b8777f4ddc303d900bb5c0c62f88bbeca",
 }
 
+# `sweep --axis fusion-variant --values WEIGHTED_SWEEP_VALUES` over
+# mixed_pyramid.json with weight_seed 5 and latency_ms 50.  Nonzero weights
+# make each X / X* pair's rows differ in what the head reads, and the 50 ms
+# latency skips every other frame.  Recorded before X and X* rows shared a
+# network pass, so that each row here is still what it gives alone.
+WEIGHTED_SWEEP_VALUES = ["LfDil*", "EfAvg", "LfDil", "EfDil", "EfDil*"]
+WEIGHTED_SWEEP_DIGEST = "6bb452f409b568a95a88b6a8fc1739ec0199c1138dfcbea41b7066cc3ef88bb3"
+
 # `eval --config mixed_pyramid.json --variant EfAvg --latency-ms 50`: a 50 ms
 # latency on 33.33 ms frames dispatches every other frame, so the network's
 # history lookups meet skipped frame indices and pads.  EfAvg runs no matrix
@@ -77,6 +86,17 @@ def test_readme_sweep_csvs_match_their_digests(name, axis, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(CONFIGS / f"{name}.json"), "--axis", axis, "--output", str(out)]) == 0
     assert sha256(out) == SWEEP_DIGESTS[(name, axis)]
+
+
+def test_a_weighted_pyramid_sweep_that_skips_frames_matches_its_digest(tmp_path, capsys):
+    config = json.loads((CONFIGS / "mixed_pyramid.json").read_text())
+    config["detector"]["weight_seed"] = 5
+    config["stream"]["latency_ms"] = 50.0
+    path, out = tmp_path / "weighted.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(config))
+    args = ["--axis", "fusion-variant", "--values", json.dumps(WEIGHTED_SWEEP_VALUES), "--output", str(out)]
+    assert main(["sweep", "--config", str(path), *args]) == 0
+    assert sha256(out) == WEIGHTED_SWEEP_DIGEST
 
 
 def test_a_pyramid_eval_that_skips_frames_matches_its_digests(tmp_path, capsys):

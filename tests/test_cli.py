@@ -1,4 +1,6 @@
+import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -14,8 +16,9 @@ from longshort.config import (
     run_config_from_dict,
 )
 from longshort.fusion import FusionVariant, InvalidConfig
+from longshort.network import BoxFilterExtractor
 from longshort.runner import SweepRow, build_run_data, run_eval, run_sweep, sweep_to_csv
-from longshort.streaming import ConstantLatency, PerFrameLatency
+from longshort.streaming import ConstantLatency, PerFrameLatency, write_records
 
 
 def base_config_dict(**extra):
@@ -131,6 +134,37 @@ def test_config_rejects_max_dets_per_frame_below_one(bad):
 def test_config_rejects_bad_values_naming_the_key(section, value, key):
     with pytest.raises(InvalidConfig, match=key):
         run_config_from_dict(base_config_dict(**{section: value}))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"fusion": {"ratio": 1.5}}, "fusion ratio 1.5: must lie in (0, 1)"),
+        ({"fusion": {"ratio": 0.0}}, "fusion ratio 0.0: must lie in (0, 1)"),
+        ({"fusion": {"n_history": -1}}, "fusion n_history -1: must be >= 0"),
+        ({"fusion": {"delta_t": 0}}, "fusion delta_t 0: must be >= 1"),
+        ({"stream": {"frame_interval_ms": 0}}, "stream frame_interval_ms 0: must be finite and > 0"),
+        ({"stream": {"frame_interval_ms": float("inf")}}, "stream frame_interval_ms inf: must be finite and > 0"),
+        ({"stream": {"horizon_frames": 0}}, "stream horizon_frames 0: must be >= 1"),
+        ({"max_dets_per_frame": 0}, "config max_dets_per_frame 0: must be >= 1"),
+    ],
+)
+def test_a_value_out_of_range_is_refused_naming_its_section_and_key(extra, message):
+    with pytest.raises(InvalidConfig) as refused:
+        run_config_from_dict(base_config_dict(**extra))
+    assert str(refused.value) == message
+
+
+def test_a_sweep_value_or_flag_out_of_range_is_refused_naming_its_section(tmp_path, capsys):
+    base = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))
+    rows = run_sweep(SweepSpec(SweepAxis.TEMPORAL_RANGE, base, ([-1, 1], [1, 0])))
+    assert [row.error for row in rows] == [
+        "InvalidConfig: fusion n_history -1: must be >= 0", "InvalidConfig: fusion delta_t 0: must be >= 1"]
+    [row] = run_sweep(SweepSpec(SweepAxis.DILATION_RATIO, base, (1.5,)))
+    assert row.error == "InvalidConfig: fusion ratio 1.5: must lie in (0, 1)"
+    path = write_config(tmp_path, base_config_dict())
+    assert main(["eval", "--config", str(path), "--output", str(tmp_path / "o"), "--frame-interval-ms", "0"]) == 1
+    assert capsys.readouterr().err == "error: InvalidConfig: stream frame_interval_ms 0.0: must be finite and > 0\n"
 
 
 @pytest.mark.parametrize(
@@ -865,6 +899,100 @@ def test_a_sweep_builds_its_run_data_once(tmp_path, monkeypatch):
         assert errors[1].startswith("InvalidConfig: fusion n_history 2.5")
         data_error = "InvalidConfig: horizon 500 exceeds the 20 available frames" if "horizon_frames" in stream else None
         assert errors[:1] + errors[2:] == [data_error] * 3
+
+
+# every fusion-variant sweep value: each variant with and without its residual
+EVERY_VARIANT = [v.value + star for v in FusionVariant for star in ("", "*")]
+
+
+def pyramid_base(**fusion):
+    scene = inline_scene(n_frames=9, width=96, height=64)
+    scene["trajectories"].append({"kind": "uniform", "initial_bbox": [50, 30, 70, 50], "velocity": [-1, 0]})
+    return run_config_from_dict({"scene": scene, "detector": {"kind": "pyramid", "weight_seed": 3}, "fusion": fusion})
+
+
+def test_sweep_rows_pair_when_their_configs_differ_in_the_residual_alone():
+    from longshort.runner import _pairs
+
+    base = pyramid_base(n_history=2)
+    fusions = [
+        {"variant": "LfDil", "residual": False},
+        {"variant": "EfAvg"}, {"variant": "LfDil"}, {"variant": "EfAvg", "residual": False},  # EfAvg has no residual
+        {"variant": "LfAvg", "ratio": 0.25}, {"variant": "LfAvg", "residual": False},  # the ratio differs
+        {"variant": "LfDil", "residual": False},  # its LfDil is taken
+        {"variant": "EfDil", "n_history": 0}, {"variant": "EfDil", "n_history": 0, "residual": False},  # no history
+    ]
+    cfgs = {i: run_config_from_dict({"fusion": fusion}, base) for i, fusion in enumerate(fusions)}
+    assert _pairs(cfgs) == [(0, 2)]
+    assert _pairs({i: cfgs[i] for i in (2, 6)}) == [(2, 6)]
+    other_kind = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))  # no network to share
+    assert _pairs({i: run_config_from_dict({"fusion": fusions[i]}, other_kind) for i in (0, 2)}) == []
+
+
+def write_records_text(records):
+    out = io.StringIO()
+    write_records(records, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_shared_pass_gives_each_row_what_it_gets_alone(seed, monkeypatch):
+    """Random pyramid fusion-variant sweeps: the rows that share a network
+    pass give the CSV and the records that one run per row gives, and each
+    shared pass calls its extractor once per dispatched frame."""
+    import longshort.runner as runner
+
+    rng = random.Random(seed)
+    base = pyramid_base(n_history=rng.randint(1, 4), delta_t=rng.randint(1, 2), ratio=rng.uniform(0.05, 0.95))
+    # 50 ms on 33.33 ms frames skips every other frame, so history lookups meet pads
+    base = run_config_from_dict({"stream": {"latency_ms": (0.0, 50.0)[seed % 2]},
+                                 "detector": {"weight_seed": rng.randint(1, 2**31 - 1)}}, base)
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, base, tuple(rng.sample(EVERY_VARIANT, len(EVERY_VARIANT))))
+    extractors, runs = [], []
+    monkeypatch.setattr(runner, "BoxFilterExtractor", lambda **kw: extractors.append(BoxFilterExtractor(**kw)) or extractors[-1])
+    evaluate = runner._evaluate
+
+    def spy(cfg, data, *shared):
+        report, records = evaluate(cfg, data, *shared)
+        runs.append((cfg, write_records_text(records)))
+        return report, records
+
+    monkeypatch.setattr(runner, "_evaluate", spy)
+    csv_text = sweep_to_csv(spec, run_sweep(spec))
+    shared_runs, shared_extractors = runs[:], extractors[:]
+    runs.clear()
+    assert csv_text == sweep_to_csv(spec, per_row_sweep(spec))
+    for value in spec.values:
+        cfg = apply_sweep_value(spec, value)
+        assert [text for c, text in shared_runs if c == cfg] == [text for c, text in runs if c == cfg], value
+    # EfDil, LfAvg and LfDil each share a pass with their starred row; EfAvg and EfAvg* run alone
+    assert len(shared_extractors) == len(EVERY_VARIANT) - 3
+    dispatched = len(runs[0][1].splitlines())
+    assert [e.calls for e in shared_extractors] == [dispatched] * len(shared_extractors)
+    assert dispatched == (9, 5)[seed % 2]
+    assert any('"bbox"' in text for _, text in runs)  # some row detects something
+
+
+@pytest.mark.parametrize("broken", ["shared pass", "every head"])
+def test_a_shared_pass_that_raises_leaves_each_row_the_error_it_gets_alone(broken, monkeypatch):
+    import longshort.runner as runner
+
+    raised = []
+
+    def fail(self, pyramid):
+        raised.append(broken)
+        raise RuntimeError(f"{broken} fails")
+
+    # the pass alone fails, so both rows then run alone and succeed; or
+    # every head fails, so every row fails alone too
+    monkeypatch.setattr(runner._ResidualPair if broken == "shared pass" else runner.BlobHead, "predict", fail)
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, pyramid_base(n_history=2), ("LfDil", "EfAvg", "LfDil*"))
+    rows = run_sweep(spec)
+    assert raised
+    alone = per_row_sweep(spec)
+    assert [row.error for row in rows] == [row.error for row in alone]
+    assert [row.error for row in rows] == [None] * 3 if broken == "shared pass" else ["RuntimeError: every head fails"] * 3
+    assert sweep_to_csv(spec, rows) == sweep_to_csv(spec, alone)
 
 
 @pytest.mark.parametrize(
