@@ -2,16 +2,15 @@
 
 run_eval executes one configuration; run_sweep executes one configuration
 per value along an ablation axis and renders a CSV table with one row per
-configuration, continuing past per-run failures.  The two rows of a
-fusion-variant pair X / X* (the same variant with and without its residual)
-share one pyramid network pass.
+configuration, continuing past per-run failures.  Of a fusion-variant pair
+X / X* (the same variant with and without its residual), the X* row is
+scored on the X row's stream, whose pyramid network gives both rows' tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -72,17 +71,16 @@ def build_run_data(cfg: RunConfig) -> RunData:
 
 
 def make_detector(
-    cfg: RunConfig, data: RunData, shared: Optional[_SharedPass] = None
+    cfg: RunConfig, data: RunData, bare: Optional[list[DetectionTable]] = None
 ) -> Callable[[int], DetectionTable]:
-    """cfg's detector; for a row of an X / X* pair, its part of the pass
-    the pair shares."""
-    if shared is not None:
-        return shared.detector(cfg)
+    """cfg's detector.  Given a list `bare`, cfg is the X row of an X / X*
+    pair: its network fuses without the residual, and each step appends
+    X*'s table to `bare` and returns X's."""
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
-    if cfg.detector_kind == "hold":
-        return ForecastDetector(data.gts, n_history=0, delta_t=1, forecast_steps=0)
+    if cfg.detector_kind == "hold":  # the zero-motion hold: each frame's own ground truth
+        return DelayedGtDetector(data.gts)
     if cfg.detector_kind in ("const-velocity", "long-short"):
         # forecast_steps defaults to the constant latency in frames (RunConfig
         # rejects per-frame latency without forecast_steps)
@@ -95,65 +93,38 @@ def make_detector(
         )
     # pyramid: the dual-path network steps over the frames the simulator
     # dispatches (frames it skips never reach its history)
-    network = _network(cfg)
-    return lambda k: network.step(data.frames[k])
-
-
-def _network(cfg: RunConfig, pair: bool = False) -> DualPathNetwork:
-    """The pyramid detector's network; with `pair`, it fuses without the
-    residual and its head is a _ResidualPair of the BlobHead."""
-    s = cfg.detector_settings
     head = BlobHead(threshold=s["threshold"], category=s["category"])
-    return DualPathNetwork(
+    network = DualPathNetwork(
         extractor=BoxFilterExtractor(model_size=s["model_size"], seed=cfg.seed),
-        head=_ResidualPair(head) if pair else head,
-        fusion=replace(cfg.fusion, residual=False) if pair else cfg.fusion,
+        head=head if bare is None else _ResidualPair(head, bare),
+        fusion=cfg.fusion if bare is None else replace(cfg.fusion, residual=False),
         weight_seed=s["weight_seed"],
     )
+    return lambda k: network.step(data.frames[k])
 
 
 class _ResidualPair:
     """The head of an X / X* pair's network, which fuses without the
-    residual: predict() gives X*'s detections, `head`'s on the fused
-    pyramid, and X's, `head`'s with the base's map, the current frame's,
-    added to each level it reads, bit for bit the residual add."""
+    residual: predict() appends X*'s table, `head`'s on the fused pyramid,
+    to `bare`, and returns X's, `head`'s with the base's map, the current
+    frame's, added to each level it reads, bit for bit the residual add."""
 
-    def __init__(self, head):
+    def __init__(self, head, bare: list[DetectionTable]):
         self.head = head
+        self.bare = bare
         self.levels_used = head.levels_used
 
-    def predict(self, pyramid: FeaturePyramid) -> tuple[DetectionTable, DetectionTable]:
-        bare = self.head.predict(pyramid)
+    def predict(self, pyramid: FeaturePyramid) -> DetectionTable:
+        self.bare.append(self.head.predict(pyramid))
         added = {i: pyramid.levels[i] + pyramid.base.levels[i] for i in self.levels_used}
-        return bare, self.head.predict(pyramid.replace(added))
-
-
-class _SharedPass:
-    """The network pass of an X / X* pair, built with the first row's
-    detector.  Both rows dispatch the same frames; the row that asks for a
-    frame first steps the network, and the other row's table waits here."""
-
-    def __init__(self, frames: Sequence[Frame]):
-        self._frames = frames
-        self._network: Optional[DualPathNetwork] = None
-        self._waiting: dict[tuple[int, bool], DetectionTable] = {}
-
-    def detector(self, cfg: RunConfig) -> Callable[[int], DetectionTable]:
-        if self._network is None:
-            self._network = _network(cfg, pair=True)
-        return partial(self.detections, cfg.fusion.residual)
-
-    def detections(self, residual: bool, k: int) -> DetectionTable:
-        if (k, residual) not in self._waiting:
-            self._waiting[k, False], self._waiting[k, True] = self._network.step(self._frames[k])
-        return self._waiting.pop((k, residual))
+        return self.head.predict(pyramid.replace(added))
 
 
 def _pairs(cfgs: dict[int, RunConfig]) -> list[tuple[int, int]]:
-    """The row pairs of a sweep that share one network pass, X and X* in
-    either order: pyramid rows with history whose configs differ in
-    fusion.residual alone, where X's plan has a residual (EfAvg's never
-    has).  A row pairs with the first free match after it."""
+    """The row pairs (X, X*) of a sweep, in either row order: pyramid rows
+    with history whose configs differ in fusion.residual alone, where X's
+    plan has a residual (EfAvg's never has).  A row pairs with the first
+    free match after it."""
     def key(cfg):  # the config without its residual, if its variant has one
         fusion = replace(cfg.fusion, residual=True)
         if cfg.detector_kind == "pyramid" and fusion.n_history > 0:
@@ -170,14 +141,8 @@ def _pairs(cfgs: dict[int, RunConfig]) -> list[tuple[int, int]]:
         j = next((j for j in free if keys[j] == keys[i] and cfgs[j].fusion.residual != cfgs[i].fusion.residual), None)
         if j is not None:
             free.remove(j)
-            pairs.append((i, j))
+            pairs.append((i, j) if cfgs[i].fusion.residual else (j, i))
     return pairs
-
-
-def _shared_reports(cfgs: Sequence[RunConfig], data: RunData) -> list[SapReport]:
-    """A pair's reports; its pass is dropped on return."""
-    shared = _SharedPass(data.frames)
-    return [_evaluate(cfg, data, shared)[0] for cfg in cfgs]
 
 
 def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
@@ -195,19 +160,24 @@ def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
 
 
 def _evaluate(
-    cfg: RunConfig, data: RunData, shared: Optional[_SharedPass] = None
+    cfg: RunConfig, data: RunData, bare: Optional[list[DetectionTable]] = None
 ) -> tuple[SapReport, list[PredictionRecord]]:
     """The report of one configuration on its run data, and the stream's
-    prediction records; `shared` as for make_detector."""
+    prediction records; `bare` as for make_detector."""
     stream_cfg = StreamConfig(
         horizon_frames=len(data.frames),
         latency_model=cfg.latency_model,
         frame_interval_ms=data.frame_interval_ms,
         dispatch_policy=cfg.dispatch_policy,
     )
-    records = simulate_stream(stream_cfg, make_detector(cfg, data, shared))
+    records = simulate_stream(stream_cfg, make_detector(cfg, data, bare))
+    return _report(cfg, data, records), records
+
+
+def _report(cfg: RunConfig, data: RunData, records: Sequence[PredictionRecord]) -> SapReport:
+    """The report of one configuration on a stream's prediction records."""
     pairings = pair_for_eval(records, data.frames)
-    return compute_sap_report(pairings, data.gts, max_dets_per_frame=cfg.max_dets_per_frame), records
+    return compute_sap_report(pairings, data.gts, max_dets_per_frame=cfg.max_dets_per_frame)
 
 
 @dataclass(frozen=True)
@@ -221,9 +191,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One run per sweep value, rows in spec order; failures land in the
     row.  The run data is built once, from the base: a sweep value changes
     only fusion and detector settings, which build_run_data does not read,
-    so a data error lands in every row.  The two rows of each pair that
-    _pairs finds run first, sharing one network pass; if it raises, both
-    run alone, so that each reports the error it gets alone."""
+    so a data error lands in every row.  Of each pair (X, X*) that _pairs
+    finds, the X row runs first, and its stream's records, each holding
+    X*'s table instead, are the X* row's; if that raises, both rows run
+    alone, so that each reports the error it gets alone."""
     data = data_error = None
     try:
         data = build_run_data(spec.base)
@@ -239,9 +210,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         errors.update(dict.fromkeys(cfgs, data_error))
         cfgs = {}
     reports = {}
-    for pair in _pairs(cfgs):
+    for x, star in _pairs(cfgs):
         try:
-            reports.update(zip(pair, _shared_reports([cfgs[i] for i in pair], data)))
+            bare = []
+            report, records = _evaluate(cfgs[x], data, bare)
+            records = [replace(r, detections=t) for r, t in zip(records, bare, strict=True)]
+            reports[x], reports[star] = report, _report(cfgs[star], data, records)
         except Exception:  # both rows run alone below
             pass
     for i in [i for i in cfgs if i not in reports]:

@@ -97,6 +97,51 @@ def naive_fuse(cfg, weights, current3: list, history3: list[list]) -> list:
     return fused
 
 
+def naive_pool(raster: list, rate: int) -> list:
+    """The mean of each rate x rate block of a 2-d list; edge blocks cover
+    fewer pixels."""
+    height, width = len(raster), len(raster[0])
+    out = []
+    for r0 in range(0, height, rate):
+        row = []
+        for c0 in range(0, width, rate):
+            block = [raster[r][c] for r in range(r0, min(r0 + rate, height)) for c in range(c0, min(c0 + rate, width))]
+            row.append(sum(block) / len(block))
+        out.append(row)
+    return out
+
+
+def collapsed_saliency(cfg, weights, lift: list, steps: list[list]) -> list:
+    """BlobHead's saliency, the channel mean of fused level 0, at each step
+    of a network that fuses that level with `cfg` and `weights`, in its
+    collapsed form c0 + sum_j beta_j p_j.
+
+    Fusion is affine in its input maps, and each extractor map has rank one:
+    the /8-pooled raster p times the per-channel `lift`.  So the channel
+    mean of the fused map is affine in the p_j.  c0 is the channel mean of
+    naive_fuse on all-zero (d, 1, 1) maps, and beta_j is that with map j
+    set to the lift, less c0.  Each of `steps` lists the rasters (2-d lists
+    of pixels) of the current frame k and of frames k - delta_t, ...,
+    k - n_history * delta_t, with the current frame's where history is
+    padded.  Returns one 2-d list per step.
+    """
+    zero, unit = [[[0.0]] for _ in lift], [[[v]] for v in lift]
+    n = len(steps[0])
+
+    def mean_fused(j):  # map j set to the lift and the others zero; with j None, all zero
+        maps = [unit if i == j else zero for i in range(n)]
+        return sum(ch[0][0] for ch in naive_fuse(cfg, weights, maps[0], maps[1:])) / len(lift)
+
+    c0 = mean_fused(None)
+    betas = [mean_fused(j) - c0 for j in range(n)]
+    out = []
+    for rasters in steps:
+        pooled = [naive_pool(r, 8) for r in rasters]
+        height, width = len(pooled[0]), len(pooled[0][0])
+        out.append([[c0 + sum(b * p[h][w] for b, p in zip(betas, pooled)) for w in range(width)] for h in range(height)])
+    return out
+
+
 # ------------------------------------------------------------- streaming
 
 

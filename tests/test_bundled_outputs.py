@@ -57,6 +57,13 @@ SWEEP_DIGESTS = {
 WEIGHTED_SWEEP_VALUES = ["LfDil*", "EfAvg", "LfDil", "EfDil", "EfDil*"]
 WEIGHTED_SWEEP_DIGEST = "6bb452f409b568a95a88b6a8fc1739ec0199c1138dfcbea41b7066cc3ef88bb3"
 
+# The same sweep with weight_seed 4 and these values, where each X / X* pair's
+# rows score differently, so a row scored on the other row's tables changes
+# the CSV.  The pairs come in both row orders.  Recorded before an X* row was
+# scored on its X row's stream.
+DIFFERING_SWEEP_VALUES = ["EfDil*", "LfAvg", "EfAvg", "EfDil", "LfAvg*"]
+DIFFERING_SWEEP_DIGEST = "ce52dc344bb67c1d8328033a9d6f465c012357013b5dd009b7b5ac3539dc3dac"
+
 # `eval --config mixed_pyramid.json --variant EfAvg --latency-ms 50`: a 50 ms
 # latency on 33.33 ms frames dispatches every other frame, so the network's
 # history lookups meet skipped frame indices and pads.  EfAvg runs no matrix
@@ -103,3 +110,17 @@ def test_a_pyramid_eval_that_skips_frames_matches_its_digests(tmp_path, capsys):
     args = ["eval", "--config", str(CONFIGS / "mixed_pyramid.json"), "--variant", "EfAvg", "--latency-ms", "50"]
     assert main([*args, "--output", str(tmp_path)]) == 0
     assert {f: sha256(tmp_path / f) for f in SKIPPED_FRAME_DIGESTS} == SKIPPED_FRAME_DIGESTS
+
+
+def test_a_weighted_sweep_whose_pairs_score_apart_matches_its_digest(tmp_path, capsys):
+    config = json.loads((CONFIGS / "mixed_pyramid.json").read_text())
+    config["detector"]["weight_seed"] = 4
+    config["stream"]["latency_ms"] = 50.0
+    path, out = tmp_path / "weighted.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(config))
+    args = ["--axis", "fusion-variant", "--values", json.dumps(DIFFERING_SWEEP_VALUES), "--output", str(out)]
+    assert main(["sweep", "--config", str(path), *args]) == 0
+    assert sha256(out) == DIFFERING_SWEEP_DIGEST
+    sap = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+    for variant in ("EfDil", "LfAvg"):
+        assert sap[variant] != sap[variant + "*"], variant

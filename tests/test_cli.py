@@ -923,7 +923,7 @@ def test_sweep_rows_pair_when_their_configs_differ_in_the_residual_alone():
         {"variant": "EfDil", "n_history": 0}, {"variant": "EfDil", "n_history": 0, "residual": False},  # no history
     ]
     cfgs = {i: run_config_from_dict({"fusion": fusion}, base) for i, fusion in enumerate(fusions)}
-    assert _pairs(cfgs) == [(0, 2)]
+    assert _pairs(cfgs) == [(2, 0)]  # (X, X*), whatever the row order
     assert _pairs({i: cfgs[i] for i in (2, 6)}) == [(2, 6)]
     other_kind = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))  # no network to share
     assert _pairs({i: run_config_from_dict({"fusion": fusions[i]}, other_kind) for i in (0, 2)}) == []
@@ -950,14 +950,13 @@ def test_a_shared_pass_gives_each_row_what_it_gets_alone(seed, monkeypatch):
     spec = SweepSpec(SweepAxis.FUSION_VARIANT, base, tuple(rng.sample(EVERY_VARIANT, len(EVERY_VARIANT))))
     extractors, runs = [], []
     monkeypatch.setattr(runner, "BoxFilterExtractor", lambda **kw: extractors.append(BoxFilterExtractor(**kw)) or extractors[-1])
-    evaluate = runner._evaluate
+    report = runner._report
 
-    def spy(cfg, data, *shared):
-        report, records = evaluate(cfg, data, *shared)
+    def spy(cfg, data, records):  # the records each row is scored on
         runs.append((cfg, write_records_text(records)))
-        return report, records
+        return report(cfg, data, records)
 
-    monkeypatch.setattr(runner, "_evaluate", spy)
+    monkeypatch.setattr(runner, "_report", spy)
     csv_text = sweep_to_csv(spec, run_sweep(spec))
     shared_runs, shared_extractors = runs[:], extractors[:]
     runs.clear()
@@ -971,6 +970,19 @@ def test_a_shared_pass_gives_each_row_what_it_gets_alone(seed, monkeypatch):
     assert [e.calls for e in shared_extractors] == [dispatched] * len(shared_extractors)
     assert dispatched == (9, 5)[seed % 2]
     assert any('"bbox"' in text for _, text in runs)  # some row detects something
+
+
+def test_a_sweep_scores_each_pair_on_one_stream(monkeypatch):
+    import longshort.runner as runner
+
+    streams = []
+    simulate = runner.simulate_stream
+    monkeypatch.setattr(runner, "simulate_stream", lambda *args: streams.append(args) or simulate(*args))
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, pyramid_base(n_history=2), tuple(reversed(EVERY_VARIANT)))
+    rows = run_sweep(spec)
+    assert [row.error for row in rows] == [None] * len(EVERY_VARIANT)
+    # EfDil, LfAvg and LfDil each pair with their starred row; EfAvg and EfAvg* run alone
+    assert len(streams) == len(EVERY_VARIANT) - 3
 
 
 @pytest.mark.parametrize("broken", ["shared pass", "every head"])

@@ -280,7 +280,9 @@ def run_with_invariants(cfg, data: dict, out) -> tuple:
     run_data = build_run_data(cfg)
     if cfg.detector_kind in ("hold", "const-velocity", "long-short"):
         det = make_detector(cfg, run_data)
-        want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
+        # hold forecasts nothing: no history and no steps
+        n_history, delta_t, steps = (0, 1, 0) if cfg.detector_kind == "hold" else (det.n_history, det.delta_t, det.forecast_steps)
+        want = reference_forecast_detect(det.gts_by_frame, n_history, delta_t, steps)
         assert [list(det(k)) for k in range(len(want))] == want, data
     cfg = replace(cfg, output=str(out))
     report = run_eval(cfg)  # must not raise: the config was accepted

@@ -26,7 +26,7 @@ from longshort.network import (
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
 from longshort.scenarios import bundled_scene, generate_scenario
-from oracles import reference_blob_detect
+from oracles import collapsed_saliency, reference_blob_detect
 
 
 def noise_frames(n, height=40, width=48, seed=42):
@@ -668,3 +668,42 @@ def test_no_run_loads_scipy_and_a_pyramid_eval_runs_without_it(tmp_path, mode):
     else:  # sys.modules['scipy'] is None, which counts as a loaded name
         assert loaded == [True, True]
     assert (tmp_path / "pyramid" / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("delta_t", [1, 2])
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("variant", [v.value for v in FusionVariant])
+def test_every_step_reads_the_collapsed_saliency(variant, residual, delta_t, monkeypatch):
+    """The saliency BlobHead reads at each step of a pyramid run equals
+    oracles.collapsed_saliency.  50 ms on 33.33 ms frames dispatches every
+    other frame, so history meets frames the stream skipped and pads."""
+    import longshort.runner as runner
+
+    scene = {"n_frames": 9, "width": 96, "height": 64, "trajectories": [
+        {"kind": "uniform", "initial_bbox": [10, 10, 30, 30], "velocity": [3, 1]},
+        {"kind": "uniform", "initial_bbox": [50, 30, 70, 50], "velocity": [-2, 0]}]}
+    fusion = {"variant": variant, "n_history": 2, "delta_t": delta_t, "residual": residual}
+    cfg = run_config_from_dict({"scene": scene, "stream": {"latency_ms": 50.0}, "fusion": fusion,
+                                "detector": {"kind": "pyramid", "model_size": "S", "weight_seed": 7}})
+    seen = []
+
+    class SaliencySpy(BlobHead):
+        def predict(self, pyramid):
+            seen.append(pyramid.levels[0].mean(axis=0))
+            return super().predict(pyramid)
+
+    monkeypatch.setattr(runner, "BlobHead", SaliencySpy)
+    data = runner.build_run_data(cfg)
+    _, records = runner._evaluate(cfg, data)
+    stepped = [r.source_frame_index for r in records]
+    assert stepped == [0, 2, 4, 6, 8]
+    steps = []
+    for t, k in enumerate(stepped):
+        history = [k - j * delta_t for j in range(1, 3)]
+        frames = [k] + [i if i in stepped[:t] else k for i in history]
+        steps.append([data.frames[i].pixels.rasterize().tolist() for i in frames])
+    lift = BoxFilterExtractor("S", seed=cfg.seed).extract(Frame(0, 0.0, np.ones((8, 8)))).levels[0][:, 0, 0]
+    lsfm = cfg.fusion.config_for(MODEL_CHANNELS["S"][0])
+    want = collapsed_saliency(lsfm, init_weights(lsfm, plan_channels(lsfm), 7), lift.tolist(), steps)
+    np.testing.assert_allclose(np.array(seen), np.array(want), rtol=1e-12)
+    assert np.ptp(np.array(want)) > 0
