@@ -39,6 +39,15 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
+def number(text: str):
+    """A count flag's value: an int when `text` is one (a large seed stays
+    exact), else a float, which the config key's parser takes or refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _with_eval_flags(cfg: RunConfig, args) -> RunConfig:
     """The parsed config with each flag given as the config key of its name
     (--detector the detector's kind; an unset flag is null, not given).  A
@@ -95,7 +104,7 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_export_report(args) -> int:
-    report = report_from_text(Path(args.report).read_text())
+    report = report_from_text(Path(args.report).read_text(), args.report)
     text = report_to_csv(report) if args.format == "csv" else report_to_human_table(report)
     if args.output:
         Path(args.output).write_text(text)
@@ -112,15 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run one configuration and report streaming AP")
     p_eval.add_argument("--config", required=True, help="run config JSON")
     p_eval.add_argument("--output", help="output directory")
-    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--seed", type=number)
     p_eval.add_argument("--scene-name", help="bundled scene overriding the config's data source")
     p_eval.add_argument("--latency-ms", type=float)
     p_eval.add_argument("--frame-interval-ms", type=float)
     p_eval.add_argument("--dispatch", choices=[p.value for p in DispatchPolicy])
     p_eval.add_argument("--detector", choices=DETECTOR_KINDS)
     p_eval.add_argument("--variant", choices=[v.value for v in FusionVariant])
-    p_eval.add_argument("--n-history", type=int)
-    p_eval.add_argument("--delta-t", type=int)
+    p_eval.add_argument("--n-history", type=number)
+    p_eval.add_argument("--delta-t", type=number)
     p_eval.add_argument("--ratio", type=float)
     p_eval.add_argument("--no-residual", dest="residual", action="store_false", default=None)
     p_eval.set_defaults(func=_cmd_eval)
@@ -130,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=[a.value for a in SweepAxis])
     p_sweep.add_argument("--values", help="JSON list overriding the default value grid")
     p_sweep.add_argument("--output", help="CSV path")
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--seed", type=number)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_gen = sub.add_parser("gen-scene", help="generate a synthetic scene as COCO annotations")

@@ -254,18 +254,32 @@ def report_to_text(report: SapReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_from_text(text: str) -> SapReport:
+def report_from_text(text: str, source: str = "report") -> SapReport:
+    """The report that report_to_text wrote.  A line that is not "key =
+    value", an unknown key, a value that is not a number, or a missing sAP,
+    sAP50 or sAP75 is a ValueError naming `source` and the line or key."""
     fields: dict[str, Optional[float]] = {}
     per_category: dict[int, float] = {}
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        key, _, raw = line.partition(" = ")
-        value = float(raw) if raw.strip() else None
-        if key.startswith("AP_cat_"):
-            per_category[int(key[len("AP_cat_"):])] = value
+        key, sep, raw = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"{source} line {n}: {line!r} is not 'key = value'")
+        category = key[len("AP_cat_"):] if key.startswith("AP_cat_") else None
+        if key not in REPORT_COLUMNS and not (category or "").isdigit():
+            raise ValueError(f"{source} line {n}: unknown key {key!r}")
+        try:
+            value = float(raw) if raw.strip() else None
+        except ValueError:
+            raise ValueError(f"{source} line {n}: {key} {raw!r}: must be a number") from None
+        if category is not None:
+            per_category[int(category)] = value
         else:
             fields[key] = value
+    for key in REPORT_COLUMNS[:3]:
+        if key not in fields:
+            raise ValueError(f"{source}: missing key {key!r}")
     return SapReport(
         sap=fields["sAP"],
         sap50=fields["sAP50"],

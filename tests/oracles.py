@@ -596,3 +596,20 @@ def reference_blob_detect(saliency, threshold: float, category: int, rate: int) 
         score = float(min(1.0, max(0.0, saliency[rows, cols].mean())))
         dets.append(Detection(bbox=box, category=category, score=score))
     return dets
+
+
+# ------------------------------------------------------- benchmark inputs
+
+
+def load_benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file without changing it."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -8,6 +8,7 @@ from-scratch AP evaluator.
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 
@@ -37,7 +38,7 @@ from longshort.network import (
 from longshort.runner import run_eval, run_sweep, sweep_to_csv
 from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario
 from longshort.streaming import EvalPairing, PredictionRecord, pair_for_eval
-from oracles import arr3, brute_force_pairings, naive_fuse, oracle_sap_report, prefix_ap
+from oracles import arr3, brute_force_pairings, load_benchmark_workloads, naive_fuse, oracle_sap_report, prefix_ap
 
 INTERVAL = 33.33
 
@@ -252,6 +253,24 @@ def test_criterion_7_long_history_beats_short():
         assert long_sap == pytest.approx(0.8500330033003299, abs=1e-9)
         assert cv_sap == pytest.approx(0.7093069306930693, abs=1e-9)
         assert hold_sap == pytest.approx(0.0643564356435643, abs=1e-9)
+
+
+def test_criterion_7_holds_on_every_seeded_benchmark_scene():
+    # perfbench's own scene sampler at seeds m/0 to m/29, fixed in advance:
+    # a scene that breaks the order is a finding, not a seed to drop
+    with criterion(7, "30 sampled scenes: long-short >= const-velocity >= hold on each, long-short ahead on one"):
+        workloads = load_benchmark_workloads()
+        ahead = []
+        for m in range(30):
+            scene = workloads._scene(random.Random(f"m/{m}"), 60, 640, 480, 10)
+            sap = [run_eval(run_config_from_dict({
+                "scene": scene, "stream": {"latency_ms": INTERVAL},
+                "detector": {"kind": kind, "n_history": 3, "delta_t": 1},
+            }), write=False).sap for kind in ("long-short", "const-velocity", "hold")]
+            assert sap[0] >= sap[1] >= sap[2], (m, sap)
+            ahead += [m] * (sap[0] > sap[1])
+        assert ahead, "long-short is never ahead of const-velocity"
+        print(f"long-short ahead on scenes {ahead}")
 
 
 def test_criterion_8_ap_engine_correctness():

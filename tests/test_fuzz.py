@@ -6,15 +6,16 @@ check that needs the data, a horizon that holds no ground truth, rejects in
 build_run_data, which runs before any detector is built.  A copy of an
 accepted config given a horizon beyond its scene, or a per-frame latency
 list shorter than its horizon, must be rejected at load, naming the key,
-and so must a copy with one value of the wrong type: a number given as a
-string or a bool, a number in place of the output, scene_name or dataset
-string, a scene_name that names no bundled scene, or the stream, fusion or
-detector section, or the config itself, given as a string, a number or a
-list, which is rejected naming the section.  A copy with the seed, the
-stream, fusion or detector section or the detector's kind null loads as the
-copy without it.  A copy with the seed, or a pyramid detector's
-weight_seed, negative is rejected at load, naming the key.  A completed run
-keeps the north-star invariants: sAP in [0, 1], records ordered by
+and so must a copy with one number given as a string or a bool.  A copy
+with the keys of a row of tests/refusals.py tagged "string" (a number in
+place of the output, scene_name or dataset string, or a scene_name that
+names no bundled scene), "shape" (the stream, fusion or detector section,
+or the config itself, given as a string, a number or a list) or "negative"
+(the seed, or a pyramid detector's weight_seed, negative) is rejected at
+load with the row's message.  A copy with the keys of a row tagged "null"
+(the seed, the stream, fusion or detector section or the detector's kind
+null) loads as the copy without them.  A completed run keeps the
+north-star invariants: sAP in [0, 1], records ordered by
 completion time, and a perfect zero-latency detector scoring 1.0.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
 the per-track reference's detections on every frame.
@@ -36,6 +37,7 @@ or the run completes with the invariants above.
 
 import copy
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from typing import Optional
@@ -50,6 +52,7 @@ from longshort.runner import build_run_data, make_detector, run_eval
 from longshort.scenarios import TrajectoryKind, generate_scenario
 from longshort.streaming import DispatchPolicy
 from oracles import reference_forecast_detect
+from refusals import Row, rows, without_keys
 
 SEED = 3
 N_CONFIGS = 200
@@ -168,57 +171,28 @@ NUMBER_KEYS = ("seed", "max_dets_per_frame", "latency_ms", "latency_per_frame_ms
                "horizon_frames", "n_history", "delta_t", "ratio", "forecast_steps", "latency_frames", "threshold", "weight_seed")
 
 
-# case -> (key, bad value, the rule its refusal states); scene_name and
-# dataset replace the config's scene
-STRING_CASES = {
-    "output": ("output", 5, "must be a string"),
-    "scene_name": ("scene_name", 5, "must be a string"),
-    "dataset": ("dataset", 5, "must be a string"),
-    "unknown scene_name": ("scene_name", "turning", "must be one of"),
-}
+FUZZ_TAGS = ("string", "shape", "null", "negative")
 
 
-# case -> (section, which "config" names the top level of, and a shape
-# given in its place: its JSON text, its key count or its keys)
-SHAPE_CASES = {
-    f"{section} as {shape}": (section, make)
-    for section in ("stream", "fusion", "detector", "config")
-    for shape, make in (("a string", json.dumps), ("a number", len), ("a list", list))
-}
-NULL_CASES = ("seed", "stream", "fusion", "detector", "detector kind")
-NEGATIVE_CASES = ("negative seed", "negative weight_seed")
-
-
-def pick(rng, cases):
-    return list(cases)[int(rng.integers(0, len(cases)))]
+def pick(rng, cases: list):
+    return cases[int(rng.integers(0, len(cases)))]
 
 
 def wrong_type(rng, data: dict) -> tuple[str, object, dict]:
     """A copy of an accepted config with one value of the wrong type.
     Mostly a number, given or not, set to its string form or to true: the
     seed, max_dets_per_frame, or a stream, fusion or detector number (one
-    entry of a per-frame latency list).  Otherwise one of STRING_CASES,
-    SHAPE_CASES or NULL_CASES.  Returns the case (the key, for a number),
-    what loading the copy gives, and the copy.  What it gives is a pattern
-    of the refusal's message, or for a null the config without the key,
-    which the copy must load as."""
+    entry of a per-frame latency list).  Otherwise the keys of a row tagged
+    "string", "shape" or "null".  Returns the case (the key, for a number,
+    else the row's tag and id), what loading the copy gives, and the copy.
+    What it gives is the row's message, a pattern of the message for a
+    number, or for a null the config without the row's keys, which the copy
+    must load as."""
     draw = rng.random()
-    if draw < 0.1:
-        case = pick(rng, STRING_CASES)
-        key, bad, rule = STRING_CASES[case]
-        data = {name: value for name, value in data.items() if name != "scene" or key == "output"}
-        return case, f"{key} .*{rule}", {**data, key: bad}
-    if draw < 0.35:
-        case = pick(rng, SHAPE_CASES)
-        section, make = SHAPE_CASES[case]
-        bad = make(data) if section == "config" else {**data, section: make(data[section])}
-        return case, f"^{section} must be an object", bad
-    if draw < 0.45:
-        case = pick(rng, NULL_CASES)
-        if case == "detector kind":
-            detector = {key: value for key, value in data["detector"].items() if key != "kind"}
-            return case, {**data, "detector": detector}, {**data, "detector": {**detector, "kind": None}}
-        return case, {name: value for name, value in data.items() if name != case}, {**data, case: None}
+    for tag, below in (("string", 0.1), ("shape", 0.35), ("null", 0.45)):
+        if draw < below:
+            row = pick(rng, rows(tag))
+            return f"{tag}: {row.id}", row.message or without_keys(data, row.keys), row.config(data)
     data = copy.deepcopy(data)
     stream, detector = data["stream"], data["detector"]
     places = [(data, "seed"), (data, "max_dets_per_frame"), (stream, "frame_interval_ms"), (stream, "horizon_frames")]
@@ -231,18 +205,15 @@ def wrong_type(rng, data: dict) -> tuple[str, object, dict]:
         section, key = section[name], int(rng.integers(0, len(section[name])))
     given = section[key] if isinstance(key, int) else section.get(key, 1)
     section[key] = str(given) if rng.random() < 0.5 else True
-    return name, f"{name} .*must be a number", data
+    return name, re.compile(f"{name} .*must be a number"), data
 
 
-def negative_seed(rng, data: dict) -> tuple[str, str, dict]:
-    """A copy of an accepted config with its seed, or half the time for a
-    pyramid detector its weight_seed, negative.  Returns the case, the
-    refusal's message and the copy."""
-    bad = -int(rng.integers(1, 1000))
-    if data["detector"]["kind"] == "pyramid" and rng.random() < 0.5:
-        detector = {**data["detector"], "weight_seed": bad}
-        return "negative weight_seed", f"detector weight_seed {bad}: must be >= 0", {**data, "detector": detector}
-    return "negative seed", f"config seed {bad}: must be >= 0", {**data, "seed": bad}
+def negative_seed(rng, data: dict) -> Row:
+    """A row tagged "negative" whose detector kind, if it sets one, is the
+    config's: its seed negative, or for a pyramid detector, half the time,
+    its weight_seed."""
+    kind = data["detector"]["kind"]
+    return pick(rng, [row for row in rows("negative") if row.keys.get("detector.kind", kind) == kind])
 
 
 def loaded(data: dict):
@@ -320,17 +291,17 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             knowable[key] += 1
         for _ in range(3):
             case, expected, bad = wrong_type(type_rng, data)
-            if isinstance(expected, str):
-                with pytest.raises(InvalidConfig, match=expected):
-                    run_config_from_dict(bad)
+            got = loaded(bad)
+            if isinstance(expected, dict):
+                assert got == loaded(expected), case
+            elif isinstance(expected, re.Pattern):
+                assert isinstance(got, str) and expected.search(got), (case, got)
             else:
-                assert loaded(bad) == loaded(expected), case
+                assert got == expected, case
             wrong_types[case] += 1
-        case, message, bad = negative_seed(negative_rng, data)
-        with pytest.raises(InvalidConfig) as refused:
-            run_config_from_dict(bad)
-        assert str(refused.value) == message
-        wrong_types[case] += 1
+        row = negative_seed(negative_rng, data)
+        assert loaded(row.config(data)) == row.message
+        wrong_types[f"negative: {row.id}"] += 1
         try:
             run_data = build_run_data(cfg)
         except InvalidConfig as exc:
@@ -354,7 +325,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
     assert N_CONFIGS // 4 < completed < N_CONFIGS
     assert perfect > 0 and empty_horizons > 0 and forecasters > 0
     assert knowable["horizon_frames"] > 0 and knowable["latency_per_frame_ms"] > 0
-    cases = (*NUMBER_KEYS, *STRING_CASES, *SHAPE_CASES, *NULL_CASES, *NEGATIVE_CASES)
+    cases = (*NUMBER_KEYS, *(f"{tag}: {row.id}" for tag in FUZZ_TAGS for row in rows(tag)))
     assert all(wrong_types[case] > 0 for case in cases), wrong_types
     assert all(datasets[k] > 0 for k in ("", "corners", "track ids", "corners and track ids")), datasets
 
