@@ -33,10 +33,11 @@ and output must be strings, and a scene_name must name a bundled scene.  A
 null is not given: it takes the default (the base's value over a base), a
 null section or detector kind too.  "stream" takes one latency form, a
 constant or a per-frame list, not both.  The checks that relate keys run
-when a RunConfig is built, and for a scene source they include what its
-frame count decides: a horizon beyond it, a per-frame latency list shorter
-than the horizon, and a frame interval that overflows the stream's clock
-(for a dataset source build_run_data checks that last one).
+when a RunConfig is built.  The stream's rules (a horizon within the
+source's frames, a per-frame latency list that covers it, a clock that
+stays finite) are one set of checks, RunConfig.stream_for and the
+StreamConfig it builds: they run at load for a scene source, whose frame
+count is known then, and when build_run_data reads a dataset's file.
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  The forecasters' forecast_steps
@@ -58,7 +59,7 @@ from .coco_io import parse_json
 from .fusion import FusionSettings, FusionVariant, InvalidConfig
 from .network import MODEL_CHANNELS
 from .scenarios import SyntheticScene, bundled_scene, bundled_scene_names, scene_from_dict
-from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency
+from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency, StreamConfig
 
 
 def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
@@ -156,8 +157,6 @@ class RunConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if (self.scene is None) == (self.dataset_path is None):
-            raise InvalidConfig("exactly one data source (scene or dataset) is required")
         kind = self.detector_kind
         if kind not in DETECTOR_KINDS:
             raise InvalidConfig(f"unknown detector kind {kind!r}; use one of {DETECTOR_KINDS}")
@@ -170,27 +169,18 @@ class RunConfig:
         if kind in ("const-velocity", "long-short") and per_frame and "forecast_steps" not in self.detector_params:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
         if self.scene is not None:  # a scene's frame count is known at load
-            horizon = self.horizon_frames or self.scene.n_frames
-            if horizon > self.scene.n_frames:
-                raise InvalidConfig(f"horizon_frames {horizon} exceeds the scene's {self.scene.n_frames} frames")
-            if per_frame and len(self.latency_model.values_ms) < horizon:
-                raise InvalidConfig(
-                    f"latency_per_frame_ms has {len(self.latency_model.values_ms)} values,"
-                    f" fewer than the {horizon} frames of the horizon"
-                )
-            self.check_stream_span(horizon, self.frame_interval_ms or self.scene.frame_interval_ms)
+            self.stream_for(self.scene.n_frames, self.scene.frame_interval_ms)
 
-    def check_stream_span(self, horizon: int, interval: float) -> None:
-        """InvalidConfig unless `horizon` frames `interval` ms apart, each
-        taking at most the largest latency, all end at a finite time, so
-        that every event time of the stream is a finite float."""
-        latency = self.latency_model
-        largest = max(latency.values_ms[:horizon], default=0.0) if isinstance(latency, PerFrameLatency) else latency.ms
-        if not math.isfinite(horizon * (interval + largest)):
-            raise InvalidConfig(
-                f"frame_interval_ms {interval}: {horizon} frames with latencies up to {largest} ms"
-                " overflow the stream's clock"
-            )
+    def stream_for(self, n_frames: int, source_interval_ms: float) -> StreamConfig:
+        """The stream of this run over a source of `n_frames` frames
+        `source_interval_ms` apart: horizon_frames, else every frame, at
+        frame_interval_ms, else the source's interval.  A horizon beyond the
+        source, or a stream that breaks a StreamConfig rule, is refused."""
+        horizon = self.horizon_frames or n_frames
+        if horizon > n_frames:
+            raise InvalidConfig(f"stream horizon_frames {horizon}: exceeds the source's {n_frames} frames")
+        interval = self.frame_interval_ms or source_interval_ms
+        return StreamConfig(horizon, self.latency_model, interval, self.dispatch_policy)
 
     @property
     def detector_settings(self) -> dict:

@@ -256,8 +256,10 @@ def report_to_text(report: SapReport) -> str:
 
 def report_from_text(text: str, source: str = "report") -> SapReport:
     """The report that report_to_text wrote.  A line that is not "key =
-    value", an unknown key, a value that is not a number, or a missing sAP,
-    sAP50 or sAP75 is a ValueError naming `source` and the line or key."""
+    value", an unknown key, a value that is not a number (an empty one but
+    for sAP_s, sAP_m or sAP_l, which report_to_text leaves empty for None),
+    or a missing sAP, sAP50 or sAP75 is a ValueError naming `source` and the
+    line or key."""
     fields: dict[str, Optional[float]] = {}
     per_category: dict[int, float] = {}
     for n, line in enumerate(text.splitlines(), 1):
@@ -270,7 +272,7 @@ def report_from_text(text: str, source: str = "report") -> SapReport:
         if key not in REPORT_COLUMNS and not (category or "").isdigit():
             raise ValueError(f"{source} line {n}: unknown key {key!r}")
         try:
-            value = float(raw) if raw.strip() else None
+            value = None if key in REPORT_COLUMNS[3:] and not raw.strip() else float(raw)
         except ValueError:
             raise ValueError(f"{source} line {n}: {key} {raw!r}: must be a number") from None
         if category is not None:

@@ -41,33 +41,33 @@ from .streaming import PredictionRecord, StreamConfig, pair_for_eval, simulate_s
 
 @dataclass(frozen=True)
 class RunData:
+    """A run's frames and ground truth over its horizon, and the stream that
+    eval and every sweep row simulate."""
+
     frames: tuple[Frame, ...]
     gts: tuple[GroundTruthTable, ...]  # one table per frame
-    frame_interval_ms: float
+    stream: StreamConfig
 
 
 def build_run_data(cfg: RunConfig) -> RunData:
-    """Materialize the configured data source as frames plus ground truth."""
+    """Materialize the configured data source as frames plus ground truth,
+    over the stream cfg.stream_for derives from it (a dataset without a
+    frame interval at 33.33 ms)."""
     if cfg.scene is not None:
         frames, gts = zip(*generate_scenario(cfg.scene))
-        interval = cfg.frame_interval_ms if cfg.frame_interval_ms is not None else cfg.scene.frame_interval_ms
-        if interval != cfg.scene.frame_interval_ms:
-            frames = [Frame(f.index, f.index * interval, f.pixels) for f in frames]
+        pixels, interval = [f.pixels for f in frames], cfg.scene.frame_interval_ms
     else:
         ds = load_coco_annotations(cfg.dataset_path)
-        interval = cfg.frame_interval_ms if cfg.frame_interval_ms is not None else ds.frame_interval_ms
-        if interval is None:
-            interval = 33.33
-        frames = [Frame(k, k * interval, None) for k in range(len(ds.images))]
         gts = ds.gts_by_frame
-    horizon = cfg.horizon_frames if cfg.horizon_frames is not None else len(frames)
-    if horizon > len(frames):
-        raise InvalidConfig(f"horizon {horizon} exceeds the {len(frames)} available frames")
-    cfg.check_stream_span(horizon, interval)
+        pixels, interval = [None] * len(gts), ds.frame_interval_ms or 33.33
+    # an empty source without a horizon has no stream: its 0 frames hold no box
+    stream = cfg.stream_for(len(gts), interval) if gts or cfg.horizon_frames else None
+    horizon = 0 if stream is None else stream.horizon_frames
     gts = gts[:horizon]
     if not any(gts):
         raise InvalidConfig(f"horizon_frames {horizon}: no ground-truth box in the first {horizon} frames")
-    return RunData(tuple(frames[:horizon]), gts, interval)
+    frames = tuple(Frame(k, k * stream.frame_interval_ms, p) for k, p in enumerate(pixels[:horizon]))
+    return RunData(frames, gts, stream)
 
 
 def make_detector(
@@ -89,7 +89,7 @@ def make_detector(
             data.gts,
             n_history=1 if cfg.detector_kind == "const-velocity" else s["n_history"],
             delta_t=s["delta_t"],
-            forecast_steps=math.ceil(cfg.latency_model.ms / data.frame_interval_ms) if steps is None else steps,
+            forecast_steps=math.ceil(cfg.latency_model.ms / data.stream.frame_interval_ms) if steps is None else steps,
         )
     # pyramid: the dual-path network steps over the frames the simulator
     # dispatches (frames it skips never reach its history)
@@ -164,13 +164,7 @@ def _evaluate(
 ) -> tuple[SapReport, list[PredictionRecord]]:
     """The report of one configuration on its run data, and the stream's
     prediction records; `bare` as for make_detector."""
-    stream_cfg = StreamConfig(
-        horizon_frames=len(data.frames),
-        latency_model=cfg.latency_model,
-        frame_interval_ms=data.frame_interval_ms,
-        dispatch_policy=cfg.dispatch_policy,
-    )
-    records = simulate_stream(stream_cfg, make_detector(cfg, data, bare))
+    records = simulate_stream(data.stream, make_detector(cfg, data, bare))
     return _report(cfg, data, records), records
 
 
@@ -189,9 +183,9 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One run per sweep value, rows in spec order; failures land in the
-    row.  The run data is built once, from the base: a sweep value changes
-    only fusion and detector settings, which build_run_data does not read,
-    so a data error lands in every row.  Of each pair (X, X*) that _pairs
+    row.  The run data, its stream too, is built once, from the base: a
+    sweep value changes only fusion and detector settings, which
+    build_run_data does not read, so a data error lands in every row.  Of each pair (X, X*) that _pairs
     finds, the X row runs first, and its stream's records, each holding
     X*'s table instead, are the X* row's; if that raises, both rows run
     alone, so that each reports the error it gets alone."""

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 from .boxes import BBox, Detection, DetectionTable, detection_table
+from .fusion import InvalidConfig
 from .network import Frame
 
 Detector = Callable[[int], DetectionTable]
@@ -63,22 +64,30 @@ class DispatchPolicy(Enum):
 
 @dataclass(frozen=True)
 class StreamConfig:
+    """One stream's clock, and the one home of its rules: a horizon of at
+    least one frame, a positive frame interval, a per-frame latency list
+    that covers the horizon, and event times that all stay finite.  A
+    config that breaks one is an InvalidConfig."""
+
     horizon_frames: int
     latency_model: LatencyModel = ConstantLatency(0.0)
     frame_interval_ms: float = 33.33
     dispatch_policy: DispatchPolicy = DispatchPolicy.LATEST_FRAME_ON_FREE
 
     def __post_init__(self):
-        if self.horizon_frames < 1:
-            raise ValueError("horizon_frames must be >= 1")
-        if self.frame_interval_ms <= 0:
-            raise ValueError("frame_interval_ms must be positive")
-        if isinstance(self.latency_model, PerFrameLatency):
-            n = len(self.latency_model.values_ms)
-            if n < self.horizon_frames:
-                raise ValueError(
-                    f"latency_per_frame_ms has {n} values, fewer than the {self.horizon_frames} frames of the horizon"
-                )
+        horizon, interval, latency = self.horizon_frames, self.frame_interval_ms, self.latency_model
+        if horizon < 1:
+            raise InvalidConfig("horizon_frames must be >= 1")
+        if not interval > 0:  # NaN too
+            raise InvalidConfig("frame_interval_ms must be positive")
+        if isinstance(latency, PerFrameLatency) and (n := len(latency.values_ms)) < horizon:
+            raise InvalidConfig(f"latency_per_frame_ms has {n} values, fewer than the {horizon} frames of the horizon")
+        largest = max(map(latency.latency_for, range(horizon)))
+        if not math.isfinite(horizon * (interval + largest)):
+            raise InvalidConfig(
+                f"frame_interval_ms {interval}: {horizon} frames with latencies up to {largest} ms"
+                " overflow the stream's clock"
+            )
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ ROWS = [
     Row({"stream.latency_ms": 1e307, "stream.dispatch": "fifo"},
         "frame_interval_ms 33.33: 24 frames with latencies up to 1e+307 ms overflow the stream's clock", base="example"),
     # what a scene's frame count decides
-    Row({"stream.horizon_frames": 30}, "horizon_frames 30 exceeds the scene's 20 frames"),
+    Row({"stream.horizon_frames": 30}, "stream horizon_frames 30: exceeds the source's 20 frames"),
     Row({"stream.latency_per_frame_ms": [0.0] * 5}, "latency_per_frame_ms has 5 values, fewer than the 20 frames of the horizon"),
     Row({"stream.latency_per_frame_ms": [0.0] * 5, "stream.horizon_frames": 6},
         "latency_per_frame_ms has 5 values, fewer than the 6 frames of the horizon"),

@@ -125,7 +125,7 @@ def test_short_per_frame_latency_list_rejected_before_any_detector_call(tmp_path
     monkeypatch.setattr(runner, "make_detector", no_detector)
     assert main(["gen-scene", "--scene", "uniform", "--output", str(tmp_path / "ann.json")]) == 0
     cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"), "stream": {"latency_per_frame_ms": [0.0] * 5}})
-    with pytest.raises(ValueError, match=r"latency_per_frame_ms has 5 values, fewer than the 20 frames"):
+    with pytest.raises(InvalidConfig, match=r"latency_per_frame_ms has 5 values, fewer than the 20 frames"):
         run_eval(cfg, write=False)
 
 
@@ -134,7 +134,7 @@ def test_short_per_frame_latency_list_rejected_before_any_detector_call(tmp_path
     "trajectories": [{"kind": "uniform", "initial_bbox": [10, 10, 30, 30], "velocity": [1, 0]}],
 }}])
 def test_scene_source_rejects_a_horizon_beyond_its_frames_at_load(source):
-    with pytest.raises(InvalidConfig, match="horizon_frames 30 exceeds the scene's 20 frames"):
+    with pytest.raises(InvalidConfig, match="stream horizon_frames 30: exceeds the source's 20 frames"):
         run_config_from_dict({**source, "stream": {"horizon_frames": 30}})
     assert run_config_from_dict({**source, "stream": {"horizon_frames": 20}}).horizon_frames == 20
 
@@ -199,10 +199,17 @@ def test_a_bad_frame_interval_in_a_dataset_is_rejected_at_load_naming_file_and_k
         run_eval(cfg, write=False)
 
 
+def test_an_empty_dataset_is_refused_as_a_horizon_without_a_box(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, {"images": [], "annotations": []}, name="ann.json")
+    forbid_detectors(monkeypatch)
+    assert main(["eval", "--config", str(write_config(tmp_path, {"dataset": str(path)}))]) == 1
+    assert capsys.readouterr().err == "error: InvalidConfig: horizon_frames 0: no ground-truth box in the first 0 frames\n"
+
+
 def test_a_dataset_without_a_frame_interval_runs_at_the_default(tmp_path):
     for info, want in (({"frame_interval_ms": None}, 33.33), ({"frame_interval_ms": 50}, 50)):
         cfg = run_config_from_dict({"dataset": str(exported_uniform(tmp_path, **info))})
-        assert build_run_data(cfg).frame_interval_ms == want
+        assert build_run_data(cfg).stream.frame_interval_ms == want
 
 
 def test_a_one_frame_horizon_keeps_a_huge_frame_interval(tmp_path):
@@ -532,7 +539,7 @@ def test_a_sweep_builds_its_run_data_once(tmp_path, monkeypatch):
         assert sweep_to_csv(spec, rows) == sweep_to_csv(spec, per_row_sweep(spec))
         errors = [row.error for row in rows]
         assert errors[1].startswith("InvalidConfig: fusion n_history 2.5")
-        data_error = "InvalidConfig: horizon 500 exceeds the 20 available frames" if "horizon_frames" in stream else None
+        data_error = "InvalidConfig: stream horizon_frames 500: exceeds the source's 20 frames" if "horizon_frames" in stream else None
         assert errors[:1] + errors[2:] == [data_error] * 3
 
 
@@ -804,7 +811,11 @@ REPORT = "sAP = 0.5\nsAP50 = 0.75\nsAP75 = 0.5\nsAP_s = \nsAP_m = 0.5\nsAP_l = 0
     ("garbage\n" + REPORT, "{} line 1: 'garbage' is not 'key = value'"),
     (REPORT + "sAP_xl = 1\n", "{} line 8: unknown key 'sAP_xl'"),
     (REPORT + "AP_cat_x = 1\n", "{} line 8: unknown key 'AP_cat_x'"),
-], ids=["missing-key", "not-a-number", "not-key-value", "unknown-key", "unknown-category"])
+    # report_to_text leaves only sAP_s, sAP_m and sAP_l empty
+    (REPORT.replace("sAP = 0.5", "sAP = "), "{} line 1: sAP '': must be a number"),
+    (REPORT.replace("AP_cat_0 = 0.5", "AP_cat_0 = "), "{} line 7: AP_cat_0 '': must be a number"),
+], ids=["missing-key", "not-a-number", "not-key-value", "unknown-key", "unknown-category", "empty-sAP",
+        "empty-category"])
 def test_export_report_refuses_a_malformed_report_naming_the_file_and_the_line_or_key(text, message, tmp_path, capsys):
     path = tmp_path / "report.txt"
     path.write_text(REPORT)

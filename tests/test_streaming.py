@@ -4,6 +4,7 @@ import math
 import pytest
 
 from longshort.boxes import BBox, Detection, detection_table
+from longshort.fusion import InvalidConfig
 from longshort.network import Frame
 from longshort.streaming import (
     ConstantLatency,
@@ -228,8 +229,9 @@ def test_record_log_round_trip():
 def test_stream_config_validation():
     with pytest.raises(ValueError):
         StreamConfig(horizon_frames=0)
-    with pytest.raises(ValueError):
-        StreamConfig(horizon_frames=5, frame_interval_ms=0.0)
+    for interval in (0.0, math.nan):
+        with pytest.raises(InvalidConfig, match="frame_interval_ms must be positive"):
+            StreamConfig(horizon_frames=5, frame_interval_ms=interval)
     with pytest.raises(ValueError):
         ConstantLatency(-1.0)
     for bad in (math.nan, math.inf):
@@ -239,5 +241,7 @@ def test_stream_config_validation():
             PerFrameLatency((1.0, bad))
     with pytest.raises(ValueError, match="latency_per_frame_ms has 2 values, fewer than the 3 frames"):
         StreamConfig(horizon_frames=3, latency_model=PerFrameLatency((1.0, 2.0)))
+    with pytest.raises(InvalidConfig, match=r"frame_interval_ms 1e\+308: 3 frames with latencies up to 0.0 ms overflow"):
+        StreamConfig(horizon_frames=3, frame_interval_ms=1e308)
     with pytest.raises(ValueError):
         PredictionRecord(0, 10.0, 5.0, detection_table(()))
