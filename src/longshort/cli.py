@@ -12,7 +12,6 @@ The default output directory comes from $LONGSHORT_OUT_DIR (falling back to
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -92,8 +91,6 @@ def _cmd_gen_scene(args) -> int:
         scene = scene_from_dict(parse_json(Path(args.scene).read_text(), args.scene, InvalidConfig))
     else:  # a bundled name, the config key scene_name; anything else is refused, listing them
         scene = run_config_from_dict({"scene_name": args.scene}).scene
-    if args.seed is not None:
-        scene = dataclasses.replace(scene, seed=args.seed)
     scenario = generate_scenario(scene)
     out = Path(args.output) if args.output else _default_out_dir() / "scene_annotations.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -145,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-scene", help="generate a synthetic scene as COCO annotations")
     p_gen.add_argument("--scene", required=True, help=f"bundled name {bundled_scene_names()} or a scene JSON path")
     p_gen.add_argument("--output", help="annotation JSON path")
-    p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=_cmd_gen_scene)
 
     p_exp = sub.add_parser("export-report", help="re-render a stored report")

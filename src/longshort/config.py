@@ -40,10 +40,13 @@ StreamConfig it builds: they run at load for a scene source, whose frame
 count is known then, and when build_run_data reads a dataset's file.
 
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
-that casts and checks a given value).  The forecasters' forecast_steps
-defaults to the pairing staleness of a constant-latency stream and is
-required with latency_per_frame_ms.  Kind "pyramid" runs the dual-path
-network over rasterized frames and so needs a scene source, not a dataset.
+that casts and checks a given value).  The forecasters hold, const-velocity
+and long-short are one ForecastDetector at the n_history FORECASTER_HISTORY
+names (0, 1, the key's).  Their forecast_steps defaults to the pairing
+staleness of a constant-latency stream and is required with
+latency_per_frame_ms, save for hold, which forecasts nothing.  Kind
+"pyramid" runs the dual-path network over rasterized frames and so needs a
+scene source, not a dataset.
 """
 
 from __future__ import annotations
@@ -106,16 +109,15 @@ _INTERVAL = _checked(_real, lambda v: 0 < v < math.inf, "must be finite and > 0"
 _RATIO = _checked(_real, lambda r: 0 < r < 1, "must lie in (0, 1)")
 _MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
 
-# kind -> key -> (default, parse).  The three forecasters share one key set:
-# a temporal-range sweep writes n_history/delta_t onto hold and long-short and
-# turns one into the other, and const-velocity (one frame back) ignores
-# n_history the way hold ignores all three.
+# forecaster kind -> the n_history of its ForecastDetector preset; None: the
+# detector's own n_history key
+FORECASTER_HISTORY = {"hold": 0, "const-velocity": 1, "long-short": None}
+# kind -> key -> (default, parse).  The forecasters share one key set, and a
+# preset's fixed n_history wins over the key.
 _FORECASTER_KEYS = {"n_history": (3, _COUNT), "delta_t": (1, _STRIDE), "forecast_steps": (None, _COUNT)}
 DETECTOR_KEYS = {
     "delayed-gt": {"latency_frames": (0, _COUNT)},
-    "hold": _FORECASTER_KEYS,
-    "const-velocity": _FORECASTER_KEYS,
-    "long-short": _FORECASTER_KEYS,
+    **dict.fromkeys(FORECASTER_HISTORY, _FORECASTER_KEYS),
     "pyramid": {"model_size": ("S", _MODEL_SIZE), "weight_seed": (0, _COUNT), "threshold": (0.3, _FINITE), "category": (0, _whole)},
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
@@ -126,14 +128,7 @@ _BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or fa
 _STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
 
 
-def _variant(name) -> FusionVariant:
-    """The FusionVariant called `name`; any other value is a ValueError."""
-    if name not in (names := [v.value for v in FusionVariant]):
-        raise ValueError(f"must be one of {names}")
-    return FusionVariant(name)
-
-
-_FUSION_PARSERS = {"variant": _variant, "n_history": _COUNT, "delta_t": _STRIDE, "ratio": _RATIO, "residual": _BOOL}
+_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _COUNT, "delta_t": _STRIDE, "ratio": _RATIO, "residual": _BOOL}
 # config key -> the RunConfig field it sets, where the two differ
 _FIELDS = {"scene_name": "scene", "dataset": "dataset_path", "latency_ms": "latency_model",
            "latency_per_frame_ms": "latency_model", "dispatch": "dispatch_policy"}
@@ -166,7 +161,7 @@ class RunConfig:
         if kind == "pyramid" and self.dataset_path is not None:
             raise InvalidConfig("detector kind 'pyramid' needs rendered frames; a 'dataset' source has no pixels")
         per_frame = isinstance(self.latency_model, PerFrameLatency)
-        if kind in ("const-velocity", "long-short") and per_frame and "forecast_steps" not in self.detector_params:
+        if FORECASTER_HISTORY.get(kind, 0) != 0 and per_frame and "forecast_steps" not in self.detector_params:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
         if self.scene is not None:  # a scene's frame count is known at load
             self.stream_for(self.scene.n_frames, self.scene.frame_interval_ms)
@@ -316,7 +311,7 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
             raise InvalidConfig(f"sweep temporal-range value {value!r}: must be a pair of N and delta_t")
         n, dt = value[0], 1 if value[1] is None else value[1]
         keys = {"fusion": {"n_history": n, "delta_t": dt}}
-        if "n_history" in DETECTOR_KEYS[spec.base.detector_kind]:
+        if spec.base.detector_kind in FORECASTER_HISTORY:
             keys["detector"] = {"kind": "hold" if n == 0 else "long-short", "n_history": n, "delta_t": dt}
     elif spec.axis is SweepAxis.DILATION_RATIO:
         keys = {"fusion": {"ratio": value}}

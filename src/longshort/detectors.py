@@ -3,9 +3,10 @@
 These make the long-vs-short temporal claim testable at the geometric level:
 a delayed ground-truth reader (an offline detector whose knowledge lags) and
 a least-squares polynomial fit over a track's history, of which the
-two-sample fit is constant-velocity extrapolation.  Both are streaming
-detector callables for the latency simulator: they take one
-GroundTruthTable per frame and return a DetectionTable per call.
+one-sample fit is the zero-motion hold and the two-sample fit is
+constant-velocity extrapolation.  Both are streaming detector callables for
+the latency simulator: they take one GroundTruthTable per frame and return
+a DetectionTable per call.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ class ForecastDetector:
         gts = self.gts_by_frame[frame_index]
         if self.n_history == 0 or self.forecast_steps == 0 or not gts:
             return _certain(gts)
-        window = frame_index - self.delta_t * np.arange(self.n_history, -1, -1)  # oldest first
-        window = window[(window >= 0) & (window < self._present.shape[1])]
+        # the frames n_history * delta_t, ..., delta_t, 0 back, oldest first, in
+        # Python ints so that a history longer than the stream stops at frame 0
+        back = range(min(self.n_history, frame_index // self.delta_t), -1, -1)
+        window = np.array([frame_index - self.delta_t * i for i in back])
         rows = self._rows[self._starts[frame_index]:self._starts[frame_index + 1]]
         present = self._present[rows[:, None], window]  # (tracks, len(window))
         # each track's mask as one opaque item, so that np.unique groups the tracks by pattern

@@ -60,11 +60,11 @@ class FusionVariant(Enum):
     LF_DIL = "LfDil"
 
     @classmethod
-    def parse(cls, name: str) -> "FusionVariant":
-        for v in cls:
-            if v.value == name:
-                return v
-        raise InvalidConfig(f"unknown fusion variant {name!r}")
+    def parse(cls, name) -> "FusionVariant":
+        """The variant called `name`; any other value is an InvalidConfig."""
+        if name not in (names := [v.value for v in cls]):
+            raise InvalidConfig(f"fusion variant {name!r}: must be one of {names}")
+        return cls(name)
 
 
 @dataclass(frozen=True)

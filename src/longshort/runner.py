@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from .boxes import DetectionTable, GroundTruthTable
 from .coco_io import load_coco_annotations
 from .config import (
+    FORECASTER_HISTORY,
     RunConfig,
     SweepSpec,
     apply_sweep_value,
@@ -79,18 +80,16 @@ def make_detector(
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
-    if cfg.detector_kind == "hold":  # the zero-motion hold: each frame's own ground truth
-        return DelayedGtDetector(data.gts)
-    if cfg.detector_kind in ("const-velocity", "long-short"):
-        # forecast_steps defaults to the constant latency in frames (RunConfig
-        # rejects per-frame latency without forecast_steps)
-        steps = s["forecast_steps"]
-        return ForecastDetector(
-            data.gts,
-            n_history=1 if cfg.detector_kind == "const-velocity" else s["n_history"],
-            delta_t=s["delta_t"],
-            forecast_steps=math.ceil(cfg.latency_model.ms / data.stream.frame_interval_ms) if steps is None else steps,
-        )
+    if cfg.detector_kind in FORECASTER_HISTORY:
+        # a preset's n_history, else the key's; forecast_steps defaults to the
+        # constant latency in frames (RunConfig rejects per-frame latency
+        # without forecast_steps, save for hold, which forecasts nothing)
+        preset = FORECASTER_HISTORY[cfg.detector_kind]
+        n = s["n_history"] if preset is None else preset
+        steps = 0 if n == 0 else s["forecast_steps"]
+        if steps is None:
+            steps = math.ceil(cfg.latency_model.ms / data.stream.frame_interval_ms)
+        return ForecastDetector(data.gts, n_history=n, delta_t=s["delta_t"], forecast_steps=steps)
     # pyramid: the dual-path network steps over the frames the simulator
     # dispatches (frames it skips never reach its history)
     head = BlobHead(threshold=s["threshold"], category=s["category"])
@@ -145,10 +144,11 @@ def _pairs(cfgs: dict[int, RunConfig]) -> list[tuple[int, int]]:
     return pairs
 
 
-def run_eval(cfg: RunConfig, write: bool = True) -> SapReport:
-    """Simulate the stream for one configuration and score it."""
+def run_eval(cfg: RunConfig) -> SapReport:
+    """Simulate the stream for one configuration and score it, writing the
+    report and records under cfg.output when it is set."""
     report, records = _evaluate(cfg, build_run_data(cfg))
-    if write and cfg.output is not None:
+    if cfg.output is not None:
         out = Path(cfg.output)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report_to_text(report))

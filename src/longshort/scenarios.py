@@ -96,7 +96,6 @@ class SyntheticScene:
     width: int
     height: int
     trajectories: tuple[TrajectorySpec, ...]
-    seed: int = 0
     ground_truth: tuple[GroundTruthTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,7 +162,7 @@ def generate_scenario(scene: SyntheticScene) -> list[tuple[Frame, GroundTruthTab
 
 def scene_from_dict(data: dict) -> SyntheticScene:
     """A scene from its JSON form: {"n_frames", "width", "height" (required),
-    "frame_interval_ms", "seed", "trajectories": [{"kind", "initial_bbox"
+    "frame_interval_ms", "trajectories": [{"kind", "initial_bbox"
     (required), "velocity", "acceleration", "turn_rate", "occlusion_window",
     "category", "track_id"}, ...]}.  An unknown or missing key, or a value
     its key's parser refuses (every value is a number, not a string, and
@@ -191,7 +190,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     }
     scene = _parsed_section(data, "scene", {
         "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
-        "trajectories": trajectories, "seed": _whole,
+        "trajectories": trajectories,
     }, ("n_frames", "width", "height"))
 
     def trajectory(i: int, raw) -> TrajectorySpec:

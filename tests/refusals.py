@@ -88,7 +88,7 @@ ROWS = [
         " use one of ('model_size', 'weight_seed', 'threshold', 'category')"),
     Row({"detector.forecast_steps": 1}, "unknown detector key 'forecast_steps' for kind 'delayed-gt'; use one of ('latency_frames',)"),
     Row({"scene.colour": 1}, "unknown scene key 'colour'; use one of ('n_frames', 'frame_interval_ms', 'width', "
-        "'height', 'trajectories', 'seed')", base="scene"),
+        "'height', 'trajectories')", base="scene"),
     Row({TRAJ + "0.speed": 1}, "unknown scene trajectories[0] key 'speed'; use one of ('kind', 'initial_bbox', "
         "'velocity', 'acceleration', 'turn_rate', 'occlusion_window', 'category', 'track_id')", base="scene"),
     Row({"stream": "latency_ms"}, "stream must be an object, got 'latency_ms'", ("shape",)),

@@ -166,7 +166,7 @@ def test_criterion_5_streaming_protocol():
             cfg = run_config_from_dict(
                 {"scene_name": name, "stream": {"latency_ms": 0.0}, "detector": {"kind": "delayed-gt"}}
             )
-            report = run_eval(cfg, write=False)
+            report = run_eval(cfg)
             assert report.sap == report.sap50 == report.sap75 == 1.0, name
 
         n = 30
@@ -245,7 +245,7 @@ def test_criterion_7_long_history_beats_short():
                     "detector": {"kind": kind, "n_history": 3},
                 }
             )
-            return run_eval(cfg, write=False).sap
+            return run_eval(cfg).sap
 
         long_sap, cv_sap, hold_sap = sap_for("long-short"), sap_for("const-velocity"), sap_for("hold")
         assert long_sap > cv_sap > hold_sap
@@ -266,7 +266,7 @@ def test_criterion_7_holds_on_every_seeded_benchmark_scene():
             sap = [run_eval(run_config_from_dict({
                 "scene": scene, "stream": {"latency_ms": INTERVAL},
                 "detector": {"kind": kind, "n_history": 3, "delta_t": 1},
-            }), write=False).sap for kind in ("long-short", "const-velocity", "hold")]
+            })).sap for kind in ("long-short", "const-velocity", "hold")]
             assert sap[0] >= sap[1] >= sap[2], (m, sap)
             ahead += [m] * (sap[0] > sap[1])
         assert ahead, "long-short is never ahead of const-velocity"

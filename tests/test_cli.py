@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,7 +90,7 @@ def test_config_rejects_per_frame_latency_without_forecast_steps(kind):
     with pytest.raises(InvalidConfig, match="forecast_steps"):
         run_config_from_dict(base_config_dict(stream=stream, detector={"kind": kind}))
     cfg = run_config_from_dict(base_config_dict(stream=stream, detector={"kind": kind, "forecast_steps": 1}))
-    assert 0.0 <= run_eval(cfg, write=False).sap <= 1.0
+    assert 0.0 <= run_eval(cfg).sap <= 1.0
 
 
 def test_cli_history_flags_reach_only_detectors_that_take_them(tmp_path):
@@ -111,7 +112,7 @@ def test_horizon_without_ground_truth_rejected_before_the_detector_is_built(monk
     }
     cfg = run_config_from_dict({"scene": scene, "stream": {"horizon_frames": 5}, "detector": {"kind": "hold"}})
     with pytest.raises(InvalidConfig, match="horizon_frames"):
-        run_eval(cfg, write=False)
+        run_eval(cfg)
 
 
 def test_short_per_frame_latency_list_rejected_before_any_detector_call(tmp_path, monkeypatch, capsys):
@@ -126,7 +127,7 @@ def test_short_per_frame_latency_list_rejected_before_any_detector_call(tmp_path
     assert main(["gen-scene", "--scene", "uniform", "--output", str(tmp_path / "ann.json")]) == 0
     cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"), "stream": {"latency_per_frame_ms": [0.0] * 5}})
     with pytest.raises(InvalidConfig, match=r"latency_per_frame_ms has 5 values, fewer than the 20 frames"):
-        run_eval(cfg, write=False)
+        run_eval(cfg)
 
 
 @pytest.mark.parametrize("source", [{"scene_name": "uniform"}, {"scene": {
@@ -145,7 +146,7 @@ def test_scene_source_rejects_a_per_frame_latency_list_shorter_than_the_horizon_
     with pytest.raises(InvalidConfig, match="latency_per_frame_ms has 5 values, fewer than the 6 frames"):
         run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5, "horizon_frames": 6}))
     cfg = run_config_from_dict(base_config_dict(stream={"latency_per_frame_ms": [0.0] * 5, "horizon_frames": 5}))
-    assert run_eval(cfg, write=False).sap == 1.0
+    assert run_eval(cfg).sap == 1.0
 
 
 def inline_scene(**extra):
@@ -156,9 +157,13 @@ def inline_scene(**extra):
 
 
 def test_inline_scene_loads_with_its_values_cast():
-    scene = run_config_from_dict({"scene": inline_scene(frame_interval_ms=None, seed=3.0)}).scene
-    assert (scene.n_frames, scene.width, scene.height, scene.seed, scene.frame_interval_ms) == (8, 100, 80, 3, 33.33)
+    scene = run_config_from_dict({"scene": inline_scene(frame_interval_ms=None, width=100.0)}).scene
+    assert (scene.n_frames, scene.width, scene.height, scene.frame_interval_ms) == (8, 100, 80, 33.33)
+    assert type(scene.width) is int
     assert scene.trajectories[0].category == 1 and scene.trajectories[0].velocity == (2.0, 1.0)
+    # a scene has no seed: the config's seed draws the extractor's lifts
+    with pytest.raises(InvalidConfig, match="unknown scene key 'seed'"):
+        run_config_from_dict({"scene": inline_scene(seed=3)})
 
 
 def forbid_detectors(monkeypatch):
@@ -176,7 +181,7 @@ def test_overflowing_frame_interval_of_a_dataset_is_rejected_before_any_detector
     for stream in ({"frame_interval_ms": 1e308}, {"latency_ms": 1e307, "dispatch": "fifo"}):
         cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"), "stream": stream})
         with pytest.raises(InvalidConfig, match="frame_interval_ms .*: 20 frames with latencies up to"):
-            run_eval(cfg, write=False)
+            run_eval(cfg)
 
 
 def exported_uniform(tmp_path, **info):
@@ -196,7 +201,7 @@ def test_a_bad_frame_interval_in_a_dataset_is_rejected_at_load_naming_file_and_k
     forbid_detectors(monkeypatch)
     cfg = run_config_from_dict({"dataset": str(path)})
     with pytest.raises(ParseError, match=re.escape(f"{path}: info.frame_interval_ms must be a finite number > 0")):
-        run_eval(cfg, write=False)
+        run_eval(cfg)
 
 
 def test_an_empty_dataset_is_refused_as_a_horizon_without_a_box(tmp_path, monkeypatch, capsys):
@@ -215,7 +220,7 @@ def test_a_dataset_without_a_frame_interval_runs_at_the_default(tmp_path):
 def test_a_one_frame_horizon_keeps_a_huge_frame_interval(tmp_path):
     data = with_keys(BASES["example"], {"stream.frame_interval_ms": 1e308, "stream.horizon_frames": 1})
     cfg = load_run_config(write_config(tmp_path, data))
-    assert 0.0 <= run_eval(cfg, write=False).sap <= 1.0
+    assert 0.0 <= run_eval(cfg).sap <= 1.0
 
 
 def test_fusion_values_cast_like_detector_values():
@@ -232,7 +237,7 @@ def eval_config(monkeypatch, argv):
     import longshort.cli as cli
 
     seen = []
-    monkeypatch.setattr(cli, "run_eval", lambda cfg: seen.append(cfg) or run_eval(cfg, write=False))
+    monkeypatch.setattr(cli, "run_eval", lambda cfg: seen.append(cfg) or run_eval(replace(cfg, output=None)))
     assert main(["eval", *argv]) == 0
     return seen[0]
 
@@ -420,7 +425,7 @@ def test_long_history_beats_const_velocity_on_accelerating_scene():
                 "detector": {"kind": kind},
             }
         )
-        return run_eval(cfg, write=False).sap
+        return run_eval(cfg).sap
 
     assert sap_for("long-short") > sap_for("const-velocity") > sap_for("hold")
 
@@ -434,7 +439,7 @@ def test_pyramid_detector_runs_end_to_end():
             "fusion": {"variant": "LfDil", "n_history": 2, "delta_t": 1},
         }
     )
-    report = run_eval(cfg, write=False)
+    report = run_eval(cfg)
     assert 0.0 <= report.sap <= 1.0
 
 
@@ -444,7 +449,7 @@ def test_dataset_source_round_trip(tmp_path):
     cfg = run_config_from_dict(
         {"dataset": str(tmp_path / "ann.json"), "detector": {"kind": "delayed-gt"}}
     )
-    report = run_eval(cfg, write=False)
+    report = run_eval(cfg)
     assert report.sap == 1.0
 
 
@@ -516,7 +521,7 @@ def per_row_sweep(spec):
     rows = []
     for value in spec.values:
         try:
-            rows.append(SweepRow(value, run_eval(apply_sweep_value(spec, value), write=False), None))
+            rows.append(SweepRow(value, run_eval(apply_sweep_value(spec, value)), None))
         except Exception as exc:
             rows.append(SweepRow(value, None, f"{type(exc).__name__}: {exc}"))
     return rows

@@ -171,6 +171,31 @@ def test_forecast_detector_holds_without_history():
         assert [d.bbox for d in det(k)] == [g.bbox for g in gts[k]]
 
 
+def test_forecast_window_longer_than_the_stream_stops_at_frame_0():
+    gts = scene_gts(bundled_scene("mixed"))
+
+    def tables(**settings):
+        det = ForecastDetector(gts, forecast_steps=2, **settings)
+        return [list(det(k)) for k in range(len(gts))]
+
+    assert tables(n_history=2**62) == tables(n_history=len(gts))
+    assert tables(n_history=3, delta_t=10**19) == tables(n_history=0)
+
+
+@pytest.mark.parametrize("kind, n_history", [("hold", 0), ("const-velocity", 1), ("long-short", 5)])
+def test_forecaster_kinds_are_presets_of_forecast_detector(kind, n_history):
+    cfg = run_config_from_dict({"scene_name": "mixed", "stream": {"latency_ms": 50.0},
+                                "detector": {"kind": kind, "n_history": 5}})
+    det = make_detector(cfg, build_run_data(cfg))
+    assert type(det) is ForecastDetector and det.n_history == n_history
+    if kind == "hold":  # it forecasts nothing, so a per-frame latency needs no forecast_steps
+        per_frame = [50.0] * bundled_scene("mixed").n_frames
+        cfg = run_config_from_dict({"stream": {"latency_per_frame_ms": per_frame}}, cfg)
+        data = build_run_data(cfg)
+        det, stale = make_detector(cfg, data), DelayedGtDetector(data.gts, 0)
+        assert [list(det(k)) for k in range(len(data.gts))] == [list(stale(k)) for k in range(len(data.gts))]
+
+
 def test_forecast_detector_skips_occluded_history_samples():
     traj = TrajectorySpec(
         TrajectoryKind.OCCLUDED, BBox(0, 0, 10, 10), velocity=(2.0, 0.0), occlusion_window=(2, 3)
@@ -251,7 +276,7 @@ def test_forecast_of_a_track_leaving_the_image_is_dropped(kind, vy, exit_frame):
     for k, gts in enumerate(data.gts):
         assert len(detector(k)) == (0 if k == exit_frame else len(gts)), k
     assert len(data.gts[exit_frame]) == 1
-    assert 0.0 < run_eval(cfg, write=False).sap < 1.0
+    assert 0.0 < run_eval(cfg).sap < 1.0
 
 
 def test_delayed_gt_detector_callable():

@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 
 from longshort.coco_io import export_scenario
-from longshort.config import DETECTOR_KINDS, run_config_from_dict
+from longshort.config import DETECTOR_KINDS, FORECASTER_HISTORY, run_config_from_dict
 from longshort.fusion import FusionVariant, InvalidConfig
 from longshort.runner import build_run_data, make_detector, run_eval
 from longshort.scenarios import TrajectoryKind, generate_scenario
@@ -249,11 +249,9 @@ def run_with_invariants(cfg, data: dict, out) -> tuple:
     and a perfect zero-latency detector scoring 1.0.  Returns the report and
     whether the perfect-detector check ran."""
     run_data = build_run_data(cfg)
-    if cfg.detector_kind in ("hold", "const-velocity", "long-short"):
+    if cfg.detector_kind in FORECASTER_HISTORY:
         det = make_detector(cfg, run_data)
-        # hold forecasts nothing: no history and no steps
-        n_history, delta_t, steps = (0, 1, 0) if cfg.detector_kind == "hold" else (det.n_history, det.delta_t, det.forecast_steps)
-        want = reference_forecast_detect(det.gts_by_frame, n_history, delta_t, steps)
+        want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
         assert [list(det(k)) for k in range(len(want))] == want, data
     cfg = replace(cfg, output=str(out))
     report = run_eval(cfg)  # must not raise: the config was accepted
@@ -308,7 +306,7 @@ def test_every_config_is_rejected_at_load_or_runs_to_completion(tmp_path):
             assert "horizon_frames" in str(exc), data
             empty_horizons += 1
             continue
-        forecasters += cfg.detector_kind in ("hold", "const-velocity", "long-short")
+        forecasters += cfg.detector_kind in FORECASTER_HISTORY
         report, was_perfect = run_with_invariants(cfg, data, tmp_path / str(i))
         completed += 1
         perfect += was_perfect

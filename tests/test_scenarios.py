@@ -120,7 +120,6 @@ def test_scene_dict_round_trip():
         "frame_interval_ms": 50.0,
         "width": 320,
         "height": 240,
-        "seed": 4,
         "trajectories": [
             {
                 "kind": "occluded",
@@ -144,7 +143,7 @@ def test_scene_dict_round_trip():
         category=2,
         track_id=9,
     )
-    assert scene_from_dict(data) == SyntheticScene(12, 50.0, 320, 240, (traj,), seed=4)
+    assert scene_from_dict(data) == SyntheticScene(12, 50.0, 320, 240, (traj,))
 
 
 def test_bundled_scenes_all_generate():
