@@ -46,7 +46,8 @@ names (0, 1, the key's).  Their forecast_steps defaults to the pairing
 staleness of a constant-latency stream and is required with
 latency_per_frame_ms, save for hold, which forecasts nothing.  Kind
 "pyramid" runs the dual-path network over rasterized frames and so needs a
-scene source, not a dataset.
+scene source, not a dataset, and a fusion history that fits its stream:
+n_history x delta_t below the horizon.
 """
 
 from __future__ import annotations
@@ -164,7 +165,13 @@ class RunConfig:
         if FORECASTER_HISTORY.get(kind, 0) != 0 and per_frame and "forecast_steps" not in self.detector_params:
             raise InvalidConfig(f"detector kind {kind!r} with latency_per_frame_ms needs a forecast_steps")
         if self.scene is not None:  # a scene's frame count is known at load
-            self.stream_for(self.scene.n_frames, self.scene.frame_interval_ms)
+            horizon = self.stream_for(self.scene.n_frames, self.scene.frame_interval_ms).horizon_frames
+            # the network fuses n_history maps delta_t frames apart; one reaching
+            # the horizon back would be a pad on every frame
+            n, dt = self.fusion.n_history, self.fusion.delta_t
+            if kind == "pyramid" and n * dt >= horizon:
+                raise InvalidConfig(f"fusion n_history {n}: n_history x delta_t ({n} x {dt}) must be below "
+                                    f"the stream's {horizon} frames")
 
     def stream_for(self, n_frames: int, source_interval_ms: float) -> StreamConfig:
         """The stream of this run over a source of `n_frames` frames

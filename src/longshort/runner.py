@@ -3,8 +3,8 @@
 run_eval executes one configuration; run_sweep executes one configuration
 per value along an ablation axis and renders a CSV table with one row per
 configuration, continuing past per-run failures.  Of a fusion-variant pair
-X / X* (the same variant with and without its residual), the X* row is
-scored on the X row's stream, whose pyramid network gives both rows' tables.
+X / X* (the same variant with and without its residual), both rows are
+scored on one run of X*'s network, whose head also gives X's table.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ def build_run_data(cfg: RunConfig) -> RunData:
 
 
 def make_detector(
-    cfg: RunConfig, data: RunData, bare: Optional[list[DetectionTable]] = None
+    cfg: RunConfig, data: RunData, plus: Optional[list[DetectionTable]] = None
 ) -> Callable[[int], DetectionTable]:
-    """cfg's detector.  Given a list `bare`, cfg is the X row of an X / X*
-    pair: its network fuses without the residual, and each step appends
-    X*'s table to `bare` and returns X's."""
+    """cfg's detector.  Given a list `plus`, cfg is the X* row of an X / X*
+    pair: each step of its network appends X's table to `plus` and returns
+    X*'s."""
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
         return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
@@ -95,53 +95,44 @@ def make_detector(
     head = BlobHead(threshold=s["threshold"], category=s["category"])
     network = DualPathNetwork(
         extractor=BoxFilterExtractor(model_size=s["model_size"], seed=cfg.seed),
-        head=head if bare is None else _ResidualPair(head, bare),
-        fusion=cfg.fusion if bare is None else replace(cfg.fusion, residual=False),
-        weight_seed=s["weight_seed"],
+        head=head if plus is None else _ResidualPair(head, plus),
+        fusion=cfg.fusion, weight_seed=s["weight_seed"],
     )
     return lambda k: network.step(data.frames[k])
 
 
 class _ResidualPair:
-    """The head of an X / X* pair's network, which fuses without the
-    residual: predict() appends X*'s table, `head`'s on the fused pyramid,
-    to `bare`, and returns X's, `head`'s with the base's map, the current
-    frame's, added to each level it reads, bit for bit the residual add."""
+    """The head of an X* row's network, which fuses without the residual:
+    predict() returns X*'s table, `head`'s on the fused pyramid, and appends
+    X's to `plus`, `head`'s with the base's map, the current frame's, added
+    to each level it reads, bit for bit the residual add."""
 
-    def __init__(self, head, bare: list[DetectionTable]):
-        self.head = head
-        self.bare = bare
-        self.levels_used = head.levels_used
+    def __init__(self, head, plus: list[DetectionTable]):
+        self.head, self.plus, self.levels_used = head, plus, head.levels_used
 
     def predict(self, pyramid: FeaturePyramid) -> DetectionTable:
-        self.bare.append(self.head.predict(pyramid))
+        table = self.head.predict(pyramid)
         added = {i: pyramid.levels[i] + pyramid.base.levels[i] for i in self.levels_used}
-        return self.head.predict(pyramid.replace(added))
+        self.plus.append(self.head.predict(pyramid.replace(added)))
+        return table
 
 
 def _pairs(cfgs: dict[int, RunConfig]) -> list[tuple[int, int]]:
-    """The row pairs (X, X*) of a sweep, in either row order: pyramid rows
-    with history whose configs differ in fusion.residual alone, where X's
-    plan has a residual (EfAvg's never has).  A row pairs with the first
-    free match after it."""
-    def key(cfg):  # the config without its residual, if its variant has one
-        fusion = replace(cfg.fusion, residual=True)
-        if cfg.detector_kind == "pyramid" and fusion.n_history > 0:
-            d = MODEL_CHANNELS[cfg.detector_settings["model_size"]][0]  # no width changes the residual
-            if plan_channels(fusion.config_for(d)).residual:
-                return {**vars(cfg), "fusion": replace(fusion, residual=False)}
-        return None
-
-    keys = {i: key(cfg) for i, cfg in cfgs.items()}
-    free = [i for i, k in keys.items() if k is not None]
-    pairs = []
-    while free:
-        i = free.pop(0)
-        j = next((j for j in free if keys[j] == keys[i] and cfgs[j].fusion.residual != cfgs[i].fusion.residual), None)
-        if j is not None:
-            free.remove(j)
-            pairs.append((i, j) if cfgs[i].fusion.residual else (j, i))
-    return pairs
+    """The row pairs (X, X*) of a sweep.  An X* row is a pyramid row with
+    history and no residual; it pairs with the first unpaired row whose
+    config is its own with the residual, where that plan has one (EfAvg's
+    never has)."""
+    pairs = {}  # X's row -> X*'s row
+    for star, cfg in cfgs.items():
+        if cfg.detector_kind != "pyramid" or cfg.fusion.residual or cfg.fusion.n_history == 0:
+            continue
+        x_cfg = replace(cfg, fusion=replace(cfg.fusion, residual=True))
+        d = MODEL_CHANNELS[cfg.detector_settings["model_size"]][0]  # no width changes the residual
+        if plan_channels(x_cfg.fusion.config_for(d)).residual:
+            i = next((i for i, c in cfgs.items() if c == x_cfg and i not in pairs), None)
+            if i is not None:
+                pairs[i] = star
+    return list(pairs.items())
 
 
 def run_eval(cfg: RunConfig) -> SapReport:
@@ -159,12 +150,10 @@ def run_eval(cfg: RunConfig) -> SapReport:
     return report
 
 
-def _evaluate(
-    cfg: RunConfig, data: RunData, bare: Optional[list[DetectionTable]] = None
-) -> tuple[SapReport, list[PredictionRecord]]:
+def _evaluate(cfg: RunConfig, data: RunData) -> tuple[SapReport, list[PredictionRecord]]:
     """The report of one configuration on its run data, and the stream's
-    prediction records; `bare` as for make_detector."""
-    records = simulate_stream(data.stream, make_detector(cfg, data, bare))
+    prediction records."""
+    records = simulate_stream(data.stream, make_detector(cfg, data))
     return _report(cfg, data, records), records
 
 
@@ -185,31 +174,29 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One run per sweep value, rows in spec order; failures land in the
     row.  The run data, its stream too, is built once, from the base: a
     sweep value changes only fusion and detector settings, which
-    build_run_data does not read, so a data error lands in every row.  Of each pair (X, X*) that _pairs
-    finds, the X row runs first, and its stream's records, each holding
-    X*'s table instead, are the X* row's; if that raises, both rows run
-    alone, so that each reports the error it gets alone."""
-    data = data_error = None
-    try:
-        data = build_run_data(spec.base)
-    except Exception as exc:  # reported in each row, after that row's own config errors
-        data_error = exc
+    build_run_data does not read, so a data error lands in every row whose
+    own config is valid.  Each pair (X, X*) that _pairs finds runs X*'s
+    network once, and X is scored on its stream's records, each holding
+    X's table instead; if that raises, both rows run alone, so that each
+    reports the error it gets alone."""
     cfgs, errors = {}, {}  # row -> its config, or the error it reports
     for i, value in enumerate(spec.values):
         try:
             cfgs[i] = apply_sweep_value(spec, value)
         except Exception as exc:  # a row's own config error comes before a data error
             errors[i] = exc
-    if data_error is not None:
-        errors.update(dict.fromkeys(cfgs, data_error))
+    try:
+        data = build_run_data(spec.base)
+    except Exception as exc:  # a data error: every row with a valid config reports it
+        errors.update(dict.fromkeys(cfgs, exc))
         cfgs = {}
     reports = {}
     for x, star in _pairs(cfgs):
         try:
-            bare = []
-            report, records = _evaluate(cfgs[x], data, bare)
-            records = [replace(r, detections=t) for r, t in zip(records, bare, strict=True)]
-            reports[x], reports[star] = report, _report(cfgs[star], data, records)
+            plus = []
+            records = simulate_stream(data.stream, make_detector(cfgs[star], data, plus))
+            x_records = [replace(r, detections=t) for r, t in zip(records, plus, strict=True)]
+            reports[x], reports[star] = _report(cfgs[x], data, x_records), _report(cfgs[star], data, records)
         except Exception:  # both rows run alone below
             pass
     for i in [i for i in cfgs if i not in reports]:

@@ -248,6 +248,15 @@ ROWS = [
         "detector kind 'const-velocity' with latency_per_frame_ms needs a forecast_steps"),
     Row({"detector.kind": "long-short", "stream.latency_per_frame_ms": [33.33] * 20},
         "detector kind 'long-short' with latency_per_frame_ms needs a forecast_steps"),
+    # a pyramid's fusion history must fit its stream: n_history x delta_t below the horizon
+    Row({"detector.kind": "pyramid", "fusion.n_history": 20},
+        "fusion n_history 20: n_history x delta_t (20 x 1) must be below the stream's 20 frames"),
+    Row({"detector.kind": "pyramid", "fusion.n_history": 2**62},
+        f"fusion n_history {2**62}: n_history x delta_t ({2**62} x 1) must be below the stream's 20 frames"),
+    Row({"detector.kind": "pyramid", "fusion.n_history": 1, "fusion.delta_t": 10**19},
+        f"fusion n_history 1: n_history x delta_t (1 x {10**19}) must be below the stream's 20 frames"),
+    Row({"detector.kind": "pyramid", "stream.horizon_frames": 3},
+        "fusion n_history 3: n_history x delta_t (3 x 1) must be below the stream's 3 frames"),
 ]
 
 

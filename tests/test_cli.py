@@ -334,8 +334,9 @@ def flag_args(row):
 
 
 def sweep_value(row):
-    """The axis and value of a sweep row that sets the row's keys, or None."""
-    keys = set(row.keys) if row.base == "uniform" else set()
+    """The axis and value of a sweep row that sets the row's keys, save its
+    detector kind, or None."""
+    keys = set(row.keys) - {"detector.kind"} if row.base == "uniform" else set()
     if keys and keys <= {"fusion.n_history", "fusion.delta_t"}:
         return SweepAxis.TEMPORAL_RANGE, [row.keys.get("fusion.n_history", 1), row.keys.get("fusion.delta_t")]
     for axis, key in ((SweepAxis.DILATION_RATIO, "fusion.ratio"), (SweepAxis.FUSION_VARIANT, "fusion.variant")):
@@ -356,8 +357,13 @@ def test_a_refused_flag_prints_its_config_keys_message(row, tmp_path, monkeypatc
     assert refused_eval(argv, tmp_path, monkeypatch, capsys) == f"error: {row.error}: {row.message}\n"
 
 
-@pytest.mark.parametrize("kind", ["delayed-gt", "long-short"])  # a forecaster also takes the temporal keys
-@pytest.mark.parametrize("row", [row for row in REFUSALS if sweep_value(row)], ids=lambda row: row.id)
+# each sweep row over its own detector kind, else over delayed-gt and a
+# forecaster, which also takes the temporal keys
+SWEPT_REFUSALS = [(row, kind) for row in REFUSALS if sweep_value(row)
+                  for kind in ([row.keys["detector.kind"]] if "detector.kind" in row.keys else ["delayed-gt", "long-short"])]
+
+
+@pytest.mark.parametrize("row, kind", SWEPT_REFUSALS, ids=[f"{row.id}-{kind}" for row, kind in SWEPT_REFUSALS])
 def test_a_refused_sweep_value_fails_its_row_with_its_config_keys_message(row, kind):
     axis, value = sweep_value(row)
     base = run_config_from_dict(with_keys(BASES[row.base], {"detector.kind": kind}))
@@ -630,6 +636,22 @@ def test_a_sweep_scores_each_pair_on_one_stream(monkeypatch):
     assert [row.error for row in rows] == [None] * len(EVERY_VARIANT)
     # EfDil, LfAvg and LfDil each pair with their starred row; EfAvg and EfAvg* run alone
     assert len(streams) == len(EVERY_VARIANT) - 3
+
+
+def test_a_sweep_with_repeated_values_pairs_each_starred_row_with_a_free_twin(monkeypatch):
+    import longshort.runner as runner
+
+    streams = []
+    simulate = runner.simulate_stream
+    monkeypatch.setattr(runner, "simulate_stream", lambda *args: streams.append(args) or simulate(*args))
+    base = run_config_from_dict({"stream": {"latency_ms": 50.0}}, pyramid_base(n_history=2))
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, base, ("LfDil*", "LfDil", "LfDil", "LfDil*", "EfAvg*"))
+    rows = run_sweep(spec)
+    # each LfDil* takes the first LfDil still free; EfAvg* runs alone
+    assert runner._pairs({i: apply_sweep_value(spec, value) for i, value in enumerate(spec.values)}) == [(1, 0), (2, 3)]
+    assert len(streams) == 3
+    assert [row.error for row in rows] == [None] * 5
+    assert sweep_to_csv(spec, rows) == sweep_to_csv(spec, per_row_sweep(spec))
 
 
 @pytest.mark.parametrize("broken", ["shared pass", "every head"])
