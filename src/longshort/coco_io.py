@@ -1,24 +1,20 @@
-"""COCO-format annotation ingestion and export.
+"""COCO-format annotation ingestion and export, both column by column.
 
-Synthetic scenes export to the same images/annotations/categories schema
-that real datasets ship, so both feed one evaluation path.  Ingestion orders
-images by id to obtain frame indices, converts (x, y, w, h) boxes to corner
-form, and ignores unknown fields; it reads the annotations column by column
-into one GroundTruthTable per frame, so an error names the annotation's
-index but no box is built as an object.  Every entry of images, annotations
-and categories must be an object, and every id and image size a whole
-number, as config counts are read: a string, a null, a bool or a fractional
-value is rejected naming the entry and key (images[i].width, say), checked
-a column at a time.  Exports additionally carry an exact corner quadruple
-per annotation ("bbox_corners") which ingestion prefers when present,
-keeping scene round-trips bit-exact; the indented JSON is streamed to the
-file, not built as one string first.
+Synthetic scenes export to the schema real datasets ship, so both feed one
+evaluation path.  Ingestion orders images by id into frames: a dataset holds
+one GroundTruthTable per image and the frame interval.  Every entry of
+images, annotations and categories, and info, must be an object; unknown
+fields are ignored.  One rule says what a number is: an int or a float,
+finite, never a string, bool, null, list or object.  Ids and image sizes are
+64-bit whole numbers; a box is a list of 4 numbers whose corners are finite
+after the (x, y, w, h) sum; an error names the file and entry.  Exports also
+carry exact corners ("bbox_corners"), which ingestion prefers: scene
+round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -40,19 +36,9 @@ class MissingField(ParseError):
 
 
 @dataclass(frozen=True)
-class CocoImage:
-    id: int
-    width: int
-    height: int
-    file_name: str
-
-
-@dataclass(frozen=True)
 class CocoDataset:
-    images: tuple[CocoImage, ...]
-    gts_by_frame: tuple[GroundTruthTable, ...]
-    categories: dict[int, str]
-    frame_interval_ms: Optional[float] = None
+    gts_by_frame: tuple[GroundTruthTable, ...]  # one table per image, in id order
+    frame_interval_ms: Optional[float]  # info.frame_interval_ms, when given
 
 
 def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
@@ -85,33 +71,57 @@ def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[in
     raise MissingField(f"{path}: missing field {key!r} in {table}[{rows[j]}]")
 
 
-def _is_whole(value) -> bool:
-    # type(True) is bool, so neither a bool nor a string nor a null passes
-    return (type(value) is int or type(value) is float and value.is_integer()) and -(2**63) <= value < 2**63
+def _is_number(value, whole: bool = False) -> bool:
+    """The one number rule: an int or a float (not a bool), finite as a float,
+    and with `whole` 64-bit and whole.  An int compares exactly, no overflow."""
+    if type(value) is not int and type(value) is not float:
+        return False
+    if whole:
+        return -(2**63) <= value < 2**63 and (type(value) is int or value.is_integer())
+    return -(2**1024 - 2**970) < value < 2**1024 - 2**970  # what rounds to a finite float
 
 
-def _whole(path: Path, values: list, table: str, key: str) -> np.ndarray:
-    """values as an int64 column, or a ParseError naming the first that is
-    not a whole number, the rule config counts follow: a fractional value is
-    rejected, not truncated."""
+def _ids(path: Path, objs: list, table: str, key: str, default=None) -> np.ndarray:
+    """Every object's `key` (see _column) as int64; 1.5 is a ParseError, not 1."""
+    values = _column(path, objs, key, table, default=default)
     if set(map(type, values)) <= {int}:
         try:
             return np.array(values, dtype=np.int64)
         except OverflowError:
             pass
-    j = next((j for j, v in enumerate(values) if not _is_whole(v)), None)
+    j = next((j for j, v in enumerate(values) if not _is_number(v, whole=True)), None)
     if j is not None:
         raise ParseError(f"{path}: {table}[{j}].{key} must be a 64-bit whole number, got {values[j]!r}")
     return np.array([int(v) for v in values], dtype=np.int64)
 
 
-def _ids(path: Path, objs: list, table: str, key: str, default=None) -> np.ndarray:
-    """Every object's `key` as an int64 column (see _column and _whole)."""
-    return _whole(path, _column(path, objs, key, table, default=default), table, key)
+def _is_box(box, xywh: bool) -> bool:
+    """A list of 4 numbers whose corners are finite, summed when xywh."""
+    if type(box) is not list or len(box) != 4 or not all(map(_is_number, box)):
+        return False
+    return not xywh or _is_number(float(box[0]) + box[2]) and _is_number(float(box[1]) + box[3])
 
 
-def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundTruthTable, ...]:
-    """One ground-truth table per image of `image_ids` (sorted), each in
+def _boxes(path: Path, corners: list, xywh: list[int]) -> np.ndarray:
+    """`corners` as (n, 4) corners, rows `xywh` summed; else a ParseError."""
+    lists = set(map(type, corners)) <= {list} and set(map(len, corners)) <= {4}
+    if lists and set(map(type, chain.from_iterable(corners))) <= {int, float}:
+        try:
+            boxes = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            with np.errstate(all="ignore"):  # no warning leaks: inf and NaN are refused below
+                boxes[xywh, 2:] += boxes[xywh, :2]  # (x, y, w, h) -> corners
+            if np.isfinite(boxes).all():
+                return boxes
+    summed = set(xywh)
+    i = next(i for i, box in enumerate(corners) if not _is_box(box, i in summed))
+    raise ParseError(f"{path}: annotations[{i}]: a box takes 4 finite numbers, got {corners[i]!r}")
+
+
+def _ground_truth(path: Path, anns: list, known: np.ndarray) -> tuple[GroundTruthTable, ...]:
+    """One ground-truth table per image id of `known` (sorted), each in
     annotation order, filled column by column."""
     ids = _ids(path, anns, "annotations", "image_id")
     category = _ids(path, anns, "annotations", "category_id")
@@ -119,29 +129,16 @@ def _ground_truth(path: Path, anns: list, image_ids: list[int]) -> tuple[GroundT
     xywh = [i for i, c in enumerate(corners) if c is None] if None in corners else []
     for i, box in zip(xywh, _column(path, [anns[i] for i in xywh], "bbox", "annotations", xywh)):
         corners[i] = box
-    try:
-        four = set(map(len, corners)) <= {4}
-    except TypeError:  # not a list
-        four = False
-    if not four:
-        i = next(i for i, c in enumerate(corners) if np.shape(c) != (4,))
-        raise ParseError(f"{path}: annotations[{i}]: a box takes 4 numbers, got {corners[i]!r}")
-    boxes = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
-    boxes[xywh, 2:] += boxes[xywh, :2]  # (x, y, w, h) -> corners
+    boxes = _boxes(path, corners, xywh)
     # an annotation without a track_id is its own track, keyed by its id
     # (by its index without one)
     ann_id = _ids(path, anns, "annotations", "id", default=range(len(anns)))
     track_id = _ids(path, anns, "annotations", "track_id", default=ann_id.tolist())
 
-    known = np.array(image_ids, dtype=np.int64)
     unknown = ~np.isin(ids, known)
     if unknown.any():
         i = int(np.argmax(unknown))
         raise ParseError(f"{path}: annotations[{i}]: unknown image_id {ids[i]}")
-    missing = ~np.isfinite(boxes).all(axis=1)  # a null reads NaN
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise ParseError(f"{path}: annotations[{i}]: a box takes 4 finite numbers, got {corners[i]!r}")
     degenerate = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     if degenerate.any():
         i = int(np.argmax(degenerate))
@@ -167,52 +164,41 @@ def parse_json(text: str, source, error: type = ParseError):
 
 
 def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
-    """Read a COCO-style annotation file into frames and ground truth."""
+    """One ground-truth table per image of a COCO-style file, and its frame
+    interval; image sizes and categories are checked, not kept."""
     path = Path(path)
     data = parse_json(path.read_text(), path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
 
-    images_raw = _entries(path, data, "images")
-    anns_raw = _entries(path, data, "annotations")
-    cats_raw = _entries(path, data, "categories", required=False)
+    images = _entries(path, data, "images")
+    anns = _entries(path, data, "annotations")
+    categories = _entries(path, data, "categories", required=False)
 
-    id_, width, height = (_ids(path, images_raw, "images", key).tolist() for key in ("id", "width", "height"))
-    images = sorted(
-        (CocoImage(i, w, h, str(img.get("file_name", ""))) for i, w, h, img in zip(id_, width, height, images_raw)),
-        key=lambda im: im.id,
-    )
-    if len(set(id_)) != len(images):
+    image_ids, _, _ = (_ids(path, images, "images", key) for key in ("id", "width", "height"))
+    known = np.unique(image_ids)
+    if len(known) != len(image_ids):
         raise ParseError(f"{path}: duplicate image ids")
 
-    gts = _ground_truth(path, anns_raw, [im.id for im in images])
-
-    cids = _ids(path, cats_raw, "categories", "id").tolist()
-    categories = {cid: str(cat.get("name", f"category_{cid}")) for cid, cat in zip(cids, cats_raw)}
+    gts = _ground_truth(path, anns, known)
+    _ids(path, categories, "categories", "id")
 
     info = data.get("info", {})
-    interval = info.get("frame_interval_ms") if isinstance(info, dict) else None
-    if interval is not None and (
-        isinstance(interval, bool) or not isinstance(interval, (int, float)) or not 0 < interval <= sys.float_info.max
-    ):
+    if type(info) is not dict:
+        raise ParseError(f"{path}: info must be an object, got {info!r}")
+    interval = info.get("frame_interval_ms")
+    if interval is not None and not (_is_number(interval) and interval > 0):
         raise ParseError(f"{path}: info.frame_interval_ms must be a finite number > 0, got {interval!r}")
-    return CocoDataset(
-        images=tuple(images),
-        gts_by_frame=gts,
-        categories=categories,
-        frame_interval_ms=interval,
-    )
+    return CocoDataset(gts, interval)
 
 
 def scenario_to_coco(
     scenario: Sequence[tuple[Frame, GroundTruthTable]],
     scene: SyntheticScene,
 ) -> dict:
-    """Build the COCO-style dict for a generated scene."""
+    """Build the COCO-style dict for a generated scene from its columns."""
     images = []
     annotations = []
-    used_categories = set()
-    ann_id = 0
     for frame, gts in scenario:
         images.append(
             {
@@ -222,27 +208,25 @@ def scenario_to_coco(
                 "file_name": f"frame_{frame.index:06d}.raw",
             }
         )
-        for g in gts:
-            used_categories.add(g.category)
-            b = g.bbox
+        columns = (gts.boxes, gts.category, gts.area, gts.track_id)
+        for (x0, y0, x1, y1), category, area, track_id in zip(*(c.tolist() for c in columns)):
             annotations.append(
                 {
-                    "id": ann_id,
+                    "id": len(annotations),
                     "image_id": frame.index,
-                    "category_id": g.category,
-                    "bbox": [b.x_min, b.y_min, b.width, b.height],
-                    "bbox_corners": [b.x_min, b.y_min, b.x_max, b.y_max],
-                    "area": g.area,
-                    "track_id": g.track_id,
+                    "category_id": category,
+                    "bbox": [x0, y0, x1 - x0, y1 - y0],  # as BBox.width and .height
+                    "bbox_corners": [x0, y0, x1, y1],
+                    "area": area,
+                    "track_id": track_id,
                     "iscrowd": 0,
                 }
             )
-            ann_id += 1
     return {
         "info": {"frame_interval_ms": scene.frame_interval_ms},
         "images": images,
         "annotations": annotations,
-        "categories": [{"id": c, "name": f"category_{c}"} for c in sorted(used_categories)],
+        "categories": [{"id": c, "name": f"category_{c}"} for c in sorted({a["category_id"] for a in annotations})],
     }
 
 

@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .network import MODEL_CHANNELS, BlobHead, BoxFilterExtractor, DualPathNetwork, FeaturePyramid, Frame
 from .scenarios import generate_scenario
-from .streaming import PredictionRecord, StreamConfig, pair_for_eval, simulate_stream, write_records
+from .streaming import DEFAULT_FRAME_INTERVAL_MS, PredictionRecord, StreamConfig, pair_for_eval, simulate_stream, write_records
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ class RunData:
 def build_run_data(cfg: RunConfig) -> RunData:
     """Materialize the configured data source as frames plus ground truth,
     over the stream cfg.stream_for derives from it (a dataset without a
-    frame interval at 33.33 ms)."""
+    frame interval at DEFAULT_FRAME_INTERVAL_MS, 33.33 ms)."""
     if cfg.scene is not None:
         frames, gts = zip(*generate_scenario(cfg.scene))
         pixels, interval = [f.pixels for f in frames], cfg.scene.frame_interval_ms
     else:
         ds = load_coco_annotations(cfg.dataset_path)
         gts = ds.gts_by_frame
-        pixels, interval = [None] * len(gts), ds.frame_interval_ms or 33.33
+        pixels, interval = [None] * len(gts), ds.frame_interval_ms or DEFAULT_FRAME_INTERVAL_MS
     # an empty source without a horizon has no stream: its 0 frames hold no box
     stream = cfg.stream_for(len(gts), interval) if gts or cfg.horizon_frames else None
     horizon = 0 if stream is None else stream.horizon_frames

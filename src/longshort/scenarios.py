@@ -21,9 +21,9 @@ import numpy as np
 
 from .boxes import BBox, GroundTruthTable
 from .fusion import InvalidConfig
+from .metrics import AREA_SMALL
 from .network import Frame
-
-SMALL_AREA_THRESHOLD = 32.0 * 32.0
+from .streaming import DEFAULT_FRAME_INTERVAL_MS
 
 
 class DegenerateTrajectory(InvalidConfig):
@@ -61,9 +61,9 @@ class TrajectorySpec:
             raise InvalidConfig("turning trajectory needs a nonzero turn_rate")
         if self.kind is TrajectoryKind.OCCLUDED and self.occlusion_window is None:
             raise InvalidConfig("occluded trajectory needs an occlusion_window")
-        if self.kind is TrajectoryKind.SMALL_OBJECT and self.initial_bbox.area >= SMALL_AREA_THRESHOLD:
+        if self.kind is TrajectoryKind.SMALL_OBJECT and self.initial_bbox.area >= AREA_SMALL[1]:
             raise InvalidConfig(
-                f"small-object box area {self.initial_bbox.area} is not below {SMALL_AREA_THRESHOLD}"
+                f"small-object box area {self.initial_bbox.area} is not below {AREA_SMALL[1]}"
             )
 
     def corners(self, n_frames: int) -> np.ndarray:
@@ -202,7 +202,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
             raise InvalidConfig(f"{section}: {exc}") from None
 
     specs = tuple(trajectory(i, td) for i, td in enumerate(scene.pop("trajectories", [])))
-    return SyntheticScene(**{"frame_interval_ms": 33.33, **scene}, trajectories=specs)
+    return SyntheticScene(**{"frame_interval_ms": DEFAULT_FRAME_INTERVAL_MS, **scene}, trajectories=specs)
 
 
 def bundled_scene_names() -> list[str]:

@@ -62,6 +62,9 @@ class DispatchPolicy(Enum):
     FIFO = "fifo"
 
 
+DEFAULT_FRAME_INTERVAL_MS = 33.33  # a source that gives none runs at 30 fps
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """One stream's clock, and the one home of its rules: a horizon of at
@@ -71,7 +74,7 @@ class StreamConfig:
 
     horizon_frames: int
     latency_model: LatencyModel = ConstantLatency(0.0)
-    frame_interval_ms: float = 33.33
+    frame_interval_ms: float = DEFAULT_FRAME_INTERVAL_MS
     dispatch_policy: DispatchPolicy = DispatchPolicy.LATEST_FRAME_ON_FREE
 
     def __post_init__(self):

@@ -141,7 +141,7 @@ ROWS = [
     Row({"detector.kind": "const-velocity", "detector.forecast_steps": -1}, "detector forecast_steps -1: must be >= 0"),
     Row({"scene.n_frames": 7.5}, "scene n_frames 7.5: must be a whole number", base="scene"),
     Row({TRAJ + "0.category": 1.5}, "scene trajectories[0] category 1.5: must be a whole number", base="scene"),
-    # numbers given as strings, bools or lists
+    # numbers given as strings, bools or lists, and lists given as numbers or strings
     Row({"seed": "7"}, "config seed '7': must be a number"),
     Row({"seed": True}, "config seed True: must be a number"),
     Row({"max_dets_per_frame": "5"}, "config max_dets_per_frame '5': must be a number"),
@@ -175,6 +175,10 @@ ROWS = [
     Row({"detector.kind": "pyramid", "detector.threshold": True}, "detector threshold True: must be a number"),
     Row({"detector.kind": "pyramid", "detector.weight_seed": True}, "detector weight_seed True: must be a number"),
     Row({"scene.width": "100"}, "scene width '100': must be a number", base="scene"),
+    Row({"scene.trajectories": 5}, "scene trajectories 5: must be a list of trajectories", base="scene"),
+    Row({TRAJ + "0.velocity": 5}, "scene trajectories[0] velocity 5: must be a list of 2 numbers", base="scene"),
+    Row({TRAJ + "0.initial_bbox": "abcd"}, "scene trajectories[0] initial_bbox 'abcd': must be a list of 4 numbers",
+        base="scene"),
     # strings: not a string, or not a name the key takes
     Row({"output": 5}, "config output 5: must be a string", ("string",)),
     Row({"scene_name": 5}, "config scene_name 5: must be a string", ("string",)),

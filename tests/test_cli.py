@@ -852,6 +852,16 @@ def test_export_report_refuses_a_malformed_report_naming_the_file_and_the_line_o
     assert capsys.readouterr().err == f"error: ValueError: {message.format(path)}\n"
 
 
+def test_export_report_skips_blank_lines(tmp_path, capsys):
+    path = tmp_path / "report.txt"
+    path.write_text(REPORT)
+    assert main(["export-report", "--report", str(path), "--format", "csv"]) == 0
+    want = capsys.readouterr().out
+    path.write_text("\n" + REPORT.replace("\n", "\n  \n"))
+    assert main(["export-report", "--report", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_cli_gen_scene_reads_a_scene_file(tmp_path):
     scene_path = write_config(tmp_path, inline_scene(), name="scene.json")
     assert main(["gen-scene", "--scene", str(scene_path), "--output", str(tmp_path / "ann.json")]) == 0

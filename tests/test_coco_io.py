@@ -28,13 +28,12 @@ MINIMAL = {
 
 def test_minimal_file_converts_to_corner_boxes(tmp_path):
     ds = load_coco_annotations(write(tmp_path, MINIMAL))
-    assert len(ds.images) == 1
-    assert len(ds.gts_by_frame) == 1
+    assert [len(gts) for gts in ds.gts_by_frame] == [1]  # one table per image
     box = ds.gts_by_frame[0][0]
     assert box.bbox.as_tuple() == (0.0, 0.0, 10.0, 10.0)
     assert box.category == 3
     assert box.frame_index == 0
-    assert ds.categories == {3: "car"}
+    assert ds.frame_interval_ms is None
 
 
 def test_empty_annotations_is_not_an_error(tmp_path):
@@ -50,12 +49,15 @@ def test_images_are_ordered_by_id(tmp_path):
             {"id": 10, "width": 10, "height": 10},
             {"id": 20, "width": 10, "height": 10},
         ],
-        "annotations": [{"id": 0, "image_id": 10, "category_id": 0, "bbox": [1, 1, 2, 2]}],
+        "annotations": [
+            {"id": 0, "image_id": 30, "category_id": 7, "bbox": [1, 1, 2, 2]},
+            {"id": 1, "image_id": 10, "category_id": 5, "bbox": [1, 1, 2, 2]},
+        ],
     }
     ds = load_coco_annotations(write(tmp_path, data))
-    assert [im.id for im in ds.images] == [10, 20, 30]
-    assert len(ds.gts_by_frame[0]) == 1  # id 10 is frame 0
-    assert len(ds.gts_by_frame[1]) == len(ds.gts_by_frame[2]) == 0
+    # ids 10, 20 and 30 are frames 0, 1 and 2
+    assert [gts.category.tolist() for gts in ds.gts_by_frame] == [[5], [], [7]]
+    assert [gts.frame.tolist() for gts in ds.gts_by_frame] == [[0], [], [2]]
 
 
 def test_unknown_fields_are_ignored(tmp_path):
@@ -92,11 +94,61 @@ def test_parse_errors_carry_context(tmp_path):
             (ParseError, dict(good, image_id=9), rf"annotations\[{i}\]: unknown image_id 9"),
             (ParseError, dict(good, bbox=[0, 0, -4, 1]), rf"annotations\[{i}\]: degenerate box"),
             (ParseError, dict(good, bbox_corners=[0, 2, 1, 1]), rf"annotations\[{i}\]: degenerate box"),
-            (ParseError, dict(good, bbox=[0, 0, 1]), rf"annotations\[{i}\]: a box takes 4 numbers"),
+            (ParseError, dict(good, bbox=[0, 0, 1]), rf"annotations\[{i}\]: a box takes 4 finite numbers"),
             (ParseError, dict(good, bbox_corners=[0, None, 1, 1]), rf"annotations\[{i}\]: a box takes 4 finite numbers"),
         ]:
             with pytest.raises(cls, match=f"^{from_file}{message}"):
                 load(bad)
+
+
+BAD_BOXES = {
+    "string": "abcd", "strings": ["1", "2", "3", "4"], "bool": [True, 0, 10, 10], "nested-list": [0, 0, 1, [4]],
+    "object": {"a": 1, "b": 2, "c": 3, "d": 4}, "int-beyond-float": [10**400, 0, 1, 1],
+    "nan": [0, 0, float("nan"), 1], "null": [0, None, 1, 1], "three-numbers": [0, 0, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [pytest.param(key, box, id=f"{key}-{name}") for key in ("bbox", "bbox_corners") for name, box in BAD_BOXES.items()]
+    # x + w overflows to inf: only an (x, y, w, h) box sums
+    + [pytest.param("bbox", [1e308, 0, 1e308, 10], id="bbox-x-plus-w-overflows")],
+)
+def test_a_box_that_is_not_4_finite_numbers_is_refused_naming_the_file_and_annotation(tmp_path, key, bad):
+    # a string, a bool, a null, a list or an object is not a number, and no
+    # warning leaks (filterwarnings = error turns one into a failure)
+    image = {"id": 1, "width": 5, "height": 5}
+    for i in range(3):
+        # i good annotations, then the bad one twice: the error names the first
+        anns = [{"id": j, "image_id": 1, "category_id": 0, "bbox": [0, 0, 1, 1]} for j in range(i)]
+        anns += [{"id": j, "image_id": 1, "category_id": 0, key: bad} for j in (i, 9)]
+        path = write(tmp_path, {"images": [image], "annotations": anns})
+        with pytest.raises(ParseError) as exc:
+            load_coco_annotations(path)
+        assert str(exc.value) == f"{path}: annotations[{i}]: a box takes 4 finite numbers, got {bad!r}"
+
+
+@pytest.mark.parametrize("info", ["x", 5, None, [1]], ids=repr)
+def test_an_info_that_is_not_an_object_is_refused(tmp_path, info):
+    path = write(tmp_path, dict(MINIMAL, info=info))
+    with pytest.raises(ParseError) as exc:
+        load_coco_annotations(path)
+    assert str(exc.value) == f"{path}: info must be an object, got {info!r}"
+
+
+def test_a_top_level_that_is_not_an_object_is_refused(tmp_path):
+    path = write(tmp_path, [MINIMAL])
+    with pytest.raises(ParseError) as exc:
+        load_coco_annotations(path)
+    assert str(exc.value) == f"{path}: top level must be an object"
+
+
+def test_duplicate_image_ids_are_refused(tmp_path):
+    data = dict(MINIMAL, images=[{"id": 1, "width": 100, "height": 80}, {"id": 1.0, "width": 50, "height": 40}])
+    path = write(tmp_path, data)
+    with pytest.raises(ParseError) as exc:
+        load_coco_annotations(path)
+    assert str(exc.value) == f"{path}: duplicate image ids"
 
 
 @pytest.mark.parametrize("name", ["uniform", "accelerating", "mixed"])
@@ -106,7 +158,7 @@ def test_scene_round_trips_exactly(tmp_path, name):
     path = tmp_path / f"{name}.json"
     export_scenario(scenario, scene, path)
     ds = load_coco_annotations(path)
-    assert len(ds.images) == len(scenario)
+    assert len(ds.gts_by_frame) == len(scenario)
     assert ds.frame_interval_ms == scene.frame_interval_ms
     for (frame, gts), loaded in zip(scenario, ds.gts_by_frame):
         assert len(gts) == len(loaded)
@@ -179,10 +231,9 @@ def test_whole_float_ids_load_as_integers(tmp_path):
     data["annotations"][0].update(image_id=1.0, category_id=3.0, track_id=7.0)
     data["categories"][0]["id"] = 3.0
     ds = load_coco_annotations(write(tmp_path, data))
-    assert (ds.images[0].id, ds.images[0].width) == (1, 100)
-    assert ds.categories == {3: "car"}
+    assert [len(gts) for gts in ds.gts_by_frame] == [1]  # image_id 1.0 is image 1
     box = ds.gts_by_frame[0][0]
-    assert (box.category, box.track_id) == (3, 7)
+    assert (box.category, box.track_id, box.frame_index) == (3, 7, 0)
 
 
 def test_an_annotation_without_track_id_is_tracked_by_its_id_or_index(tmp_path):
