@@ -12,10 +12,8 @@ from .fusion import (
     ChannelPlan,
     FusionSettings,
     FusionVariant,
-    LsfmConfig,
     LsfmWeights,
     count_fusion_flops,
-    default_config,
     fuse,
     init_weights,
     plan_channels,
@@ -68,7 +66,6 @@ __all__ = [
     "FusionVariant",
     "GroundTruthBox",
     "GroundTruthTable",
-    "LsfmConfig",
     "LsfmWeights",
     "MODEL_CHANNELS",
     "PYRAMID_RATES",
@@ -83,7 +80,6 @@ __all__ = [
     "bundled_scene",
     "compute_sap_report",
     "count_fusion_flops",
-    "default_config",
     "fuse",
     "generate_scenario",
     "init_weights",

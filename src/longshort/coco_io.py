@@ -6,10 +6,10 @@ one GroundTruthTable per image and the frame interval.  Every entry of
 images, annotations and categories, and info, must be an object; unknown
 fields are ignored.  One rule says what a number is: an int or a float,
 finite, never a string, bool, null, list or object.  Ids and image sizes are
-64-bit whole numbers; a box is a list of 4 numbers whose corners are finite
-after the (x, y, w, h) sum; an error names the file and entry.  Exports also
-carry exact corners ("bbox_corners"), which ingestion prefers: scene
-round-trips are bit-exact.
+64-bit whole numbers, and sizes >= 1; a box is a list of 4 numbers whose
+corners are finite after the (x, y, w, h) sum; an error names the file and
+entry.  Exports also carry exact corners ("bbox_corners"), which ingestion
+prefers: scene round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -175,7 +175,11 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
     anns = _entries(path, data, "annotations")
     categories = _entries(path, data, "categories", required=False)
 
-    image_ids, _, _ = (_ids(path, images, "images", key) for key in ("id", "width", "height"))
+    image_ids, *sizes = (_ids(path, images, "images", key) for key in ("id", "width", "height"))
+    for key, size in zip(("width", "height"), sizes):
+        if (size < 1).any():
+            i = int(np.argmax(size < 1))
+            raise ParseError(f"{path}: images[{i}].{key} must be >= 1, got {size[i]}")
     known = np.unique(image_ids)
     if len(known) != len(image_ids):
         raise ParseError(f"{path}: duplicate image ids")

@@ -9,11 +9,14 @@ historical maps, all of width d:
   LfDil  - wide projection for the current frame, narrow shared projection
            per history frame, concatenate.
 
-plan_channels() alone reads the variant; all else follows the widths and
-branch layout of the ChannelPlan it returns.  Channel widths follow floor
-arithmetic on d, so the concatenated width can fall short of d; a final 1x1
-projection then restores d.  A residual connection adds the current map
-back after that projection (not for EfAvg).
+One type, FusionSettings, holds the settings: a config's "fusion" section
+without a width, and through config_for(d) the settings of one pyramid
+level of width d, which every function here takes.  plan_channels() alone
+reads the variant; all else follows the widths and branch layout of the
+ChannelPlan it returns.  Channel widths follow floor arithmetic on d, so
+the concatenated width can fall short of d; a final 1x1 projection then
+restores d.  A residual connection adds the current map back after that
+projection (not for EfAvg).
 
 Maps are plain (C, H, W) float64 arrays.  fuse() checks its inputs' shapes
 and finiteness; fuse_projected() trusts them, so the network's hot path
@@ -36,7 +39,7 @@ the plan does not project history, those are the extractor's maps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -68,46 +71,15 @@ class FusionVariant(Enum):
 
 
 @dataclass(frozen=True)
-class LsfmConfig:
-    """Fusion configuration: variant, temporal range (N, delta_t), channel
-    width d, dilation channel ratio, and the residual switch."""
-
-    variant: FusionVariant
-    n_history: int
-    delta_t: int
-    d: int
-    ratio: float = 0.5
-    residual: bool = True
-
-    def __post_init__(self):
-        _check_range(self, min_history=1)
-        if self.d < 2:
-            raise InvalidConfig(f"d must be >= 2, got {self.d}")
-
-
-def _check_range(cfg, min_history: int) -> None:
-    """The checks LsfmConfig and FusionSettings share."""
-    if not (0.0 < cfg.ratio < 1.0):
-        raise InvalidConfig(f"ratio must lie in (0, 1), got {cfg.ratio}")
-    if cfg.n_history < min_history:
-        raise InvalidConfig(f"n_history must be >= {min_history}, got {cfg.n_history}")
-    if cfg.delta_t < 1:
-        raise InvalidConfig(f"delta_t must be >= 1, got {cfg.delta_t}")
-
-
-def default_config(d: int) -> LsfmConfig:
-    """The configuration used throughout unless overridden: dilated late
-    fusion, three history frames at stride 1, ratio 0.5, residual on."""
-    return LsfmConfig(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=d)
-
-
-@dataclass(frozen=True)
 class FusionSettings:
-    """Fusion settings as a config's "fusion" section gives them, independent
-    of the channel width d.
+    """Fusion settings: variant, temporal range (N, delta_t), dilation
+    channel ratio, the residual switch, and the channel width d they fuse.
 
-    n_history=0 disables the history path entirely (fusion is bypassed and
-    current features pass through); delta_t is then irrelevant.
+    A config's "fusion" section leaves d unset, since d is not a config key;
+    there n_history=0 disables the history path entirely (fusion is bypassed
+    and current features pass through; delta_t is then irrelevant).
+    config_for(d) gives the settings of one level of width d, which need
+    n_history >= 1 and d >= 2; every function below takes those.
     """
 
     variant: FusionVariant = FusionVariant.LF_DIL
@@ -115,14 +87,21 @@ class FusionSettings:
     delta_t: int = 1
     ratio: float = 0.5
     residual: bool = True
+    d: Optional[int] = None
 
     def __post_init__(self):
-        _check_range(self, min_history=0)
+        if not (0.0 < self.ratio < 1.0):
+            raise InvalidConfig(f"ratio must lie in (0, 1), got {self.ratio}")
+        min_history = 0 if self.d is None else 1
+        if self.n_history < min_history:
+            raise InvalidConfig(f"n_history must be >= {min_history}, got {self.n_history}")
+        if self.delta_t < 1:
+            raise InvalidConfig(f"delta_t must be >= 1, got {self.delta_t}")
+        if self.d is not None and self.d < 2:
+            raise InvalidConfig(f"d must be >= 2, got {self.d}")
 
-    def config_for(self, d: int) -> LsfmConfig:
-        if self.n_history == 0:
-            raise InvalidConfig("history is disabled; there is no fusion config")
-        return LsfmConfig(self.variant, self.n_history, self.delta_t, d, self.ratio, self.residual)
+    def config_for(self, d: int) -> "FusionSettings":
+        return replace(self, d=d)
 
 
 @dataclass(frozen=True)
@@ -142,8 +121,9 @@ class ChannelPlan:
     residual: bool
 
 
-def plan_channels(cfg: LsfmConfig) -> ChannelPlan:
-    """The plan of cfg's variant; no other code reads the variant.
+def plan_channels(cfg: FusionSettings) -> ChannelPlan:
+    """The plan of cfg's variant; no other code reads the variant.  cfg
+    must carry its level's width d (FusionSettings.config_for).
 
     LfDil splits d between the current frame (ratio r) and the N history
     frames (sharing 1-r); at r=0.5 this is floor(d/2) and floor(d/2N).
@@ -152,6 +132,8 @@ def plan_channels(cfg: LsfmConfig) -> ChannelPlan:
     projected history floor(d/2) each.  EfAvg sums the N+1 raw maps at full
     width, with no residual.
     """
+    if cfg.d is None:
+        raise InvalidConfig("fusion settings without a channel width d have no plan; use config_for(d)")
     n, d, r, variant = cfg.n_history, cfg.d, cfg.ratio, cfg.variant
     if variant is FusionVariant.LF_DIL:
         short, long = math.floor(r * d), math.floor((1.0 - r) * d / n)
@@ -203,7 +185,7 @@ def _draw(rng: Optional[np.random.Generator], out_ch: int, in_ch: int) -> Projec
     return ProjectionWeights(out_ch, in_ch, mat, bias)
 
 
-def init_weights(cfg: LsfmConfig, plan: ChannelPlan, seed: int) -> LsfmWeights:
+def init_weights(cfg: FusionSettings, plan: ChannelPlan, seed: int) -> LsfmWeights:
     """Deterministically initialize weights matching the plan's shapes,
     drawn short, long, output in turn.
 
@@ -225,7 +207,7 @@ def _require(w: Optional[ProjectionWeights], slot: str) -> ProjectionWeights:
 
 
 def project_history(
-    cfg: LsfmConfig, w: LsfmWeights, fmap: np.ndarray, out: Optional[np.ndarray] = None
+    cfg: FusionSettings, w: LsfmWeights, fmap: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """The part of fusion that depends on one history-path map alone: the
     shared long projection, written into out when given (see project_1x1).
@@ -237,7 +219,7 @@ def project_history(
 
 
 def fuse(
-    cfg: LsfmConfig,
+    cfg: FusionSettings,
     w: LsfmWeights,
     current: np.ndarray,
     history: Sequence[np.ndarray],
@@ -266,7 +248,7 @@ def fuse(
 
 
 def fuse_projected(
-    cfg: LsfmConfig,
+    cfg: FusionSettings,
     w: LsfmWeights,
     current: np.ndarray,
     projected_current: Optional[np.ndarray],
@@ -319,7 +301,7 @@ def fuse_projected(
     return fused
 
 
-def count_fusion_flops(cfg: LsfmConfig, plan: ChannelPlan, height: int, width: int) -> int:
+def count_fusion_flops(cfg: FusionSettings, plan: ChannelPlan, height: int, width: int) -> int:
     """Estimate FLOPs of one fused frame as the public fuse() computes it,
     recomputing every history projection; DualPathNetwork.step, which keeps
     projected history, does less.

@@ -22,6 +22,7 @@ thresholds, detections) block.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -182,6 +183,7 @@ class SapReport:
 
 
 REPORT_COLUMNS = ("sAP", "sAP50", "sAP75", "sAP_s", "sAP_m", "sAP_l")
+_CATEGORY_KEY = re.compile(r"AP_cat_(-?[0-9]+)")  # a per-category line; a category is any whole number
 
 
 def _report_values(report: SapReport) -> tuple[Optional[float], ...]:
@@ -268,15 +270,15 @@ def report_from_text(text: str, source: str = "report") -> SapReport:
         key, sep, raw = line.partition(" = ")
         if not sep:
             raise ValueError(f"{source} line {n}: {line!r} is not 'key = value'")
-        category = key[len("AP_cat_"):] if key.startswith("AP_cat_") else None
-        if key not in REPORT_COLUMNS and not (category or "").isdigit():
+        category = _CATEGORY_KEY.fullmatch(key)
+        if key not in REPORT_COLUMNS and category is None:
             raise ValueError(f"{source} line {n}: unknown key {key!r}")
         try:
             value = None if key in REPORT_COLUMNS[3:] and not raw.strip() else float(raw)
         except ValueError:
             raise ValueError(f"{source} line {n}: {key} {raw!r}: must be a number") from None
         if category is not None:
-            per_category[int(category)] = value
+            per_category[int(category[1])] = value
         else:
             fields[key] = value
     for key in REPORT_COLUMNS[:3]:

@@ -55,7 +55,6 @@ import numpy as np
 from .boxes import DetectionTable
 from .fusion import (
     FusionSettings,
-    LsfmConfig,
     fuse_projected,
     init_weights,
     plan_channels,
@@ -262,7 +261,8 @@ class BlobHead:
 
 
 class _FusedLevel:
-    """One fused pyramid level: its fusion config and weights, the
+    """One fused pyramid level: the network's fusion settings at the
+    level's width (FusionSettings.config_for) and their weights, the
     history-path map of the frame in each of the network's slots, and the
     frame-size arrays its steps reuse.  held[slot] is a view of the ring's
     row block `slot` if the plan projects history, else the extractor's own
@@ -271,7 +271,7 @@ class _FusedLevel:
     first step and again when the frame size changes, which drops every
     held map: history of another size is never read."""
 
-    def __init__(self, cfg: LsfmConfig, weight_seed: int, slots: int):
+    def __init__(self, cfg: FusionSettings, weight_seed: int, slots: int):
         self.cfg = cfg
         self.plan = plan_channels(cfg)
         self.weights = init_weights(cfg, self.plan, weight_seed)
@@ -299,12 +299,12 @@ class DualPathNetwork:
     """The full assembly: extractor, per-level fusion and head.
 
     With fusion.n_history == 0 the history path is disabled and the current
-    pyramid passes straight to the head.  Otherwise fusion configs and
-    weights exist only for the levels the head reads, and history has
-    n_history * delta_t + 1 slots.  The network records which frame index
-    each slot holds, and each fused level holds that frame's history-path
-    map in the same slot.  A step takes the slot of the oldest frame, which
-    is further back than any step reads.
+    pyramid passes straight to the head.  Otherwise only the levels the head
+    reads are fused, each with fusion.config_for(its width) and its own
+    weights, and history has n_history * delta_t + 1 slots.  The network
+    records which frame index each slot holds, and each fused level holds
+    that frame's history-path map in the same slot.  A step takes the slot
+    of the oldest frame, which is further back than any step reads.
     """
 
     extractor: FeatureExtractor

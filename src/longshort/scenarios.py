@@ -169,7 +169,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     counts are whole), is an InvalidConfig naming the key, and a trajectory
     that breaks its kind's rule is one naming the trajectory; a null takes
     the default."""
-    from .config import _FINITE, _parsed_section, _whole  # config imports this module
+    from .config import _FINITE, _STRIDE, _parsed_section, _whole  # config imports this module
 
     def list_of(n: int, parse: Callable) -> Callable:
         def parse_all(value) -> tuple:
@@ -189,7 +189,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
     }
     scene = _parsed_section(data, "scene", {
-        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
+        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _STRIDE, "height": _STRIDE,
         "trajectories": trajectories,
     }, ("n_frames", "width", "height"))
 

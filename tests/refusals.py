@@ -209,6 +209,9 @@ ROWS = [
     Row({"detector.kind": "pyramid", "detector.threshold": NAN}, "detector threshold nan: must be finite"),
     Row({"detector.kind": "pyramid", "detector.threshold": INF}, "detector threshold inf: must be finite"),
     Row({"scene.n_frames": 1}, "scene n_frames 1: must be >= 2", base="scene"),
+    Row({"scene.width": 0}, "scene width 0: must be >= 1", base="scene"),
+    Row({"scene.height": -80}, "scene height -80: must be >= 1", base="scene"),
+    Row({"scene.width": 0, "scene.trajectories": []}, "scene width 0: must be >= 1", base="scene"),
     Row({"scene.frame_interval_ms": 0}, "scene frame_interval_ms 0.0: must be finite and > 0", base="scene"),
     Row({"scene.frame_interval_ms": -33.33}, "scene frame_interval_ms -33.33: must be finite and > 0", base="scene"),
     Row({"scene.frame_interval_ms": NAN}, "scene frame_interval_ms nan: must be finite", base="example"),

@@ -21,7 +21,6 @@ from longshort.detectors import DelayedGtDetector
 from longshort.fusion import (
     FusionSettings,
     FusionVariant,
-    LsfmConfig,
     count_fusion_flops,
     fuse,
     init_weights,
@@ -66,7 +65,7 @@ def test_criterion_1_channel_plan_golden_suite():
     with criterion(1, "channel plan reproduces all nine published width pairs"):
         start = time.monotonic()
         for d, short, long in golden:
-            cfg = LsfmConfig(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=d, ratio=0.5)
+            cfg = FusionSettings(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=d, ratio=0.5)
             plan = plan_channels(cfg)
             assert (plan.short_out, plan.long_out) == (short, long), f"d={d}"
         assert time.monotonic() - start < 1.0
@@ -83,7 +82,7 @@ def test_criterion_2_fusion_matches_naive_oracle_on_100_configs():
         for variant in FusionVariant:
             for n in range(1, 6):
                 for d, (h, w) in cases:
-                    cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d,
+                    cfg = FusionSettings(variant, n_history=n, delta_t=1, d=d,
                                      ratio=float(rng.choice([0.25, 0.5, 0.75])),
                                      residual=bool(rng.integers(0, 2)))
                     weights = init_weights(cfg, plan_channels(cfg), seed=int(rng.integers(1, 1 << 30)))
@@ -107,10 +106,10 @@ def test_criterion_3_residual_identity_and_ablation():
                 h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
                 current = random_map(rng, d, h, w)
                 history = [random_map(rng, d, h, w) for _ in range(n)]
-                cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=True)
+                cfg = FusionSettings(variant, n_history=n, delta_t=1, d=d, residual=True)
                 out = fuse(cfg, init_weights(cfg, plan_channels(cfg), 0), current, history)
                 assert np.array_equal(out, current)
-                cfg_off = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=False)
+                cfg_off = FusionSettings(variant, n_history=n, delta_t=1, d=d, residual=False)
                 out_off = fuse(cfg_off, init_weights(cfg_off, plan_channels(cfg_off), 0), current, history)
                 assert np.all(out_off== 0.0)
 
@@ -356,11 +355,11 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_flops_estimator_properties():
     with criterion(10, "FLOPs: spatial scaling exact, hand count exact, monotone in history depth"):
-        cfg = LsfmConfig(FusionVariant.EF_AVG, n_history=3, delta_t=1, d=4)
+        cfg = FusionSettings(FusionVariant.EF_AVG, n_history=3, delta_t=1, d=4)
         assert count_fusion_flops(cfg, plan_channels(cfg), 1, 1) == 12
 
         for variant in FusionVariant:
-            cfg = LsfmConfig(variant, n_history=3, delta_t=1, d=48)
+            cfg = FusionSettings(variant, n_history=3, delta_t=1, d=48)
             plan = plan_channels(cfg)
             base = count_fusion_flops(cfg, plan, 2, 3)
             for k in (2, 4, 10):
@@ -372,6 +371,6 @@ def test_criterion_10_flops_estimator_properties():
             for d in (16, 128, 1024):
                 values = []
                 for n in range(1, 9):
-                    cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d)
+                    cfg = FusionSettings(variant, n_history=n, delta_t=1, d=d)
                     values.append(count_fusion_flops(cfg, plan_channels(cfg), 5, 7))
                 assert all(b > a for a, b in zip(values, values[1:])), (variant, d)

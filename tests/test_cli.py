@@ -838,11 +838,14 @@ REPORT = "sAP = 0.5\nsAP50 = 0.75\nsAP75 = 0.5\nsAP_s = \nsAP_m = 0.5\nsAP_l = 0
     ("garbage\n" + REPORT, "{} line 1: 'garbage' is not 'key = value'"),
     (REPORT + "sAP_xl = 1\n", "{} line 8: unknown key 'sAP_xl'"),
     (REPORT + "AP_cat_x = 1\n", "{} line 8: unknown key 'AP_cat_x'"),
+    # a category is a signed whole number: AP_cat_-1 reads back, these do not
+    (REPORT + "AP_cat_--1 = 1\n", "{} line 8: unknown key 'AP_cat_--1'"),
+    (REPORT + "AP_cat_\u00b2 = 1\n", "{} line 8: unknown key 'AP_cat_\u00b2'"),
     # report_to_text leaves only sAP_s, sAP_m and sAP_l empty
     (REPORT.replace("sAP = 0.5", "sAP = "), "{} line 1: sAP '': must be a number"),
     (REPORT.replace("AP_cat_0 = 0.5", "AP_cat_0 = "), "{} line 7: AP_cat_0 '': must be a number"),
-], ids=["missing-key", "not-a-number", "not-key-value", "unknown-key", "unknown-category", "empty-sAP",
-        "empty-category"])
+], ids=["missing-key", "not-a-number", "not-key-value", "unknown-key", "unknown-category", "double-sign-category",
+        "superscript-category", "empty-sAP", "empty-category"])
 def test_export_report_refuses_a_malformed_report_naming_the_file_and_the_line_or_key(text, message, tmp_path, capsys):
     path = tmp_path / "report.txt"
     path.write_text(REPORT)

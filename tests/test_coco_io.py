@@ -225,6 +225,16 @@ def test_ids_and_sizes_must_be_whole_numbers(tmp_path, table, index, key, bad):
         load_coco_annotations(write(tmp_path, data))
 
 
+@pytest.mark.parametrize("key, bad", [("width", 0), ("width", -5), ("height", 0), ("height", -1.0)])
+def test_an_image_size_below_1_is_refused_naming_the_entry_and_key(tmp_path, key, bad):
+    data = json.loads(json.dumps(MINIMAL))
+    data["images"].append({"id": 2, "width": 100, "height": 80})
+    data["images"][1][key] = bad
+    path = write(tmp_path, data)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: images[1].{key} must be >= 1, got {int(bad)}")):
+        load_coco_annotations(path)
+
+
 def test_whole_float_ids_load_as_integers(tmp_path):
     data = json.loads(json.dumps(MINIMAL))
     data["images"][0].update(id=1.0, width=100.0)

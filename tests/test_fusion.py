@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from longshort.fusion import (
     FusionVariant,
     HistoryLengthMismatch,
     InvalidConfig,
-    LsfmConfig,
     count_fusion_flops,
-    default_config,
     fuse,
     fuse_projected,
     init_weights,
@@ -39,7 +38,7 @@ GOLDEN_WIDTHS = [
 
 
 def cfg_for(variant, n=3, d=16, dt=1, ratio=0.5, residual=True):
-    return LsfmConfig(variant, n_history=n, delta_t=dt, d=d, ratio=ratio, residual=residual)
+    return FusionSettings(variant, n_history=n, delta_t=dt, d=d, ratio=ratio, residual=residual)
 
 
 def random_map(rng, d, h, w):
@@ -51,17 +50,17 @@ def random_map(rng, d, h, w):
 
 def test_plan_golden_width_table():
     for _, _, d, short, long in GOLDEN_WIDTHS:
-        plan = plan_channels(default_config(d))
+        plan = plan_channels(FusionSettings(d=d))
         assert (plan.short_out, plan.long_out) == (short, long), f"d={d}"
         assert plan.pre_projection_total == short + 3 * long
         assert plan.needs_output_projection == (plan.pre_projection_total != d)
 
 
 def test_plan_large_and_medium_examples():
-    plan = plan_channels(default_config(1024))
+    plan = plan_channels(FusionSettings(d=1024))
     assert (plan.short_out, plan.long_out, plan.pre_projection_total) == (512, 170, 1022)
     assert plan.needs_output_projection
-    plan = plan_channels(default_config(384))
+    plan = plan_channels(FusionSettings(d=384))
     assert (plan.short_out, plan.long_out, plan.pre_projection_total) == (192, 64, 384)
     assert not plan.needs_output_projection
 
@@ -127,13 +126,13 @@ def test_plan_total_never_exceeds_d_exhaustive():
 
 
 def test_invalid_configs():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match=re.escape("ratio must lie in (0, 1), got 0.0")):
         cfg_for(FusionVariant.LF_DIL, ratio=0.0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match=re.escape("ratio must lie in (0, 1), got 1.0")):
         cfg_for(FusionVariant.LF_DIL, ratio=1.0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="n_history must be >= 1, got 0"):
         cfg_for(FusionVariant.LF_DIL, n=0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="d must be >= 2, got 1"):
         cfg_for(FusionVariant.LF_DIL, d=1)
 
 
@@ -141,7 +140,7 @@ def test_invalid_configs():
 
 
 def test_seed_zero_gives_all_zero_weights():
-    cfg = default_config(64)
+    cfg = FusionSettings(d=64)
     w = init_weights(cfg, plan_channels(cfg), seed=0)
     for proj in (w.short_proj, w.long_proj, w.output_proj):
         assert proj is not None
@@ -149,7 +148,7 @@ def test_seed_zero_gives_all_zero_weights():
 
 
 def test_same_seed_is_bit_identical():
-    cfg = default_config(48)
+    cfg = FusionSettings(d=48)
     plan = plan_channels(cfg)
     w1, w2 = init_weights(cfg, plan, 123), init_weights(cfg, plan, 123)
     assert np.array_equal(w1.short_proj.matrix, w2.short_proj.matrix)
@@ -159,7 +158,7 @@ def test_same_seed_is_bit_identical():
 
 
 def test_weight_shapes_small_model_finest_level():
-    cfg = default_config(128)
+    cfg = FusionSettings(d=128)
     w = init_weights(cfg, plan_channels(cfg), seed=7)
     assert w.short_proj.matrix.shape == (64, 128)
     assert w.long_proj.matrix.shape == (21, 128)

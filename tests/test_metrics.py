@@ -484,6 +484,12 @@ def test_report_text_and_csv_round_trip():
     assert table.splitlines()[0].split(" | ")[0].strip() == "sAP"
 
 
+def test_report_text_round_trips_every_whole_category():
+    # a scene or BlobHead category may be negative; its AP_cat_-1 line reads back
+    report = SapReport(0.5, 0.5, 0.25, None, 1.0, None, per_category={-1: 1.0, 0: 0.5, 7: 0.0})
+    assert report_from_text(report_to_text(report)) == report
+
+
 # ------------------------------------------------------------ README example
 
 

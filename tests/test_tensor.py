@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longshort.fusion import FusionVariant, LsfmConfig, fuse, init_weights, plan_channels
+from longshort.fusion import FusionSettings, FusionVariant, fuse, init_weights, plan_channels
 from longshort.tensor import ChannelMismatch, ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
 from oracles import arr3, naive_add, naive_concat, naive_project, naive_sum
 
@@ -11,7 +11,7 @@ def random_map(rng, c, h, w):
 
 
 def fusion_case(variant, d, seed, residual=False, n=3):
-    cfg = LsfmConfig(variant, n_history=n, delta_t=1, d=d, residual=residual)
+    cfg = FusionSettings(variant, n_history=n, delta_t=1, d=d, residual=residual)
     return cfg, init_weights(cfg, plan_channels(cfg), seed)
 
 
@@ -47,7 +47,7 @@ def test_add_matches_scalar_loop_oracle():
     current = random_map(rng, 12, 2, 4)
     history = [random_map(rng, 12, 2, 4) for _ in range(3)]
     cfg_off, w = fusion_case(FusionVariant.LF_DIL, 12, 15)
-    cfg_on = LsfmConfig(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=12, residual=True)
+    cfg_on = FusionSettings(FusionVariant.LF_DIL, n_history=3, delta_t=1, d=12, residual=True)
     branches = fuse(cfg_off, w, current, history)
     got = fuse(cfg_on, w, current, history)
     assert got.tolist() == naive_add(arr3(branches), arr3(current))
