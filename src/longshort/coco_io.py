@@ -31,10 +31,6 @@ class ParseError(ValueError):
     """Annotation file is malformed; the message carries the context."""
 
 
-class MissingField(ParseError):
-    """A required field is absent."""
-
-
 @dataclass(frozen=True)
 class CocoDataset:
     gts_by_frame: tuple[GroundTruthTable, ...]  # one table per image, in id order
@@ -45,7 +41,7 @@ def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
     """data[key], a list (or [] when optional and absent); its entries are
     checked as objects by the first _column read of them."""
     if required and key not in data:
-        raise MissingField(f"{path}: missing field {key!r}")
+        raise ParseError(f"{path}: missing field {key!r}")
     entries = data.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"{path}: {key} must be a list, got {entries!r}")
@@ -55,8 +51,8 @@ def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
 def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[int]] = None, default=None) -> list:
     """Every object's `key`, or default[j] where objs[j] has none (when a
     default is given).  A ParseError names the first entry that is not an
-    object, then a MissingField the first without the key; rows[j] is the
-    index in the file of objs[j] (default j)."""
+    object, else the first without the key; rows[j] is the index in the
+    file of objs[j] (default j)."""
     try:
         return [obj[key] for obj in objs]
     except (KeyError, TypeError):  # a JSON value other than an object raises TypeError
@@ -68,7 +64,7 @@ def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[in
     if default is not None:
         return [obj.get(key, d) for obj, d in zip(objs, default)]
     j = next(j for j, obj in enumerate(objs) if key not in obj)
-    raise MissingField(f"{path}: missing field {key!r} in {table}[{rows[j]}]")
+    raise ParseError(f"{path}: missing field {key!r} in {table}[{rows[j]}]")
 
 
 def _is_number(value, whole: bool = False) -> bool:

@@ -85,10 +85,12 @@ def _number(value):
 
 def _whole(value) -> int:
     """int(value) of a number, refusing a fractional one instead of
-    truncating it."""
+    truncating it, and one outside the 64-bit range."""
     value = _number(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("must be a whole number")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("must be a 64-bit whole number")
     return int(value)
 
 

@@ -49,11 +49,8 @@ from .tensor import ProjectionWeights, ShapeMismatch, as_feature_map, project_1x
 
 
 class InvalidConfig(ValueError):
-    """Fusion configuration violates its constraints."""
-
-
-class HistoryLengthMismatch(ValueError):
-    """fuse() received a history list whose length differs from n_history."""
+    """The refusal of every config, scene and settings (fusion, stream)
+    rule; the message names the key or the item and the rule."""
 
 
 class FusionVariant(Enum):
@@ -234,9 +231,7 @@ def fuse(
     all-zero map of width d (and the residual still applies).
     """
     if len(history) != cfg.n_history:
-        raise HistoryLengthMismatch(
-            f"expected {cfg.n_history} history maps, got {len(history)}"
-        )
+        raise ShapeMismatch(f"expected {cfg.n_history} history maps, got {len(history)}")
     current = as_feature_map(current)
     history = [as_feature_map(m) for m in history]
     shape = (cfg.d, *current.shape[1:])

@@ -203,7 +203,6 @@ def compute_sap_report(
     small < 32^2, medium in [32^2, 96^2), large >= 96^2.
     """
     no_gts, no_dets = ground_truth_table(()), detection_table(())
-    categories = np.unique(np.concatenate([no_gts.category, *(f.category for f in gts_by_frame)])).tolist()
     dets, gts = [], []
     for p in pairings:
         d = p.paired_record.detections if p.paired_record is not None else no_dets
@@ -215,6 +214,7 @@ def compute_sap_report(
     det_query = np.repeat(np.arange(len(dets)), [len(d) for d in dets])
     gt_query = np.repeat(np.arange(len(gts)), [len(g) for g in gts])
     dets, gts = concat_tables([no_dets, *dets]), concat_tables([no_gts, *gts])
+    categories = np.unique(gts.category).tolist()  # those with pooled ground truth
     thrs = np.array(IOU_THRESHOLDS)
     # table[c][a][t]: category c, area range a (AREA_RANGES order), threshold t
     table = []

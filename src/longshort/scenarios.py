@@ -26,11 +26,6 @@ from .network import Frame
 from .streaming import DEFAULT_FRAME_INTERVAL_MS
 
 
-class DegenerateTrajectory(InvalidConfig):
-    """A trajectory's box is not finite on some frame, or never visible
-    inside the image."""
-
-
 class TrajectoryKind(Enum):
     UNIFORM = "uniform"
     ACCELERATING = "accelerating"
@@ -99,6 +94,9 @@ class SyntheticScene:
     ground_truth: tuple[GroundTruthTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key, size in (("width", self.width), ("height", self.height)):
+            if size < 1:
+                raise InvalidConfig(f"scene {key} {size}: must be >= 1")
         if self.n_frames < 2:
             raise InvalidConfig(f"scene n_frames {self.n_frames}: must be >= 2")
         if not 0 < self.frame_interval_ms < math.inf:
@@ -114,7 +112,7 @@ class SyntheticScene:
             raw = traj.corners(self.n_frames)
             bad = ~np.isfinite(raw).all(axis=1)
             if bad.any():
-                raise DegenerateTrajectory(f"trajectory {i}: its box is not finite at frame {int(np.argmax(bad))}")
+                raise InvalidConfig(f"trajectory {i}: its box is not finite at frame {int(np.argmax(bad))}")
             box = np.where(raw < lo, lo, raw)
             clipped[:, i] = box = np.where(box > hi, hi, box)
             shown[:, i] = (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
@@ -122,7 +120,7 @@ class SyntheticScene:
                 first, last = traj.occlusion_window
                 shown[:, i] &= (k < first) | (k > last)
             if not shown[:, i].any():
-                raise DegenerateTrajectory(f"trajectory {i} never appears inside the image")
+                raise InvalidConfig(f"trajectory {i} never appears inside the image")
         frame, track = np.nonzero(shown)  # frame by frame, each in trajectory order
         boxes = clipped[frame, track]
         area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
@@ -169,7 +167,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     counts are whole), is an InvalidConfig naming the key, and a trajectory
     that breaks its kind's rule is one naming the trajectory; a null takes
     the default."""
-    from .config import _FINITE, _STRIDE, _parsed_section, _whole  # config imports this module
+    from .config import _FINITE, _parsed_section, _whole  # config imports this module
 
     def list_of(n: int, parse: Callable) -> Callable:
         def parse_all(value) -> tuple:
@@ -189,7 +187,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
     }
     scene = _parsed_section(data, "scene", {
-        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _STRIDE, "height": _STRIDE,
+        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
         "trajectories": trajectories,
     }, ("n_frames", "width", "height"))
 

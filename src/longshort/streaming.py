@@ -117,12 +117,14 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
     """Run the event-driven clock and return records sorted by completion.
 
     Under LATEST_FRAME_ON_FREE the worker starts frame k at its arrival
-    k * interval iff it is idle then; under FIFO every frame queues and is
-    processed in order as soon as the worker frees up.
+    k * interval unless the last record completes after it, compared as the
+    float times the records carry: a frame is skipped exactly when
+    pair_for_eval, which compares those floats, sees the worker busy at its
+    arrival.  Under FIFO every frame queues and is processed in order as
+    soon as the worker frees up.
 
-    Event times are kept as exact rationals internally so that boundary
-    ties (e.g. latency equal to a whole number of frame intervals) resolve
-    exactly; record timestamps are the float values of those exact times.
+    Event times accumulate as exact rationals, so that a long stream does
+    not drift; record timestamps are the float values of those exact times.
     """
     interval = Fraction(cfg.frame_interval_ms)
     records: list[PredictionRecord] = []
@@ -130,7 +132,7 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
     for k in range(cfg.horizon_frames):
         arrival = k * interval
         if cfg.dispatch_policy is DispatchPolicy.LATEST_FRAME_ON_FREE:
-            if arrival < free_at:
+            if float(arrival) < float(free_at):
                 continue  # worker busy: frame is skipped, never queued
             start = arrival
         else:

@@ -16,11 +16,8 @@ import numpy as np
 
 
 class ShapeMismatch(ValueError):
-    """Operands do not share the required shape."""
-
-
-class ChannelMismatch(ShapeMismatch):
-    """Projection input width does not match the map's channel count."""
+    """An array has the wrong shape for its use: a map's dimensions or
+    channels, or the length of a fusion history."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,7 @@ def project_1x1(fmap: np.ndarray, w: ProjectionWeights, out: Optional[np.ndarray
     without it."""
     channels, height, width = fmap.shape
     if channels != w.in_channels:
-        raise ChannelMismatch(f"map has {channels} channels, weights expect {w.in_channels}")
+        raise ShapeMismatch(f"map has {channels} channels, weights expect {w.in_channels}")
     shape = (w.out_channels, height, width)
     if out is None:
         out = np.empty(shape)

@@ -348,13 +348,13 @@ def sweep_value(row):
 @pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.id)
 def test_a_refused_config_file_prints_its_message(row, tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, row.config())
-    assert refused_eval(["--config", path.name], tmp_path, monkeypatch, capsys) == f"error: {row.error}: {row.message}\n"
+    assert refused_eval(["--config", path.name], tmp_path, monkeypatch, capsys) == f"error: InvalidConfig: {row.message}\n"
 
 
 @pytest.mark.parametrize("row", [row for row in REFUSALS if flag_args(row)], ids=lambda row: row.id)
 def test_a_refused_flag_prints_its_config_keys_message(row, tmp_path, monkeypatch, capsys):
     argv = ["--config", write_config(tmp_path, BASES[row.base]).name, *flag_args(row)]
-    assert refused_eval(argv, tmp_path, monkeypatch, capsys) == f"error: {row.error}: {row.message}\n"
+    assert refused_eval(argv, tmp_path, monkeypatch, capsys) == f"error: InvalidConfig: {row.message}\n"
 
 
 # each sweep row over its own detector kind, else over delayed-gt and a
@@ -368,7 +368,7 @@ def test_a_refused_sweep_value_fails_its_row_with_its_config_keys_message(row, k
     axis, value = sweep_value(row)
     base = run_config_from_dict(with_keys(BASES[row.base], {"detector.kind": kind}))
     [got] = run_sweep(SweepSpec(axis, base, (value,)))
-    assert (got.report, got.error) == (None, f"{row.error}: {row.message}")
+    assert (got.report, got.error) == (None, f"InvalidConfig: {row.message}")
 
 
 def test_a_file_that_is_not_json_is_refused_naming_it(tmp_path, capsys):

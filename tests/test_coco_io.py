@@ -4,7 +4,6 @@ import re
 import pytest
 
 from longshort.coco_io import (
-    MissingField,
     ParseError,
     load_coco_annotations,
     export_scenario,
@@ -77,7 +76,7 @@ def test_parse_errors_carry_context(tmp_path):
     # every message starts with the file, so a sweep over datasets says
     # which one is at fault
     from_file = re.escape(str(tmp_path / "ann.json")) + ": "
-    with pytest.raises(MissingField, match=f"^{from_file}missing field 'images'"):
+    with pytest.raises(ParseError, match=f"^{from_file}missing field 'images'"):
         load_coco_annotations(write(tmp_path, {"annotations": []}))
     image = {"id": 1, "width": 5, "height": 5}
     good = {"image_id": 1, "category_id": 0, "bbox": [0, 0, 1, 1]}
@@ -89,8 +88,8 @@ def test_parse_errors_carry_context(tmp_path):
             return load_coco_annotations(write(tmp_path, {"images": [image], "annotations": anns}))
 
         for cls, bad, message in [
-            (MissingField, {}, rf"missing field 'image_id' in annotations\[{i}\]"),
-            (MissingField, {"image_id": 1, "category_id": 0}, rf"missing field 'bbox' in annotations\[{i}\]"),
+            (ParseError, {}, rf"missing field 'image_id' in annotations\[{i}\]"),
+            (ParseError, {"image_id": 1, "category_id": 0}, rf"missing field 'bbox' in annotations\[{i}\]"),
             (ParseError, dict(good, image_id=9), rf"annotations\[{i}\]: unknown image_id 9"),
             (ParseError, dict(good, bbox=[0, 0, -4, 1]), rf"annotations\[{i}\]: degenerate box"),
             (ParseError, dict(good, bbox_corners=[0, 2, 1, 1]), rf"annotations\[{i}\]: degenerate box"),

@@ -8,7 +8,6 @@ from longshort.config import run_config_from_dict
 from longshort.fusion import (
     FusionSettings,
     FusionVariant,
-    HistoryLengthMismatch,
     InvalidConfig,
     count_fusion_flops,
     fuse,
@@ -345,7 +344,7 @@ def test_fuse_errors():
     cfg = cfg_for(FusionVariant.LF_DIL, n=2, d=6)
     w = init_weights(cfg, plan_channels(cfg), 0)
     current = np.zeros((6, 2, 2))
-    with pytest.raises(HistoryLengthMismatch):
+    with pytest.raises(ShapeMismatch, match="expected 2 history maps, got 1"):
         fuse(cfg, w, current, [current])
     with pytest.raises(ShapeMismatch):
         fuse(cfg, w, current, [current, np.zeros((6, 3, 2))])

@@ -468,6 +468,13 @@ def test_empty_pairing_counts_as_no_detections():
     assert report.sap == pytest.approx(0.5, abs=1e-2)  # one of two GTs covered
 
 
+def test_a_category_only_in_frames_no_pairing_queries_is_not_scored():
+    gts = [[gt(0, 0, 10, 10, cat=0)], [gt(0, 0, 10, 10, cat=1, frame=1)]]
+    report = compute_sap_report(pairings_from_dets([[det(0, 0, 10, 10, cat=0)]]), tables(gts))
+    assert report.sap == 1.0
+    assert report.per_category == {0: 1.0}
+
+
 # ----------------------------------------------------------- serialization
 
 

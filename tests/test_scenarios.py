@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from longshort.boxes import BBox
+from longshort.fusion import InvalidConfig
 from longshort.scenarios import (
-    DegenerateTrajectory,
     SceneDescriptor,
     SyntheticScene,
     TrajectoryKind,
@@ -71,7 +71,7 @@ def test_clipping_and_degenerate_trajectory():
     assert scenario[0][1][0].bbox.as_tuple() == (190.0, 0.0, 200.0, 10.0)  # clipped
     assert len(scenario[1][1]) == 0  # fully outside
     never_inside = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(500, 0, 510, 10), velocity=(1.0, 0.0))
-    with pytest.raises(DegenerateTrajectory, match="trajectory 0"):
+    with pytest.raises(InvalidConfig, match="trajectory 0 never appears"):
         one_track_scene(never_inside, n_frames=3)
 
 
@@ -168,6 +168,13 @@ def test_scene_needs_two_frames():
         SyntheticScene(1, 33.33, 100, 100, (traj,))
 
 
+@pytest.mark.parametrize("width, height, message", [(0, 8, "scene width 0: must be >= 1"),
+                                                    (8, -3, "scene height -3: must be >= 1")])
+def test_a_scene_built_directly_checks_its_size(width, height, message):
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        SyntheticScene(8, 33.33, width, height, ())
+
+
 def random_scene_dict(rng):
     n_frames = int(rng.integers(2, 30))
     width, height = int(rng.integers(16, 200)), int(rng.integers(16, 200))
@@ -204,7 +211,7 @@ def test_scene_walk_matches_the_frame_by_frame_reference_bit_for_bit():
         data = random_scene_dict(rng)
         try:
             scene = scene_from_dict(data)
-        except DegenerateTrajectory as exc:
+        except InvalidConfig as exc:
             # the reference walk shows no box of the trajectory named, and some of each before it
             named = int(re.match(r"trajectory (\d+) never appears", str(exc))[1])
             for i, traj in enumerate(data["trajectories"][:named + 1]):

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from longshort.boxes import BBox, Detection, detection_table
@@ -101,6 +102,23 @@ def test_per_frame_latency_model():
     # frame 2 runs long (completes 66.66+100); frame 3 is skipped
     assert [r.source_frame_index for r in records] == [0, 1, 2]
     assert records[2].completion_time_ms == 2 * INTERVAL + 100.0
+
+
+def test_a_frame_is_skipped_exactly_when_its_records_show_the_worker_busy():
+    # latencies a decimal multiple of the interval, as a config would give
+    # them, tie its float arrival times where the exact sums may not
+    rng = np.random.default_rng(11)
+    horizon = 40
+    for trial in range(1000):
+        interval = float(rng.choice([33.33, 16.67, 50.0, 41.7, 1000 / 30]))
+        multiples = rng.integers(1, 80, size=horizon if rng.random() < 0.5 else 1) / 10
+        latencies = [round(m * interval, int(rng.integers(1, 5))) for m in multiples]
+        model = ConstantLatency(latencies[0]) if len(latencies) == 1 else PerFrameLatency(tuple(latencies))
+        records = simulate_stream(StreamConfig(horizon, model, interval), null_detector)
+        dispatched = {r.source_frame_index for r in records}
+        for k in range(horizon):
+            busy = any(r.completion_time_ms > k * interval for r in records if r.source_frame_index < k)
+            assert (k not in dispatched) == busy, (trial, k)
 
 
 def test_records_sorted_by_completion_and_deterministic():

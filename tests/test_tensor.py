@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from longshort.fusion import FusionSettings, FusionVariant, fuse, init_weights, plan_channels
-from longshort.tensor import ChannelMismatch, ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
+from longshort.tensor import ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
 from oracles import arr3, naive_add, naive_concat, naive_project, naive_sum
 
 
@@ -121,7 +121,7 @@ def test_project_into_a_row_slice_returns_that_view_bit_equal():
 
 def test_project_channel_mismatch():
     w = ProjectionWeights(2, 3, np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ChannelMismatch):
+    with pytest.raises(ShapeMismatch, match="map has 4 channels, weights expect 3"):
         project_1x1(np.zeros((4, 1, 1)), w)
 
 
