@@ -3,7 +3,7 @@
     longshort eval --config run.json [--seed N] [--latency-ms X] ...
     longshort sweep --config run.json --axis temporal-range [--output t5.csv]
     longshort gen-scene --scene uniform --output annotations.json
-    longshort export-report --report out/report.txt --format table
+    longshort score --config run.json --records runs/run/records.jsonl [--output DIR]
 
 The default output directory comes from $LONGSHORT_OUT_DIR (falling back to
 ./runs) whenever a command writes files and no --output is given.
@@ -28,8 +28,8 @@ from .config import (
 )
 from .coco_io import export_scenario, parse_json
 from .fusion import FusionVariant, InvalidConfig
-from .metrics import report_to_csv, report_to_human_table, report_from_text
-from .runner import run_eval, run_sweep, sweep_to_csv
+from .metrics import report_to_human_table
+from .runner import run_eval, run_score, run_sweep, sweep_to_csv
 from .scenarios import bundled_scene_names, generate_scenario, scene_from_dict
 from .streaming import DispatchPolicy
 
@@ -100,14 +100,11 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _cmd_export_report(args) -> int:
-    report = report_from_text(Path(args.report).read_text(), args.report)
-    text = report_to_csv(report) if args.format == "csv" else report_to_human_table(report)
-    if args.output:
-        Path(args.output).write_text(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
+def _cmd_score(args) -> int:
+    out = Path(args.output) if args.output else _default_out_dir() / f"{Path(args.config).stem}-score"
+    report = run_score(load_run_config(args.config), args.records, out)
+    print(report_to_human_table(report), end="")
+    print(f"report written to {out}")
     return 0
 
 
@@ -144,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--output", help="annotation JSON path")
     p_gen.set_defaults(func=_cmd_gen_scene)
 
-    p_exp = sub.add_parser("export-report", help="re-render a stored report")
-    p_exp.add_argument("--report", required=True, help="report.txt produced by eval")
-    p_exp.add_argument("--format", choices=["csv", "table"], default="table")
-    p_exp.add_argument("--output")
-    p_exp.set_defaults(func=_cmd_export_report)
+    p_score = sub.add_parser("score", help="score a records log on its config's run data")
+    p_score.add_argument("--config", required=True, help="run config JSON of the run")
+    p_score.add_argument("--records", required=True, help="records.jsonl written by eval")
+    p_score.add_argument("--output", help="output directory")
+    p_score.set_defaults(func=_cmd_score)
     return parser
 
 

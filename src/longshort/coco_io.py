@@ -4,31 +4,27 @@ Synthetic scenes export to the schema real datasets ship, so both feed one
 evaluation path.  Ingestion orders images by id into frames: a dataset holds
 one GroundTruthTable per image and the frame interval.  Every entry of
 images, annotations and categories, and info, must be an object; unknown
-fields are ignored.  One rule says what a number is: an int or a float,
-finite, never a string, bool, null, list or object.  Ids and image sizes are
-64-bit whole numbers, and sizes >= 1; a box is a list of 4 numbers whose
-corners are finite after the (x, y, w, h) sum; an error names the file and
-entry.  Exports also carry exact corners ("bbox_corners"), which ingestion
-prefers: scene round-trips are bit-exact.
+fields are ignored.  One rule, boxes.is_number, says what a number is: an
+int or a float, finite, never a string, bool, null, list or object.  Ids
+and image sizes are 64-bit whole numbers, and sizes >= 1; a box is a list
+of 4 numbers whose corners are finite after the (x, y, w, h) sum and do
+not cross; an error names the file and entry.  Exports also carry exact
+corners ("bbox_corners"), which ingestion prefers: scene round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .boxes import BBox, GroundTruthTable
+from .boxes import GroundTruthTable, ParseError, box_corners, column, is_number, whole_numbers
 from .network import Frame
 from .scenarios import SyntheticScene
-
-
-class ParseError(ValueError):
-    """Annotation file is malformed; the message carries the context."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class CocoDataset:
 
 def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
     """data[key], a list (or [] when optional and absent); its entries are
-    checked as objects by the first _column read of them."""
+    checked as objects by the first column read of them."""
     if required and key not in data:
         raise ParseError(f"{path}: missing field {key!r}")
     entries = data.get(key, [])
@@ -48,100 +44,25 @@ def _entries(path: Path, data: dict, key: str, required: bool = True) -> list:
     return entries
 
 
-def _column(path: Path, objs: list, key: str, table: str, rows: Optional[list[int]] = None, default=None) -> list:
-    """Every object's `key`, or default[j] where objs[j] has none (when a
-    default is given).  A ParseError names the first entry that is not an
-    object, else the first without the key; rows[j] is the index in the
-    file of objs[j] (default j)."""
-    try:
-        return [obj[key] for obj in objs]
-    except (KeyError, TypeError):  # a JSON value other than an object raises TypeError
-        pass
-    rows = range(len(objs)) if rows is None else rows
-    j = next((j for j, obj in enumerate(objs) if type(obj) is not dict), None)
-    if j is not None:
-        raise ParseError(f"{path}: {table}[{rows[j]}] must be an object, got {objs[j]!r}")
-    if default is not None:
-        return [obj.get(key, d) for obj, d in zip(objs, default)]
-    j = next(j for j, obj in enumerate(objs) if key not in obj)
-    raise ParseError(f"{path}: missing field {key!r} in {table}[{rows[j]}]")
-
-
-def _is_number(value, whole: bool = False) -> bool:
-    """The one number rule: an int or a float (not a bool), finite as a float,
-    and with `whole` 64-bit and whole.  An int compares exactly, no overflow."""
-    if type(value) is not int and type(value) is not float:
-        return False
-    if whole:
-        return -(2**63) <= value < 2**63 and (type(value) is int or value.is_integer())
-    return -(2**1024 - 2**970) < value < 2**1024 - 2**970  # what rounds to a finite float
-
-
-def _ids(path: Path, objs: list, table: str, key: str, default=None) -> np.ndarray:
-    """Every object's `key` (see _column) as int64; 1.5 is a ParseError, not 1."""
-    values = _column(path, objs, key, table, default=default)
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    j = next((j for j, v in enumerate(values) if not _is_number(v, whole=True)), None)
-    if j is not None:
-        raise ParseError(f"{path}: {table}[{j}].{key} must be a 64-bit whole number, got {values[j]!r}")
-    return np.array([int(v) for v in values], dtype=np.int64)
-
-
-def _is_box(box, xywh: bool) -> bool:
-    """A list of 4 numbers whose corners are finite, summed when xywh."""
-    if type(box) is not list or len(box) != 4 or not all(map(_is_number, box)):
-        return False
-    return not xywh or _is_number(float(box[0]) + box[2]) and _is_number(float(box[1]) + box[3])
-
-
-def _boxes(path: Path, corners: list, xywh: list[int]) -> np.ndarray:
-    """`corners` as (n, 4) corners, rows `xywh` summed; else a ParseError."""
-    lists = set(map(type, corners)) <= {list} and set(map(len, corners)) <= {4}
-    if lists and set(map(type, chain.from_iterable(corners))) <= {int, float}:
-        try:
-            boxes = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
-        except OverflowError:  # an int beyond the float range
-            pass
-        else:
-            with np.errstate(all="ignore"):  # no warning leaks: inf and NaN are refused below
-                boxes[xywh, 2:] += boxes[xywh, :2]  # (x, y, w, h) -> corners
-            if np.isfinite(boxes).all():
-                return boxes
-    summed = set(xywh)
-    i = next(i for i, box in enumerate(corners) if not _is_box(box, i in summed))
-    raise ParseError(f"{path}: annotations[{i}]: a box takes 4 finite numbers, got {corners[i]!r}")
-
-
 def _ground_truth(path: Path, anns: list, known: np.ndarray) -> tuple[GroundTruthTable, ...]:
     """One ground-truth table per image id of `known` (sorted), each in
     annotation order, filled column by column."""
-    ids = _ids(path, anns, "annotations", "image_id")
-    category = _ids(path, anns, "annotations", "category_id")
+    ids = whole_numbers(path, anns, "annotations", "image_id")
+    category = whole_numbers(path, anns, "annotations", "category_id")
     corners = [ann.get("bbox_corners") for ann in anns]
     xywh = [i for i, c in enumerate(corners) if c is None] if None in corners else []
-    for i, box in zip(xywh, _column(path, [anns[i] for i in xywh], "bbox", "annotations", xywh)):
+    for i, box in zip(xywh, column(path, [anns[i] for i in xywh], "bbox", "annotations", xywh)):
         corners[i] = box
-    boxes = _boxes(path, corners, xywh)
+    boxes = box_corners(path, corners, "annotations[{}]", xywh)
     # an annotation without a track_id is its own track, keyed by its id
     # (by its index without one)
-    ann_id = _ids(path, anns, "annotations", "id", default=range(len(anns)))
-    track_id = _ids(path, anns, "annotations", "track_id", default=ann_id.tolist())
+    ann_id = whole_numbers(path, anns, "annotations", "id", default=range(len(anns)))
+    track_id = whole_numbers(path, anns, "annotations", "track_id", default=ann_id.tolist())
 
     unknown = ~np.isin(ids, known)
     if unknown.any():
         i = int(np.argmax(unknown))
         raise ParseError(f"{path}: annotations[{i}]: unknown image_id {ids[i]}")
-    degenerate = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        try:
-            BBox(*boxes[i].tolist())
-        except ValueError as exc:
-            raise ParseError(f"{path}: annotations[{i}]: {exc}") from None
 
     frame = np.searchsorted(known, ids)
     order = np.argsort(frame, kind="stable")
@@ -171,7 +92,7 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
     anns = _entries(path, data, "annotations")
     categories = _entries(path, data, "categories", required=False)
 
-    image_ids, *sizes = (_ids(path, images, "images", key) for key in ("id", "width", "height"))
+    image_ids, *sizes = (whole_numbers(path, images, "images", key) for key in ("id", "width", "height"))
     for key, size in zip(("width", "height"), sizes):
         if (size < 1).any():
             i = int(np.argmax(size < 1))
@@ -181,13 +102,13 @@ def load_coco_annotations(path: Union[str, Path]) -> CocoDataset:
         raise ParseError(f"{path}: duplicate image ids")
 
     gts = _ground_truth(path, anns, known)
-    _ids(path, categories, "categories", "id")
+    whole_numbers(path, categories, "categories", "id")
 
     info = data.get("info", {})
     if type(info) is not dict:
         raise ParseError(f"{path}: info must be an object, got {info!r}")
     interval = info.get("frame_interval_ms")
-    if interval is not None and not (_is_number(interval) and interval > 0):
+    if interval is not None and not (is_number(interval) and interval > 0):
         raise ParseError(f"{path}: info.frame_interval_ms must be a finite number > 0, got {interval!r}")
     return CocoDataset(gts, interval)
 

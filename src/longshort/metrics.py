@@ -22,7 +22,6 @@ thresholds, detections) block.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -183,7 +182,6 @@ class SapReport:
 
 
 REPORT_COLUMNS = ("sAP", "sAP50", "sAP75", "sAP_s", "sAP_m", "sAP_l")
-_CATEGORY_KEY = re.compile(r"AP_cat_(-?[0-9]+)")  # a per-category line; a category is any whole number
 
 
 def _report_values(report: SapReport) -> tuple[Optional[float], ...]:
@@ -248,51 +246,9 @@ def compute_sap_report(
 
 def report_to_text(report: SapReport) -> str:
     """Flat key-value block, one metric per line."""
-    lines = []
-    for name, value in zip(REPORT_COLUMNS, _report_values(report)):
-        lines.append(f"{name} = {'' if value is None else repr(value)}")
-    for cat in sorted(report.per_category):
-        lines.append(f"AP_cat_{cat} = {report.per_category[cat]!r}")
+    lines = [f"{name} = {'' if v is None else repr(v)}" for name, v in zip(REPORT_COLUMNS, _report_values(report))]
+    lines += [f"AP_cat_{cat} = {report.per_category[cat]!r}" for cat in sorted(report.per_category)]
     return "\n".join(lines) + "\n"
-
-
-def report_from_text(text: str, source: str = "report") -> SapReport:
-    """The report that report_to_text wrote.  A line that is not "key =
-    value", an unknown key, a value that is not a number (an empty one but
-    for sAP_s, sAP_m or sAP_l, which report_to_text leaves empty for None),
-    or a missing sAP, sAP50 or sAP75 is a ValueError naming `source` and the
-    line or key."""
-    fields: dict[str, Optional[float]] = {}
-    per_category: dict[int, float] = {}
-    for n, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        key, sep, raw = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"{source} line {n}: {line!r} is not 'key = value'")
-        category = _CATEGORY_KEY.fullmatch(key)
-        if key not in REPORT_COLUMNS and category is None:
-            raise ValueError(f"{source} line {n}: unknown key {key!r}")
-        try:
-            value = None if key in REPORT_COLUMNS[3:] and not raw.strip() else float(raw)
-        except ValueError:
-            raise ValueError(f"{source} line {n}: {key} {raw!r}: must be a number") from None
-        if category is not None:
-            per_category[int(category[1])] = value
-        else:
-            fields[key] = value
-    for key in REPORT_COLUMNS[:3]:
-        if key not in fields:
-            raise ValueError(f"{source}: missing key {key!r}")
-    return SapReport(
-        sap=fields["sAP"],
-        sap50=fields["sAP50"],
-        sap75=fields["sAP75"],
-        sap_small=fields.get("sAP_s"),
-        sap_medium=fields.get("sAP_m"),
-        sap_large=fields.get("sAP_l"),
-        per_category=per_category,
-    )
 
 
 def report_to_csv_row(report: SapReport) -> str:
@@ -307,7 +263,5 @@ def report_to_csv(report: SapReport) -> str:
 def report_to_human_table(report: SapReport) -> str:
     """Percent rendering (x100, one decimal), the way result tables print."""
     header = " | ".join(f"{c:>6}" for c in REPORT_COLUMNS)
-    cells = " | ".join(
-        f"{'-':>6}" if v is None else f"{100.0 * v:>6.1f}" for v in _report_values(report)
-    )
+    cells = " | ".join(f"{'-':>6}" if v is None else f"{100.0 * v:>6.1f}" for v in _report_values(report))
     return header + "\n" + cells + "\n"

@@ -1,10 +1,11 @@
 """End-to-end runs: data -> streaming simulation -> pairing -> report.
 
-run_eval executes one configuration; run_sweep executes one configuration
-per value along an ablation axis and renders a CSV table with one row per
-configuration, continuing past per-run failures.  Of a fusion-variant pair
-X / X* (the same variant with and without its residual), both rows are
-scored on one run of X*'s network, whose head also gives X's table.
+run_eval executes one configuration; run_score scores the records log of
+one; run_sweep executes one configuration per value along an ablation axis
+and renders a CSV table with one row per configuration, continuing past
+per-run failures.  Of a fusion-variant pair X / X* (the same variant with
+and without its residual), both rows are scored on one run of X*'s
+network, whose head also gives X's table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .boxes import DetectionTable, GroundTruthTable
 from .coco_io import load_coco_annotations
@@ -37,7 +38,9 @@ from .metrics import (
 )
 from .network import MODEL_CHANNELS, BlobHead, BoxFilterExtractor, DualPathNetwork, FeaturePyramid, Frame
 from .scenarios import generate_scenario
-from .streaming import DEFAULT_FRAME_INTERVAL_MS, PredictionRecord, StreamConfig, pair_for_eval, simulate_stream, write_records
+from .streaming import (
+    DEFAULT_FRAME_INTERVAL_MS, PredictionRecord, StreamConfig, pair_for_eval, read_records, simulate_stream, write_records,
+)
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,29 @@ def run_eval(cfg: RunConfig) -> SapReport:
     report and records under cfg.output when it is set."""
     report, records = _evaluate(cfg, build_run_data(cfg))
     if cfg.output is not None:
-        out = Path(cfg.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report_to_text(report))
-        (out / "report.csv").write_text(report_to_csv(report))
-        (out / "report_table.txt").write_text(report_to_human_table(report))
-        with (out / "records.jsonl").open("w") as fp:
+        with (_write_report(report, cfg.output) / "records.jsonl").open("w") as fp:
             write_records(records, fp)
     return report
+
+
+def run_score(cfg: RunConfig, records_path: Union[str, Path], output: Union[str, Path]) -> SapReport:
+    """Score the records log at records_path, which read_records checks, on
+    cfg's run data, writing the report files under output."""
+    data = build_run_data(cfg)
+    with Path(records_path).open() as fp:
+        report = _report(cfg, data, read_records(fp, records_path, data.stream.horizon_frames))
+    _write_report(report, output)
+    return report
+
+
+def _write_report(report: SapReport, output: Union[str, Path]) -> Path:
+    """Write report.txt, report.csv and report_table.txt under output."""
+    out = Path(output)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(report_to_text(report))
+    (out / "report.csv").write_text(report_to_csv(report))
+    (out / "report_table.txt").write_text(report_to_human_table(report))
+    return out
 
 
 def _evaluate(cfg: RunConfig, data: RunData) -> tuple[SapReport, list[PredictionRecord]]:

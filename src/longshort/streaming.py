@@ -7,7 +7,8 @@ busy is skipped outright, so work starts only at arrival instants.  A
 detector maps a frame index to a DetectionTable.  Each completed inference
 becomes a timestamped record, and evaluation pairs every annotated frame
 with the latest record completed by that frame's arrival time (ties count
-as available).
+as available).  A run's records log holds one JSON line per record, and
+read_records is the one checked boundary of such a file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from .boxes import BBox, Detection, DetectionTable, detection_table
+import numpy as np
+
+from .boxes import DetectionTable, ParseError, box_corners, column, is_number, whole_numbers
 from .fusion import InvalidConfig
 from .network import Frame
 
@@ -95,7 +98,9 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One completed inference and its detections."""
+    """One completed inference and its detections.  Its times are finite
+    numbers, the completion no earlier than the issue (a ValueError names
+    them by their records log keys)."""
 
     source_frame_index: int
     issue_time_ms: float
@@ -103,8 +108,12 @@ class PredictionRecord:
     detections: DetectionTable
 
     def __post_init__(self):
-        if self.completion_time_ms < self.issue_time_ms:
-            raise ValueError("completion before issue")
+        issue, completion = self.issue_time_ms, self.completion_time_ms
+        for key, t in (("issue_ms", issue), ("completion_ms", completion)):
+            if not is_number(t):
+                raise ValueError(f"{key} must be a finite number, got {t!r}")
+        if completion < issue:
+            raise ValueError(f"completion_ms {completion!r} is before issue_ms {issue!r}")
 
 
 @dataclass(frozen=True)
@@ -138,14 +147,7 @@ def simulate_stream(cfg: StreamConfig, detector: Detector) -> list[PredictionRec
         else:
             start = max(arrival, free_at)
         completion = start + Fraction(cfg.latency_model.latency_for(k))
-        records.append(
-            PredictionRecord(
-                source_frame_index=k,
-                issue_time_ms=float(start),
-                completion_time_ms=float(completion),
-                detections=detector(k),
-            )
-        )
+        records.append(PredictionRecord(k, float(start), float(completion), detector(k)))
         free_at = completion
     return records
 
@@ -164,36 +166,58 @@ def pair_for_eval(records: Sequence[PredictionRecord], frames: Iterable[Frame]) 
 
 
 def write_records(records: Sequence[PredictionRecord], fp: TextIO) -> None:
-    """Line-delimited export for external replay: one JSON object per record."""
+    """The records log: one JSON object per record, in completion order."""
     for r in records:
-        fp.write(json.dumps(_record_to_json(r)) + "\n")
+        d = r.detections
+        fp.write(json.dumps({
+            "source_frame": r.source_frame_index,
+            "issue_ms": r.issue_time_ms,
+            "completion_ms": r.completion_time_ms,
+            "detections": [
+                {"bbox": box, "category": category, "score": score}
+                for box, category, score in zip(d.boxes.tolist(), d.category.tolist(), d.score.tolist())
+            ],
+        }) + "\n")
 
 
-def read_records(fp: TextIO) -> list[PredictionRecord]:
-    """Records from write_records' format; each detection is checked as a
-    Detection on the way in."""
-    return [_record_from_json(json.loads(line)) for line in fp if line.strip()]
-
-
-def _record_to_json(r: PredictionRecord) -> dict:
-    d = r.detections
-    return {
-        "source_frame": r.source_frame_index,
-        "issue_ms": r.issue_time_ms,
-        "completion_ms": r.completion_time_ms,
-        "detections": [
-            {"bbox": box, "category": category, "score": score}
-            for box, category, score in zip(d.boxes.tolist(), d.category.tolist(), d.score.tolist())
-        ],
-    }
-
-
-def _record_from_json(data: dict) -> PredictionRecord:
-    return PredictionRecord(
-        source_frame_index=data["source_frame"],
-        issue_time_ms=data["issue_ms"],
-        completion_time_ms=data["completion_ms"],
-        detections=detection_table(
-            Detection(bbox=BBox(*d["bbox"]), category=d["category"], score=d["score"]) for d in data["detections"]
-        ),
-    )
+def read_records(fp: TextIO, source, horizon_frames: int) -> list[PredictionRecord]:
+    """The records of a records log, one JSON object per line (blank lines
+    are skipped), each line's detections read column by column: a
+    source_frame in [0, horizon_frames), times as PredictionRecord takes
+    them, completions in line order, each bbox 4 numbers with finite,
+    uncrossed corners, category a 64-bit whole number, score in [0, 1].  A
+    refusal is a ParseError naming `source`, the line and the key."""
+    records: list[PredictionRecord] = []
+    for n, line in enumerate(fp, 1):
+        if not line.strip():
+            continue
+        where = f"{source} line {n}"
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        if type(data) is not dict:
+            raise ParseError(f"{where}: a record must be an object, got {data!r}")
+        for key in ("source_frame", "issue_ms", "completion_ms", "detections"):
+            if key not in data:
+                raise ParseError(f"{where}: missing field {key!r}")
+        frame, dets = data["source_frame"], data["detections"]
+        if not (is_number(frame, whole=True) and 0 <= frame < horizon_frames):
+            raise ParseError(f"{where}: source_frame must be a whole number in [0, {horizon_frames}), got {frame!r}")
+        if type(dets) is not list:
+            raise ParseError(f"{where}: detections must be a list, got {dets!r}")
+        boxes = box_corners(where, column(where, dets, "bbox", "detections"), "detections[{}].bbox")
+        category = whole_numbers(where, dets, "detections", "category")
+        score = column(where, dets, "score", "detections")
+        j = next((j for j, s in enumerate(score) if not (is_number(s) and 0 <= s <= 1)), None)
+        if j is not None:
+            raise ParseError(f"{where}: detections[{j}].score must be a number in [0, 1], got {score[j]!r}")
+        table = DetectionTable(boxes, category, np.array(score, dtype=np.float64))
+        try:
+            record = PredictionRecord(int(frame), data["issue_ms"], data["completion_ms"], table)
+        except ValueError as exc:  # its time rule
+            raise ParseError(f"{where}: {exc}") from None
+        if records and (last := records[-1].completion_time_ms) > record.completion_time_ms:
+            raise ParseError(f"{where}: completion_ms {record.completion_time_ms!r} is before the line before's {last!r}")
+        records.append(record)
+    return records

@@ -42,7 +42,7 @@ def without_keys(data, keys: dict):
     """A copy of the config `data` without the key paths of `keys`."""
     data = copy.deepcopy(data)
     for path in keys:
-        *parents, last = path.split(".")
+        *parents, last = [int(part) if part.isdigit() else part for part in path.split(".")]
         node = data
         for key in parents:
             node = node[key]

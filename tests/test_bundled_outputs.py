@@ -88,6 +88,16 @@ def test_bundled_config_outputs_match_their_digests(name, tmp_path, capsys):
     assert {f: sha256(tmp_path / f) for f in EVAL_DIGESTS[name]} == EVAL_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(EVAL_DIGESTS))
+def test_score_of_a_bundled_configs_records_gives_its_report_files(name, tmp_path, capsys):
+    config = str(CONFIGS / f"{name}.json")
+    assert main(["eval", "--config", config, "--output", str(tmp_path / "eval")]) == 0
+    records = str(tmp_path / "eval" / "records.jsonl")
+    assert main(["score", "--config", config, "--records", records, "--output", str(tmp_path / "score")]) == 0
+    scored = {f: sha256(tmp_path / "score" / f) for f in ("report.txt", "report.csv", "report_table.txt")}
+    assert scored == {f: EVAL_DIGESTS[name][f] for f in scored}
+
+
 @pytest.mark.parametrize("name, axis", sorted(SWEEP_DIGESTS))
 def test_readme_sweep_csvs_match_their_digests(name, axis, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

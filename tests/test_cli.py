@@ -22,6 +22,7 @@ from longshort.network import BoxFilterExtractor
 from longshort.runner import SweepRow, build_run_data, run_eval, run_sweep, sweep_to_csv
 from longshort.streaming import ConstantLatency, PerFrameLatency, write_records
 from oracles import load_benchmark_workloads
+from record_refusals import CONFIG as RECORD_CONFIG, RECORD_ROWS, line, log
 from refusals import BASES, INF, NAN, ROWS, rows, with_keys
 
 
@@ -813,56 +814,59 @@ def test_cli_sweep_deterministic_csv(tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_gen_scene_and_export_report(tmp_path):
+REPORT_FILES = ("report.txt", "report.csv", "report_table.txt")
+
+
+def test_cli_gen_scene_eval_and_score(tmp_path):
     ann = tmp_path / "scene.json"
     assert main(["gen-scene", "--scene", "mixed", "--output", str(ann)]) == 0
     data = json.loads(ann.read_text())
     assert {img["id"] for img in data["images"]} == set(range(18))
 
-    cfg_path = write_config(tmp_path, base_config_dict(output=str(tmp_path / "out")))
+    cfg_path = write_config(tmp_path, {"dataset": str(ann), "stream": {"latency_ms": 40.0}, "detector": {"kind": "hold"}})
+    assert main(["eval", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    records = tmp_path / "out" / "records.jsonl"
+    assert main(["score", "--config", str(cfg_path), "--records", str(records), "--output", str(tmp_path / "s")]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
+def test_score_writes_next_to_evals_default_output_not_over_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LONGSHORT_OUT_DIR", str(tmp_path / "runs"))
+    cfg_path = write_config(tmp_path, base_config_dict(stream={"latency_ms": 50.0}))
     assert main(["eval", "--config", str(cfg_path)]) == 0
-    csv_out = tmp_path / "report_again.csv"
-    assert main([
-        "export-report", "--report", str(tmp_path / "out" / "report.txt"),
-        "--format", "csv", "--output", str(csv_out),
-    ]) == 0
-    assert csv_out.read_text() == (tmp_path / "out" / "report.csv").read_text()
+    evaluated = capsys.readouterr().out
+    records = tmp_path / "runs" / "run" / "records.jsonl"
+    before = {name: (tmp_path / "runs" / "run" / name).stat().st_mtime_ns for name in REPORT_FILES}
+    assert main(["score", "--config", str(cfg_path), "--records", str(records)]) == 0
+    out = tmp_path / "runs" / "run-score"
+    assert capsys.readouterr().out == evaluated.replace(str(tmp_path / "runs" / "run"), str(out))
+    assert {name: (tmp_path / "runs" / "run" / name).stat().st_mtime_ns for name in REPORT_FILES} == before
+    for name in REPORT_FILES:
+        assert (out / name).read_bytes() == (tmp_path / "runs" / "run" / name).read_bytes(), name
 
 
-REPORT = "sAP = 0.5\nsAP50 = 0.75\nsAP75 = 0.5\nsAP_s = \nsAP_m = 0.5\nsAP_l = 0.25\nAP_cat_0 = 0.5\n"
+def test_score_reads_back_a_negative_category(tmp_path):
+    # a scene or BlobHead category may be negative; its AP_cat_-1 line is scored again
+    cfg_path = write_config(tmp_path, with_keys(BASES["scene"], {"scene.trajectories.0.category": -1}))
+    assert main(["eval", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_bytes()
+    assert b"AP_cat_-1 = " in report
+    records = tmp_path / "out" / "records.jsonl"
+    assert main(["score", "--config", str(cfg_path), "--records", str(records), "--output", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "report.txt").read_bytes() == report
 
 
-@pytest.mark.parametrize("text, message", [
-    (REPORT.replace("sAP50 = 0.75\n", ""), "{}: missing key 'sAP50'"),
-    (REPORT.replace("sAP = 0.5", "sAP = x"), "{} line 1: sAP 'x': must be a number"),
-    ("garbage\n" + REPORT, "{} line 1: 'garbage' is not 'key = value'"),
-    (REPORT + "sAP_xl = 1\n", "{} line 8: unknown key 'sAP_xl'"),
-    (REPORT + "AP_cat_x = 1\n", "{} line 8: unknown key 'AP_cat_x'"),
-    # a category is a signed whole number: AP_cat_-1 reads back, these do not
-    (REPORT + "AP_cat_--1 = 1\n", "{} line 8: unknown key 'AP_cat_--1'"),
-    (REPORT + "AP_cat_\u00b2 = 1\n", "{} line 8: unknown key 'AP_cat_\u00b2'"),
-    # report_to_text leaves only sAP_s, sAP_m and sAP_l empty
-    (REPORT.replace("sAP = 0.5", "sAP = "), "{} line 1: sAP '': must be a number"),
-    (REPORT.replace("AP_cat_0 = 0.5", "AP_cat_0 = "), "{} line 7: AP_cat_0 '': must be a number"),
-], ids=["missing-key", "not-a-number", "not-key-value", "unknown-key", "unknown-category", "double-sign-category",
-        "superscript-category", "empty-sAP", "empty-category"])
-def test_export_report_refuses_a_malformed_report_naming_the_file_and_the_line_or_key(text, message, tmp_path, capsys):
-    path = tmp_path / "report.txt"
-    path.write_text(REPORT)
-    assert main(["export-report", "--report", str(path), "--format", "csv"]) == 0
-    path.write_text(text)
-    assert main(["export-report", "--report", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: ValueError: {message.format(path)}\n"
-
-
-def test_export_report_skips_blank_lines(tmp_path, capsys):
-    path = tmp_path / "report.txt"
-    path.write_text(REPORT)
-    assert main(["export-report", "--report", str(path), "--format", "csv"]) == 0
-    want = capsys.readouterr().out
-    path.write_text("\n" + REPORT.replace("\n", "\n  \n"))
-    assert main(["export-report", "--report", str(path), "--format", "csv"]) == 0
-    assert capsys.readouterr().out == want
+@pytest.mark.parametrize("row", RECORD_ROWS, ids=lambda row: row.id)
+def test_score_refuses_a_bad_records_line_naming_the_file_the_line_and_the_key(row, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, RECORD_CONFIG)
+    path = tmp_path / "records.jsonl"
+    path.write_text(log(line()))
+    assert main(["score", "--config", str(cfg_path), "--records", str(path), "--output", str(tmp_path / "good")]) == 0
+    path.write_text(log(row.line))
+    assert main(["score", "--config", str(cfg_path), "--records", str(path), "--output", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"error: ParseError: {path} line 2: {row.message}\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_gen_scene_reads_a_scene_file(tmp_path):

@@ -16,7 +16,8 @@ load with the row's message.  A copy with the keys of a row tagged "null"
 (the seed, the stream, fusion or detector section or the detector's kind
 null) loads as the copy without them.  A completed run keeps the
 north-star invariants: sAP in [0, 1], records ordered by
-completion time, and a perfect zero-latency detector scoring 1.0.  The
+completion time, and a perfect zero-latency detector scoring 1.0; and
+scoring its records log again gives its report files byte for byte.  The
 forecasters (hold, const-velocity, long-short) of every accepted config give
 the per-track reference's detections on every frame.
 
@@ -48,7 +49,7 @@ import pytest
 from longshort.coco_io import export_scenario
 from longshort.config import DETECTOR_KINDS, FORECASTER_HISTORY, run_config_from_dict
 from longshort.fusion import FusionVariant, InvalidConfig
-from longshort.runner import build_run_data, make_detector, run_eval
+from longshort.runner import build_run_data, make_detector, run_eval, run_score
 from longshort.scenarios import TrajectoryKind, generate_scenario
 from longshort.streaming import DispatchPolicy
 from oracles import reference_forecast_detect
@@ -245,8 +246,9 @@ def as_dataset(rng, cfg, data: dict, path) -> tuple[str, dict]:
 
 def run_with_invariants(cfg, data: dict, out) -> tuple:
     """run_eval with outputs in `out`; checks the forecasters against the
-    per-track reference, sAP in [0, 1], records ordered by completion time
-    and a perfect zero-latency detector scoring 1.0.  Returns the report and
+    per-track reference, that run_score on the records gives the same
+    report files, sAP in [0, 1], records ordered by completion time and a
+    perfect zero-latency detector scoring 1.0.  Returns the report and
     whether the perfect-detector check ran."""
     run_data = build_run_data(cfg)
     if cfg.detector_kind in FORECASTER_HISTORY:
@@ -255,6 +257,9 @@ def run_with_invariants(cfg, data: dict, out) -> tuple:
         assert [list(det(k)) for k in range(len(want))] == want, data
     cfg = replace(cfg, output=str(out))
     report = run_eval(cfg)  # must not raise: the config was accepted
+    assert run_score(cfg, out / "records.jsonl", out / "score") == report, data
+    for name in ("report.txt", "report.csv", "report_table.txt"):
+        assert (out / "score" / name).read_bytes() == (out / name).read_bytes(), (name, data)
     assert 0.0 <= report.sap <= 1.0, data
     records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
     times = [r["completion_ms"] for r in records]

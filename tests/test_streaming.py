@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, Detection, detection_table
+from longshort.boxes import BBox, Detection, ParseError, detection_table
 from longshort.fusion import InvalidConfig
 from longshort.network import Frame
 from longshort.streaming import (
@@ -19,6 +19,7 @@ from longshort.streaming import (
     write_records,
 )
 from oracles import brute_force_pairings
+from record_refusals import GOOD, RECORD_ROWS, line, log
 
 INTERVAL = 33.33
 
@@ -241,7 +242,40 @@ def test_record_log_round_trip():
     lines = buf.getvalue().splitlines()
     assert len(lines) == len(records)
     buf.seek(0)
-    assert read_records(buf) == records
+    assert read_records(buf, "records.jsonl", 6) == records
+
+
+def test_a_good_records_log_reads_back_with_blank_lines_skipped():
+    [first, second] = read_records(io.StringIO("\n" + log(line()) + "  \n"), "log.jsonl", 8)
+    assert (second.source_frame_index, second.issue_time_ms, second.completion_time_ms) == (1, 33.33, 53.33)
+    assert list(second.detections) == [Detection(BBox(*GOOD["detections"][0]["bbox"]), 1, 0.9)]
+    assert first.detections == detection_table(())
+
+
+@pytest.mark.parametrize("row", RECORD_ROWS, ids=lambda row: row.id)
+def test_a_refused_records_line_names_the_file_the_line_and_the_key(row):
+    with pytest.raises(ParseError) as exc:
+        read_records(io.StringIO(log(row.line)), "log.jsonl", 8)
+    assert str(exc.value) == f"log.jsonl line 2: {row.message}"
+
+
+@pytest.mark.parametrize("issue, completion, message", [
+    (math.nan, math.nan, "issue_ms must be a finite number, got nan"),
+    (0.0, math.inf, "completion_ms must be a finite number, got inf"),
+    (-math.inf, 0.0, "issue_ms must be a finite number, got -inf"),
+    (True, 1.0, "issue_ms must be a finite number, got True"),
+    (0.0, "1", "completion_ms must be a finite number, got '1'"),
+    (10.0, 5.0, "completion_ms 5.0 is before issue_ms 10.0"),
+])
+def test_a_record_built_directly_refuses_a_time_that_breaks_the_time_rule(issue, completion, message):
+    with pytest.raises(ValueError) as exc:
+        PredictionRecord(0, issue, completion, detection_table(()))
+    assert str(exc.value) == message
+
+
+def test_a_record_takes_int_float_and_numpy_float_times():
+    for issue, completion in ((0, 1), (0.0, 0.0), (np.float64(1.5), np.float64(2.5))):
+        assert PredictionRecord(0, issue, completion, detection_table(())).completion_time_ms == completion
 
 
 def test_stream_config_validation():
@@ -261,5 +295,3 @@ def test_stream_config_validation():
         StreamConfig(horizon_frames=3, latency_model=PerFrameLatency((1.0, 2.0)))
     with pytest.raises(InvalidConfig, match=r"frame_interval_ms 1e\+308: 3 frames with latencies up to 0.0 ms overflow"):
         StreamConfig(horizon_frames=3, frame_interval_ms=1e308)
-    with pytest.raises(ValueError):
-        PredictionRecord(0, 10.0, 5.0, detection_table(()))
