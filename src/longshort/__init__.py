@@ -7,7 +7,7 @@ fixed-rate latency simulator, a streaming-AP evaluator, synthetic motion
 scenes, and an ablation sweep CLI.
 """
 
-from .boxes import BBox, Detection, DetectionTable, GroundTruthBox, GroundTruthTable
+from .boxes import DetectionTable, GroundTruthTable
 from .fusion import (
     ChannelPlan,
     FusionSettings,
@@ -50,12 +50,10 @@ from .tensor import ProjectionWeights, project_1x1
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox",
     "BlobHead",
     "BoxFilterExtractor",
     "ChannelPlan",
     "ConstantLatency",
-    "Detection",
     "DetectionTable",
     "DispatchPolicy",
     "DualPathNetwork",
@@ -64,7 +62,6 @@ __all__ = [
     "Frame",
     "FusionSettings",
     "FusionVariant",
-    "GroundTruthBox",
     "GroundTruthTable",
     "LsfmWeights",
     "MODEL_CHANNELS",

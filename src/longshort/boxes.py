@@ -1,93 +1,43 @@
-"""Axis-aligned box types shared by the scenario generator, the detectors,
-and the evaluator.
+"""The column tables that boxes take inside the program, and the readers of
+boxes in data files.
 
-Inside the program, boxes exist only as column tables (GroundTruthTable,
-DetectionTable): one (n, 4) float64 corner array and one array per
-attribute, the layout COCO's evaluator keeps per image.  BBox,
-GroundTruthBox and Detection are the boundary types, for data entering or
-leaving, and each checks its box as it is built: ground_truth_table and
-detection_table build a table from them, and indexing or iterating a table
-builds them on demand.  Data files (COCO annotations, records logs) are read
-column by column under one number rule, is_number; a ParseError names the
-file and the entry.
+GroundTruthTable and DetectionTable hold one (n, 4) float64 corner array
+and one array per attribute, the layout COCO's evaluator keeps per image.
+Data files (COCO annotations, records logs) are read column by column under
+one number rule, is_number; a ParseError names the file and the entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Pixel-space corner box, x_min <= x_max and y_min <= y_max."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"degenerate box: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
-
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """Annotated box: category, track identity, and the frame it belongs to."""
-
-    bbox: BBox
-    category: int
-    track_id: int
-    frame_index: int
-    area: float = field(default=-1.0)
-
-    def __post_init__(self):
-        if self.area < 0:
-            object.__setattr__(self, "area", self.bbox.area)
-
-
-@dataclass(frozen=True)
-class Detection:
-    """Detector output: box, class id, confidence in [0, 1]."""
-
-    bbox: BBox
-    category: int
-    score: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-
 class _Table:
-    """Equal-length columns, one row per box; the rows of a table are
-    compared, indexed and iterated as its boundary type.  An instance holds
-    nothing but its columns, so vars() lists them in field order."""
+    """Equal-length columns, one row per box, the (n, 4) corners first and
+    then one (n,) column per attribute, of the dtypes in DTYPES.  An
+    instance holds nothing but its columns, so vars() lists them in field
+    order; iterating it yields each row as a Row, a named tuple of Python
+    values named after the columns, its box a 4-tuple of floats."""
+
+    def __init_subclass__(cls):
+        cls.Row = namedtuple(f"{cls.__name__}Row", cls.__annotations__)
+
+    @classmethod
+    def empty(cls):
+        """The table of no rows."""
+        return cls(np.empty((0, 4)), *(np.empty(0, dtype) for dtype in cls.DTYPES))
 
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def __getitem__(self, i: int):
-        return next(iter(self.rows([i])))
+    def __iter__(self) -> Iterator[tuple]:
+        boxes, *rest = vars(self).values()
+        return map(self.Row, map(tuple, boxes.tolist()), *(c.tolist() for c in rest))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -118,10 +68,7 @@ class GroundTruthTable(_Table):
     frame: np.ndarray
     area: np.ndarray
 
-    def __iter__(self) -> Iterator[GroundTruthBox]:
-        columns = (self.boxes, self.category, self.track_id, self.frame, self.area)
-        for box, category, track_id, frame, area in zip(*(c.tolist() for c in columns)):
-            yield GroundTruthBox(BBox(*box), category, track_id, frame, area)
+    DTYPES = (np.int64, np.int64, np.int64, np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,35 +80,7 @@ class DetectionTable(_Table):
     category: np.ndarray
     score: np.ndarray
 
-    def __iter__(self) -> Iterator[Detection]:
-        for box, category, score in zip(self.boxes.tolist(), self.category.tolist(), self.score.tolist()):
-            yield Detection(BBox(*box), category, score)
-
-
-def _corner_array(boxes: Iterable[BBox]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def ground_truth_table(gts: Iterable[GroundTruthBox]) -> GroundTruthTable:
-    """The table of the given boxes, in order."""
-    gts = list(gts)
-    return GroundTruthTable(
-        _corner_array(g.bbox for g in gts),
-        np.array([g.category for g in gts], dtype=np.int64),
-        np.array([g.track_id for g in gts], dtype=np.int64),
-        np.array([g.frame_index for g in gts], dtype=np.int64),
-        np.array([g.area for g in gts], dtype=np.float64),
-    )
-
-
-def detection_table(dets: Iterable[Detection]) -> DetectionTable:
-    """The table of the given detections, in order."""
-    dets = list(dets)
-    return DetectionTable(
-        _corner_array(d.bbox for d in dets),
-        np.array([d.category for d in dets], dtype=np.int64),
-        np.array([d.score for d in dets], dtype=np.float64),
-    )
+    DTYPES = (np.int64, np.float64)
 
 
 def concat_tables(tables: Sequence[_Table]):

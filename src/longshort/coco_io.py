@@ -136,7 +136,7 @@ def scenario_to_coco(
                     "id": len(annotations),
                     "image_id": frame.index,
                     "category_id": category,
-                    "bbox": [x0, y0, x1 - x0, y1 - y0],  # as BBox.width and .height
+                    "bbox": [x0, y0, x1 - x0, y1 - y0],  # width and height as x1 - x0 and y1 - y0
                     "bbox_corners": [x0, y0, x1, y1],
                     "area": area,
                     "track_id": track_id,

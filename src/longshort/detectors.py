@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import DetectionTable, GroundTruthTable, concat_tables, ground_truth_table
+from .boxes import DetectionTable, GroundTruthTable, concat_tables
 
 
 class DelayedGtDetector:
@@ -74,7 +74,7 @@ class ForecastDetector:
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
         self.gts_by_frame = tuple(gts_by_frame)
-        flat = concat_tables([ground_truth_table(()), *self.gts_by_frame])
+        flat = concat_tables([GroundTruthTable.empty(), *self.gts_by_frame])
         _, rows, counts = np.unique(flat.track_id, return_inverse=True, return_counts=True)
         # A track with one box is always held, so all such tracks share row 0,
         # which stays empty; the arrays then grow with the tracks that can be

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import GroundTruthTable, concat_tables, detection_table, ground_truth_table
+from .boxes import DetectionTable, GroundTruthTable, concat_tables
 from .streaming import EvalPairing
 
 IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -200,7 +200,7 @@ def compute_sap_report(
     IoU thresholds second.  Area splits use the ground-truth box area:
     small < 32^2, medium in [32^2, 96^2), large >= 96^2.
     """
-    no_gts, no_dets = ground_truth_table(()), detection_table(())
+    no_gts, no_dets = GroundTruthTable.empty(), DetectionTable.empty()
     dets, gts = [], []
     for p in pairings:
         d = p.paired_record.detections if p.paired_record is not None else no_dets

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boxes import BBox, GroundTruthTable
+from .boxes import GroundTruthTable, is_number
 from .fusion import InvalidConfig
 from .metrics import AREA_SMALL
 from .network import Frame
@@ -34,14 +34,28 @@ class TrajectoryKind(Enum):
     SMALL_OBJECT = "small_object"
 
 
+def _start_box(box) -> tuple[float, float, float, float]:
+    """box as 4 floats; a ValueError unless it is a list or tuple of 4
+    numbers (boxes.is_number) whose corners do not cross."""
+    if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(map(is_number, box)):
+        raise ValueError(f"a box takes 4 finite numbers, got {box!r}")
+    box = tuple(map(float, box))
+    if box[0] > box[2] or box[1] > box[3]:
+        raise ValueError(f"degenerate box, corners {list(box)} cross")
+    return box
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """One track's motion: starting box, velocity (px/frame), acceleration
-    (px/frame^2), turn rate (rad/frame), and an optional inclusive frame
-    window during which the track is absent from the ground truth."""
+    """One track's motion: starting box (x_min, y_min, x_max, y_max),
+    velocity (px/frame), acceleration (px/frame^2), turn rate (rad/frame),
+    and an optional inclusive frame window during which the track is absent
+    from the ground truth.  The box is kept as a 4-tuple of floats; one
+    that is not 4 finite numbers, or whose corners cross, is an
+    InvalidConfig."""
 
     kind: TrajectoryKind
-    initial_bbox: BBox
+    initial_bbox: tuple[float, float, float, float]
     velocity: tuple[float, float] = (0.0, 0.0)
     acceleration: tuple[float, float] = (0.0, 0.0)
     turn_rate: float = 0.0
@@ -50,16 +64,20 @@ class TrajectorySpec:
     track_id: Optional[int] = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "initial_bbox", _start_box(self.initial_bbox))
+        except ValueError as exc:
+            raise InvalidConfig(f"initial_bbox: {exc}") from None
         if self.kind is TrajectoryKind.ACCELERATING and self.acceleration == (0.0, 0.0):
             raise InvalidConfig("accelerating trajectory needs a nonzero acceleration")
         if self.kind is TrajectoryKind.TURNING and self.turn_rate == 0.0:
             raise InvalidConfig("turning trajectory needs a nonzero turn_rate")
         if self.kind is TrajectoryKind.OCCLUDED and self.occlusion_window is None:
             raise InvalidConfig("occluded trajectory needs an occlusion_window")
-        if self.kind is TrajectoryKind.SMALL_OBJECT and self.initial_bbox.area >= AREA_SMALL[1]:
-            raise InvalidConfig(
-                f"small-object box area {self.initial_bbox.area} is not below {AREA_SMALL[1]}"
-            )
+        x_min, y_min, x_max, y_max = self.initial_bbox
+        area = (x_max - x_min) * (y_max - y_min)
+        if self.kind is TrajectoryKind.SMALL_OBJECT and area >= AREA_SMALL[1]:
+            raise InvalidConfig(f"small-object box area {area} is not below {AREA_SMALL[1]}")
 
     def corners(self, n_frames: int) -> np.ndarray:
         """(n_frames, 4) unclipped corners at frames 0, 1, ..., occlusion
@@ -76,7 +94,7 @@ class TrajectorySpec:
                 theta = [t if math.isfinite(t) else math.nan for t in (self.turn_rate * k).tolist()]
                 c, s = np.array([math.cos(t) for t in theta]), np.array([math.sin(t) for t in theta])
                 dx, dy = c * dx - s * dy, s * dx + c * dy
-            return np.array(self.initial_bbox.as_tuple(), dtype=np.float64) + np.stack([dx, dy, dx, dy], axis=1)
+            return np.array(self.initial_bbox, dtype=np.float64) + np.stack([dx, dy, dx, dy], axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +200,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         return value
 
     trajectory_parsers = {
-        "kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*list_of(4, _FINITE)(v)),
+        "kind": TrajectoryKind, "initial_bbox": lambda v: _start_box(list_of(4, _FINITE)(v)),
         "velocity": list_of(2, _FINITE), "acceleration": list_of(2, _FINITE), "turn_rate": _FINITE,
         "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
     }

@@ -7,7 +7,103 @@ the two is meaningful.
 
 from __future__ import annotations
 
-from longshort.boxes import BBox
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from longshort.boxes import DetectionTable, GroundTruthTable
+
+
+# ------------------------------------------------------------ box objects
+# The program keeps boxes only as column tables.  The tests build inputs and
+# the oracles reason about boxes as these objects, which share no code with
+# the tables: the converters below are the one crossing between the two.
+
+
+@dataclass(frozen=True)
+class BBox:
+    """Pixel-space corner box, x_min <= x_max and y_min <= y_max."""
+
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    def __post_init__(self):
+        if self.x_min > self.x_max or self.y_min > self.y_max:
+            raise ValueError(f"degenerate box: {self}")
+
+    @property
+    def area(self) -> float:
+        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.x_min, self.y_min, self.x_max, self.y_max)
+
+
+@dataclass(frozen=True)
+class GroundTruthBox:
+    """Annotated box: category, track identity, and the frame it belongs to;
+    the area defaults to the box's."""
+
+    bbox: BBox
+    category: int
+    track_id: int
+    frame_index: int
+    area: float = field(default=-1.0)
+
+    def __post_init__(self):
+        if self.area < 0:
+            object.__setattr__(self, "area", self.bbox.area)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """Detector output: box, class id, confidence."""
+
+    bbox: BBox
+    category: int
+    score: float
+
+
+def _corner_array(boxes) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def ground_truth_table(gts) -> GroundTruthTable:
+    """The table of the given GroundTruthBoxes, in order; a table as it is."""
+    if isinstance(gts, GroundTruthTable):
+        return gts
+    gts = list(gts)
+    return GroundTruthTable(
+        _corner_array(g.bbox for g in gts),
+        np.array([g.category for g in gts], dtype=np.int64),
+        np.array([g.track_id for g in gts], dtype=np.int64),
+        np.array([g.frame_index for g in gts], dtype=np.int64),
+        np.array([g.area for g in gts], dtype=np.float64),
+    )
+
+
+def detection_table(dets) -> DetectionTable:
+    """The table of the given Detections, in order; a table as it is."""
+    if isinstance(dets, DetectionTable):
+        return dets
+    dets = list(dets)
+    return DetectionTable(
+        _corner_array(d.bbox for d in dets),
+        np.array([d.category for d in dets], dtype=np.int64),
+        np.array([d.score for d in dets], dtype=np.float64),
+    )
+
+
+def objects(boxes) -> list:
+    """The rows of a GroundTruthTable as GroundTruthBoxes, of a
+    DetectionTable as Detections, read column by column (their fields are
+    the columns, in order); a list of objects as it is."""
+    form = {GroundTruthTable: GroundTruthBox, DetectionTable: Detection}.get(type(boxes))
+    if form is None:
+        return list(boxes)
+    return [form(BBox(*box), *rest) for box, *rest in zip(*(column.tolist() for column in vars(boxes).values()))]
 
 
 # ---------------------------------------------------------------- tensors
@@ -247,8 +343,11 @@ def oracle_sap_report(det_lists, gts_by_frame) -> dict:
 
     det_lists[k] are the detections evaluated against frame k's ground
     truth.  Returns {"sAP":, "sAP50":, "sAP75":, "small":, "medium":,
-    "large":, "per_category": {cat: ap}}.
+    "large":, "per_category": {cat: ap}}.  Each frame's boxes are a table
+    or a list of objects.
     """
+    det_lists = [objects(dets) for dets in det_lists]
+    gts_by_frame = [objects(gts) for gts in gts_by_frame]
     cats = sorted({g.category for gts in gts_by_frame for g in gts})
     ap = {}  # (cat, thr, range) -> ap or None
     for cat in cats:
@@ -378,11 +477,12 @@ def reference_sap_report(pairings, gts_by_frame, max_dets_per_frame=None):
     Returns a `longshort.metrics.SapReport`."""
     from longshort.metrics import SapReport
 
+    gts_by_frame = [objects(gts) for gts in gts_by_frame]
     ranges = [RANGES[name] for name in ("all", "small", "medium", "large")]
     categories = sorted({g.category for gts in gts_by_frame for g in gts})
     frame_dets = []
     for p in pairings:
-        dets = tuple(p.paired_record.detections) if p.paired_record is not None else ()
+        dets = tuple(objects(p.paired_record.detections)) if p.paired_record is not None else ()
         if max_dets_per_frame is not None and len(dets) > max_dets_per_frame:
             keep = sorted(range(len(dets)), key=lambda i: -dets[i].score)[:max_dets_per_frame]
             dets = tuple(dets[i] for i in sorted(keep))
@@ -432,8 +532,6 @@ def reference_fuse_projected(cfg, w, current, projected_current, projected_histo
     kept as a bit-exact reference: each branch is its own array, joined by
     np.concatenate, with the bias and the residual added out of place and
     the EfAvg/EfDil sums taken with the builtin sum()."""
-    import numpy as np
-
     from longshort.fusion import FusionVariant, plan_channels
     from longshort.tensor import project_1x1
 
@@ -475,10 +573,7 @@ def reference_forecast_detect(gts_by_frame, n_history, delta_t, forecast_steps) 
     """The per-track ForecastDetector that the batched fit replaced, kept as
     a bit-exact reference: a (track, frame) -> box dict, and one np.polyfit
     per track per frame.  Returns every frame's detections, frame by frame."""
-    import numpy as np
-
-    from longshort.boxes import Detection
-
+    gts_by_frame = [objects(gts) for gts in gts_by_frame]
     track_boxes = {(g.track_id, g.frame_index): g.bbox for gts in gts_by_frame for g in gts}
     out = []
     for k, gts in enumerate(gts_by_frame):
@@ -513,8 +608,6 @@ def reference_scene_ground_truth(scene) -> list:
     clipped in Python floats.  Returns every frame's GroundTruthBox list."""
     import math
 
-    from longshort.boxes import GroundTruthBox
-
     out = []
     for k in range(scene.n_frames):
         gts = []
@@ -527,9 +620,9 @@ def reference_scene_ground_truth(scene) -> list:
             if traj.turn_rate != 0.0:
                 c, s = math.cos(traj.turn_rate * k), math.sin(traj.turn_rate * k)
                 dx, dy = c * dx - s * dy, s * dx + c * dy
-            b = traj.initial_bbox
-            x0, y0 = max(b.x_min + dx, 0.0), max(b.y_min + dy, 0.0)
-            x1, y1 = min(b.x_max + dx, float(scene.width)), min(b.y_max + dy, float(scene.height))
+            x_min, y_min, x_max, y_max = traj.initial_bbox
+            x0, y0 = max(x_min + dx, 0.0), max(y_min + dy, 0.0)
+            x1, y1 = min(x_max + dx, float(scene.width)), min(y_max + dy, float(scene.height))
             if x0 < x1 and y0 < y1:
                 track = i if traj.track_id is None else traj.track_id
                 gts.append(GroundTruthBox(BBox(x0, y0, x1, y1), traj.category, track, k))
@@ -559,8 +652,6 @@ def long_short_forecast(history, target_index: int) -> BBox:
     acceleration.  Accepts any history length >= 2.  Raises ValueError when
     the forecast corners cross (a shrinking box extrapolated inside out).
     """
-    import numpy as np
-
     if len(history) < 2:
         raise ValueError(f"need at least 2 samples, got {len(history)}")
     indices = [idx for idx, _ in history]
@@ -578,10 +669,7 @@ def reference_blob_detect(saliency, threshold: float, category: int, rate: int) 
     """The BlobHead decoder that the find_objects one replaced, kept as a
     bit-exact reference: one np.nonzero(labels == lab) scan of the whole
     map per blob.  Returns the Detection of each blob in label order."""
-    import numpy as np
     from scipy import ndimage
-
-    from longshort.boxes import Detection
 
     labels, count = ndimage.label(saliency > threshold)
     dets = []

@@ -227,6 +227,9 @@ ROWS = [
     Row({TRAJ + "0.velocity.0": NAN}, "scene trajectories[0] velocity [nan, 0.5]: must be finite", base="example"),
     Row({TRAJ + "2.initial_bbox.3": NAN},
         "scene trajectories[2] initial_bbox [220.0, 40.0, 260.0, nan]: must be finite", base="example"),
+    Row({TRAJ + "0.initial_bbox": [30, 10, 10, 30]},
+        "scene trajectories[0] initial_bbox [30, 10, 10, 30]: degenerate box, corners [30.0, 10.0, 10.0, 30.0] cross",
+        base="scene"),
     Row({TRAJ + "4.acceleration.1": -INF}, "scene trajectories[4] acceleration [0.25, -inf]: must be finite", base="example"),
     Row({TRAJ + "1.turn_rate": NAN}, "scene trajectories[1] turn_rate nan: must be finite", base="example"),
     Row({TRAJ + "1.turn_rate": INF}, "scene trajectories[1] turn_rate inf: must be finite", base="example"),

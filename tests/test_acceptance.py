@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, Detection, GroundTruthBox, detection_table, ground_truth_table
+from longshort.boxes import DetectionTable
 from longshort.config import SweepAxis, SweepSpec, run_config_from_dict
 from longshort.detectors import DelayedGtDetector
 from longshort.fusion import (
@@ -37,7 +37,19 @@ from longshort.network import (
 from longshort.runner import run_eval, run_sweep, sweep_to_csv
 from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario
 from longshort.streaming import EvalPairing, PredictionRecord, pair_for_eval
-from oracles import arr3, brute_force_pairings, load_benchmark_workloads, naive_fuse, oracle_sap_report, prefix_ap
+from oracles import (
+    BBox,
+    Detection,
+    GroundTruthBox,
+    arr3,
+    brute_force_pairings,
+    detection_table,
+    ground_truth_table,
+    load_benchmark_workloads,
+    naive_fuse,
+    oracle_sap_report,
+    prefix_ap,
+)
 
 INTERVAL = 33.33
 
@@ -172,7 +184,7 @@ def test_criterion_5_streaming_protocol():
         frames = [Frame(k, k * INTERVAL, None) for k in range(n)]
         for latency in (0.0, 20.0, 40.0, 80.0):
             records = [
-                PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency, detection_table(()))
+                PredictionRecord(k, k * INTERVAL, k * INTERVAL + latency, DetectionTable.empty())
                 for k in range(n)
             ]
             pairings = pair_for_eval(records, frames)

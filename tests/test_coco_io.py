@@ -28,10 +28,10 @@ MINIMAL = {
 def test_minimal_file_converts_to_corner_boxes(tmp_path):
     ds = load_coco_annotations(write(tmp_path, MINIMAL))
     assert [len(gts) for gts in ds.gts_by_frame] == [1]  # one table per image
-    box = ds.gts_by_frame[0][0]
-    assert box.bbox.as_tuple() == (0.0, 0.0, 10.0, 10.0)
+    (box,) = ds.gts_by_frame[0]
+    assert box.boxes == (0.0, 0.0, 10.0, 10.0)
     assert box.category == 3
-    assert box.frame_index == 0
+    assert box.frame == 0
     assert ds.frame_interval_ms is None
 
 
@@ -162,10 +162,10 @@ def test_scene_round_trips_exactly(tmp_path, name):
     for (frame, gts), loaded in zip(scenario, ds.gts_by_frame):
         assert len(gts) == len(loaded)
         for orig, back in zip(gts, loaded):
-            assert back.bbox.as_tuple() == orig.bbox.as_tuple()  # exact
+            assert back.boxes == orig.boxes  # exact
             assert back.category == orig.category
             assert back.track_id == orig.track_id
-            assert back.frame_index == orig.frame_index
+            assert back.frame == orig.frame
 
 
 def test_export_includes_both_box_encodings():
@@ -190,8 +190,8 @@ def test_xywh_only_files_still_load(tmp_path):
     ds = load_coco_annotations(write(tmp_path, data))
     gts = generate_scenario(scene)[0][1]
     for orig, back in zip(gts, ds.gts_by_frame[0]):
-        assert back.bbox.x_min == orig.bbox.x_min
-        assert back.bbox.x_max == pytest.approx(orig.bbox.x_max, abs=1e-9)
+        assert back.boxes[0] == orig.boxes[0]
+        assert back.boxes[2] == pytest.approx(orig.boxes[2], abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", ["a", None, True, 0.5, 1.5, float("inf")], ids=repr)
@@ -241,8 +241,8 @@ def test_whole_float_ids_load_as_integers(tmp_path):
     data["categories"][0]["id"] = 3.0
     ds = load_coco_annotations(write(tmp_path, data))
     assert [len(gts) for gts in ds.gts_by_frame] == [1]  # image_id 1.0 is image 1
-    box = ds.gts_by_frame[0][0]
-    assert (box.category, box.track_id, box.frame_index) == (3, 7, 0)
+    (box,) = ds.gts_by_frame[0]
+    assert (box.category, box.track_id, box.frame) == (3, 7, 0)
 
 
 def test_an_annotation_without_track_id_is_tracked_by_its_id_or_index(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, GroundTruthBox, ground_truth_table
 from longshort.detectors import DelayedGtDetector, ForecastDetector
 from longshort.config import run_config_from_dict
 from longshort.metrics import _iou_matrix
@@ -13,14 +12,23 @@ from longshort.scenarios import (
     bundled_scene,
     generate_scenario,
 )
-from oracles import SingularFit, const_velocity_forecast, long_short_forecast, reference_forecast_detect
+from oracles import (
+    BBox,
+    GroundTruthBox,
+    SingularFit,
+    const_velocity_forecast,
+    ground_truth_table,
+    long_short_forecast,
+    objects,
+    reference_forecast_detect,
+)
 
 
 def scene_gts(scene):
     return [gts for _, gts in generate_scenario(scene)]
 
 
-def uniform_gts(v=(5.0, 0.0), n=10, box=BBox(0, 0, 10, 10), width=400, height=100):
+def uniform_gts(v=(5.0, 0.0), n=10, box=(0, 0, 10, 10), width=400, height=100):
     traj = TrajectorySpec(TrajectoryKind.UNIFORM, box, velocity=v)
     return scene_gts(SyntheticScene(n, 33.33, width, height, (traj,)))
 
@@ -36,23 +44,22 @@ def test_delayed_gt_zero_latency_is_identity():
     gts = uniform_gts()
     detector = DelayedGtDetector(gts, latency_frames=0)
     for k in range(len(gts)):
-        dets = detector(k)
-        assert [d.bbox for d in dets] == [g.bbox for g in gts[k]]
+        dets = objects(detector(k))
+        assert [d.bbox for d in dets] == [g.bbox for g in objects(gts[k])]
         assert all(d.score == 1.0 for d in dets)
 
 
 def test_delayed_gt_clamps_at_stream_start():
     gts = uniform_gts()
-    dets = DelayedGtDetector(gts, latency_frames=2)(1)
-    assert [d.bbox for d in dets] == [g.bbox for g in gts[0]]
+    dets = objects(DelayedGtDetector(gts, latency_frames=2)(1))
+    assert [d.bbox for d in dets] == [g.bbox for g in objects(gts[0])]
 
 
 def test_delayed_gt_offset_matches_kinematics():
     gts = uniform_gts(v=(5.0, 0.0))
     detector = DelayedGtDetector(gts, latency_frames=1)
     for k in range(1, len(gts)):
-        det = detector(k)[0]
-        truth = gts[k][0]
+        (det,), (truth,) = objects(detector(k)), objects(gts[k])
         assert det.bbox.x_min == truth.bbox.x_min - 5.0
         assert det.bbox.y_min == truth.bbox.y_min
 
@@ -138,7 +145,7 @@ def test_forecasters_are_translation_equivariant():
 def test_long_history_beats_short_on_accelerating_tracks():
     scene = bundled_scene("accelerating")
     gts = scene_gts(scene)
-    track = {g.frame_index: g.bbox for frame in gts for g in frame}
+    track = {g.frame_index: g.bbox for frame in gts for g in objects(frame)}
     cv, ls, truth = [], [], []
     for k in range(4, scene.n_frames - 1):
         truth.append(track[k + 1])
@@ -159,16 +166,16 @@ def test_forecast_detector_with_one_history_matches_const_velocity_op():
     gts = uniform_gts(v=(3.0, 1.0), n=8, width=400, height=200)
     det = ForecastDetector(gts, n_history=1, delta_t=1, forecast_steps=2)
     for k in range(1, 7):
-        got = det(k)[0].bbox
-        want = const_velocity_forecast(gts[k - 1][0].bbox, gts[k][0].bbox, 2)
-        assert np.allclose(got.as_tuple(), want.as_tuple(), atol=1e-8)
+        (got,), (prev,), (curr,) = (objects(boxes) for boxes in (det(k), gts[k - 1], gts[k]))
+        want = const_velocity_forecast(prev.bbox, curr.bbox, 2)
+        assert np.allclose(got.bbox.as_tuple(), want.as_tuple(), atol=1e-8)
 
 
 def test_forecast_detector_holds_without_history():
     gts = uniform_gts()
     det = ForecastDetector(gts, n_history=0, delta_t=1, forecast_steps=0)
     for k in range(len(gts)):
-        assert [d.bbox for d in det(k)] == [g.bbox for g in gts[k]]
+        assert [d.bbox for d in objects(det(k))] == [g.bbox for g in objects(gts[k])]
 
 
 def test_forecast_window_longer_than_the_stream_stops_at_frame_0():
@@ -198,16 +205,16 @@ def test_forecaster_kinds_are_presets_of_forecast_detector(kind, n_history):
 
 def test_forecast_detector_skips_occluded_history_samples():
     traj = TrajectorySpec(
-        TrajectoryKind.OCCLUDED, BBox(0, 0, 10, 10), velocity=(2.0, 0.0), occlusion_window=(2, 3)
+        TrajectoryKind.OCCLUDED, (0, 0, 10, 10), velocity=(2.0, 0.0), occlusion_window=(2, 3)
     )
     scene = SyntheticScene(8, 33.33, 300, 100, (traj,))
     gts = scene_gts(scene)
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert len(det(2)) == 0  # occluded now: nothing to anchor on
-    dets = det(4)  # history window spans the occlusion gap
+    dets = objects(det(4))  # history window spans the occlusion gap
     assert len(dets) == 1
-    truth = gts[5][0].bbox  # linear track: forecast should still be exact
-    assert np.allclose(dets[0].bbox.as_tuple(), truth.as_tuple(), atol=1e-8)
+    (truth,) = objects(gts[5])  # linear track: forecast should still be exact
+    assert np.allclose(dets[0].bbox.as_tuple(), truth.bbox.as_tuple(), atol=1e-8)
 
 
 def draw_clip(rng, n_frames=16, width=100.0, height=80.0):
@@ -245,12 +252,12 @@ def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
                     want = reference_forecast_detect(gts, n_history, delta_t, forecast_steps)
                     det = ForecastDetector(gts, n_history, delta_t, forecast_steps)
                     for k in range(len(gts)):
-                        assert list(det(k)) == want[k], (n_history, delta_t, forecast_steps, k)
+                        assert objects(det(k)) == want[k], (n_history, delta_t, forecast_steps, k)
                     dropped += sum(len(g) - len(d) for g, d in zip(gts, want))
                     # dropping the presence mask (every window sample counted
                     # as present) must break the equality above
                     det._present[:] = True
-                    mutant_caught += any(list(det(k)) != want[k] for k in range(len(gts)))
+                    mutant_caught += any(objects(det(k)) != want[k] for k in range(len(gts)))
     assert dropped > 0
     assert mutant_caught > 50
 
@@ -261,7 +268,7 @@ def test_forecast_detector_does_not_grow_with_single_box_tracks():
            for k in range(300)]
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert det._boxes.nbytes <= 300 * 4 * 8  # one shared row, not 3000
-    assert [list(det(k)) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
+    assert [objects(det(k)) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
 
 
 @pytest.mark.parametrize("kind, vy, exit_frame", [("const-velocity", -2.0, 9), ("long-short", -3.0, 6)])
@@ -282,6 +289,6 @@ def test_forecast_of_a_track_leaving_the_image_is_dropped(kind, vy, exit_frame):
 def test_delayed_gt_detector_callable():
     gts = uniform_gts()
     det = DelayedGtDetector(gts, latency_frames=2)
-    assert [d.bbox for d in det(5)] == [g.bbox for g in gts[3]]
+    assert [d.bbox for d in objects(det(5))] == [g.bbox for g in objects(gts[3])]
     with pytest.raises(ValueError):
         DelayedGtDetector(gts, latency_frames=-1)

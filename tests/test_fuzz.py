@@ -52,7 +52,7 @@ from longshort.fusion import FusionVariant, InvalidConfig
 from longshort.runner import build_run_data, make_detector, run_eval, run_score
 from longshort.scenarios import TrajectoryKind, generate_scenario
 from longshort.streaming import DispatchPolicy
-from oracles import reference_forecast_detect
+from oracles import objects, reference_forecast_detect
 from refusals import Row, rows, without_keys
 
 SEED = 3
@@ -254,7 +254,7 @@ def run_with_invariants(cfg, data: dict, out) -> tuple:
     if cfg.detector_kind in FORECASTER_HISTORY:
         det = make_detector(cfg, run_data)
         want = reference_forecast_detect(det.gts_by_frame, det.n_history, det.delta_t, det.forecast_steps)
-        assert [list(det(k)) for k in range(len(want))] == want, data
+        assert [objects(det(k)) for k in range(len(want))] == want, data
     cfg = replace(cfg, output=str(out))
     report = run_eval(cfg)  # must not raise: the config was accepted
     assert run_score(cfg, out / "records.jsonl", out / "score") == report, data

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from longshort import metrics
-from longshort.boxes import BBox, Detection, GroundTruthBox, detection_table, ground_truth_table
 from longshort.detectors import DelayedGtDetector
 from longshort.metrics import (
     AREA_ALL,
@@ -31,7 +30,19 @@ from longshort.scenarios import (
     generate_scenario,
 )
 from longshort.streaming import EvalPairing, PredictionRecord
-from oracles import _ref_ap, grid_count_iou, oracle_greedy_match, oracle_sap_report, reference_sap_report
+from oracles import (
+    BBox,
+    Detection,
+    GroundTruthBox,
+    _ref_ap,
+    detection_table,
+    grid_count_iou,
+    ground_truth_table,
+    objects,
+    oracle_greedy_match,
+    oracle_sap_report,
+    reference_sap_report,
+)
 
 
 def gt(x0, y0, x1, y1, cat=0, track=0, frame=0):
@@ -56,7 +67,7 @@ def pairings_from_dets(det_lists):
 
 
 def tables(gts):
-    """One ground-truth table per frame of boxes."""
+    """One ground-truth table per frame of boxes (or of a table)."""
     return [ground_truth_table(frame) for frame in gts]
 
 
@@ -69,7 +80,7 @@ def scene_gts(scene):
 
 
 def uniform_scene_gts(v=(5.0, 0.0), n=10, box=(0, 0, 20, 20), width=400, height=200):
-    traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(*box), velocity=v)
+    traj = TrajectorySpec(TrajectoryKind.UNIFORM, box, velocity=v)
     return scene_gts(SyntheticScene(n, 33.33, width, height, (traj,)))
 
 
@@ -350,7 +361,7 @@ def oracle_report(pairings, gts, cap) -> SapReport:
     the record's, the cap's top scorers in record order, none if unpaired."""
     det_lists = []
     for p in pairings:
-        dets = list(p.paired_record.detections) if p.paired_record is not None else []
+        dets = objects(p.paired_record.detections) if p.paired_record is not None else []
         if cap is not None and len(dets) > cap:
             dets = [dets[i] for i in sorted(sorted(range(len(dets)), key=lambda i: -dets[i].score)[:cap])]
         det_lists.append(dets)
@@ -374,7 +385,7 @@ def test_batched_report_is_byte_identical_to_both_scalar_references(monkeypatch,
         assert got == report_to_text(oracle_report(pairings, gts, cap)), trial
         cats = {g.category for frame in gts for g in frame}
         for p, frame in zip(pairings, gts):
-            dets = list(p.paired_record.detections) if p.paired_record is not None else []
+            dets = objects(p.paired_record.detections) if p.paired_record is not None else []
             boxes = [d.bbox for d in dets] + [g.bbox for g in frame]
             seen.update(frames=1, empty=not frame, unpaired=p.paired_record is None,
                         capped=cap is not None and len(dets) > cap,
@@ -431,7 +442,7 @@ def test_score_scaling_leaves_report_unchanged():
     rng = np.random.default_rng(29)
     det_lists = [
         [det(g.bbox.x_min + 1, g.bbox.y_min, g.bbox.x_max + 1, g.bbox.y_max, score=float(rng.uniform(0.2, 1.0)))
-         for g in frame]
+         for g in objects(frame)]
         for frame in gts
     ]
     scaled = [[Detection(d.bbox, d.category, d.score * 0.5) for d in frame] for frame in det_lists]
@@ -443,7 +454,7 @@ def test_duplicate_detection_never_improves_ap():
     detector = DelayedGtDetector(gts, 1)
     det_lists = [detector(k) for k in range(len(gts))]
     base = report_via(det_lists, gts)
-    dup_lists = [list(frame) + [frame[0]] if frame else frame for frame in det_lists]
+    dup_lists = [objects(frame) + objects(frame)[:1] for frame in det_lists]
     dup = report_via(dup_lists, gts)
     assert dup.sap <= base.sap
     assert dup.sap50 <= base.sap50
@@ -497,4 +508,4 @@ def test_readme_library_example_scores_one():
     namespace = {}
     exec(example, namespace)
     assert namespace["report"].sap == 1.0
-    assert namespace["record"].detections[0] == Detection(BBox(0, 0, 10, 10), category=0, score=0.9)
+    assert list(namespace["record"].detections) == [((0.0, 0.0, 10.0, 10.0), 0, 0.9)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from longshort.boxes import detection_table
+from longshort.boxes import DetectionTable
 from longshort.fusion import FusionSettings, FusionVariant, init_weights, fuse, plan_channels
 from longshort.network import (
     BlobHead,
@@ -26,7 +26,7 @@ from longshort.network import (
 )
 from longshort.config import SweepAxis, SweepSpec, apply_sweep_value, run_config_from_dict
 from longshort.scenarios import bundled_scene, generate_scenario
-from oracles import collapsed_saliency, reference_blob_detect
+from oracles import collapsed_saliency, objects, reference_blob_detect
 
 
 def noise_frames(n, height=40, width=48, seed=42):
@@ -42,7 +42,7 @@ class RecordingHead:
 
     def predict(self, pyramid):
         self.pyramids.append(pyramid)
-        return detection_table(())
+        return DetectionTable.empty()
 
 
 # --------------------------------------------------------------- history
@@ -342,8 +342,8 @@ def test_blob_head_recovers_rectangles_through_identity_fusion():
     net = DualPathNetwork(ext, BlobHead(threshold=0.3), FusionSettings(), weight_seed=0)
     dets = net.step(frame)
     assert len(dets) == 1
-    d = dets[0]
-    assert (d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max) == (24.0, 16.0, 48.0, 40.0)
+    (d,) = dets
+    assert d.boxes == (24.0, 16.0, 48.0, 40.0)
     assert 0.0 <= d.score <= 1.0
 
 
@@ -360,7 +360,7 @@ def test_blob_head_matches_the_per_label_reference_decoder_bit_for_bit():
         got = head.predict(FeaturePyramid((level, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))))
         saliency = level.mean(axis=0)
         want = reference_blob_detect(saliency, threshold, head.category, PYRAMID_RATES[0])
-        assert list(got) == want, trial
+        assert objects(got) == want, trial
         labels = ndimage.label(saliency > threshold)[0]
         diagonal = (labels[1:, 1:] * labels[:-1, :-1] > 0) & (labels[1:, 1:] != labels[:-1, :-1])
         edge = PYRAMID_RATES[0] * np.array([0, 0, width, height])
@@ -591,7 +591,7 @@ class LevelZeroReader:
 
     def predict(self, pyramid):
         pyramid.levels[0]
-        return detection_table(())
+        return DetectionTable.empty()
 
 
 def last_step_peak(net, frames) -> int:

@@ -7,11 +7,10 @@ import pytest
 
 import longshort
 from longshort import metrics
-from longshort.boxes import BBox, Detection
 from longshort.detectors import ForecastDetector
 from longshort.fusion import FusionSettings, InvalidConfig, LsfmWeights, fuse, plan_channels
 from longshort.network import BoxFilterExtractor, Frame
-from longshort.scenarios import bundled_scene
+from longshort.scenarios import TrajectoryKind, TrajectorySpec, bundled_scene
 
 
 def test_every_name_in_all_resolves_on_the_package():
@@ -30,8 +29,12 @@ REFUSALS = {
     "extractor model size": (lambda: BoxFilterExtractor("Q"), ValueError, "model_size must be one of ['L', 'M', 'S']"),
     "frame without pixels": (
         lambda: BoxFilterExtractor().extract(Frame(4, 0.0)), ValueError, "frame 4 carries no image payload"),
-    "detection score": (
-        lambda: Detection(BBox(0, 0, 1, 1), 0, 1.5), ValueError, "score must lie in [0, 1], got 1.5"),
+    "crossed start box": (
+        lambda: TrajectorySpec(TrajectoryKind.UNIFORM, (30, 10, 10, 30)), InvalidConfig,
+        "initial_bbox: degenerate box, corners [30.0, 10.0, 10.0, 30.0] cross"),
+    "3-number start box": (
+        lambda: TrajectorySpec(TrajectoryKind.UNIFORM, [0, 0, 10]), InvalidConfig,
+        "initial_bbox: a box takes 4 finite numbers, got [0, 0, 10]"),
     "report without ground truth": (
         lambda: metrics.compute_sap_report([], []), ValueError, "no ground truth supplied; the report is undefined"),
     "weights without a projection": (

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox
 from longshort.fusion import InvalidConfig
 from longshort.scenarios import (
     SceneDescriptor,
@@ -17,7 +16,7 @@ from longshort.scenarios import (
     generate_scenario,
     scene_from_dict,
 )
-from oracles import reference_scene_ground_truth
+from oracles import objects, reference_scene_ground_truth
 
 
 def one_track_scene(traj, n_frames=8, width=200, height=100):
@@ -27,25 +26,24 @@ def one_track_scene(traj, n_frames=8, width=200, height=100):
 
 
 def test_uniform_linear_motion():
-    traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(0, 0, 10, 10), velocity=(5.0, 0.0))
+    traj = TrajectorySpec(TrajectoryKind.UNIFORM, (0, 0, 10, 10), velocity=(5.0, 0.0))
     scenario = generate_scenario(one_track_scene(traj))
-    box_k2 = scenario[2][1][0].bbox
-    assert box_k2.as_tuple() == (10.0, 0.0, 20.0, 10.0)
+    assert scenario[2][1].boxes.tolist() == [[10.0, 0.0, 20.0, 10.0]]
 
 
 def test_accelerating_quadratic_offset():
     traj = TrajectorySpec(
-        TrajectoryKind.ACCELERATING, BBox(0, 0, 10, 10), velocity=(0.0, 0.0), acceleration=(2.0, 0.0)
+        TrajectoryKind.ACCELERATING, (0, 0, 10, 10), velocity=(0.0, 0.0), acceleration=(2.0, 0.0)
     )
     scenario = generate_scenario(one_track_scene(traj, width=400))
-    box_k3 = scenario[3][1][0].bbox
-    assert box_k3.x_min == 0.5 * 2.0 * 9  # 9 px offset at k=3
-    assert box_k3.as_tuple() == (9.0, 0.0, 19.0, 10.0)
+    (box_k3,) = scenario[3][1].boxes.tolist()
+    assert box_k3[0] == 0.5 * 2.0 * 9  # 9 px offset at k=3
+    assert box_k3 == [9.0, 0.0, 19.0, 10.0]
 
 
 def test_turning_rotates_the_displacement_about_the_start():
     traj = TrajectorySpec(
-        TrajectoryKind.TURNING, BBox(50, 50, 60, 60), velocity=(1.0, 0.0), turn_rate=math.pi / 2
+        TrajectoryKind.TURNING, (50, 50, 60, 60), velocity=(1.0, 0.0), turn_rate=math.pi / 2
     )
     x_min, y_min, x_max, y_max = traj.corners(2)[1]
     # displacement (1, 0) rotated by pi/2 becomes (0, 1): pure downward motion
@@ -57,7 +55,7 @@ def test_turning_rotates_the_displacement_about_the_start():
 
 def test_occlusion_window_removes_boxes():
     traj = TrajectorySpec(
-        TrajectoryKind.OCCLUDED, BBox(0, 0, 10, 10), velocity=(1.0, 0.0), occlusion_window=(3, 5)
+        TrajectoryKind.OCCLUDED, (0, 0, 10, 10), velocity=(1.0, 0.0), occlusion_window=(3, 5)
     )
     scenario = generate_scenario(one_track_scene(traj))
     for k, (_, gts) in enumerate(scenario):
@@ -66,32 +64,31 @@ def test_occlusion_window_removes_boxes():
 
 def test_clipping_and_degenerate_trajectory():
     # starts at the right edge and exits after a few frames
-    traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(190, 0, 210, 10), velocity=(20.0, 0.0))
+    traj = TrajectorySpec(TrajectoryKind.UNIFORM, (190, 0, 210, 10), velocity=(20.0, 0.0))
     scenario = generate_scenario(one_track_scene(traj, n_frames=4))
-    assert scenario[0][1][0].bbox.as_tuple() == (190.0, 0.0, 200.0, 10.0)  # clipped
+    assert scenario[0][1].boxes.tolist() == [[190.0, 0.0, 200.0, 10.0]]  # clipped
     assert len(scenario[1][1]) == 0  # fully outside
-    never_inside = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(500, 0, 510, 10), velocity=(1.0, 0.0))
+    never_inside = TrajectorySpec(TrajectoryKind.UNIFORM, (500, 0, 510, 10), velocity=(1.0, 0.0))
     with pytest.raises(InvalidConfig, match="trajectory 0 never appears"):
         one_track_scene(never_inside, n_frames=3)
 
 
 def test_small_object_stays_small():
     with pytest.raises(ValueError):
-        TrajectorySpec(TrajectoryKind.SMALL_OBJECT, BBox(0, 0, 40, 40), velocity=(1.0, 0.0))
-    traj = TrajectorySpec(TrajectoryKind.SMALL_OBJECT, BBox(0, 0, 12, 12), velocity=(1.0, 0.0))
+        TrajectorySpec(TrajectoryKind.SMALL_OBJECT, (0, 0, 40, 40), velocity=(1.0, 0.0))
+    traj = TrajectorySpec(TrajectoryKind.SMALL_OBJECT, (0, 0, 12, 12), velocity=(1.0, 0.0))
     scenario = generate_scenario(one_track_scene(traj))
     for _, gts in scenario:
-        for g in gts:
-            assert g.area < 32.0**2
+        assert (gts.area < 32.0**2).all()
 
 
 def test_kind_specific_parameter_validation():
     with pytest.raises(ValueError):
-        TrajectorySpec(TrajectoryKind.ACCELERATING, BBox(0, 0, 5, 5))
+        TrajectorySpec(TrajectoryKind.ACCELERATING, (0, 0, 5, 5))
     with pytest.raises(ValueError):
-        TrajectorySpec(TrajectoryKind.TURNING, BBox(0, 0, 5, 5))
+        TrajectorySpec(TrajectoryKind.TURNING, (0, 0, 5, 5))
     with pytest.raises(ValueError):
-        TrajectorySpec(TrajectoryKind.OCCLUDED, BBox(0, 0, 5, 5))
+        TrajectorySpec(TrajectoryKind.OCCLUDED, (0, 0, 5, 5))
 
 
 def test_generation_is_deterministic():
@@ -99,7 +96,7 @@ def test_generation_is_deterministic():
     a, b = generate_scenario(scene), generate_scenario(scene)
     for (fa, ga), (fb, gb) in zip(a, b):
         assert fa.timestamp_ms == fb.timestamp_ms
-        assert [g.bbox.as_tuple() for g in ga] == [g.bbox.as_tuple() for g in gb]
+        assert ga.boxes.tolist() == gb.boxes.tolist()
 
 
 def test_frame_timestamps_strictly_increase():
@@ -110,7 +107,7 @@ def test_frame_timestamps_strictly_increase():
 
 def test_ground_truth_area_matches_box_area():
     for _, gts in generate_scenario(bundled_scene("mixed")):
-        for g in gts:
+        for g in objects(gts):
             assert g.area == g.bbox.area
 
 
@@ -135,7 +132,7 @@ def test_scene_dict_round_trip():
     }
     traj = TrajectorySpec(
         kind=TrajectoryKind.OCCLUDED,
-        initial_bbox=BBox(10.0, 20.0, 50.0, 60.0),
+        initial_bbox=(10.0, 20.0, 50.0, 60.0),
         velocity=(2.0, -1.0),
         acceleration=(0.5, 0.25),
         turn_rate=0.1,
@@ -144,6 +141,17 @@ def test_scene_dict_round_trip():
         track_id=9,
     )
     assert scene_from_dict(data) == SyntheticScene(12, 50.0, 320, 240, (traj,))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "small_object"])
+@pytest.mark.parametrize("box", [(10, 20, 30, 40), [10.0, 20.0, 30.0, 40.0]], ids=["tuple", "list"])
+def test_a_start_box_given_in_code_builds_the_scene_of_its_dict(kind, box):
+    data = {"n_frames": 6, "width": 100, "height": 80, "trajectories": [
+        {"kind": kind, "initial_bbox": [10, 20, 30, 40], "velocity": [2, 1]}]}
+    traj = TrajectorySpec(TrajectoryKind(kind), box, velocity=(2.0, 1.0))
+    assert traj.initial_bbox == (10.0, 20.0, 30.0, 40.0) and set(map(type, traj.initial_bbox)) == {float}
+    scene, want = SyntheticScene(6, 33.33, 100, 80, (traj,)), scene_from_dict(data)
+    assert scene == want and scene.ground_truth == want.ground_truth
 
 
 def test_bundled_scenes_all_generate():
@@ -163,7 +171,7 @@ def test_descriptor_rasterizes_boxes_as_ones():
 
 
 def test_scene_needs_two_frames():
-    traj = TrajectorySpec(TrajectoryKind.UNIFORM, BBox(0, 0, 5, 5))
+    traj = TrajectorySpec(TrajectoryKind.UNIFORM, (0, 0, 5, 5))
     with pytest.raises(ValueError):
         SyntheticScene(1, 33.33, 100, 100, (traj,))
 
@@ -199,7 +207,7 @@ def random_scene_dict(rng):
 
 
 def spec_of(traj: dict) -> TrajectorySpec:
-    parse = {"kind": TrajectoryKind, "initial_bbox": lambda v: BBox(*v), "velocity": tuple, "acceleration": tuple,
+    parse = {"kind": TrajectoryKind, "velocity": tuple, "acceleration": tuple,
              "occlusion_window": tuple}
     return TrajectorySpec(**{k: parse.get(k, lambda v: v)(v) for k, v in traj.items() if v is not None})
 
@@ -221,7 +229,7 @@ def test_scene_walk_matches_the_frame_by_frame_reference_bit_for_bit():
             continue
         want = reference_scene_ground_truth(scene)
         for (frame, gts), frame_want in zip(generate_scenario(scene), want):
-            assert repr(list(gts)) == repr(frame_want), trial  # repr keeps the sign of a zero, which == does not
+            assert repr(objects(gts)) == repr(frame_want), trial  # repr keeps the sign of a zero, which == does not
             assert np.array_equal(frame.pixels.boxes, gts.boxes)
         built += 1
     assert built > 100 and rejected > 10, (built, rejected)

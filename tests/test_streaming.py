@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from longshort.boxes import BBox, Detection, ParseError, detection_table
+from longshort.boxes import DetectionTable, ParseError
 from longshort.fusion import InvalidConfig
 from longshort.network import Frame
 from longshort.streaming import (
@@ -25,11 +25,11 @@ INTERVAL = 33.33
 
 
 def null_detector(k):
-    return detection_table(())
+    return DetectionTable.empty()
 
 
 def tagged_detector(k):
-    return detection_table([Detection(BBox(k, 0, k + 1, 1), category=0, score=1.0)])
+    return DetectionTable(np.array([[k, 0.0, k + 1, 1.0]]), np.array([0]), np.array([1.0]))
 
 
 def stream(latency_ms, horizon=12, policy=DispatchPolicy.LATEST_FRAME_ON_FREE):
@@ -248,8 +248,8 @@ def test_record_log_round_trip():
 def test_a_good_records_log_reads_back_with_blank_lines_skipped():
     [first, second] = read_records(io.StringIO("\n" + log(line()) + "  \n"), "log.jsonl", 8)
     assert (second.source_frame_index, second.issue_time_ms, second.completion_time_ms) == (1, 33.33, 53.33)
-    assert list(second.detections) == [Detection(BBox(*GOOD["detections"][0]["bbox"]), 1, 0.9)]
-    assert first.detections == detection_table(())
+    assert list(second.detections) == [(tuple(GOOD["detections"][0]["bbox"]), 1, 0.9)]
+    assert first.detections == DetectionTable.empty()
 
 
 @pytest.mark.parametrize("row", RECORD_ROWS, ids=lambda row: row.id)
@@ -269,13 +269,13 @@ def test_a_refused_records_line_names_the_file_the_line_and_the_key(row):
 ])
 def test_a_record_built_directly_refuses_a_time_that_breaks_the_time_rule(issue, completion, message):
     with pytest.raises(ValueError) as exc:
-        PredictionRecord(0, issue, completion, detection_table(()))
+        PredictionRecord(0, issue, completion, DetectionTable.empty())
     assert str(exc.value) == message
 
 
 def test_a_record_takes_int_float_and_numpy_float_times():
     for issue, completion in ((0, 1), (0.0, 0.0), (np.float64(1.5), np.float64(2.5))):
-        assert PredictionRecord(0, issue, completion, detection_table(())).completion_time_ms == completion
+        assert PredictionRecord(0, issue, completion, DetectionTable.empty()).completion_time_ms == completion
 
 
 def test_stream_config_validation():
