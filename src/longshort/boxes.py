@@ -22,10 +22,18 @@ class _Table:
     then one (n,) column per attribute, of the dtypes in DTYPES.  An
     instance holds nothing but its columns, so vars() lists them in field
     order; iterating it yields each row as a Row, a named tuple of Python
-    values named after the columns, its box a 4-tuple of floats."""
+    values named after the columns, its box a 4-tuple of floats.  Columns
+    of other shapes are a ValueError."""
 
     def __init_subclass__(cls):
         cls.Row = namedtuple(f"{cls.__name__}Row", cls.__annotations__)
+
+    def __post_init__(self):
+        boxes, *rest = vars(self).values()
+        n = len(boxes)
+        if boxes.shape != (n, 4) or any(c.shape != (n,) for c in rest):
+            shapes = ", ".join(f"{key} {c.shape}" for key, c in vars(self).items())
+            raise ValueError(f"{type(self).__name__} takes boxes (n, 4) and each other column (n,), got {shapes}")
 
     @classmethod
     def empty(cls):
@@ -74,13 +82,20 @@ class GroundTruthTable(_Table):
 @dataclass(frozen=True, eq=False)
 class DetectionTable(_Table):
     """Detections as columns: corners (n, 4) float64, category (n,) int64,
-    score (n,) float64."""
+    score (n,) float64 in [0, 1]; a score outside it is a ValueError."""
 
     boxes: np.ndarray
     category: np.ndarray
     score: np.ndarray
 
     DTYPES = (np.int64, np.float64)
+
+    def __post_init__(self):
+        super().__post_init__()
+        score = self.score
+        if len(score) and not (score.min() >= 0 and score.max() <= 1):  # a NaN fails both
+            j = int(np.argmax(~((score >= 0) & (score <= 1))))
+            raise ValueError(f"DetectionTable score[{j}] must lie in [0, 1], got {score[j].item()!r}")
 
 
 def concat_tables(tables: Sequence[_Table]):

@@ -42,7 +42,8 @@ count is known then, and when build_run_data reads a dataset's file.
 DETECTOR_KEYS is the one detector schema: kind -> key -> (default, parser
 that casts and checks a given value).  The forecasters hold, const-velocity
 and long-short are one ForecastDetector at the n_history FORECASTER_HISTORY
-names (0, 1, the key's).  Their forecast_steps defaults to the pairing
+names (0, 1, the key's), and delayed-gt is its hold read latency_frames
+frames back.  Their forecast_steps defaults to the pairing
 staleness of a constant-latency stream and is required with
 latency_per_frame_ms, save for hold, which forecasts nothing.  Kind
 "pyramid" runs the dual-path network over rasterized frames and so needs a

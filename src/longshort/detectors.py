@@ -1,12 +1,13 @@
-"""Forecaster detectors.
+"""The box-space forecaster.
 
-These make the long-vs-short temporal claim testable at the geometric level:
-a delayed ground-truth reader (an offline detector whose knowledge lags) and
+It makes the long-vs-short temporal claim testable at the geometric level:
 a least-squares polynomial fit over a track's history, of which the
 one-sample fit is the zero-motion hold and the two-sample fit is
-constant-velocity extrapolation.  Both are streaming detector callables for
-the latency simulator: they take one GroundTruthTable per frame and return
-a DetectionTable per call.
+constant-velocity extrapolation.  It is a streaming detector callable for
+the latency simulator: it takes one GroundTruthTable per frame and returns
+a DetectionTable per call.  Every box-space detector kind is this detector
+at a preset; delayed-gt, an offline detector whose knowledge lags, is the
+hold read latency_frames frames back (runner.make_detector).
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import DetectionTable, GroundTruthTable, concat_tables
-
-
-class DelayedGtDetector:
-    """Streaming detector that replays stale ground truth: frame k reports
-    the ground truth of frame max(0, k - latency_frames) with full
-    confidence."""
-
-    def __init__(self, gts_by_frame: Sequence[GroundTruthTable], latency_frames: int = 0):
-        if latency_frames < 0:
-            raise ValueError("latency_frames must be >= 0")
-        self.gts_by_frame = tuple(gts_by_frame)
-        self.latency_frames = latency_frames
-
-    def __call__(self, frame_index: int) -> DetectionTable:
-        return _certain(self.gts_by_frame[max(0, frame_index - self.latency_frames)])
 
 
 def _certain(gts: GroundTruthTable) -> DetectionTable:
@@ -54,11 +40,13 @@ class ForecastDetector:
 
     The boxes are held as one (tracks, frames, 4) array with a (tracks,
     frames) presence mask, both indexed by frame_index; tracks with a single
-    box share one empty row.  A frame's tracks are forecast together: the
-    tracks whose windows have the same samples present share one design
-    matrix, so each such pattern is a single np.polyfit whose right-hand
-    side holds four columns per track.  LAPACK solves each column on its
-    own, so every forecast is bit for bit the fit of the track alone.
+    box share one empty row.  A hold (n_history or forecast_steps 0) reads
+    no other frame, so it builds neither.  A frame's tracks are forecast
+    together: the tracks whose windows have the same samples present share
+    one design matrix, so each such pattern is a single np.polyfit whose
+    right-hand side holds four columns per track.  LAPACK solves each
+    column on its own, so every forecast is bit for bit the fit of the
+    track alone.
     """
 
     def __init__(
@@ -74,6 +62,8 @@ class ForecastDetector:
         self.delta_t = delta_t
         self.forecast_steps = forecast_steps
         self.gts_by_frame = tuple(gts_by_frame)
+        if n_history == 0 or forecast_steps == 0:
+            return
         flat = concat_tables([GroundTruthTable.empty(), *self.gts_by_frame])
         _, rows, counts = np.unique(flat.track_id, return_inverse=True, return_counts=True)
         # A track with one box is always held, so all such tracks share row 0,

@@ -25,7 +25,7 @@ from .config import (
     sweep_key_cells,
     sweep_key_columns,
 )
-from .detectors import DelayedGtDetector, ForecastDetector
+from .detectors import ForecastDetector
 from .fusion import InvalidConfig, plan_channels
 from .metrics import (
     REPORT_COLUMNS,
@@ -82,7 +82,9 @@ def make_detector(
     X*'s."""
     s = cfg.detector_settings
     if cfg.detector_kind == "delayed-gt":
-        return DelayedGtDetector(data.gts, latency_frames=s["latency_frames"])
+        # the hold read latency_frames back, in Python ints: no lag passes frame 0
+        hold, lag = ForecastDetector(data.gts, n_history=0), s["latency_frames"]
+        return lambda k: hold(max(0, k - lag))
     if cfg.detector_kind in FORECASTER_HISTORY:
         # a preset's n_history, else the key's; forecast_steps defaults to the
         # constant latency in frames (RunConfig rejects per-frame latency

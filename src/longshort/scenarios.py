@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
@@ -45,14 +46,37 @@ def _start_box(box) -> tuple[float, float, float, float]:
     return box
 
 
+@cache
+def _trajectory_parsers() -> dict:
+    """A trajectory key -> the parser that casts and checks its value: a
+    number is not a string or a bool, a count is whole, a pair is a list or
+    tuple of 2 numbers."""
+    from .config import _FINITE, _whole  # config imports this module
+
+    def list_of(n: int, parse: Callable) -> Callable:
+        def parse_all(value) -> tuple:
+            if not isinstance(value, (list, tuple)) or len(value) != n:
+                raise TypeError(f"must be a list of {n} numbers")
+            return tuple(map(parse, value))
+        return parse_all
+
+    return {
+        "kind": TrajectoryKind, "initial_bbox": lambda v: _start_box(list_of(4, _FINITE)(v)),
+        "velocity": list_of(2, _FINITE), "acceleration": list_of(2, _FINITE), "turn_rate": _FINITE,
+        "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
+    }
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     """One track's motion: starting box (x_min, y_min, x_max, y_max),
     velocity (px/frame), acceleration (px/frame^2), turn rate (rad/frame),
     and an optional inclusive frame window during which the track is absent
-    from the ground truth.  The box is kept as a 4-tuple of floats; one
-    that is not 4 finite numbers, or whose corners cross, is an
-    InvalidConfig."""
+    from the ground truth.  Every field is cast and checked as
+    scene_from_dict casts and checks its key: the box is kept as a 4-tuple
+    of floats, a pair as a tuple, a count as an int.  A value its key's
+    parser refuses (a box that is not 4 finite numbers, or whose corners
+    cross, too) is an InvalidConfig naming the field."""
 
     kind: TrajectoryKind
     initial_bbox: tuple[float, float, float, float]
@@ -68,6 +92,14 @@ class TrajectorySpec:
             object.__setattr__(self, "initial_bbox", _start_box(self.initial_bbox))
         except ValueError as exc:
             raise InvalidConfig(f"initial_bbox: {exc}") from None
+        parsers = _trajectory_parsers()
+        for key, value in vars(self).items():
+            if key == "initial_bbox" or (value is None and key in ("occlusion_window", "track_id")):
+                continue
+            try:
+                object.__setattr__(self, key, parsers[key](value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidConfig(f"{key} {value!r}: {exc}") from None
         if self.kind is TrajectoryKind.ACCELERATING and self.acceleration == (0.0, 0.0):
             raise InvalidConfig("accelerating trajectory needs a nonzero acceleration")
         if self.kind is TrajectoryKind.TURNING and self.turn_rate == 0.0:
@@ -187,23 +219,11 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     the default."""
     from .config import _FINITE, _parsed_section, _whole  # config imports this module
 
-    def list_of(n: int, parse: Callable) -> Callable:
-        def parse_all(value) -> tuple:
-            if not isinstance(value, (list, tuple)) or len(value) != n:
-                raise TypeError(f"must be a list of {n} numbers")
-            return tuple(map(parse, value))
-        return parse_all
-
     def trajectories(value) -> list:
         if not isinstance(value, list):
             raise TypeError("must be a list of trajectories")
         return value
 
-    trajectory_parsers = {
-        "kind": TrajectoryKind, "initial_bbox": lambda v: _start_box(list_of(4, _FINITE)(v)),
-        "velocity": list_of(2, _FINITE), "acceleration": list_of(2, _FINITE), "turn_rate": _FINITE,
-        "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
-    }
     scene = _parsed_section(data, "scene", {
         "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
         "trajectories": trajectories,
@@ -211,7 +231,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
 
     def trajectory(i: int, raw) -> TrajectorySpec:
         section = f"scene trajectories[{i}]"
-        fields = _parsed_section(raw, section, trajectory_parsers, ("kind", "initial_bbox"))
+        fields = _parsed_section(raw, section, _trajectory_parsers(), ("kind", "initial_bbox"))
         try:
             return TrajectorySpec(**fields)
         except InvalidConfig as exc:  # a rule of the trajectory's kind

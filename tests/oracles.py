@@ -599,6 +599,17 @@ def reference_forecast_detect(gts_by_frame, n_history, delta_t, forecast_steps) 
     return out
 
 
+def reference_delayed_gt(gts_by_frame, latency_frames) -> list:
+    """The stale ground-truth reader that detector kind delayed-gt was
+    built as: frame k reports the boxes and categories of frame
+    max(0, k - latency_frames), each with score 1.  Returns every frame's
+    DetectionTable, frame by frame."""
+    return [
+        detection_table(Detection(g.bbox, g.category, 1.0) for g in objects(gts_by_frame[max(0, k - latency_frames)]))
+        for k in range(len(gts_by_frame))
+    ]
+
+
 # ---------------------------------------------------------------- scenes
 
 

@@ -17,7 +17,6 @@ import pytest
 
 from longshort.boxes import DetectionTable
 from longshort.config import SweepAxis, SweepSpec, run_config_from_dict
-from longshort.detectors import DelayedGtDetector
 from longshort.fusion import (
     FusionSettings,
     FusionVariant,
@@ -34,8 +33,8 @@ from longshort.network import (
     Frame,
     MODEL_CHANNELS,
 )
-from longshort.runner import run_eval, run_sweep, sweep_to_csv
-from longshort.scenarios import bundled_scene, bundled_scene_names, generate_scenario
+from longshort.runner import build_run_data, make_detector, run_eval, run_sweep, sweep_to_csv
+from longshort.scenarios import bundled_scene_names
 from longshort.streaming import EvalPairing, PredictionRecord, pair_for_eval
 from oracles import (
     BBox,
@@ -227,10 +226,11 @@ def _uniform_scene_oracle_sap(latency_frames):
 
 def test_criterion_6_staleness_monotonicity():
     with criterion(6, "delayed-GT streaming AP strictly decays with staleness on the uniform scene"):
-        gts = [gts for _, gts in generate_scenario(bundled_scene("uniform"))]
         got = []
         for j in range(6):
-            detector = DelayedGtDetector(gts, j)
+            cfg = run_config_from_dict({"scene_name": "uniform", "detector": {"kind": "delayed-gt", "latency_frames": j}})
+            data = build_run_data(cfg)
+            gts, detector = data.gts, make_detector(cfg, data)
             pairings = [
                 EvalPairing(k, PredictionRecord(k, k * INTERVAL, k * INTERVAL, detector(k)))
                 for k in range(len(gts))

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from longshort.detectors import DelayedGtDetector, ForecastDetector
-from longshort.config import run_config_from_dict
+from longshort.cli import main
+from longshort.detectors import ForecastDetector
+from longshort.config import RunConfig, run_config_from_dict
+from longshort.fusion import InvalidConfig
 from longshort.metrics import _iou_matrix
-from longshort.runner import build_run_data, make_detector, run_eval
+from longshort.runner import RunData, build_run_data, make_detector, run_eval
 from longshort.scenarios import (
     SyntheticScene,
     TrajectoryKind,
     TrajectorySpec,
     bundled_scene,
+    bundled_scene_names,
     generate_scenario,
 )
 from oracles import (
@@ -20,6 +25,7 @@ from oracles import (
     ground_truth_table,
     long_short_forecast,
     objects,
+    reference_delayed_gt,
     reference_forecast_detect,
 )
 
@@ -37,12 +43,20 @@ def shifted(box, dx, dy):
     return BBox(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
 
 
+def delayed_gt(gts, latency_frames):
+    """make_detector's delayed-gt detector over the frames `gts`."""
+    cfg = RunConfig(detector_params={"latency_frames": latency_frames})
+    return make_detector(cfg, RunData((), tuple(gts), None))
+
+
 # ------------------------------------------------------------ delayed gt
+
+LAGS = (0, 1, 2, 5, 2**63 - 1)
 
 
 def test_delayed_gt_zero_latency_is_identity():
     gts = uniform_gts()
-    detector = DelayedGtDetector(gts, latency_frames=0)
+    detector = delayed_gt(gts, latency_frames=0)
     for k in range(len(gts)):
         dets = objects(detector(k))
         assert [d.bbox for d in dets] == [g.bbox for g in objects(gts[k])]
@@ -51,13 +65,13 @@ def test_delayed_gt_zero_latency_is_identity():
 
 def test_delayed_gt_clamps_at_stream_start():
     gts = uniform_gts()
-    dets = objects(DelayedGtDetector(gts, latency_frames=2)(1))
+    dets = objects(delayed_gt(gts, latency_frames=2)(1))
     assert [d.bbox for d in dets] == [g.bbox for g in objects(gts[0])]
 
 
 def test_delayed_gt_offset_matches_kinematics():
     gts = uniform_gts(v=(5.0, 0.0))
-    detector = DelayedGtDetector(gts, latency_frames=1)
+    detector = delayed_gt(gts, latency_frames=1)
     for k in range(1, len(gts)):
         (det,), (truth,) = objects(detector(k)), objects(gts[k])
         assert det.bbox.x_min == truth.bbox.x_min - 5.0
@@ -199,8 +213,8 @@ def test_forecaster_kinds_are_presets_of_forecast_detector(kind, n_history):
         per_frame = [50.0] * bundled_scene("mixed").n_frames
         cfg = run_config_from_dict({"stream": {"latency_per_frame_ms": per_frame}}, cfg)
         data = build_run_data(cfg)
-        det, stale = make_detector(cfg, data), DelayedGtDetector(data.gts, 0)
-        assert [list(det(k)) for k in range(len(data.gts))] == [list(stale(k)) for k in range(len(data.gts))]
+        det = make_detector(cfg, data)
+        assert [det(k) for k in range(len(data.gts))] == reference_delayed_gt(data.gts, 0)
 
 
 def test_forecast_detector_skips_occluded_history_samples():
@@ -255,9 +269,10 @@ def test_forecast_detector_matches_the_per_track_reference_bit_for_bit():
                         assert objects(det(k)) == want[k], (n_history, delta_t, forecast_steps, k)
                     dropped += sum(len(g) - len(d) for g, d in zip(gts, want))
                     # dropping the presence mask (every window sample counted
-                    # as present) must break the equality above
-                    det._present[:] = True
-                    mutant_caught += any(objects(det(k)) != want[k] for k in range(len(gts)))
+                    # as present) must break the equality above; a hold has none
+                    if n_history and forecast_steps:
+                        det._present[:] = True
+                        mutant_caught += any(objects(det(k)) != want[k] for k in range(len(gts)))
     assert dropped > 0
     assert mutant_caught > 50
 
@@ -269,6 +284,30 @@ def test_forecast_detector_does_not_grow_with_single_box_tracks():
     det = ForecastDetector(gts, n_history=3, delta_t=1, forecast_steps=1)
     assert det._boxes.nbytes <= 300 * 4 * 8  # one shared row, not 3000
     assert [objects(det(k)) for k in range(len(gts))] == reference_forecast_detect(gts, 3, 1, 1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("hold", {}), ("long-short", {"forecast_steps": 0}), ("delayed-gt", {"latency_frames": 2}),
+])
+def test_a_hold_builds_no_track_grid(kind, params):
+    # 50 tracks over 200 frames: long-short's (tracks, frames, 4) grid alone
+    # takes 51 x 200 x 4 x 8 bytes, which a detector that reads no other
+    # frame does not build
+    gts = tuple(ground_truth_table(GroundTruthBox(BBox(k, i, k + 5, i + 5), 0, i, k) for i in range(50))
+                for k in range(200))
+
+    def peak_bytes(kind, params):
+        tracemalloc.start()
+        try:
+            make_detector(RunConfig(detector_kind=kind, detector_params=params), RunData((), gts, None))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid = 51 * 200 * 4 * 8
+    assert peak_bytes("long-short", {"forecast_steps": 1}) > grid > 20 * peak_bytes(kind, params)
+    det = make_detector(RunConfig(detector_kind=kind, detector_params=params), RunData((), gts, None))
+    assert [det(k) for k in range(len(gts))] == reference_delayed_gt(gts, params.get("latency_frames", 0))
 
 
 @pytest.mark.parametrize("kind, vy, exit_frame", [("const-velocity", -2.0, 9), ("long-short", -3.0, 6)])
@@ -288,7 +327,26 @@ def test_forecast_of_a_track_leaving_the_image_is_dropped(kind, vy, exit_frame):
 
 def test_delayed_gt_detector_callable():
     gts = uniform_gts()
-    det = DelayedGtDetector(gts, latency_frames=2)
+    det = delayed_gt(gts, latency_frames=2)
     assert [d.bbox for d in objects(det(5))] == [g.bbox for g in objects(gts[3])]
-    with pytest.raises(ValueError):
-        DelayedGtDetector(gts, latency_frames=-1)
+    with pytest.raises(InvalidConfig, match="detector latency_frames -1: must be >= 0"):
+        delayed_gt(gts, latency_frames=-1)
+
+
+@pytest.mark.parametrize("lag", LAGS)
+@pytest.mark.parametrize("name", bundled_scene_names())
+def test_delayed_gt_is_the_stale_ground_truth_reference_on_every_bundled_scene(name, lag):
+    cfg = run_config_from_dict({"scene_name": name, "detector": {"kind": "delayed-gt", "latency_frames": lag}})
+    data = build_run_data(cfg)
+    det = make_detector(cfg, data)
+    assert [det(k) for k in range(len(data.gts))] == reference_delayed_gt(data.gts, lag)
+
+
+def test_delayed_gt_is_the_stale_ground_truth_reference_on_a_coco_export(tmp_path):
+    assert main(["gen-scene", "--scene", "mixed", "--output", str(tmp_path / "ann.json")]) == 0
+    for lag in LAGS:
+        cfg = run_config_from_dict({"dataset": str(tmp_path / "ann.json"),
+                                    "detector": {"kind": "delayed-gt", "latency_frames": lag}})
+        data = build_run_data(cfg)
+        det = make_detector(cfg, data)
+        assert [det(k) for k in range(len(data.gts))] == reference_delayed_gt(data.gts, lag), lag

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from longshort import metrics
-from longshort.detectors import DelayedGtDetector
 from longshort.metrics import (
     AREA_ALL,
     AREA_RANGES,
@@ -41,6 +40,7 @@ from oracles import (
     objects,
     oracle_greedy_match,
     oracle_sap_report,
+    reference_delayed_gt,
     reference_sap_report,
 )
 
@@ -228,8 +228,7 @@ def test_ap_table_is_bit_identical_to_the_scalar_reference_row_by_row():
 
 def test_zero_latency_oracle_scores_perfectly():
     gts = scene_gts(bundled_scene("uniform"))
-    detector = DelayedGtDetector(gts, 0)
-    report = report_via([detector(k) for k in range(len(gts))], gts)
+    report = report_via(reference_delayed_gt(gts, 0), gts)
     assert report.sap == report.sap50 == report.sap75 == 1.0
     assert report.sap_small == report.sap_medium == report.sap_large == 1.0
     assert all(v == 1.0 for v in report.per_category.values())
@@ -237,15 +236,13 @@ def test_zero_latency_oracle_scores_perfectly():
 
 def test_static_scene_is_insensitive_to_detector_staleness():
     gts = uniform_scene_gts(v=(0.0, 0.0))
-    detector = DelayedGtDetector(gts, 1)
-    report = report_via([detector(k) for k in range(len(gts))], gts)
+    report = report_via(reference_delayed_gt(gts, 1), gts)
     assert report.sap == 1.0
 
 
 def test_report_agrees_with_independent_evaluator_on_moving_scene():
     gts = uniform_scene_gts(v=(5.0, 0.0), box=(0, 0, 20, 20))
-    detector = DelayedGtDetector(gts, 1)
-    det_lists = [detector(k) for k in range(len(gts))]
+    det_lists = reference_delayed_gt(gts, 1)
     report = report_via(det_lists, gts)
     want = oracle_sap_report(det_lists, gts)
     assert report.sap == pytest.approx(want["sAP"], abs=1e-9)
@@ -402,8 +399,7 @@ def test_sap50_always_upper_bounds_sap():
     for name in ("uniform", "accelerating", "mixed"):
         gts = scene_gts(bundled_scene(name))
         for latency in (0, 1, 2, 3):
-            detector = DelayedGtDetector(gts, latency)
-            report = report_via([detector(k) for k in range(len(gts))], gts)
+            report = report_via(reference_delayed_gt(gts, latency), gts)
             assert report.sap50 >= report.sap
 
 
@@ -412,8 +408,7 @@ def test_threshold_ordering_with_spread_ious():
     # sAP50 >= sAP >= sAP75 ordering holds.
     for name, latency in (("uniform", 2), ("accelerating", 1), ("accelerating", 2), ("mixed", 2)):
         gts = scene_gts(bundled_scene(name))
-        detector = DelayedGtDetector(gts, latency)
-        report = report_via([detector(k) for k in range(len(gts))], gts)
+        report = report_via(reference_delayed_gt(gts, latency), gts)
         assert report.sap50 >= report.sap >= report.sap75, (name, latency)
 
 
@@ -422,8 +417,7 @@ def test_sap75_can_exceed_sap_when_ious_cluster_above_075():
     # this scene at staleness 1 lies in (0.75, 0.97), so the 0.75 threshold
     # scores perfectly while the stricter thresholds drag the mean down.
     gts = scene_gts(bundled_scene("uniform"))
-    detector = DelayedGtDetector(gts, 1)
-    report = report_via([detector(k) for k in range(len(gts))], gts)
+    report = report_via(reference_delayed_gt(gts, 1), gts)
     assert report.sap75 == 1.0
     assert report.sap75 > report.sap
 
@@ -432,8 +426,7 @@ def test_delayed_gt_sap_non_increasing_in_latency():
     gts = uniform_scene_gts(v=(5.0, 0.0))
     values = []
     for latency in range(6):
-        detector = DelayedGtDetector(gts, latency)
-        values.append(report_via([detector(k) for k in range(len(gts))], gts).sap)
+        values.append(report_via(reference_delayed_gt(gts, latency), gts).sap)
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -451,8 +444,7 @@ def test_score_scaling_leaves_report_unchanged():
 
 def test_duplicate_detection_never_improves_ap():
     gts = uniform_scene_gts(v=(2.0, 0.0))
-    detector = DelayedGtDetector(gts, 1)
-    det_lists = [detector(k) for k in range(len(gts))]
+    det_lists = reference_delayed_gt(gts, 1)
     base = report_via(det_lists, gts)
     dup_lists = [objects(frame) + objects(frame)[:1] for frame in det_lists]
     dup = report_via(dup_lists, gts)
@@ -490,8 +482,7 @@ def test_a_category_only_in_frames_no_pairing_queries_is_not_scored():
 
 def test_report_csv_and_table_columns():
     gts = uniform_scene_gts()
-    detector = DelayedGtDetector(gts, 1)
-    report = report_via([detector(k) for k in range(len(gts))], gts)
+    report = report_via(reference_delayed_gt(gts, 1), gts)
     header, row = report_to_csv(report).splitlines()
     assert header == "sAP,sAP50,sAP75,sAP_s,sAP_m,sAP_l"
     assert row == report_to_csv_row(report) and len(row.split(",")) == 6

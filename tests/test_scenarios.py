@@ -154,6 +154,32 @@ def test_a_start_box_given_in_code_builds_the_scene_of_its_dict(kind, box):
     assert scene == want and scene.ground_truth == want.ground_truth
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("velocity", (1, 2, 3), "velocity (1, 2, 3): must be a list of 2 numbers"),
+    ("occlusion_window", (3,), "occlusion_window (3,): must be a list of 2 numbers"),
+    ("velocity", "ab", "velocity 'ab': must be a list of 2 numbers"),
+    ("category", 1.5, "category 1.5: must be a whole number"),
+    ("kind", "spiral", "kind 'spiral': 'spiral' is not a valid TrajectoryKind"),
+    ("turn_rate", math.inf, "turn_rate inf: must be finite"),
+    ("track_id", 2**63, "track_id 9223372036854775808: must be a 64-bit whole number"),
+    ("acceleration", (True, 0), "acceleration (True, 0): must be a number"),
+])
+def test_a_trajectory_built_in_code_refuses_a_bad_field_by_name(field, value, message):
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        TrajectorySpec(**{"kind": TrajectoryKind.UNIFORM, "initial_bbox": (0, 0, 10, 10), field: value})
+
+
+def test_a_trajectory_built_in_code_is_cast_as_its_dict_is():
+    given = {"initial_bbox": [10, 20, 30, 40], "velocity": [2, 1], "acceleration": [0, 1], "turn_rate": 0,
+             "occlusion_window": [2.0, 3], "category": 2.0, "track_id": 7.0}
+    traj = TrajectorySpec(TrajectoryKind.OCCLUDED, **given)
+    (want,) = scene_from_dict({"n_frames": 6, "width": 100, "height": 80,
+                               "trajectories": [{"kind": "occluded", **given}]}).trajectories
+    assert repr(traj) == repr(want)  # 2 and 2.0 are equal, but print apart
+    assert (traj.category, traj.occlusion_window, traj.velocity) == (2, (2, 3), (2.0, 1.0))
+    assert [type(v) for v in (traj.category, *traj.occlusion_window, *traj.velocity)] == [int, int, int, float, float]
+
+
 def test_bundled_scenes_all_generate():
     names = bundled_scene_names()
     assert {"uniform", "accelerating", "mixed"} <= set(names)
