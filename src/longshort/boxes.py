@@ -1,18 +1,22 @@
-"""The column tables that boxes take inside the program, and the readers of
-boxes in data files.
+"""The column tables that boxes take inside the program, the readers of
+boxes in data files, and the parsers of settings.
 
 GroundTruthTable and DetectionTable hold one (n, 4) float64 corner array
 and one array per attribute, the layout COCO's evaluator keeps per image.
 Data files (COCO annotations, records logs) are read column by column under
 one number rule, is_number; a ParseError names the file and the entry.
+Settings values are cast by the parsers below under the same rule; an
+InvalidConfig names the key, the value and the rule.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+import math
+import numbers
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,6 +123,94 @@ def is_number(value, whole: bool = False) -> bool:
     if whole:
         return -(2**63) <= value < 2**63 and (type(value) is int or value.is_integer())
     return -(2**1024 - 2**970) < value < 2**1024 - 2**970  # what rounds to a finite float
+
+
+class InvalidConfig(ValueError):
+    """The refusal of every config, scene and settings (fusion, stream)
+    rule; the message names the key or the item and the rule."""
+
+
+def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
+    """A parser that casts a value and raises ValueError(rule) unless ok."""
+    def parse(value):
+        value = cast(value)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return parse
+
+
+def _number(value):
+    """value, refusing anything but a number (a bool or a string too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):  # int, float: the fast checks
+        raise TypeError("must be a number")
+    return value
+
+
+def _whole(value) -> int:
+    """int(value) of a 64-bit whole number (is_number's rule); 1.5 is refused, not truncated."""
+    value = _number(value)
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError("must be a whole number")
+    if not is_number(int(value), whole=True):
+        raise ValueError("must be a 64-bit whole number")
+    return int(value)
+
+
+def _real(value) -> float:
+    """float(value) of a number."""
+    return float(_number(value))
+
+
+_COUNT = _checked(_whole, lambda n: n >= 0, "must be >= 0")
+_STRIDE = _checked(_whole, lambda n: n >= 1, "must be >= 1")
+_FINITE = _checked(_real, math.isfinite, "must be finite")
+_INTERVAL = _checked(_real, lambda v: 0 < v < math.inf, "must be finite and > 0")
+_RATIO = _checked(_real, lambda r: 0 < r < 1, "must lie in (0, 1)")
+_BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
+_STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
+
+
+def _object(raw, section: str) -> dict:
+    """raw, or an InvalidConfig naming the section unless it is an object."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{section} must be an object, got {raw!r}")
+    return raw
+
+
+def _parsed(name: str, value, parse: Callable):
+    """parse(value), or an InvalidConfig "name value: rule"; a nested
+    section's own InvalidConfig, which names it already, passes unchanged."""
+    try:
+        return parse(value)
+    except InvalidConfig:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{name} {value!r}: {exc}") from None
+
+
+def _given(raw, section: str, keys, required: tuple = (), context: str = "") -> dict:
+    """The keys of the object `raw` that are not null (a null takes the
+    default), as given; an unknown or missing key is an InvalidConfig."""
+    for key in _object(raw, section):
+        if key not in keys:
+            raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {tuple(keys)}")
+    for key in required:
+        if raw.get(key) is None:
+            raise InvalidConfig(f"{section} is missing {key!r}")
+    return {key: value for key, value in raw.items() if value is not None}
+
+
+def _parsed_section(raw, section: str, parsers: dict, context: str = "") -> dict:
+    """The keys of `raw` (see _given), each cast by its parser."""
+    given = _given(raw, section, parsers, context=context)
+    return {key: _parsed(f"{section} {key}", value, parsers[key]) for key, value in given.items()}
+
+
+def _parse_fields(obj, parsers: dict, prefix: str = "") -> None:
+    """Parse in place each field of the frozen dataclass `obj` that `parsers` names."""
+    for key, parse in parsers.items():
+        object.__setattr__(obj, key, _parsed(prefix + key, getattr(obj, key), parse))
 
 
 def column(source, objs: list, key: str, table: str, rows: Optional[list[int]] = None, default=None) -> list:

@@ -23,18 +23,19 @@ scene by name, or a COCO-format annotation file.
     }
 
 Every section (the config itself, stream, fusion, detector, an inline scene
-and its trajectories) must be an object, and one parser walks them all: an
-unknown key, or a value its key's parser refuses, is rejected naming the
-key.  So a number must be a JSON number, not a string or a bool (a flag's
-or sweep's value too), a count refuses a fractional value instead of
-truncating it, a value outside its key's range is refused as "section key
-value: rule" (fusion ratio 1.5: must lie in (0, 1)), scene_name, dataset
-and output must be strings, and a scene_name must name a bundled scene.  A
-null is not given: it takes the default (the base's value over a base), a
-null section or detector kind too.  "stream" takes one latency form, a
-constant or a per-frame list, not both.  The checks that relate keys run
-when a RunConfig is built.  The stream's rules (a horizon within the
-source's frames, a per-frame latency list that covers it, a clock that
+and its trajectories) must be an object; an unknown key is rejected naming
+it.  Each value is parsed once, by its key's parser (boxes.py), and one it
+refuses is rejected as "section key value: rule" (fusion ratio 1.5: must
+lie in (0, 1)).  The fusion, scene and trajectory keys are only matched
+here: FusionSettings, SyntheticScene and TrajectorySpec parse their own
+fields, so one built in code meets the same rules.  A number must be a
+JSON number, not a string or a bool (a flag's or sweep's value too), a
+count refuses a fractional value instead of truncating it, and a
+scene_name must name a bundled scene.  A null is not given: it takes the
+default (the base's value over a base), a null section or detector kind
+too.  "stream" takes one latency form, a constant or a per-frame list, not
+both.  The checks that relate keys run when a RunConfig is built.  The
+stream's rules (a horizon within the source's frames, a per-frame latency list that covers it, a clock that
 stays finite) are one set of checks, RunConfig.stream_for and the
 StreamConfig it builds: they run at load for a scene source, whose frame
 count is known then, and when build_run_data reads a dataset's file.
@@ -53,64 +54,21 @@ n_history x delta_t below the horizon.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Optional, Union
 
+from .boxes import (
+    _COUNT, _FINITE, _INTERVAL, _STRIDE, _STRING, InvalidConfig, _checked, _given, _object, _parsed_section, _whole,
+)
 from .coco_io import parse_json
-from .fusion import FusionSettings, FusionVariant, InvalidConfig
+from .fusion import FUSION_PARSERS, FusionSettings
 from .network import MODEL_CHANNELS
 from .scenarios import SyntheticScene, bundled_scene, bundled_scene_names, scene_from_dict
 from .streaming import ConstantLatency, DispatchPolicy, LatencyModel, PerFrameLatency, StreamConfig
 
 
-def _checked(cast: Callable, ok: Callable[[Any], bool], rule: str) -> Callable:
-    """A parser that casts a value and raises ValueError(rule) unless ok."""
-    def parse(value):
-        value = cast(value)
-        if not ok(value):
-            raise ValueError(rule)
-        return value
-    return parse
-
-
-def _number(value):
-    """value, refusing anything but a number (a bool or a string too)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):  # int, float: the fast checks
-        raise TypeError("must be a number")
-    return value
-
-
-def _whole(value) -> int:
-    """int(value) of a number, refusing a fractional one instead of
-    truncating it, and one outside the 64-bit range."""
-    value = _number(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("must be a whole number")
-    if not -(2**63) <= value < 2**63:
-        raise ValueError("must be a 64-bit whole number")
-    return int(value)
-
-
-def _real(value) -> float:
-    """float(value) of a number."""
-    return float(_number(value))
-
-
-def _per_frame_latency(values) -> PerFrameLatency:
-    if not isinstance(values, (list, tuple)):
-        raise TypeError("must be a list of latencies")
-    return PerFrameLatency(tuple(map(_real, values)))
-
-
-_COUNT = _checked(_whole, lambda n: n >= 0, "must be >= 0")
-_STRIDE = _checked(_whole, lambda n: n >= 1, "must be >= 1")
-_FINITE = _checked(_real, math.isfinite, "must be finite")
-_INTERVAL = _checked(_real, lambda v: 0 < v < math.inf, "must be finite and > 0")
-_RATIO = _checked(_real, lambda r: 0 < r < 1, "must lie in (0, 1)")
 _MODEL_SIZE = _checked(str, MODEL_CHANNELS.__contains__, f"must be one of {sorted(MODEL_CHANNELS)}")
 
 # forecaster kind -> the n_history of its ForecastDetector preset; None: the
@@ -126,13 +84,8 @@ DETECTOR_KEYS = {
 }
 DETECTOR_KINDS = tuple(DETECTOR_KEYS)
 _DETECTOR_PARSERS = {kind: {key: parse for key, (_, parse) in keys.items()} for kind, keys in DETECTOR_KEYS.items()}
-_STREAM_PARSERS = {"latency_ms": lambda v: ConstantLatency(_real(v)), "latency_per_frame_ms": _per_frame_latency,
-                   "frame_interval_ms": _INTERVAL, "dispatch": DispatchPolicy, "horizon_frames": _STRIDE}
-_BOOL = _checked(lambda v: v, lambda v: isinstance(v, bool), "must be true or false")
-_STRING = _checked(lambda v: v, lambda v: isinstance(v, str), "must be a string")
-
-
-_FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _COUNT, "delta_t": _STRIDE, "ratio": _RATIO, "residual": _BOOL}
+_STREAM_PARSERS = {"latency_ms": ConstantLatency, "latency_per_frame_ms": PerFrameLatency, "frame_interval_ms": _INTERVAL,
+                   "dispatch": DispatchPolicy, "horizon_frames": _STRIDE}
 # config key -> the RunConfig field it sets, where the two differ
 _FIELDS = {"scene_name": "scene", "dataset": "dataset_path", "latency_ms": "latency_model",
            "latency_per_frame_ms": "latency_model", "dispatch": "dispatch_policy"}
@@ -181,10 +134,10 @@ class RunConfig:
         `source_interval_ms` apart: horizon_frames, else every frame, at
         frame_interval_ms, else the source's interval.  A horizon beyond the
         source, or a stream that breaks a StreamConfig rule, is refused."""
-        horizon = self.horizon_frames or n_frames
+        horizon = n_frames if self.horizon_frames is None else self.horizon_frames
         if horizon > n_frames:
             raise InvalidConfig(f"stream horizon_frames {horizon}: exceeds the source's {n_frames} frames")
-        interval = self.frame_interval_ms or source_interval_ms
+        interval = source_interval_ms if self.frame_interval_ms is None else self.frame_interval_ms
         return StreamConfig(horizon, self.latency_model, interval, self.dispatch_policy)
 
     @property
@@ -192,38 +145,6 @@ class RunConfig:
         """Every key of the detector's kind: its given value, else its default."""
         table = DETECTOR_KEYS[self.detector_kind]
         return {key: self.detector_params.get(key, default) for key, (default, _) in table.items()}
-
-
-def _object(raw, section: str) -> dict:
-    """raw, or an InvalidConfig naming the section unless it is an object."""
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{section} must be an object, got {raw!r}")
-    return raw
-
-
-def _parsed(section: str, key: str, value, parse: Callable):
-    """parse(value), or an InvalidConfig that names the key; a nested
-    section's own InvalidConfig, which names it already, passes unchanged."""
-    try:
-        return parse(value)
-    except InvalidConfig:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"{section} {key} {value!r}: {exc}") from None
-
-
-def _parsed_section(raw, section: str, parsers: dict, required: tuple = (), context: str = "") -> dict:
-    """The keys given in the object `raw`, each cast by its parser; a raw
-    that is not an object, an unknown or missing key, or a value its parser
-    refuses is an InvalidConfig naming the section or key (an unknown one
-    followed by `context`).  A null value is left out: the default applies."""
-    for key in _object(raw, section):
-        if key not in parsers:
-            raise InvalidConfig(f"unknown {section} key {key!r}{context}; use one of {tuple(parsers)}")
-    for key in required:
-        if raw.get(key) is None:
-            raise InvalidConfig(f"{section} is missing {key!r}")
-    return {key: _parsed(section, key, value, parsers[key]) for key, value in raw.items() if value is not None}
 
 
 def _stream(raw) -> dict:
@@ -241,10 +162,10 @@ def _scene_name(name) -> SyntheticScene:
 
 
 # config key -> parse; "stream" gives several RunConfig fields, and the
-# detector's keys, which RunConfig checks against its kind's table, are kept
+# fusion and detector keys, which FusionSettings and RunConfig check, are kept
 _RUN_PARSERS = {
     "seed": _COUNT, "scene": scene_from_dict, "scene_name": _scene_name, "dataset": _STRING, "stream": _stream,
-    "fusion": lambda raw: _parsed_section(raw, "fusion", _FUSION_PARSERS),
+    "fusion": lambda raw: _given(raw, "fusion", FUSION_PARSERS),
     "detector": lambda raw: dict(_object(raw, "detector")), "max_dets_per_frame": _STRIDE, "output": _STRING,
 }
 
@@ -254,13 +175,13 @@ def run_config_from_dict(data: dict, base: Optional[RunConfig] = None) -> RunCon
     `data` gives replacing that value alone (a data source or latency form
     the base's; a detector kind keeps the base's detector keys)."""
     given = _parsed_section(data, "config", _RUN_PARSERS)
+    fields = {} if base is None else dict(vars(base))
+    fields["fusion"] = replace(fields.get("fusion", FusionSettings()), **given.pop("fusion", {}))
     sources = [key for key in ("scene", "scene_name", "dataset") if key in given]
     if len(sources) != 1 and (base is None or sources):
         raise InvalidConfig(f"exactly one of scene/scene_name/dataset required, got {sources}")
-    fields = {} if base is None else dict(vars(base))
     if sources:
         fields.update(scene=None, dataset_path=None)
-    fields["fusion"] = replace(fields.get("fusion", FusionSettings()), **given.pop("fusion", {}))
     detector = given.pop("detector", {})
     if (kind := detector.pop("kind", None)) is not None:
         fields["detector_kind"] = kind
@@ -292,18 +213,23 @@ DEFAULT_SWEEP_VALUES: dict[SweepAxis, list] = {
     # The trailing "*" marks the residual-connection-removed variant.
     SweepAxis.FUSION_VARIANT: ["EfAvg", "EfDil", "LfAvg", "LfDil", "LfDil*"],
 }
+# detector kind -> the sweep axes it reads (a forecaster its own n_history and delta_t)
+SWEPT_AXES = {"delayed-gt": (), **dict.fromkeys(FORECASTER_HISTORY, (SweepAxis.TEMPORAL_RANGE,)), "pyramid": tuple(SweepAxis)}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """values: a non-empty list, or None for the axis's default grid.  Each
-    value is checked when its row runs, so a bad one fails that row only."""
+    value is checked when its row runs, so a bad one fails that row only.
+    An axis the base's kind does not read (SWEPT_AXES) is refused."""
 
     axis: SweepAxis
     base: RunConfig
     values: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.axis not in SWEPT_AXES[kind := self.base.detector_kind]:
+            raise InvalidConfig(f"sweep axis {self.axis.value}: detector kind {kind} reads no fusion key")
         values = DEFAULT_SWEEP_VALUES[self.axis] if self.values is None else self.values
         if not isinstance(values, (list, tuple)) or not values:
             raise InvalidConfig(f"sweep values must be a non-empty list, got {values!r}")
@@ -315,7 +241,7 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     delta_t) the fusion n_history and delta_t (a null delta_t is 1), and the
     detector's, with kind hold for N = 0 else long-short, if its kind takes
     them; dilation-ratio the fusion ratio; fusion-variant X or X* the fusion
-    variant X and residual, false for X* only."""
+    variant X and residual, false for X* only; a null fusion key is refused."""
     if spec.axis is SweepAxis.TEMPORAL_RANGE:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise InvalidConfig(f"sweep temporal-range value {value!r}: must be a pair of N and delta_t")
@@ -328,9 +254,8 @@ def apply_sweep_value(spec: SweepSpec, value) -> RunConfig:
     else:  # FUSION_VARIANT
         starred = isinstance(value, str) and value.endswith("*")
         keys = {"fusion": {"variant": value[:-1] if starred else value, "residual": not starred}}
-    for key in [key for key, given in keys["fusion"].items() if given is None]:
-        _parsed("fusion", key, None, _FUSION_PARSERS[key])  # a null key is not given: its parser refuses it here
-    return run_config_from_dict(keys, spec.base)
+    base = replace(spec.base, fusion=replace(spec.base.fusion, **keys.pop("fusion")))
+    return run_config_from_dict(keys, base) if keys else base
 
 
 def sweep_key_columns(axis: SweepAxis) -> list[str]:

@@ -45,12 +45,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .boxes import _BOOL, _COUNT, _RATIO, _STRIDE, InvalidConfig, _checked, _parse_fields, _whole
 from .tensor import ProjectionWeights, ShapeMismatch, as_feature_map, project_1x1
-
-
-class InvalidConfig(ValueError):
-    """The refusal of every config, scene and settings (fusion, stream)
-    rule; the message names the key or the item and the rule."""
 
 
 class FusionVariant(Enum):
@@ -61,10 +57,16 @@ class FusionVariant(Enum):
 
     @classmethod
     def parse(cls, name) -> "FusionVariant":
-        """The variant called `name`; any other value is an InvalidConfig."""
-        if name not in (names := [v.value for v in cls]):
-            raise InvalidConfig(f"fusion variant {name!r}: must be one of {names}")
+        """The variant called `name`, or `name` if it is a variant; any
+        other value is a ValueError listing the names."""
+        if not isinstance(name, cls) and name not in (names := [v.value for v in cls]):
+            raise ValueError(f"must be one of {names}")
         return cls(name)
+
+
+FUSION_PARSERS = {"variant": FusionVariant.parse, "n_history": _COUNT, "delta_t": _STRIDE, "ratio": _RATIO, "residual": _BOOL}
+# the rules of one level's settings: its width d (not a config key) and a history to fuse
+_LEVEL_PARSERS = {"d": _checked(_whole, lambda d: d >= 2, "must be >= 2"), "n_history": _STRIDE}
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,11 @@ class FusionSettings:
     """Fusion settings: variant, temporal range (N, delta_t), dilation
     channel ratio, the residual switch, and the channel width d they fuse.
 
-    A config's "fusion" section leaves d unset, since d is not a config key;
-    there n_history=0 disables the history path entirely (fusion is bypassed
-    and current features pass through; delta_t is then irrelevant).
+    Built in code, they meet the config's rules and wording, since each
+    field is parsed as the "fusion" key of its name ("fusion ratio 1.5:
+    must lie in (0, 1)"); a variant may be given by name.  A config's "fusion" section leaves d unset, since d is not a
+    config key; there n_history=0 disables the history path entirely
+    (fusion is bypassed and current features pass through).
     config_for(d) gives the settings of one level of width d, which need
     n_history >= 1 and d >= 2; every function below takes those.
     """
@@ -87,15 +91,7 @@ class FusionSettings:
     d: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise InvalidConfig(f"ratio must lie in (0, 1), got {self.ratio}")
-        min_history = 0 if self.d is None else 1
-        if self.n_history < min_history:
-            raise InvalidConfig(f"n_history must be >= {min_history}, got {self.n_history}")
-        if self.delta_t < 1:
-            raise InvalidConfig(f"delta_t must be >= 1, got {self.delta_t}")
-        if self.d is not None and self.d < 2:
-            raise InvalidConfig(f"d must be >= 2, got {self.d}")
+        _parse_fields(self, FUSION_PARSERS if self.d is None else {**FUSION_PARSERS, **_LEVEL_PARSERS}, "fusion ")
 
     def config_for(self, d: int) -> "FusionSettings":
         return replace(self, d=d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .boxes import DetectionTable, GroundTruthTable
+from .boxes import DetectionTable, GroundTruthTable, InvalidConfig
 from .coco_io import load_coco_annotations
 from .config import (
     FORECASTER_HISTORY,
@@ -26,7 +26,7 @@ from .config import (
     sweep_key_columns,
 )
 from .detectors import ForecastDetector
-from .fusion import InvalidConfig, plan_channels
+from .fusion import plan_channels
 from .metrics import (
     REPORT_COLUMNS,
     SapReport,
@@ -65,7 +65,7 @@ def build_run_data(cfg: RunConfig) -> RunData:
         gts = ds.gts_by_frame
         pixels, interval = [None] * len(gts), ds.frame_interval_ms or DEFAULT_FRAME_INTERVAL_MS
     # an empty source without a horizon has no stream: its 0 frames hold no box
-    stream = cfg.stream_for(len(gts), interval) if gts or cfg.horizon_frames else None
+    stream = cfg.stream_for(len(gts), interval) if gts or cfg.horizon_frames is not None else None
     horizon = 0 if stream is None else stream.horizon_frames
     gts = gts[:horizon]
     if not any(gts):

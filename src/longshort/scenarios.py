@@ -14,14 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
 
-from .boxes import GroundTruthTable, is_number
-from .fusion import InvalidConfig
+from .boxes import _FINITE, _STRIDE, GroundTruthTable, InvalidConfig, _checked, _given, _parse_fields, _whole
 from .metrics import AREA_SMALL
 from .network import Frame
 from .streaming import DEFAULT_FRAME_INTERVAL_MS
@@ -35,36 +33,33 @@ class TrajectoryKind(Enum):
     SMALL_OBJECT = "small_object"
 
 
+def _list_of(n: int, parse: Callable) -> Callable:
+    """A parser of a list or tuple of n values, each cast by parse, to a tuple."""
+    def parse_all(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise TypeError(f"must be a list of {n} numbers")
+        return tuple(map(parse, value))
+    return parse_all
+
+
 def _start_box(box) -> tuple[float, float, float, float]:
-    """box as 4 floats; a ValueError unless it is a list or tuple of 4
-    numbers (boxes.is_number) whose corners do not cross."""
-    if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(map(is_number, box)):
-        raise ValueError(f"a box takes 4 finite numbers, got {box!r}")
-    box = tuple(map(float, box))
+    """box as 4 finite floats whose corners do not cross."""
+    box = _list_of(4, _FINITE)(box)
     if box[0] > box[2] or box[1] > box[3]:
         raise ValueError(f"degenerate box, corners {list(box)} cross")
     return box
 
 
-@cache
-def _trajectory_parsers() -> dict:
-    """A trajectory key -> the parser that casts and checks its value: a
-    number is not a string or a bool, a count is whole, a pair is a list or
-    tuple of 2 numbers."""
-    from .config import _FINITE, _whole  # config imports this module
+def _optional(parse: Callable) -> Callable:
+    """parse, passing None (the field's default) through."""
+    return lambda value: None if value is None else parse(value)
 
-    def list_of(n: int, parse: Callable) -> Callable:
-        def parse_all(value) -> tuple:
-            if not isinstance(value, (list, tuple)) or len(value) != n:
-                raise TypeError(f"must be a list of {n} numbers")
-            return tuple(map(parse, value))
-        return parse_all
 
-    return {
-        "kind": TrajectoryKind, "initial_bbox": lambda v: _start_box(list_of(4, _FINITE)(v)),
-        "velocity": list_of(2, _FINITE), "acceleration": list_of(2, _FINITE), "turn_rate": _FINITE,
-        "occlusion_window": list_of(2, _whole), "category": _whole, "track_id": _whole,
-    }
+_TRAJECTORY_PARSERS = {
+    "kind": TrajectoryKind, "initial_bbox": _start_box, "velocity": _list_of(2, _FINITE),
+    "acceleration": _list_of(2, _FINITE), "turn_rate": _FINITE,
+    "occlusion_window": _optional(_list_of(2, _whole)), "category": _whole, "track_id": _optional(_whole),
+}
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,11 @@ class TrajectorySpec:
     """One track's motion: starting box (x_min, y_min, x_max, y_max),
     velocity (px/frame), acceleration (px/frame^2), turn rate (rad/frame),
     and an optional inclusive frame window during which the track is absent
-    from the ground truth.  Every field is cast and checked as
-    scene_from_dict casts and checks its key: the box is kept as a 4-tuple
-    of floats, a pair as a tuple, a count as an int.  A value its key's
-    parser refuses (a box that is not 4 finite numbers, or whose corners
-    cross, too) is an InvalidConfig naming the field."""
+    from the ground truth.  Built in code, it meets the config's rules and
+    wording, since each field is parsed as the trajectory key of its name:
+    the box is kept as a 4-tuple of floats, a pair as a tuple, a count as
+    an int.  A refused value, or a kind's rule broken, is an InvalidConfig
+    "key value: rule" (scene_from_dict adds the place)."""
 
     kind: TrajectoryKind
     initial_bbox: tuple[float, float, float, float]
@@ -88,28 +83,17 @@ class TrajectorySpec:
     track_id: Optional[int] = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "initial_bbox", _start_box(self.initial_bbox))
-        except ValueError as exc:
-            raise InvalidConfig(f"initial_bbox: {exc}") from None
-        parsers = _trajectory_parsers()
-        for key, value in vars(self).items():
-            if key == "initial_bbox" or (value is None and key in ("occlusion_window", "track_id")):
-                continue
-            try:
-                object.__setattr__(self, key, parsers[key](value))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidConfig(f"{key} {value!r}: {exc}") from None
-        if self.kind is TrajectoryKind.ACCELERATING and self.acceleration == (0.0, 0.0):
-            raise InvalidConfig("accelerating trajectory needs a nonzero acceleration")
-        if self.kind is TrajectoryKind.TURNING and self.turn_rate == 0.0:
-            raise InvalidConfig("turning trajectory needs a nonzero turn_rate")
-        if self.kind is TrajectoryKind.OCCLUDED and self.occlusion_window is None:
-            raise InvalidConfig("occluded trajectory needs an occlusion_window")
+        _parse_fields(self, _TRAJECTORY_PARSERS)
         x_min, y_min, x_max, y_max = self.initial_bbox
         area = (x_max - x_min) * (y_max - y_min)
-        if self.kind is TrajectoryKind.SMALL_OBJECT and area >= AREA_SMALL[1]:
-            raise InvalidConfig(f"small-object box area {area} is not below {AREA_SMALL[1]}")
+        ok, rule = {
+            TrajectoryKind.ACCELERATING: (self.acceleration != (0.0, 0.0), "needs a nonzero acceleration"),
+            TrajectoryKind.TURNING: (self.turn_rate != 0.0, "needs a nonzero turn_rate"),
+            TrajectoryKind.OCCLUDED: (self.occlusion_window is not None, "needs an occlusion_window"),
+            TrajectoryKind.SMALL_OBJECT: (area < AREA_SMALL[1], f"box area {area} is not below {AREA_SMALL[1]}"),
+        }.get(self.kind, (True, None))
+        if not ok:
+            raise InvalidConfig(f"kind {self.kind.value!r}: {rule}")
 
     def corners(self, n_frames: int) -> np.ndarray:
         """(n_frames, 4) unclipped corners at frames 0, 1, ..., occlusion
@@ -129,12 +113,24 @@ class TrajectorySpec:
             return np.array(self.initial_bbox, dtype=np.float64) + np.stack([dx, dy, dx, dy], axis=1)
 
 
+def _trajectories(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(t, TrajectorySpec) for t in value):
+        raise TypeError("must be a list of trajectories")
+    return tuple(value)
+
+
+_SCENE_PARSERS = {"n_frames": _checked(_whole, lambda n: n >= 2, "must be >= 2"), "frame_interval_ms": _FINITE,
+                  "width": _STRIDE, "height": _STRIDE, "trajectories": _trajectories}
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
     """A scene and, in `ground_truth`, every frame's visible boxes: one
-    GroundTruthTable per frame, computed once when the scene is built.  A
-    trajectory whose box is not finite on some frame, or that never shows
-    a box inside the image, is rejected then, naming it."""
+    GroundTruthTable per frame, computed once when the scene is built.
+    Built in code, it meets the config's rules and wording, since each field
+    is parsed as the scene key of its name ("scene n_frames 2.5: must be a
+    whole number").  A trajectory whose box is not finite on some frame, or
+    that never shows a box inside the image, is rejected then."""
 
     n_frames: int
     frame_interval_ms: float
@@ -144,14 +140,9 @@ class SyntheticScene:
     ground_truth: tuple[GroundTruthTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key, size in (("width", self.width), ("height", self.height)):
-            if size < 1:
-                raise InvalidConfig(f"scene {key} {size}: must be >= 1")
-        if self.n_frames < 2:
-            raise InvalidConfig(f"scene n_frames {self.n_frames}: must be >= 2")
-        if not 0 < self.frame_interval_ms < math.inf:
+        _parse_fields(self, _SCENE_PARSERS, "scene ")
+        if not self.frame_interval_ms > 0:  # a finite float by now, which the message shows
             raise InvalidConfig(f"scene frame_interval_ms {self.frame_interval_ms}: must be finite and > 0")
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
         k = np.arange(self.n_frames)
         # clipping to the image: the min corner from below, the max corner from above
         lo = np.array([0.0, 0.0, -math.inf, -math.inf])
@@ -212,33 +203,24 @@ def scene_from_dict(data: dict) -> SyntheticScene:
     """A scene from its JSON form: {"n_frames", "width", "height" (required),
     "frame_interval_ms", "trajectories": [{"kind", "initial_bbox"
     (required), "velocity", "acceleration", "turn_rate", "occlusion_window",
-    "category", "track_id"}, ...]}.  An unknown or missing key, or a value
-    its key's parser refuses (every value is a number, not a string, and
-    counts are whole), is an InvalidConfig naming the key, and a trajectory
-    that breaks its kind's rule is one naming the trajectory; a null takes
-    the default."""
-    from .config import _FINITE, _parsed_section, _whole  # config imports this module
-
-    def trajectories(value) -> list:
-        if not isinstance(value, list):
-            raise TypeError("must be a list of trajectories")
-        return value
-
-    scene = _parsed_section(data, "scene", {
-        "n_frames": _whole, "frame_interval_ms": _FINITE, "width": _whole, "height": _whole,
-        "trajectories": trajectories,
-    }, ("n_frames", "width", "height"))
+    "category", "track_id"}, ...]}.  Only keys are matched here (an unknown
+    or missing key is an InvalidConfig, a null takes the default); each
+    value goes as given to SyntheticScene or TrajectorySpec, which parse
+    it, so that one built in code meets the same rules and wording.  A
+    trajectory's refusal is prefixed with "scene trajectories[i]"."""
+    scene = _given(data, "scene", _SCENE_PARSERS, ("n_frames", "width", "height"))
 
     def trajectory(i: int, raw) -> TrajectorySpec:
         section = f"scene trajectories[{i}]"
-        fields = _parsed_section(raw, section, _trajectory_parsers(), ("kind", "initial_bbox"))
+        fields = _given(raw, section, _TRAJECTORY_PARSERS, ("kind", "initial_bbox"))
         try:
             return TrajectorySpec(**fields)
-        except InvalidConfig as exc:  # a rule of the trajectory's kind
-            raise InvalidConfig(f"{section}: {exc}") from None
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{section} {exc}") from None
 
-    specs = tuple(trajectory(i, td) for i, td in enumerate(scene.pop("trajectories", [])))
-    return SyntheticScene(**{"frame_interval_ms": DEFAULT_FRAME_INTERVAL_MS, **scene}, trajectories=specs)
+    if isinstance(trajectories := scene.get("trajectories", []), list):  # anything else SyntheticScene refuses
+        scene["trajectories"] = [trajectory(i, raw) for i, raw in enumerate(trajectories)]
+    return SyntheticScene(**{"frame_interval_ms": DEFAULT_FRAME_INTERVAL_MS, **scene})
 
 
 def bundled_scene_names() -> list[str]:

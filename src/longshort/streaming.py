@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .boxes import DetectionTable, ParseError, box_corners, column, is_number, whole_numbers
-from .fusion import InvalidConfig
+from .boxes import DetectionTable, InvalidConfig, ParseError, _real, box_corners, column, is_number, whole_numbers
 from .network import Frame
 
 Detector = Callable[[int], DetectionTable]
@@ -35,6 +34,7 @@ class ConstantLatency:
     ms: float
 
     def __post_init__(self):
+        object.__setattr__(self, "ms", _real(self.ms))
         if not (math.isfinite(self.ms) and self.ms >= 0):
             raise ValueError(f"latency_ms must be finite and >= 0, got {self.ms}")
 
@@ -47,7 +47,9 @@ class PerFrameLatency:
     values_ms: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values_ms", tuple(float(v) for v in self.values_ms))
+        if not isinstance(self.values_ms, (list, tuple)):
+            raise TypeError("must be a list of latencies")
+        object.__setattr__(self, "values_ms", tuple(map(_real, self.values_ms)))
         if not all(math.isfinite(v) and v >= 0 for v in self.values_ms):
             raise ValueError("latency_per_frame_ms values must be finite and >= 0")
 

@@ -9,6 +9,8 @@ message is None instead loads as the base without its keys (a null is not
 given).  tests/test_cli.py runs each row through every entry path that
 reaches it: the config file, the eval flags and the sweep axes.  The tags
 name the rows that tests/test_fuzz.py sets over its drawn configs.
+SWEEP_ROWS are the sweeps refused at load: an axis and a detector kind
+that does not read it.
 """
 
 import copy
@@ -251,12 +253,12 @@ ROWS = [
         "latency_per_frame_ms has 5 values, fewer than the 6 frames of the horizon"),
     # a trajectory's kind rule
     Row({TRAJ + "4.acceleration": [0.0, 0.0]},
-        "scene trajectories[4]: accelerating trajectory needs a nonzero acceleration", base="example"),
-    Row({TRAJ + "1.turn_rate": 0.0}, "scene trajectories[1]: turning trajectory needs a nonzero turn_rate", base="example"),
+        "scene trajectories[4] kind 'accelerating': needs a nonzero acceleration", base="example"),
+    Row({TRAJ + "1.turn_rate": 0.0}, "scene trajectories[1] kind 'turning': needs a nonzero turn_rate", base="example"),
     Row({TRAJ + "2.occlusion_window": None},
-        "scene trajectories[2]: occluded trajectory needs an occlusion_window", base="example"),
+        "scene trajectories[2] kind 'occluded': needs an occlusion_window", base="example"),
     Row({TRAJ + "3.initial_bbox": [40.0, 180.0, 90.0, 230.0]},
-        "scene trajectories[3]: small-object box area 2500.0 is not below 1024.0", base="example"),
+        "scene trajectories[3] kind 'small_object': box area 2500.0 is not below 1024.0", base="example"),
     Row({"scene.width": None}, "scene is missing 'width'", base="scene"),
     # what a detector kind needs
     Row({"scene_name": None, "dataset": "ann.json", "detector.kind": "pyramid"},
@@ -279,3 +281,19 @@ ROWS = [
 
 def rows(tag: str) -> list[Row]:
     return [row for row in ROWS if tag in row.tags]
+
+
+class SweepRow(NamedTuple):
+    kind: str
+    axis: str
+    message: str
+
+
+# a sweep over an axis that its base's detector kind does not read, whose
+# rows would all be the base: refused at load, over the uniform base
+SWEEP_ROWS = [
+    SweepRow(kind, axis, f"sweep axis {axis}: detector kind {kind} reads no fusion key")
+    for kind, axes in (("delayed-gt", ("temporal-range", "dilation-ratio", "fusion-variant")),
+                       *((kind, ("dilation-ratio", "fusion-variant")) for kind in ("hold", "const-velocity", "long-short")))
+    for axis in axes
+]

@@ -11,6 +11,7 @@ import pytest
 from longshort.cli import build_parser, main
 from longshort.coco_io import ParseError
 from longshort.config import (
+    SWEPT_AXES,
     SweepAxis,
     SweepSpec,
     apply_sweep_value,
@@ -23,7 +24,7 @@ from longshort.runner import SweepRow, build_run_data, run_eval, run_sweep, swee
 from longshort.streaming import ConstantLatency, PerFrameLatency, write_records
 from oracles import load_benchmark_workloads
 from record_refusals import CONFIG as RECORD_CONFIG, RECORD_ROWS, line, log
-from refusals import BASES, INF, NAN, ROWS, rows, with_keys
+from refusals import BASES, INF, NAN, ROWS, SWEEP_ROWS, rows, with_keys
 
 
 def base_config_dict(**extra):
@@ -358,10 +359,12 @@ def test_a_refused_flag_prints_its_config_keys_message(row, tmp_path, monkeypatc
     assert refused_eval(argv, tmp_path, monkeypatch, capsys) == f"error: InvalidConfig: {row.message}\n"
 
 
-# each sweep row over its own detector kind, else over delayed-gt and a
-# forecaster, which also takes the temporal keys
+# each sweep row over its own detector kind, else over pyramid and a
+# forecaster, which takes the temporal keys; a kind that does not read the
+# row's axis refuses the sweep at load (SWEEP_ROWS)
 SWEPT_REFUSALS = [(row, kind) for row in REFUSALS if sweep_value(row)
-                  for kind in ([row.keys["detector.kind"]] if "detector.kind" in row.keys else ["delayed-gt", "long-short"])]
+                  for kind in ([row.keys["detector.kind"]] if "detector.kind" in row.keys else ["pyramid", "long-short"])
+                  if sweep_value(row)[0] in SWEPT_AXES[kind]]
 
 
 @pytest.mark.parametrize("row, kind", SWEPT_REFUSALS, ids=[f"{row.id}-{kind}" for row, kind in SWEPT_REFUSALS])
@@ -370,6 +373,23 @@ def test_a_refused_sweep_value_fails_its_row_with_its_config_keys_message(row, k
     base = run_config_from_dict(with_keys(BASES[row.base], {"detector.kind": kind}))
     [got] = run_sweep(SweepSpec(axis, base, (value,)))
     assert (got.report, got.error) == (None, f"InvalidConfig: {row.message}")
+
+
+@pytest.mark.parametrize("row", SWEEP_ROWS, ids=lambda row: row.message)
+def test_a_sweep_over_an_axis_its_detector_kind_does_not_read_is_refused_at_load(row, tmp_path, capsys, monkeypatch):
+    import longshort.cli as cli
+
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("a row ran"))
+    out = tmp_path / "sweep.csv"
+    config = write_config(tmp_path, with_keys(BASES["uniform"], {"detector.kind": row.kind}))
+    assert main(["sweep", "--config", str(config), "--axis", row.axis, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {row.message}\n"
+    assert not out.exists()
+
+
+def test_the_refused_sweeps_are_every_axis_a_kind_does_not_read():
+    unread = {(kind, axis.value) for kind in SWEPT_AXES for axis in SweepAxis if axis not in SWEPT_AXES[kind]}
+    assert unread == {(row.kind, row.axis) for row in SWEEP_ROWS}
 
 
 def test_a_file_that_is_not_json_is_refused_naming_it(tmp_path, capsys):
@@ -484,14 +504,14 @@ def test_temporal_sweep_has_eleven_default_rows():
 
 
 def test_ratio_sweep_has_three_rows():
-    spec, rows = sweep_rows(SweepAxis.DILATION_RATIO)
+    spec, rows = sweep_rows(SweepAxis.DILATION_RATIO, run_config_from_dict(base_config_dict(detector={"kind": "pyramid"})))
     assert [r.value for r in rows] == [0.25, 0.5, 0.75]
     assert len(sweep_to_csv(spec, rows).strip().splitlines()) == 4
 
 
 def test_variant_sweep_matches_fusion_table_rows():
-    spec, rows = sweep_rows(SweepAxis.FUSION_VARIANT)
-    assert [r.value for r in rows] == ["EfAvg", "EfDil", "LfAvg", "LfDil", "LfDil*"]
+    spec = SweepSpec(SweepAxis.FUSION_VARIANT, run_config_from_dict(base_config_dict(detector={"kind": "pyramid"})))
+    assert spec.values == ("EfAvg", "EfDil", "LfAvg", "LfDil", "LfDil*")
     starred = apply_sweep_value(spec, "LfDil*")
     assert starred.fusion.variant is FusionVariant.LF_DIL
     assert starred.fusion.residual is False
@@ -698,21 +718,24 @@ def test_a_sweep_value_is_its_config_keys(axis, value, keys, tmp_path, monkeypat
     seen = []
     evaluate = runner._evaluate
     monkeypatch.setattr(runner, "_evaluate", lambda cfg, data: seen.append(cfg) or evaluate(cfg, data))
-    # const-velocity takes the temporal keys, and its forecast_steps stays
-    data = base_config_dict(detector={"kind": "const-velocity", "forecast_steps": 1}, fusion={"residual": False})
+    # const-velocity takes the temporal keys, and its forecast_steps stays; pyramid the others, and its weight_seed stays
+    forecaster, pyramid = {"kind": "const-velocity", "forecast_steps": 1}, {"kind": "pyramid", "weight_seed": 3}
+    detector = forecaster if axis == "temporal-range" else pyramid
+    data = base_config_dict(detector=detector, fusion={"residual": False})
     args = ["--config", str(write_config(tmp_path, data)), "--axis", axis, "--values", json.dumps([value])]
     assert main(["sweep", *args, "--seed", "5", "--output", str(tmp_path / "sweep.csv")]) == 0
     assert seen == [run_config_from_dict(with_keys(data, {"seed": 5, **keys}))]
 
 
 def test_sweep_values_override(tmp_path):
-    spec, rows = sweep_rows(SweepAxis.TEMPORAL_RANGE, values=((0, None), (2, 2)))
+    base = run_config_from_dict(base_config_dict(detector={"kind": "long-short"}))
+    spec, rows = sweep_rows(SweepAxis.TEMPORAL_RANGE, base, values=((0, None), (2, 2)))
     assert len(rows) == 2
 
 
 @pytest.mark.parametrize("values", [[], (), {}, {"a": 1}, "abc", 5])
 def test_sweep_rejects_a_value_set_that_is_not_a_non_empty_list(values):
-    base = run_config_from_dict(base_config_dict())
+    base = run_config_from_dict(base_config_dict(detector={"kind": "pyramid"}))
     with pytest.raises(InvalidConfig, match="sweep values must be a non-empty list"):
         SweepSpec(SweepAxis.DILATION_RATIO, base, values)
     assert SweepSpec(SweepAxis.DILATION_RATIO, base).values == (0.25, 0.5, 0.75)
@@ -720,7 +743,7 @@ def test_sweep_rejects_a_value_set_that_is_not_a_non_empty_list(values):
 
 @pytest.mark.parametrize("values", ["[]", '{"a": 1}'])
 def test_cli_sweep_rejects_an_empty_or_object_value_list(tmp_path, capsys, values):
-    cfg_path = write_config(tmp_path, base_config_dict())
+    cfg_path = write_config(tmp_path, base_config_dict(detector={"kind": "pyramid"}))
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--config", str(cfg_path), "--axis", "dilation-ratio", "--values", values, "--output", str(out)]
     assert main(args) == 1
@@ -729,9 +752,9 @@ def test_cli_sweep_rejects_an_empty_or_object_value_list(tmp_path, capsys, value
 
 
 def test_cli_sweep_labels_each_rejected_value_as_given(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, base_config_dict(detector={"kind": "long-short"}))
-
     def sweep(axis, values):
+        kind = "long-short" if axis == "temporal-range" else "pyramid"  # a kind that reads the axis
+        cfg_path = write_config(tmp_path, base_config_dict(detector={"kind": kind}))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values, "--output", str(out)]) == 0
         return [line.split(",") for line in out.read_text().splitlines()[1:]]

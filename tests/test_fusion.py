@@ -125,13 +125,13 @@ def test_plan_total_never_exceeds_d_exhaustive():
 
 
 def test_invalid_configs():
-    with pytest.raises(InvalidConfig, match=re.escape("ratio must lie in (0, 1), got 0.0")):
+    with pytest.raises(InvalidConfig, match=re.escape("fusion ratio 0.0: must lie in (0, 1)")):
         cfg_for(FusionVariant.LF_DIL, ratio=0.0)
-    with pytest.raises(InvalidConfig, match=re.escape("ratio must lie in (0, 1), got 1.0")):
+    with pytest.raises(InvalidConfig, match=re.escape("fusion ratio 1.0: must lie in (0, 1)")):
         cfg_for(FusionVariant.LF_DIL, ratio=1.0)
-    with pytest.raises(InvalidConfig, match="n_history must be >= 1, got 0"):
+    with pytest.raises(InvalidConfig, match="fusion n_history 0: must be >= 1"):
         cfg_for(FusionVariant.LF_DIL, n=0)
-    with pytest.raises(InvalidConfig, match="d must be >= 2, got 1"):
+    with pytest.raises(InvalidConfig, match="fusion d 1: must be >= 2"):
         cfg_for(FusionVariant.LF_DIL, d=1)
 
 
